@@ -11,6 +11,7 @@ The VRF_SENTINEL_LOG environment variable sets the log level.
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime as dt
 import glob
 import json
@@ -21,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__, detectors, evalharness, gbt, groupfeatures, modmatrix, plots, synthgen, vrf_io
-from .errors import VrfError
+from .errors import FileParseError, VrfError
 from .records import ChangeType
 
 logger = logging.getLogger(__name__)
@@ -240,15 +241,23 @@ def cmd_evaluate(args: argparse.Namespace, argv: list[str]) -> int:
 
 def _read_labels(path: str) -> dict[tuple[str, dt.date, ChangeType], groupfeatures.EventLabel]:
     labels = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["locale", "interval_start", "change_type", "label"]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != ["locale", "interval_start", "change_type", "label"]:
             raise VrfError(f"{path}: expected label header locale,interval_start,change_type,label")
-        for line in fh:
-            locale, start, change_type, label = line.strip().split(",")
-            labels[(locale, dt.date.fromisoformat(start), _change_type(change_type))] = (
-                groupfeatures.EventLabel(label)
-            )
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 4:
+                raise FileParseError(
+                    f"{path}: line {reader.line_num}: expected 4 cells, got {len(row)}"
+                )
+            locale, start, change_type, label = row
+            try:
+                key = (locale, dt.date.fromisoformat(start), _change_type(change_type))
+                labels[key] = groupfeatures.EventLabel(label)
+            except ValueError as exc:
+                raise FileParseError(f"{path}: line {reader.line_num}: {exc}") from None
     return labels
 
 
@@ -337,12 +346,15 @@ def cmd_predict(args: argparse.Namespace, argv: list[str]) -> int:
     return EXIT_OK
 
 
+def _highlight_cells(spec: str) -> set[tuple[int, int]]:
+    """Parse "i,j;i,j" into (row, column) cells."""
+    try:
+        return {(int(i), int(j)) for i, j in (token.split(",") for token in spec.split(";"))}
+    except ValueError:
+        raise argparse.ArgumentTypeError(f'expected cells as "i,j;i,j", got {spec!r}') from None
+
+
 def cmd_heatmap(args: argparse.Namespace, argv: list[str]) -> int:
-    highlight = set()
-    if args.highlight:
-        for token in args.highlight.split(";"):
-            i, j = token.split(",")
-            highlight.add((int(i), int(j)))
     if args.scores:
         scored = detectors.scores_from_csv(args.scores)
         grid = scored.scores
@@ -357,7 +369,7 @@ def cmd_heatmap(args: argparse.Namespace, argv: list[str]) -> int:
         title = f"{matrix.change_type.value} changes/day/1000"
     outdir = os.path.dirname(args.out) or "."
     os.makedirs(outdir, exist_ok=True)
-    plots.render_heatmap(grid, rows, cols, args.out, title=title, highlight=highlight)
+    plots.render_heatmap(grid, rows, cols, args.out, title=title, highlight=args.highlight)
     _write_manifest(outdir, "heatmap", argv)
     return EXIT_OK
 
@@ -472,9 +484,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("heatmap", help="render a matrix or score CSV as SVG")
-    p.add_argument("--matrix")
-    p.add_argument("--scores")
-    p.add_argument("--highlight", help='cells to outline, e.g. "0,0;3,14"')
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--matrix")
+    source.add_argument("--scores")
+    p.add_argument("--highlight", type=_highlight_cells, help='cells to outline, e.g. "0,0;3,14"')
     p.add_argument("--out", required=True, help="output SVG path")
     p.set_defaults(func=cmd_heatmap)
 

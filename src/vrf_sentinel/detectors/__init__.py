@@ -76,12 +76,13 @@ def score_with_method(
     """Run one registered detector by id.
 
     Overrides are forwarded to the detector (`k`, `lam`, `tol`,
-    `max_iter`); the window-based ids fix their own width.
+    `max_iter`); the window-based ids fix their own width. `seed` is used
+    only by nmf; every other detector is deterministic.
     """
     if method == "nmf":
         return nmf_residual_scores(matrix, seed=seed, **overrides)
     if method == "rpca":
-        return rpca_scores(matrix, seed=seed, **overrides)
+        return rpca_scores(matrix, **overrides)
     if method.startswith("cl_"):
         _, stat, width_token = method.split("_")
         width = int(width_token)

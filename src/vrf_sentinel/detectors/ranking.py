@@ -3,82 +3,79 @@
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from ..modmatrix import MatrixEntryRef
 from .scoring import ScoreMatrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankedEntries:
     """All matrix entries in descending score order.
 
-    +inf sentinel scores come first (among themselves ordered by source
-    value descending); remaining ties break by (locale_index,
-    interval_index) ascending. Length is always rows * cols.
+    `order` is a permutation of the flat row-major cell indices
+    (locale_index * n_intervals + interval_index), best first, and `scores`
+    is the flat score grid it indexes. +inf sentinel scores come first
+    (among themselves ordered by source value descending); remaining ties
+    break by (locale_index, interval_index) ascending. Length is always
+    rows * cols.
     """
 
     method: str
-    entries: tuple[tuple[MatrixEntryRef, float], ...]
+    order: np.ndarray
+    scores: np.ndarray
     locales: tuple[str, ...]
     interval_starts: tuple[str, ...]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.order)
 
     def rank_of(self, ref: MatrixEntryRef) -> int:
         """1-based rank of an entry."""
-        return self._rank_index()[ref.as_tuple()]
+        n_cols = len(self.interval_starts)
+        if not (0 <= ref.locale_index < len(self.locales) and 0 <= ref.interval_index < n_cols):
+            raise KeyError(ref.as_tuple())
+        return int(self._ranks[ref.locale_index * n_cols + ref.interval_index])
 
     def top(self, k: int) -> list[MatrixEntryRef]:
-        return [ref for ref, _ in self.entries[:k]]
+        n_cols = len(self.interval_starts)
+        return [MatrixEntryRef(*divmod(ix, n_cols)) for ix in self.order[:k].tolist()]
 
-    def _rank_index(self) -> dict[tuple[int, int], int]:
-        cached = getattr(self, "_ranks", None)
-        if cached is None:
-            cached = {ref.as_tuple(): i + 1 for i, (ref, _) in enumerate(self.entries)}
-            object.__setattr__(self, "_ranks", cached)
-        return cached
+    @cached_property
+    def _ranks(self) -> np.ndarray:
+        """Inverse permutation of `order`: the 1-based rank of each flat cell."""
+        ranks = np.empty_like(self.order)
+        ranks[self.order] = np.arange(1, len(self.order) + 1)
+        return ranks
 
 
 def rank_entries(score_matrix: ScoreMatrix) -> RankedEntries:
-    n_rows, n_cols = score_matrix.shape
-    src = score_matrix.source_values
-
-    def sort_key(cell: tuple[int, int]) -> tuple[float, float, int, int]:
-        i, j = cell
-        score = float(score_matrix.scores[i, j])
-        # Raw source value breaks ties only among +inf sentinels.
-        sentinel_tiebreak = 0.0
-        if math.isinf(score) and score > 0 and src is not None:
-            sentinel_tiebreak = -float(src[i, j])
-        return (-score, sentinel_tiebreak, i, j)
-
-    cells = sorted(
-        ((i, j) for i in range(n_rows) for j in range(n_cols)), key=sort_key
-    )
-    entries = tuple(
-        (MatrixEntryRef(i, j), float(score_matrix.scores[i, j])) for i, j in cells
-    )
+    scores = score_matrix.scores.ravel()
+    # Raw source value breaks ties only among +inf sentinels.
+    sentinel_tiebreak = np.zeros(scores.shape)
+    if score_matrix.source_values is not None:
+        sentinel = np.isposinf(scores)
+        sentinel_tiebreak[sentinel] = -score_matrix.source_values.ravel()[sentinel]
+    order = np.lexsort((np.arange(scores.size), sentinel_tiebreak, -scores))
     return RankedEntries(
         method=score_matrix.method,
-        entries=entries,
+        order=order,
+        scores=scores,
         locales=score_matrix.locales,
         interval_starts=tuple(iv.start.isoformat() for iv in score_matrix.intervals),
     )
 
 
 def ranked_to_csv(ranked: RankedEntries, path: str) -> None:
+    rows, cols = np.divmod(ranked.order, len(ranked.interval_starts))
+    cells = zip(rows.tolist(), cols.tolist(), ranked.scores[ranked.order].tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["rank", "locale", "interval_start", "score"])
-        for rank, (ref, score) in enumerate(ranked.entries, start=1):
-            writer.writerow(
-                [
-                    rank,
-                    ranked.locales[ref.locale_index],
-                    ranked.interval_starts[ref.interval_index],
-                    repr(score),
-                ]
-            )
+        writer.writerows(
+            [rank, ranked.locales[i], ranked.interval_starts[j], repr(score)]
+            for rank, (i, j, score) in enumerate(cells, start=1)
+        )

@@ -59,14 +59,8 @@ def rpca_decompose(
     lam: float | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = 0,
 ) -> RpcaResult:
-    """Decompose into low-rank + sparse parts.
-
-    The solver is deterministic; `seed` is accepted for interface symmetry
-    with the factorization detector and is unused.
-    """
-    del seed
+    """Decompose into low-rank + sparse parts (deterministic)."""
     m = matrix.values if isinstance(matrix, ModificationMatrix) else np.asarray(matrix, float)
     if lam is None:
         lam = default_lambda(m.shape)
@@ -112,12 +106,11 @@ def rpca_scores(
     lam: float | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = 0,
 ) -> ScoreMatrix:
     """Sparse-component entries as anomaly scores."""
     if lam is None:
         lam = default_lambda(matrix.shape)
-    result = rpca_decompose(matrix, lam=lam, tol=tol, max_iter=max_iter, seed=seed)
+    result = rpca_decompose(matrix, lam=lam, tol=tol, max_iter=max_iter)
     return _score_matrix(
         matrix,
         "rpca",

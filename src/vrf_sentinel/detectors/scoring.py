@@ -68,22 +68,28 @@ def _score_matrix(
     )
 
 
-def zscore(x: float, mean: float, std: float) -> float:
+def _ratio(x: np.ndarray | float, center: float, spread: float) -> np.ndarray | float:
+    """(x - center) / spread elementwise; with zero spread, 0 at or below
+    the center and +inf above it."""
+    diff = np.asarray(x, dtype=float) - center
+    if spread == 0:
+        # [()] gives a scalar back for a scalar x
+        return np.where(diff <= 0, 0.0, math.inf)[()]
+    return diff / spread
+
+
+def zscore(x: np.ndarray | float, mean: float, std: float) -> np.ndarray | float:
     """(x - mean) / std, with the zero-spread sentinel rule."""
     if std < 0:
         raise VrfError("std must be >= 0")
-    if std == 0:
-        return 0.0 if x - mean <= 0 else math.inf
-    return (x - mean) / std
+    return _ratio(x, mean, std)
 
 
-def iqr_score(x: float, q1: float, q3: float) -> float:
+def iqr_score(x: np.ndarray | float, q1: float, q3: float) -> np.ndarray | float:
     """(x - Q3) / (Q3 - Q1), with the zero-spread sentinel rule."""
     if q3 < q1:
         raise VrfError("q3 must be >= q1")
-    if q3 == q1:
-        return 0.0 if x - q3 <= 0 else math.inf
-    return (x - q3) / (q3 - q1)
+    return _ratio(x, q3, q3 - q1)
 
 
 def _apply_stat(values: np.ndarray, pool: np.ndarray, stat: str) -> np.ndarray:
@@ -95,15 +101,11 @@ def _apply_stat(values: np.ndarray, pool: np.ndarray, stat: str) -> np.ndarray:
             mean, std = float(pool[0]), 0.0
         else:
             mean, std = float(np.mean(pool)), float(np.std(pool))
-        return np.array(
-            [[zscore(float(v), mean, std) for v in row] for row in np.atleast_2d(values)]
-        )
+        return zscore(values, mean, std)
     if stat == "iqr":
         q1 = float(np.quantile(pool, 0.25))
         q3 = float(np.quantile(pool, 0.75))
-        return np.array(
-            [[iqr_score(float(v), q1, q3) for v in row] for row in np.atleast_2d(values)]
-        )
+        return iqr_score(values, q1, q3)
     raise VrfError(f"unknown statistic {stat!r} (expected 'std' or 'iqr')")
 
 
@@ -114,8 +116,7 @@ def temporal_scores(matrix: ModificationMatrix, stat: str = "std") -> ScoreMatri
         raise VrfError("temporal scoring needs at least 2 intervals")
     scores = np.zeros((n_rows, n_cols))
     for i in range(n_rows):
-        row = matrix.values[i]
-        scores[i] = _apply_stat(row[np.newaxis, :], row, stat)[0]
+        scores[i] = _apply_stat(matrix.values[i], matrix.values[i], stat)
     return _score_matrix(matrix, f"temporal_{stat}", scores, {"stat": stat})
 
 
@@ -134,7 +135,7 @@ def cross_locale_scores(
     for j in range(n_cols):
         lo, hi = max(0, j - w), min(n_cols, j + w + 1)
         pool = matrix.values[:, lo:hi].ravel()
-        scores[:, j] = _apply_stat(matrix.values[:, j][np.newaxis, :], pool, stat)[0]
+        scores[:, j] = _apply_stat(matrix.values[:, j], pool, stat)
     width = 2 * w + 1
     return _score_matrix(
         matrix, f"cl_{stat}_{width}", scores, {"stat": stat, "w": w, "width": width}

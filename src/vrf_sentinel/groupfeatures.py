@@ -48,7 +48,6 @@ STATUS_CATEGORIES = ("active", "inactive", "pending")
 class FeatureSchema:
     """Fixed feature order; bump the version when the order changes."""
 
-    include_months_since_last_update: bool = False
     version: str = FEATURE_MANIFEST_VERSION
 
     def feature_names(self) -> tuple[str, ...]:
@@ -67,8 +66,6 @@ class FeatureSchema:
         for ct in ChangeType:
             names.append(f"{ct.value}_changes_6mo")
             names.append(f"{ct.value}_changes_all_time")
-        if self.include_months_since_last_update:
-            names.append("months_since_last_update")
         return tuple(names)
 
 
@@ -265,12 +262,6 @@ def voter_features(
         six_mo, all_time = history_counts.get(ct, (0, 0))
         values.append(float(six_mo))
         values.append(float(all_time))
-
-    if schema.include_months_since_last_update:
-        if voter.last_update_date is not None and voter.last_update_date <= as_of:
-            values.append(months_between(voter.last_update_date, as_of))
-        else:
-            values.append(0.0)
     return np.array(values, dtype=float)
 
 

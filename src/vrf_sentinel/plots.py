@@ -84,6 +84,8 @@ def render_heatmap(
                 f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" fill="{fill}"/>'
             )
     for i, j in sorted(highlight):
+        if not (0 <= i < n_rows and 0 <= j < n_cols):
+            raise VrfError(f"highlight cell {i},{j} is outside the {n_rows}x{n_cols} grid")
         x = _LEFT_GUTTER + j * _CELL
         y = _TOP_GUTTER + i * _CELL
         parts.append(

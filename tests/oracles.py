@@ -80,6 +80,23 @@ def bf_global(values, stat):
     return [[_score(x, pool, stat) for x in row] for row in values]
 
 
+def bf_rank(scores, source=None):
+    """Flat row-major cell indices, best first: descending score, +inf
+    sentinels among themselves by descending source value, then (row, col)."""
+    n_cols = len(scores[0])
+
+    def sort_key(cell):
+        i, j = cell
+        score = float(scores[i][j])
+        sentinel_tiebreak = 0.0
+        if math.isinf(score) and score > 0 and source is not None:
+            sentinel_tiebreak = -float(source[i][j])
+        return (-score, sentinel_tiebreak, i, j)
+
+    cells = sorted(((i, j) for i in range(len(scores)) for j in range(n_cols)), key=sort_key)
+    return [i * n_cols + j for i, j in cells]
+
+
 def bf_best_stump(x_rows, g, h):
     """Exhaustive (feature, midpoint) split minimizing the second-order loss
     approximation; mirrors the tie rules: lower feature, lower threshold."""

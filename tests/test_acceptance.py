@@ -74,8 +74,8 @@ def test_criterion_2_ranking_arithmetic():
     total = 99 * 149
     values = np.arange(total, dtype=float).reshape(99, 149)[::-1]
     ranked = det.rank_entries(det.global_scores(_as_matrix(values), "std"))
-    top4 = {ref for ref, _ in ranked.entries[:4]}
-    bottom4 = {ref for ref, _ in ranked.entries[-4:]}
+    top4 = set(ranked.top(4))
+    bottom4 = set(ranked.top(len(ranked))[-4:])
     best = ev.average_rank(ranked, top4)
     worst = ev.average_rank(ranked, bottom4)
     _report(

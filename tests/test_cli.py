@@ -1,8 +1,12 @@
+import datetime as dt
 import json
 
 import pytest
 
 from vrf_sentinel import cli
+from vrf_sentinel.errors import FileParseError
+from vrf_sentinel.groupfeatures import EventLabel
+from vrf_sentinel.records import ChangeType
 
 
 def run(*argv):
@@ -117,6 +121,34 @@ def test_heatmap_highlight(pipeline, tmp_path):
     assert "min=" in text
 
 
+def test_heatmap_needs_exactly_one_source(pipeline, tmp_path):
+    matrix_csv = str(pipeline / "matrix" / "matrix_deactivation.csv")
+    for sources in ([], ["--matrix", matrix_csv, "--scores", matrix_csv]):
+        with pytest.raises(SystemExit) as exc:
+            run("heatmap", *sources, "--out", str(tmp_path / "heat.svg"))
+        assert exc.value.code == 2
+
+
+def test_heatmap_malformed_highlight_exits_2(pipeline, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(
+            "heatmap", "--matrix", str(pipeline / "matrix" / "matrix_deactivation.csv"),
+            "--highlight", "1;2", "--out", str(tmp_path / "heat.svg"),
+        )
+    assert exc.value.code == 2
+    assert "argument --highlight" in capsys.readouterr().err
+
+
+def test_heatmap_highlight_outside_grid_exits_3(pipeline, tmp_path, capsys):
+    svg = tmp_path / "heat.svg"
+    assert run(
+        "heatmap", "--matrix", str(pipeline / "matrix" / "matrix_deactivation.csv"),
+        "--highlight", "500,2", "--out", str(svg),
+    ) == 3
+    assert "outside the 12x20 grid" in capsys.readouterr().err
+    assert not svg.exists()
+
+
 def test_heatmap_cell_count(tmp_path):
     import datetime as dt
 
@@ -159,6 +191,33 @@ def test_unknown_change_type_exits_3(pipeline, tmp_path):
         "--change-type", "upgrade", "--out", str(tmp_path),
     )
     assert code == 3
+
+
+LABEL_HEADER = "locale,interval_start,change_type,label\n"
+
+
+def test_labels_skip_blank_lines(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text(LABEL_HEADER + "L1,2019-01-03,deactivation,other\n\n")
+    assert cli._read_labels(str(path)) == {
+        ("L1", dt.date(2019, 1, 3), ChangeType.DEACTIVATION): EventLabel.OTHER
+    }
+
+
+@pytest.mark.parametrize(
+    "row", ["L1,2019-01-03,deactivation\n", "L1,2019-01-03,deactivation,psychic\n"]
+)
+def test_bad_label_rows_exit_3(pipeline, tmp_path, row):
+    path = tmp_path / "labels.csv"
+    path.write_text(LABEL_HEADER + row)
+    with pytest.raises(FileParseError):
+        cli._read_labels(str(path))
+    assert run(
+        "features", "--changes", str(pipeline / "diff" / "changes.csv"),
+        "--snapshots", str(pipeline / "synth" / "snapshots"),
+        "--schema", str(pipeline / "synth" / "schema.cfg"),
+        "--labels", str(path), "--out", str(tmp_path / "features"),
+    ) == 3
 
 
 def test_rerun_reproduces_byte_identical(pipeline, tmp_path):

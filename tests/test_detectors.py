@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 import vrf_sentinel.detectors as det
@@ -157,7 +158,7 @@ def test_cross_locale_planted_spike_rank_one():
     values = rng.uniform(0.0, 0.3, size=(5, 9))
     values[2, 4] = 10.0 * 0.3
     ranked = det.rank_entries(det.cross_locale_scores(as_matrix(values), "std", w=2))
-    assert ranked.entries[0][0] == MatrixEntryRef(2, 4)
+    assert ranked.top(1)[0] == MatrixEntryRef(2, 4)
 
 
 def test_global_ranking_matches_raw_values():
@@ -165,7 +166,7 @@ def test_global_ranking_matches_raw_values():
     values = rng.uniform(0, 5, size=(6, 7))
     matrix = as_matrix(values)
     ranked = det.rank_entries(det.global_scores(matrix, "std"))
-    got = [r.as_tuple() for r, _ in ranked.entries]
+    got = [r.as_tuple() for r in ranked.top(len(ranked))]
     raw = sorted(
         ((i, j) for i in range(6) for j in range(7)),
         key=lambda c: (-values[c], c[0], c[1]),
@@ -175,7 +176,7 @@ def test_global_ranking_matches_raw_values():
 
 def test_global_argmax_example():
     ranked = det.rank_entries(det.global_scores(as_matrix([[1.0, 2.0], [3.0, 4.0]]), "std"))
-    assert ranked.entries[0][0] == MatrixEntryRef(1, 1)
+    assert ranked.top(1)[0] == MatrixEntryRef(1, 1)
 
 
 # --- ranking ---------------------------------------------------------------------
@@ -194,25 +195,47 @@ def scores_only(grid, source=None):
 
 def test_rank_entries_with_tie_rule():
     ranked = det.rank_entries(scores_only([[1.0, 3.0], [2.0, 2.0]]))
-    assert [r.as_tuple() for r, _ in ranked.entries] == [(0, 1), (1, 0), (1, 1), (0, 0)]
+    assert [r.as_tuple() for r in ranked.top(len(ranked))] == [(0, 1), (1, 0), (1, 1), (0, 0)]
 
 
 def test_rank_entries_all_equal_index_order():
     ranked = det.rank_entries(scores_only(np.zeros((2, 2))))
-    assert [r.as_tuple() for r, _ in ranked.entries] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert [r.as_tuple() for r in ranked.top(len(ranked))] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_rank_entries_sentinel_first():
     grid = [[1.0, math.inf], [5.0, 2.0]]
     ranked = det.rank_entries(scores_only(grid))
-    assert ranked.entries[0][0] == MatrixEntryRef(0, 1)
+    assert ranked.top(1)[0] == MatrixEntryRef(0, 1)
 
 
 def test_rank_entries_sentinel_ties_by_raw_value():
     grid = [[math.inf, math.inf], [0.0, 0.0]]
     source = [[1.0, 9.0], [0.0, 0.0]]
     ranked = det.rank_entries(scores_only(grid, source))
-    assert [r.as_tuple() for r, _ in ranked.entries[:2]] == [(0, 1), (0, 0)]
+    assert [r.as_tuple() for r in ranked.top(2)] == [(0, 1), (0, 0)]
+
+
+# few distinct values, so ties, signed zeros and both infinities are common
+_RANK_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf])
+
+
+@st.composite
+def rank_grids(draw):
+    n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    grid = st.lists(
+        st.lists(_RANK_VALUES, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows
+    )
+    return draw(grid), draw(st.none() | grid)
+
+
+@given(rank_grids())
+def test_rank_entries_matches_brute_force(grids):
+    scores, source = grids
+    ranked = det.rank_entries(scores_only(scores, source))
+    assert ranked.order.tolist() == oracles.bf_rank(scores, source)
+    ranks = [ranked.rank_of(ref) for ref in ranked.top(len(ranked))]
+    assert ranks == list(range(1, len(ranked) + 1))
 
 
 def test_rank_length_covers_matrix():

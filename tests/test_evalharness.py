@@ -28,12 +28,18 @@ def as_matrix(values):
 
 
 def ranking_of(cells):
-    """RankedEntries straight from an explicit cell order."""
+    """RankedEntries straight from an explicit order of every cell of a grid."""
+    n_rows = 1 + max(i for i, _ in cells)
+    n_cols = 1 + max(j for _, j in cells)
+    order = np.array([i * n_cols + j for i, j in cells])
+    scores = np.empty(len(cells))
+    scores[order] = -np.arange(len(cells), dtype=float)
     return RankedEntries(
         method="fixed",
-        entries=tuple((MatrixEntryRef(i, j), float(-n)) for n, (i, j) in enumerate(cells)),
-        locales=("L",),
-        interval_starts=("2019-01-03",),
+        order=order,
+        scores=scores,
+        locales=tuple(f"L{i}" for i in range(n_rows)),
+        interval_starts=("2019-01-03",) * n_cols,
     )
 
 
@@ -111,7 +117,7 @@ def test_average_rank_worst_case_14751():
     values = np.arange(99 * 149, dtype=float).reshape(99, 149)[::-1]
     matrix = as_matrix(values)
     ranked = rank_entries(global_scores(matrix, "std"))
-    bottom = [ref for ref, _ in ranked.entries[-4:]]
+    bottom = ranked.top(len(ranked))[-4:]
     assert ev.average_rank(ranked, set(bottom)) == 14749.5
 
 
@@ -222,7 +228,7 @@ def test_average_rank_bounds_property():
         values = rng.uniform(0, 1, size=(n_rows, n_cols))
         ranked = rank_entries(global_scores(_matrix_for_bounds(values), "std"))
         t = int(rng.integers(1, 6))
-        refs = [ref for ref, _ in ranked.entries]
+        refs = ranked.top(len(ranked))
         truth = set(rng.choice(len(refs), size=t, replace=False).tolist())
         got = ev.average_rank(ranked, {refs[i] for i in truth})
         assert (t + 1) / 2 <= got <= total - (t - 1) / 2

@@ -62,7 +62,7 @@ def test_spike_on_rank_two_background_is_top_residual():
     values[3, 7] += 5.0
     scored = nmf_residual_scores(as_matrix(values), k=2, seed=0)
     ranked = rank_entries(scored)
-    assert ranked.entries[0][0] == MatrixEntryRef(3, 7)
+    assert ranked.top(1)[0] == MatrixEntryRef(3, 7)
     assert scored.scores[3, 7] > 2.0
 
 

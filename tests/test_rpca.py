@@ -72,13 +72,13 @@ def test_single_spike_instance_scores_rank_first():
     matrix = as_matrix(values)
     scored = rpca_scores(matrix, lam=default_lambda(matrix.shape))
     ranked = rank_entries(scored)
-    assert ranked.entries[0][0] == MatrixEntryRef(0, 0)
+    assert ranked.top(1)[0] == MatrixEntryRef(0, 0)
     assert scored.params["converged"] is True
 
 
 def test_zero_matrix_scores_tie_by_index():
     ranked = rank_entries(rpca_scores(as_matrix(np.zeros((2, 3)))))
-    assert [r.as_tuple() for r, _ in ranked.entries][:3] == [(0, 0), (0, 1), (0, 2)]
+    assert [r.as_tuple() for r in ranked.top(3)] == [(0, 0), (0, 1), (0, 2)]
 
 
 def test_pure_low_rank_scores_small():
