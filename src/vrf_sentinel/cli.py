@@ -14,16 +14,18 @@ import argparse
 import csv
 import datetime as dt
 import glob
+import itertools
 import json
 import logging
 import os
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
 from . import __version__, detectors, evalharness, gbt, groupfeatures, modmatrix, plots, synthgen, vrf_io
-from .errors import FileParseError, VrfError
-from .records import ChangeType
+from .errors import DataError, FileParseError, VrfError
+from .records import ChangeType, Snapshot
 
 logger = logging.getLogger(__name__)
 
@@ -45,12 +47,24 @@ def _write_manifest(outdir: str, command: str, argv: list[str], **extras) -> Non
         fh.write("\n")
 
 
-def _load_snapshots(snapshot_dir: str, schema_path: str | None):
-    schema = vrf_io.load_schema(schema_path) if schema_path else vrf_io.identity_schema()
+def _schema(path: str | None) -> vrf_io.SnapshotSchema:
+    return vrf_io.load_schema(path) if path else vrf_io.identity_schema()
+
+
+def _snapshot_paths(snapshot_dir: str) -> list[str]:
+    """The directory's snapshot files, in date order (ISO dates sort by name)."""
     paths = sorted(glob.glob(os.path.join(snapshot_dir, "snapshot_*.csv")))
     if not paths:
         raise VrfError(f"no snapshot_*.csv files under {snapshot_dir}")
-    return [vrf_io.parse_snapshot(p, schema) for p in paths]
+    return paths
+
+
+def _load_snapshots(paths: list[str], schema_path: str | None) -> Iterator[Snapshot]:
+    """Parse each file when the consumer asks for it, so a consumer that
+    keeps only what it needs never holds every snapshot at once."""
+    schema = _schema(schema_path)
+    for path in paths:
+        yield vrf_io.parse_snapshot(path, schema)
 
 
 def _change_type(token: str) -> ChangeType:
@@ -123,11 +137,10 @@ def cmd_synth(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace, argv: list[str]) -> int:
-    schema = vrf_io.load_schema(args.schema) if args.schema else vrf_io.identity_schema()
     issues: list[vrf_io.RowIssue] = []
     snapshot = vrf_io.parse_snapshot(
         args.snapshot,
-        schema,
+        _schema(args.schema),
         snapshot_date=dt.date.fromisoformat(args.date) if args.date else None,
         issues=issues,
     )
@@ -148,27 +161,27 @@ def cmd_ingest(args: argparse.Namespace, argv: list[str]) -> int:
 def cmd_diff(args: argparse.Namespace, argv: list[str]) -> int:
     os.makedirs(args.out, exist_ok=True)
     if args.snapshots:
-        snapshots = _load_snapshots(args.snapshots, args.schema)
-        changes = []
-        for anterior, posterior in zip(snapshots, snapshots[1:]):
-            changes.extend(vrf_io.diff_snapshots(anterior, posterior, strict_status=args.strict_status))
+        paths = _snapshot_paths(args.snapshots)
+    elif args.anterior and args.posterior:
+        paths = [args.anterior, args.posterior]
     else:
-        if not (args.anterior and args.posterior):
-            raise VrfError("diff needs either --snapshots or both --anterior and --posterior")
-        schema = vrf_io.load_schema(args.schema) if args.schema else vrf_io.identity_schema()
-        anterior = vrf_io.parse_snapshot(args.anterior, schema)
-        posterior = vrf_io.parse_snapshot(args.posterior, schema)
-        changes = vrf_io.diff_snapshots(anterior, posterior, strict_status=args.strict_status)
+        raise VrfError("diff needs either --snapshots or both --anterior and --posterior")
+    changes = []
+    for anterior, posterior in itertools.pairwise(_load_snapshots(paths, args.schema)):
+        changes.extend(vrf_io.diff_snapshots(anterior, posterior, strict_status=args.strict_status))
     vrf_io.changes_to_csv(changes, os.path.join(args.out, "changes.csv"))
     _write_manifest(args.out, "diff", argv)
     return EXIT_OK
 
 
 def cmd_matrix(args: argparse.Namespace, argv: list[str]) -> int:
-    changes = vrf_io.csv_to_changes(args.changes)
-    snapshots = _load_snapshots(args.snapshots, args.schema)
-    populations = modmatrix.SnapshotPopulations(snapshots)
     change_type = _change_type(args.change_type)
+    changes = vrf_io.csv_to_changes(args.changes)
+    populations = {}
+    for snapshot in _load_snapshots(_snapshot_paths(args.snapshots), args.schema):
+        if snapshot.snapshot_date in populations:
+            raise DataError(f"two snapshots dated {snapshot.snapshot_date}")
+        populations[snapshot.snapshot_date] = snapshot.locale_counts
     matrix = modmatrix.build_matrix(
         changes,
         change_type,
@@ -262,13 +275,12 @@ def _read_labels(path: str) -> dict[tuple[str, dt.date, ChangeType], groupfeatur
 
 
 def cmd_features(args: argparse.Namespace, argv: list[str]) -> int:
-    changes = vrf_io.csv_to_changes(args.changes)
-    snapshots = _load_snapshots(args.snapshots, args.schema)
     labels = _read_labels(args.labels) if args.labels else None
     change_types = (_change_type(args.change_type),) if args.change_type else None
+    changes = vrf_io.csv_to_changes(args.changes)
     vectors = groupfeatures.compute_group_features(
         changes,
-        snapshots,
+        _load_snapshots(_snapshot_paths(args.snapshots), args.schema),
         interval_days=args.interval_days,
         labels=labels,
         change_types=change_types,

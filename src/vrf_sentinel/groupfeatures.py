@@ -18,17 +18,17 @@ import enum
 import json
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, FileParseError, VrfError
-from .modmatrix import DateInterval, build_intervals
+from .modmatrix import DateInterval, _interval_of, build_intervals
 from .records import BallotKind, ChangeRecord, ChangeType, Snapshot, VoterRecord, normalize_text
 
 logger = logging.getLogger(__name__)
 
-FEATURE_MANIFEST_VERSION = "gfv1"
 SIX_MONTHS_DAYS = 183
 
 
@@ -43,30 +43,23 @@ GENDER_CATEGORIES = ("female", "male", "other", "unknown")
 PARTY_CATEGORIES = ("democrat", "republican", "libertarian", "no_party", "other", "unknown")
 STATUS_CATEGORIES = ("active", "inactive", "pending")
 
-
-@dataclass(frozen=True)
-class FeatureSchema:
-    """Fixed feature order; bump the version when the order changes."""
-
-    version: str = FEATURE_MANIFEST_VERSION
-
-    def feature_names(self) -> tuple[str, ...]:
-        names = ["months_since_registration", "years_old", "years_old_missing"]
-        names += [f"gender_{g}" for g in GENDER_CATEGORIES]
-        names += [f"status_{s}" for s in STATUS_CATEGORIES]
-        names += [f"party_{p}" for p in PARTY_CATEGORIES]
-        names += [
-            "days_since_last_voted",
-            "partisanship",
-            "participation",
-            "engagement",
-            "provisional_votes",
-            "absentee_votes",
-        ]
-        for ct in ChangeType:
-            names.append(f"{ct.value}_changes_6mo")
-            names.append(f"{ct.value}_changes_all_time")
-        return tuple(names)
+# Fixed feature order; bump the version when the order changes.
+FEATURE_MANIFEST_VERSION = "gfv1"
+FEATURE_NAMES: tuple[str, ...] = (
+    "months_since_registration",
+    "years_old",
+    "years_old_missing",
+    *(f"gender_{g}" for g in GENDER_CATEGORIES),
+    *(f"status_{s}" for s in STATUS_CATEGORIES),
+    *(f"party_{p}" for p in PARTY_CATEGORIES),
+    "days_since_last_voted",
+    "partisanship",
+    "participation",
+    "engagement",
+    "provisional_votes",
+    "absentee_votes",
+    *(f"{ct.value}_changes_{span}" for ct in ChangeType for span in ("6mo", "all_time")),
+)
 
 
 @dataclass(frozen=True)
@@ -107,11 +100,6 @@ class ElectionCalendar:
                 entry[1] = entry[1] or ev.party_ballot is not None
                 entry[2] += 1
         return cls({eid: tuple(v) for eid, v in elections.items()})
-
-    @classmethod
-    def from_snapshots(cls, snapshots: list[Snapshot]) -> "ElectionCalendar":
-        # the earliest snapshot already carries every voter's full history
-        return cls.from_records(snapshots[0].records.values())
 
     def eligible(self, registration: dt.date | None, as_of: dt.date) -> list[tuple[dt.date, bool, int]]:
         """Elections the voter could have participated in: dated after
@@ -205,7 +193,6 @@ def voter_features(
     as_of: dt.date,
     history_counts: dict[ChangeType, tuple[int, int]],
     calendar: ElectionCalendar,
-    schema: FeatureSchema = FeatureSchema(),
 ) -> np.ndarray:
     """One voter's raw feature vector at `as_of`.
 
@@ -271,7 +258,6 @@ def group_features(
     snapshot: Snapshot,
     change_index: ChangeIndex,
     calendar: ElectionCalendar,
-    schema: FeatureSchema = FeatureSchema(),
     label: EventLabel | None = None,
 ) -> GroupFeatureVector:
     """Column-wise mean feature vector over a group's distinct voters.
@@ -306,7 +292,7 @@ def group_features(
         counts = change_index.counts(
             voter_id, as_of, exclude=(change.change_type, change.posterior_date)
         )
-        rows.append(voter_features(rec, as_of, counts, calendar, schema))
+        rows.append(voter_features(rec, as_of, counts, calendar))
     if missing:
         logger.warning(
             "group %s/%s/%s: %d voters unresolvable in snapshot %s: %s",
@@ -374,10 +360,7 @@ class FeatureScaler:
         )
 
 
-def standardize(
-    vectors: list[GroupFeatureVector],
-    schema: FeatureSchema = FeatureSchema(),
-) -> tuple[np.ndarray, FeatureScaler]:
+def standardize(vectors: list[GroupFeatureVector]) -> tuple[np.ndarray, FeatureScaler]:
     """Stack group vectors and fit the zero-mean unit-variance transform.
 
     Uses the population standard deviation; zero-variance features map
@@ -386,9 +369,8 @@ def standardize(
     if len(vectors) < 2:
         raise DataError("standardization needs at least 2 group vectors")
     x = np.vstack([v.features for v in vectors])
-    names = schema.feature_names()
-    if x.shape[1] != len(names):
-        raise DataError(f"feature width {x.shape[1]} != schema width {len(names)}")
+    if x.shape[1] != len(FEATURE_NAMES):
+        raise DataError(f"feature width {x.shape[1]} != schema width {len(FEATURE_NAMES)}")
     medians = np.zeros(x.shape[1])
     for j in range(x.shape[1]):
         col = x[:, j]
@@ -397,9 +379,7 @@ def standardize(
         col[np.isnan(col)] = medians[j]
     means = x.mean(axis=0)
     stds = x.std(axis=0)
-    scaler = FeatureScaler(
-        feature_names=names, means=means, stds=stds, medians=medians, version=schema.version
-    )
+    scaler = FeatureScaler(feature_names=FEATURE_NAMES, means=means, stds=stds, medians=medians)
     return scaler.apply(x), scaler
 
 
@@ -420,7 +400,7 @@ def group_changes(
     intervals = build_intervals(start or min(dates), end or max(dates), interval_days)
     groups: dict[GroupKey, list[ChangeRecord]] = {}
     for change in changes:
-        interval = next(iv for iv in intervals if iv.contains(change.posterior_date))
+        interval = intervals[_interval_of(intervals, change.posterior_date)]
         key = GroupKey(locale=change.locale, interval=interval, change_type=change.change_type)
         groups.setdefault(key, []).append(change)
     return groups
@@ -428,57 +408,62 @@ def group_changes(
 
 def compute_group_features(
     changes: list[ChangeRecord],
-    snapshots: list[Snapshot],
+    snapshots: Iterable[Snapshot],
     interval_days: int,
-    schema: FeatureSchema = FeatureSchema(),
     labels: dict[tuple[str, dt.date, ChangeType], EventLabel] | None = None,
     change_types: tuple[ChangeType, ...] | None = None,
 ) -> list[GroupFeatureVector]:
     """End-to-end driver: group the change stream and compute every group's
-    mean vector, resolving voters against the right snapshot."""
-    by_date = {s.snapshot_date: s for s in snapshots}
-    calendar = ElectionCalendar.from_snapshots(sorted(snapshots, key=lambda s: s.snapshot_date))
+    mean vector, sorted by (locale, interval start, change type).
+
+    `snapshots` must ascend by date and is read once. Each group resolves
+    its voters when its reference snapshot (anterior for removals,
+    posterior otherwise) arrives, so only that snapshot need be held.
+    """
     index = ChangeIndex(changes)
     labels = labels or {}
+    groups = group_changes(changes, interval_days)
+    pending: dict[dt.date, list[GroupKey]] = {}
+    for key, group in groups.items():
+        if change_types is None or key.change_type in change_types:
+            removal = key.change_type == ChangeType.REMOVAL
+            ref = group[0].anterior_date if removal else group[0].posterior_date
+            pending.setdefault(ref, []).append(key)
 
     out = []
-    groups = group_changes(changes, interval_days)
-    for key in sorted(
-        groups, key=lambda k: (k.locale, k.interval.start, k.change_type.value)
-    ):
-        if change_types is not None and key.change_type not in change_types:
-            continue
-        group = groups[key]
-        ref_date = (
-            group[0].anterior_date
-            if key.change_type == ChangeType.REMOVAL
-            else group[0].posterior_date
-        )
-        snapshot = by_date.get(ref_date)
-        if snapshot is None:
-            raise DataError(f"no snapshot dated {ref_date} to resolve group {key}")
-        label = labels.get((key.locale, key.interval.start, key.change_type))
-        out.append(
-            group_features(key, group, snapshot, index, calendar, schema, label=label)
-        )
+    previous = None
+    for snapshot in snapshots:
+        if previous is None:
+            # the earliest snapshot already carries every voter's full history
+            calendar = ElectionCalendar.from_records(snapshot.records.values())
+        elif snapshot.snapshot_date <= previous:
+            raise DataError(
+                f"snapshot dated {snapshot.snapshot_date} follows {previous}; "
+                "snapshots must ascend by date"
+            )
+        previous = snapshot.snapshot_date
+        for key in pending.pop(snapshot.snapshot_date, ()):
+            label = labels.get((key.locale, key.interval.start, key.change_type))
+            out.append(group_features(key, groups[key], snapshot, index, calendar, label=label))
+    if pending:
+        ref = min(pending)
+        raise DataError(f"no snapshot dated {ref} to resolve group {pending[ref][0]}")
+    out.sort(key=lambda v: (v.key.locale, v.key.interval.start, v.key.change_type.value))
     return out
 
 
 # --- CSV + manifest ----------------------------------------------------------
 
 
-def features_to_csv(
-    vectors: list[GroupFeatureVector],
-    path: str,
-    schema: FeatureSchema = FeatureSchema(),
-) -> None:
-    names = schema.feature_names()
+def features_to_csv(vectors: list[GroupFeatureVector], path: str) -> None:
     interval_days = {v.key.interval.days for v in vectors}
     if len(interval_days) > 1:
         raise DataError("mixed interval widths in one feature file")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["locale", "interval_start", "change_type", "n_voters", *names, "label"])
+        writer.writerow(
+            ["locale", "interval_start", "change_type", "n_voters", *FEATURE_NAMES, "label"]
+        )
         for v in vectors:
             writer.writerow(
                 [
@@ -491,8 +476,8 @@ def features_to_csv(
                 ]
             )
     manifest = {
-        "version": schema.version,
-        "features": list(names),
+        "version": FEATURE_MANIFEST_VERSION,
+        "features": list(FEATURE_NAMES),
         "interval_days": (interval_days.pop() if interval_days else 7),
     }
     with open(_manifest_path(path), "w", encoding="utf-8") as fh:
@@ -504,16 +489,15 @@ def _manifest_path(csv_path: str) -> str:
     return csv_path + ".manifest.json"
 
 
-def features_from_csv(path: str, schema: FeatureSchema = FeatureSchema()) -> list[GroupFeatureVector]:
+def features_from_csv(path: str) -> list[GroupFeatureVector]:
     with open(_manifest_path(path), encoding="utf-8") as fh:
         manifest = json.load(fh)
-    if manifest["version"] != schema.version:
+    if manifest["version"] != FEATURE_MANIFEST_VERSION:
         raise FileParseError(
             f"{path}: feature manifest version {manifest['version']!r} != "
-            f"expected {schema.version!r}"
+            f"expected {FEATURE_MANIFEST_VERSION!r}"
         )
-    names = schema.feature_names()
-    if tuple(manifest["features"]) != names:
+    if tuple(manifest["features"]) != FEATURE_NAMES:
         raise FileParseError(f"{path}: manifest feature order differs from schema")
     interval_days = int(manifest["interval_days"])
 
@@ -521,7 +505,7 @@ def features_from_csv(path: str, schema: FeatureSchema = FeatureSchema()) -> lis
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        expected = ["locale", "interval_start", "change_type", "n_voters", *names, "label"]
+        expected = ["locale", "interval_start", "change_type", "n_voters", *FEATURE_NAMES, "label"]
         if header != expected:
             raise FileParseError(f"{path}: unexpected feature CSV header")
         for lineno, row in enumerate(reader, start=2):
@@ -537,7 +521,7 @@ def features_from_csv(path: str, schema: FeatureSchema = FeatureSchema()) -> lis
                 GroupFeatureVector(
                     key=key,
                     n_voters=int(row[3]),
-                    features=np.array([float(x) for x in row[4 : 4 + len(names)]]),
+                    features=np.array([float(x) for x in row[4 : 4 + len(FEATURE_NAMES)]]),
                     label=EventLabel(row[-1]) if row[-1] else None,
                 )
             )

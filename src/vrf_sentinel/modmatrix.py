@@ -7,15 +7,18 @@ detectors operate on this grid.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
 import logging
+from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import DataError, FileParseError, VrfError
-from .records import ChangeRecord, ChangeType, Snapshot
+from .records import ChangeRecord, ChangeType
 
 logger = logging.getLogger(__name__)
 
@@ -95,10 +98,7 @@ class ModificationMatrix:
 
     def interval_index(self, date: dt.date) -> int:
         """Column whose half-open interval contains `date`."""
-        for j, interval in enumerate(self.intervals):
-            if interval.contains(date):
-                return j
-        raise DataError(f"date {date} outside matrix span")
+        return _interval_of(self.intervals, date)
 
     def with_values(self, values: np.ndarray) -> "ModificationMatrix":
         """Copy carrying a replaced values grid (raw counts untouched)."""
@@ -110,58 +110,6 @@ class ModificationMatrix:
             raw_counts=self.raw_counts.copy(),
             populations=self.populations.copy(),
         )
-
-
-class PopulationSource:
-    """Registered-voter counts per (locale, interval start)."""
-
-    def population(self, locale: str, interval_start: dt.date) -> int | None:
-        raise NotImplementedError
-
-    def locales(self) -> list[str]:
-        raise NotImplementedError
-
-
-class ConstantPopulations(PopulationSource):
-    """Fixed per-locale counts, constant over time."""
-
-    def __init__(self, counts: dict[str, int]):
-        self._counts = dict(counts)
-
-    def population(self, locale: str, interval_start: dt.date) -> int | None:
-        return self._counts.get(locale)
-
-    def locales(self) -> list[str]:
-        return sorted(self._counts)
-
-
-class SnapshotPopulations(PopulationSource):
-    """Counts read off snapshots: the latest snapshot strictly before the
-    interval start (the count before the interval's changes occurred)."""
-
-    def __init__(self, snapshots: list[Snapshot]):
-        if not snapshots:
-            raise DataError("need at least one snapshot for populations")
-        stamped = sorted(((s.snapshot_date, s.locale_counts) for s in snapshots))
-        self._dates = [d for d, _ in stamped]
-        self._counts = [c for _, c in stamped]
-
-    def population(self, locale: str, interval_start: dt.date) -> int | None:
-        idx = None
-        for i, date in enumerate(self._dates):
-            if date < interval_start:
-                idx = i
-            else:
-                break
-        if idx is None:
-            idx = 0  # interval opens before the first snapshot; use it
-        return self._counts[idx].get(locale)
-
-    def locales(self) -> list[str]:
-        seen: set[str] = set()
-        for counts in self._counts:
-            seen.update(counts)
-        return sorted(seen)
 
 
 def build_intervals(start: dt.date, end: dt.date, interval_days: int) -> tuple[DateInterval, ...]:
@@ -181,7 +129,7 @@ def build_matrix(
     changes: list[ChangeRecord],
     change_type: ChangeType,
     interval_days: int,
-    populations: PopulationSource,
+    populations: Mapping[dt.date, Mapping[str, int]],
     start: dt.date | None = None,
     end: dt.date | None = None,
     locales: list[str] | None = None,
@@ -190,9 +138,16 @@ def build_matrix(
 
     Each matching record increments exactly one cell, keyed by its
     posterior_date and locale. The interval grid defaults to covering the
-    posterior dates seen; locales default to the population source's full
-    list (so zero-change locales still get rows).
+    posterior dates seen; locales default to every locale counted in any
+    census (so zero-change locales still get rows).
+
+    `populations` maps each census (snapshot) date to its registered-voter
+    count per locale. An interval takes its counts from the latest census
+    strictly before its start (the count before the interval's changes
+    occurred), or from the earliest census when none precedes it.
     """
+    if not populations:
+        raise DataError("need at least one census for populations")
     matching = [c for c in changes if c.change_type == change_type]
     if start is None or end is None:
         if not matching:
@@ -205,58 +160,62 @@ def build_matrix(
     intervals = build_intervals(start, end, interval_days)
 
     if locales is None:
-        locales = sorted(set(populations.locales()) | {c.locale for c in matching})
+        counted = set().union(*populations.values())
+        locales = sorted(counted | {c.locale for c in matching})
     else:
         locales = sorted(locales)
     row = {loc: i for i, loc in enumerate(locales)}
     n_rows, n_cols = len(locales), len(intervals)
 
     raw = np.zeros((n_rows, n_cols), dtype=np.int64)
-    interval_starts = [iv.start for iv in intervals]
     for change in matching:
         if change.locale not in row:
             raise DataError(f"change locale {change.locale!r} missing from locale list")
-        j = _interval_of(interval_starts, intervals, change.posterior_date)
-        raw[row[change.locale], j] += 1
+        raw[row[change.locale], _interval_of(intervals, change.posterior_date)] += 1
 
-    pops = np.ones((n_rows, n_cols), dtype=np.int64)
-    values = np.zeros((n_rows, n_cols), dtype=float)
-    for i, locale in enumerate(locales):
-        for j, interval in enumerate(intervals):
-            pop = populations.population(locale, interval.start)
-            if pop is None or pop < 1:
-                if raw[i, j] > 0:
-                    raise DataError(
-                        f"no population for occupied cell (locale {locale!r}, "
-                        f"interval {interval.start.isoformat()})"
-                    )
-                if pop is not None and pop < 1:
-                    logger.warning(
-                        "locale %s has population %d at %s; cell zeroed",
-                        locale, pop, interval.start,
-                    )
-                pops[i, j] = 1
-                values[i, j] = 0.0
-            else:
-                pops[i, j] = pop
-                values[i, j] = raw[i, j] / interval.days / (pop / 1000.0)
+    census = sorted(populations)
+    # per interval, the latest census strictly before its start, else the earliest
+    column = np.maximum(
+        np.searchsorted(
+            [d.toordinal() for d in census], [iv.start.toordinal() for iv in intervals]
+        ) - 1,
+        0,
+    )
+    table = [populations[d] for d in census]
+    pops = np.array([[c.get(loc, 0) for loc in locales] for c in table], dtype=np.int64)[column].T
+    known = np.array([[loc in c for loc in locales] for c in table], dtype=bool)[column].T
+
+    empty = pops < 1
+    occupied = np.argwhere(empty & (raw > 0))
+    if occupied.size:
+        i, j = occupied[0]
+        raise DataError(
+            f"no population for occupied cell (locale {locales[i]!r}, "
+            f"interval {intervals[j].start.isoformat()})"
+        )
+    for i, j in np.argwhere(empty & known):
+        logger.warning(
+            "locale %s has population %d at %s; cell zeroed",
+            locales[i], pops[i, j], intervals[j].start,
+        )
+    pops[empty] = 1  # raw is 0 there, so the value is 0
+    days = np.array([iv.days for iv in intervals], dtype=float)
 
     return ModificationMatrix(
         change_type=change_type,
         locales=tuple(locales),
         intervals=intervals,
-        values=values,
+        values=normalized_values(raw, pops, days),
         raw_counts=raw,
         populations=pops,
     )
 
 
-def _interval_of(starts: list[dt.date], intervals: tuple[DateInterval, ...], date: dt.date) -> int:
-    import bisect
-
-    j = bisect.bisect_right(starts, date) - 1
+def _interval_of(intervals: tuple[DateInterval, ...], date: dt.date) -> int:
+    """Index of the interval containing `date` in a contiguous ascending grid."""
+    j = bisect.bisect_right(intervals, date, key=attrgetter("start")) - 1
     if j < 0 or not intervals[j].contains(date):
-        raise DataError(f"posterior date {date} outside matrix span")
+        raise DataError(f"date {date} outside matrix span")
     return j
 
 

@@ -1,5 +1,8 @@
+import csv
 import datetime as dt
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -40,6 +43,52 @@ def test_synth_writes_expected_artifacts(pipeline):
     assert (synth / "manifest.json").exists()
     snapshots = list((synth / "snapshots").glob("snapshot_*.csv"))
     assert len(snapshots) == 21  # 20 intervals -> 21 snapshots
+
+
+@pytest.mark.parametrize("step", ["diff", "matrix", "features"])
+def test_steps_hold_at_most_two_snapshots(pipeline, tmp_path, monkeypatch, step):
+    parse = cli.vrf_io.parse_snapshot
+    parsed = []
+    most_alive = 0
+
+    def tracked(*args, **kwargs):
+        nonlocal most_alive
+        gc.collect()
+        most_alive = max(most_alive, sum(ref() is not None for ref in parsed))
+        snapshot = parse(*args, **kwargs)
+        parsed.append(weakref.ref(snapshot))
+        return snapshot
+
+    monkeypatch.setattr(cli.vrf_io, "parse_snapshot", tracked)
+    synth = pipeline / "synth"
+    changes = ["--changes", str(pipeline / "diff" / "changes.csv")]
+    extra = {
+        "diff": [],
+        "matrix": [*changes, "--change-type", "deactivation"],
+        "features": [*changes, "--change-type", "deactivation"],
+    }[step]
+    assert run(
+        step, "--snapshots", str(synth / "snapshots"), "--schema", str(synth / "schema.cfg"),
+        *extra, "--out", str(tmp_path),
+    ) == 0
+    assert len(parsed) == 21
+    assert most_alive <= 2
+
+
+def test_diff_pair_matches_sequence_rows(pipeline, tmp_path):
+    synth = pipeline / "synth"
+    anterior, posterior = sorted((synth / "snapshots").glob("snapshot_*.csv"))[:2]
+    assert run(
+        "diff", "--anterior", str(anterior), "--posterior", str(posterior),
+        "--schema", str(synth / "schema.cfg"), "--out", str(tmp_path),
+    ) == 0
+    with open(pipeline / "diff" / "changes.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    date = anterior.stem.removeprefix("snapshot_")
+    want = [header] + [r for r in rows if r[header.index("anterior_date")] == date]
+    with open(tmp_path / "changes.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == want
+    assert len(want) > 1
 
 
 def test_diff_and_matrix_artifacts(pipeline):
@@ -193,6 +242,18 @@ def test_unknown_change_type_exits_3(pipeline, tmp_path):
     assert code == 3
 
 
+def test_matrix_rejects_repeated_snapshot_date(pipeline, tmp_path, capsys):
+    synth = pipeline / "synth"
+    schema = tmp_path / "schema.cfg"
+    schema.write_text((synth / "schema.cfg").read_text() + "snapshot_date = 2018-06-04\n")
+    assert run(
+        "matrix", "--changes", str(pipeline / "diff" / "changes.csv"),
+        "--snapshots", str(synth / "snapshots"), "--schema", str(schema),
+        "--change-type", "deactivation", "--out", str(tmp_path / "matrix"),
+    ) == 3
+    assert "two snapshots dated 2018-06-04" in capsys.readouterr().err
+
+
 LABEL_HEADER = "locale,interval_start,change_type,label\n"
 
 
@@ -207,11 +268,17 @@ def test_labels_skip_blank_lines(tmp_path):
 @pytest.mark.parametrize(
     "row", ["L1,2019-01-03,deactivation\n", "L1,2019-01-03,deactivation,psychic\n"]
 )
-def test_bad_label_rows_exit_3(pipeline, tmp_path, row):
+def test_bad_label_rows_exit_3(pipeline, tmp_path, monkeypatch, row):
     path = tmp_path / "labels.csv"
     path.write_text(LABEL_HEADER + row)
     with pytest.raises(FileParseError):
         cli._read_labels(str(path))
+
+    def parsed_before_labels(*args, **kwargs):
+        raise AssertionError("features parsed its inputs before checking the labels")
+
+    monkeypatch.setattr(cli.vrf_io, "csv_to_changes", parsed_before_labels)
+    monkeypatch.setattr(cli.vrf_io, "parse_snapshot", parsed_before_labels)
     assert run(
         "features", "--changes", str(pipeline / "diff" / "changes.csv"),
         "--snapshots", str(pipeline / "synth" / "snapshots"),

@@ -18,8 +18,7 @@ from vrf_sentinel.records import (
 )
 
 AS_OF = dt.date(2019, 6, 10)
-SCHEMA = gf.FeatureSchema()
-NAMES = SCHEMA.feature_names()
+NAMES = gf.FEATURE_NAMES
 IDX = {name: i for i, name in enumerate(NAMES)}
 
 
@@ -54,7 +53,7 @@ def vote(eid, date, kind=BallotKind.REGULAR, party=None):
 
 
 def features_of(v, as_of=AS_OF, counts=None):
-    return gf.voter_features(v, as_of, counts or {}, calendar(), SCHEMA)
+    return gf.voter_features(v, as_of, counts or {}, calendar())
 
 
 def test_months_since_registration_exact_months():
@@ -181,17 +180,17 @@ def group_key(change_type=ChangeType.DEACTIVATION):
     )
 
 
-def snapshot_of(*voters):
-    return Snapshot(snapshot_date=AS_OF, records={v.voter_id: v for v in voters})
+def snapshot_of(*voters, date=AS_OF):
+    return Snapshot(snapshot_date=date, records={v.voter_id: v for v in voters})
 
 
 def test_group_of_one_equals_voter_vector():
     v = voter(status=VoterStatus.INACTIVE)
     ch = change("V1", ChangeType.DEACTIVATION, AS_OF)
     got = gf.group_features(
-        group_key(), [ch], snapshot_of(v), gf.ChangeIndex([ch]), calendar(), SCHEMA
+        group_key(), [ch], snapshot_of(v), gf.ChangeIndex([ch]), calendar()
     )
-    want = gf.voter_features(v, AS_OF, gf.ChangeIndex().counts("V1", AS_OF), calendar(), SCHEMA)
+    want = gf.voter_features(v, AS_OF, gf.ChangeIndex().counts("V1", AS_OF), calendar())
     np.testing.assert_array_equal(got.features, want)
     assert got.n_voters == 1
 
@@ -201,7 +200,7 @@ def test_group_mean_of_ages():
     v2 = voter("V2", birth_date=AS_OF - dt.timedelta(days=round(50 * 365.25)))
     changes = [change("V1", ChangeType.DEACTIVATION, AS_OF), change("V2", ChangeType.DEACTIVATION, AS_OF)]
     got = gf.group_features(
-        group_key(), changes, snapshot_of(v1, v2), gf.ChangeIndex(changes), calendar(), SCHEMA
+        group_key(), changes, snapshot_of(v1, v2), gf.ChangeIndex(changes), calendar()
     )
     assert got.features[IDX["years_old"]] == pytest.approx(40.0, abs=0.01)
 
@@ -211,10 +210,10 @@ def test_current_change_always_excluded():
     ch = change("V1", ChangeType.DEACTIVATION, AS_OF)
     older = change("V1", ChangeType.DEACTIVATION, AS_OF - dt.timedelta(days=30))
     with_current = gf.group_features(
-        group_key(), [ch], snapshot_of(v), gf.ChangeIndex([older, ch]), calendar(), SCHEMA
+        group_key(), [ch], snapshot_of(v), gf.ChangeIndex([older, ch]), calendar()
     )
     without_current = gf.group_features(
-        group_key(), [ch], snapshot_of(v), gf.ChangeIndex([older]), calendar(), SCHEMA
+        group_key(), [ch], snapshot_of(v), gf.ChangeIndex([older]), calendar()
     )
     np.testing.assert_array_equal(with_current.features, without_current.features)
     assert with_current.features[IDX["deactivation_changes_all_time"]] == 1.0
@@ -225,8 +224,8 @@ def test_group_permutation_invariance():
     changes = [change(v.voter_id, ChangeType.DEACTIVATION, AS_OF) for v in voters]
     snap = snapshot_of(*voters)
     index = gf.ChangeIndex(changes)
-    a = gf.group_features(group_key(), changes, snap, index, calendar(), SCHEMA)
-    b = gf.group_features(group_key(), list(reversed(changes)), snap, index, calendar(), SCHEMA)
+    a = gf.group_features(group_key(), changes, snap, index, calendar())
+    b = gf.group_features(group_key(), list(reversed(changes)), snap, index, calendar())
     np.testing.assert_array_equal(a.features, b.features)
 
 
@@ -237,7 +236,7 @@ def test_unresolvable_voters_warned_and_excluded(caplog):
         change("GHOST", ChangeType.DEACTIVATION, AS_OF),
     ]
     got = gf.group_features(
-        group_key(), changes, snapshot_of(v), gf.ChangeIndex(changes), calendar(), SCHEMA
+        group_key(), changes, snapshot_of(v), gf.ChangeIndex(changes), calendar()
     )
     assert got.n_voters == 1
     assert any("GHOST" in r.message for r in caplog.records)
@@ -248,8 +247,27 @@ def test_wrong_group_membership_rejected():
     with pytest.raises(DataError):
         gf.group_features(
             group_key(ChangeType.DEACTIVATION), [ch], snapshot_of(voter()),
-            gf.ChangeIndex([]), calendar(), SCHEMA,
+            gf.ChangeIndex([]), calendar(),
         )
+
+
+def test_compute_group_features_needs_ascending_snapshots():
+    v = voter(vote_history=(vote("2018-general", dt.date(2018, 11, 6)),))
+    ch = change("V1", ChangeType.DEACTIVATION, AS_OF)
+    before = snapshot_of(v, date=AS_OF - dt.timedelta(days=7))
+    after = snapshot_of(v)
+    (got,) = gf.compute_group_features([ch], iter([before, after]), interval_days=7)
+    assert got.n_voters == 1
+    with pytest.raises(DataError, match="ascend"):
+        gf.compute_group_features([ch], iter([after, before]), interval_days=7)
+
+
+def test_compute_group_features_missing_reference_snapshot():
+    v = voter(vote_history=(vote("2018-general", dt.date(2018, 11, 6)),))
+    ch = change("V1", ChangeType.DEACTIVATION, AS_OF)
+    earlier = snapshot_of(v, date=AS_OF - dt.timedelta(days=7))
+    with pytest.raises(DataError, match=f"no snapshot dated {AS_OF}"):
+        gf.compute_group_features([ch], iter([earlier]), interval_days=7)
 
 
 # --- standardization ----------------------------------------------------------------
@@ -263,7 +281,7 @@ def test_standardize_two_points():
     width = len(NAMES)
     a = np.zeros(width)
     b = np.full(width, 2.0)
-    matrix, scaler = gf.standardize([gfv(a), gfv(b)], SCHEMA)
+    matrix, scaler = gf.standardize([gfv(a), gfv(b)])
     np.testing.assert_allclose(matrix[0], -1.0)
     np.testing.assert_allclose(matrix[1], 1.0)
     assert scaler.version == gf.FEATURE_MANIFEST_VERSION
@@ -272,7 +290,7 @@ def test_standardize_two_points():
 def test_standardize_constant_feature_zero():
     width = len(NAMES)
     rows = [np.full(width, 3.0), np.full(width, 3.0), np.full(width, 3.0)]
-    matrix, _ = gf.standardize([gfv(r, n=i) for i, r in enumerate(rows)], SCHEMA)
+    matrix, _ = gf.standardize([gfv(r, n=i) for i, r in enumerate(rows)])
     assert not matrix.any()
 
 
@@ -280,7 +298,7 @@ def test_scaler_reapplication_reproduces():
     rng = np.random.default_rng(0)
     rows = [rng.normal(size=len(NAMES)) for _ in range(6)]
     vectors = [gfv(r, n=i) for i, r in enumerate(rows)]
-    matrix, scaler = gf.standardize(vectors, SCHEMA)
+    matrix, scaler = gf.standardize(vectors)
     np.testing.assert_array_equal(scaler.apply(np.vstack(rows)), matrix)
 
 
@@ -288,7 +306,7 @@ def test_scaler_imputes_nan_with_median():
     width = len(NAMES)
     rows = [np.full(width, 1.0), np.full(width, 2.0), np.full(width, 6.0)]
     rows[0][IDX["years_old"]] = math.nan
-    matrix, scaler = gf.standardize([gfv(r, n=i) for i, r in enumerate(rows)], SCHEMA)
+    matrix, scaler = gf.standardize([gfv(r, n=i) for i, r in enumerate(rows)])
     assert np.isfinite(matrix).all()
     # median of the known {2, 6} is 4
     assert scaler.medians[IDX["years_old"]] == 4.0
@@ -297,7 +315,7 @@ def test_scaler_imputes_nan_with_median():
 def test_scaler_json_round_trip():
     rng = np.random.default_rng(1)
     rows = [rng.normal(size=len(NAMES)) for _ in range(4)]
-    _, scaler = gf.standardize([gfv(r, n=i) for i, r in enumerate(rows)], SCHEMA)
+    _, scaler = gf.standardize([gfv(r, n=i) for i, r in enumerate(rows)])
     back = gf.FeatureScaler.from_json(scaler.to_json())
     x = rng.normal(size=(3, len(NAMES)))
     np.testing.assert_array_equal(back.apply(x), scaler.apply(x))
@@ -323,8 +341,8 @@ def test_features_csv_round_trip(tmp_path):
             )
         )
     path = tmp_path / "features.csv"
-    gf.features_to_csv(vectors, str(path), SCHEMA)
-    back = gf.features_from_csv(str(path), SCHEMA)
+    gf.features_to_csv(vectors, str(path))
+    back = gf.features_from_csv(str(path))
     assert len(back) == 5
     for a, b in zip(vectors, back):
         assert a.key == b.key
@@ -340,9 +358,9 @@ def test_features_csv_manifest_version_checked(tmp_path):
         )
     ]
     path = tmp_path / "features.csv"
-    gf.features_to_csv(vectors, str(path), SCHEMA)
+    gf.features_to_csv(vectors, str(path))
     manifest_path = str(path) + ".manifest.json"
     text = open(manifest_path).read().replace(gf.FEATURE_MANIFEST_VERSION, "gfv999")
     open(manifest_path, "w").write(text)
     with pytest.raises(FileParseError, match="version"):
-        gf.features_from_csv(str(path), SCHEMA)
+        gf.features_from_csv(str(path))

@@ -25,7 +25,7 @@ def test_normalization_hand_value():
     # 10 address changes, one locale of 5000 voters, one 7-day interval
     changes = [change(f"V{i}", "polk") for i in range(10)]
     matrix = mm.build_matrix(
-        changes, ChangeType.ADDRESS, 7, mm.ConstantPopulations({"polk": 5000})
+        changes, ChangeType.ADDRESS, 7, {D0: {"polk": 5000}}
     )
     assert matrix.shape == (1, 1)
     assert matrix.raw_counts[0, 0] == 10
@@ -33,7 +33,7 @@ def test_normalization_hand_value():
 
 
 def test_zero_changes_full_label_sets():
-    pops = mm.ConstantPopulations({"polk": 1000, "story": 2000})
+    pops = {D0: {"polk": 1000, "story": 2000}}
     matrix = mm.build_matrix(
         [], ChangeType.NAME, 7, pops, start=D0, end=D0 + dt.timedelta(days=20)
     )
@@ -43,14 +43,14 @@ def test_zero_changes_full_label_sets():
 
 
 def test_equal_populations_symmetry():
-    pops = mm.ConstantPopulations({"a": 4000, "b": 4000})
+    pops = {D0: {"a": 4000, "b": 4000}}
     changes = [change("V1", "a"), change("V2", "b")]
     matrix = mm.build_matrix(changes, ChangeType.ADDRESS, 7, pops)
     assert matrix.values[0, 0] == matrix.values[1, 0] > 0
 
 
 def test_each_change_lands_in_one_cell():
-    pops = mm.ConstantPopulations({"a": 1000})
+    pops = {D0: {"a": 1000}}
     changes = [change(f"V{i}", "a", day_offset=off) for i, off in enumerate((0, 3, 6, 7, 13, 14))]
     matrix = mm.build_matrix(changes, ChangeType.ADDRESS, 7, pops)
     assert matrix.raw_counts.sum() == len(changes)
@@ -58,7 +58,7 @@ def test_each_change_lands_in_one_cell():
 
 
 def test_counts_conserved_and_filtered_by_type():
-    pops = mm.ConstantPopulations({"a": 1000, "b": 1000})
+    pops = {D0: {"a": 1000, "b": 1000}}
     changes = [
         change("V1", "a", ChangeType.ADDRESS),
         change("V2", "a", ChangeType.NAME),
@@ -75,10 +75,10 @@ def test_population_scaling_property():
         for i in range(60)
     ]
     base = {"a": 1000, "b": 2000, "c": 3000}
-    m1 = mm.build_matrix(changes, ChangeType.ADDRESS, 7, mm.ConstantPopulations(base))
+    m1 = mm.build_matrix(changes, ChangeType.ADDRESS, 7, {D0: base})
     m2 = mm.build_matrix(
         changes, ChangeType.ADDRESS, 7,
-        mm.ConstantPopulations({k: 3 * v for k, v in base.items()}),
+        {D0: {k: 3 * v for k, v in base.items()}},
     )
     assert np.array_equal(m1.raw_counts, m2.raw_counts)
     assert np.allclose(m2.values, m1.values / 3, atol=1e-15)
@@ -90,7 +90,7 @@ def test_permutation_invariance():
         change(f"V{i}", rng.choice(["a", "b"]), day_offset=int(rng.integers(0, 14)))
         for i in range(40)
     ]
-    pops = mm.ConstantPopulations({"a": 500, "b": 700})
+    pops = {D0: {"a": 500, "b": 700}}
     m1 = mm.build_matrix(changes, ChangeType.ADDRESS, 7, pops)
     m2 = mm.build_matrix(list(reversed(changes)), ChangeType.ADDRESS, 7, pops)
     assert np.array_equal(m1.values, m2.values)
@@ -99,7 +99,7 @@ def test_permutation_invariance():
 def test_missing_population_is_data_error():
     changes = [change("V1", "nowhere")]
     with pytest.raises(DataError, match="nowhere"):
-        mm.build_matrix(changes, ChangeType.ADDRESS, 7, mm.ConstantPopulations({"a": 100}))
+        mm.build_matrix(changes, ChangeType.ADDRESS, 7, {D0: {"a": 100}})
 
 
 def test_values_invariant_recomputable():
@@ -109,7 +109,7 @@ def test_values_invariant_recomputable():
         for i in range(80)
     ]
     matrix = mm.build_matrix(
-        changes, ChangeType.ADDRESS, 7, mm.ConstantPopulations({"a": 1200, "b": 800})
+        changes, ChangeType.ADDRESS, 7, {D0: {"a": 1200, "b": 800}}
     )
     days = np.array([iv.days for iv in matrix.intervals], dtype=float)
     recomputed = mm.normalized_values(matrix.raw_counts, matrix.populations, days)
@@ -121,10 +121,44 @@ def test_snapshot_populations_use_anterior_count():
 
     config = sg.snapshot_pair_config(seed=3, n_voters=300)
     (s0, s1), _ = sg.generate_scenario(config)
-    pops = mm.SnapshotPopulations([s0, s1])
+    populations = {s.snapshot_date: s.locale_counts for s in (s0, s1)}
     locale = s0.records[next(iter(s0.records))].locale
     # interval starting at the posterior date should use the anterior tally
-    assert pops.population(locale, s1.snapshot_date) == s0.locale_counts[locale]
+    matrix = mm.build_matrix(
+        [], ChangeType.ADDRESS, 7, populations, start=s1.snapshot_date, end=s1.snapshot_date
+    )
+    assert matrix.populations[matrix.locale_index(locale), 0] == s0.locale_counts[locale]
+
+
+def test_interval_before_first_census_uses_earliest():
+    populations = {
+        D0 + dt.timedelta(days=10): {"a": 2000},
+        D0 + dt.timedelta(days=17): {"a": 3000},
+    }
+    changes = [change("V1", "a", day_offset=0), change("V2", "a", day_offset=27)]
+    matrix = mm.build_matrix(changes, ChangeType.ADDRESS, 7, populations)
+    # interval starts D0, +7, +14, +21; latest census strictly before: none, none, +10, +17
+    assert list(matrix.populations[0]) == [2000, 2000, 2000, 3000]
+
+
+def test_uncounted_locale_without_changes_is_zeroed_silently(caplog):
+    matrix = mm.build_matrix(
+        [change("V1", "a")], ChangeType.ADDRESS, 7, {D0: {"a": 1000}}, locales=["a", "b"]
+    )
+    assert matrix.populations[1, 0] == 1
+    assert matrix.values[1, 0] == 0.0
+    assert not caplog.records
+
+
+def test_zero_count_warns_once_and_zeroes_cell(caplog):
+    matrix = mm.build_matrix(
+        [change("V1", "a")], ChangeType.ADDRESS, 7, {D0: {"a": 1000, "b": 0}}
+    )
+    assert matrix.locales == ("a", "b")
+    assert matrix.populations[1, 0] == 1
+    assert matrix.values[1, 0] == 0.0
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert "population 0" in caplog.records[0].getMessage()
 
 
 # --- CSV round trip -------------------------------------------------------------
@@ -137,7 +171,7 @@ def build_example_matrix():
         for i in range(50)
     ]
     return mm.build_matrix(
-        changes, ChangeType.ADDRESS, 7, mm.ConstantPopulations({"a": 1234, "b": 987})
+        changes, ChangeType.ADDRESS, 7, {D0: {"a": 1234, "b": 987}}
     )
 
 

@@ -7,7 +7,7 @@ import scipy.stats
 import vrf_sentinel.synthgen as sg
 import vrf_sentinel.vrf_io as io
 from vrf_sentinel.errors import ConfigError
-from vrf_sentinel.modmatrix import SnapshotPopulations, build_matrix
+from vrf_sentinel.modmatrix import build_matrix
 from vrf_sentinel.records import ChangeType
 
 
@@ -107,9 +107,8 @@ def test_statewide_event_dominates_top_singular_direction():
     changes = []
     for a, b in zip(snapshots, snapshots[1:]):
         changes.extend(io.diff_snapshots(a, b))
-    matrix = build_matrix(
-        changes, ChangeType.DEACTIVATION, 7, SnapshotPopulations(snapshots)
-    )
+    populations = {s.snapshot_date: s.locale_counts for s in snapshots}
+    matrix = build_matrix(changes, ChangeType.DEACTIVATION, 7, populations)
     _, _, vt = np.linalg.svd(matrix.values)
     # top right-singular vector concentrates on the event column
     assert int(np.abs(vt[0]).argmax()) == matrix.interval_index(
