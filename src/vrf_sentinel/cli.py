@@ -19,7 +19,7 @@ import json
 import logging
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator
 
 import numpy as np
 
@@ -59,12 +59,15 @@ def _snapshot_paths(snapshot_dir: str) -> list[str]:
     return paths
 
 
-def _load_snapshots(paths: list[str], schema_path: str | None) -> Iterator[Snapshot]:
+def _load_snapshots(
+    paths: list[str], schema_path: str | None, voter_ids: Collection[str] | None = None
+) -> Iterator[Snapshot]:
     """Parse each file when the consumer asks for it, so a consumer that
-    keeps only what it needs never holds every snapshot at once."""
+    keeps only what it needs never holds every snapshot at once. Records
+    are built only for `voter_ids` (every voter when None)."""
     schema = _schema(schema_path)
     for path in paths:
-        yield vrf_io.parse_snapshot(path, schema)
+        yield vrf_io.parse_snapshot(path, schema, voter_ids=voter_ids)
 
 
 def _change_type(token: str) -> ChangeType:
@@ -178,7 +181,7 @@ def cmd_matrix(args: argparse.Namespace, argv: list[str]) -> int:
     change_type = _change_type(args.change_type)
     changes = vrf_io.csv_to_changes(args.changes)
     populations = {}
-    for snapshot in _load_snapshots(_snapshot_paths(args.snapshots), args.schema):
+    for snapshot in _load_snapshots(_snapshot_paths(args.snapshots), args.schema, voter_ids=()):
         if snapshot.snapshot_date in populations:
             raise DataError(f"two snapshots dated {snapshot.snapshot_date}")
         populations[snapshot.snapshot_date] = snapshot.locale_counts
@@ -278,9 +281,16 @@ def cmd_features(args: argparse.Namespace, argv: list[str]) -> int:
     labels = _read_labels(args.labels) if args.labels else None
     change_types = (_change_type(args.change_type),) if args.change_type else None
     changes = vrf_io.csv_to_changes(args.changes)
+    paths = _snapshot_paths(args.snapshots)
+    grouped = {c.voter_id for c in changes if change_types is None or c.change_type in change_types}
+    # the earliest snapshot is read in full: the election calendar counts every voter in it
+    snapshots = itertools.chain(
+        _load_snapshots(paths[:1], args.schema),
+        _load_snapshots(paths[1:], args.schema, voter_ids=grouped),
+    )
     vectors = groupfeatures.compute_group_features(
         changes,
-        _load_snapshots(_snapshot_paths(args.snapshots), args.schema),
+        snapshots,
         interval_days=args.interval_days,
         labels=labels,
         change_types=change_types,

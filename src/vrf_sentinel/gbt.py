@@ -110,32 +110,30 @@ def best_split(
     the lower threshold; None when no split improves the loss.
     """
     n, p = x.shape
+    if n < 2 or p == 0:
+        return None
     g_total, h_total = float(g.sum()), float(h.sum())
     parent = g_total * g_total / h_total if h_total > _H_EPS else 0.0
-    best: tuple[int, float, float] | None = None
-    for j in range(p):
-        order = np.argsort(x[:, j], kind="stable")
-        xs = x[order, j]
-        gl = np.cumsum(g[order])[:-1]
-        hl = np.cumsum(h[order])[:-1]
-        valid = xs[1:] != xs[:-1]
-        if not valid.any():
-            continue
-        gr = g_total - gl
-        hr = h_total - hl
-        left_term = np.where(hl > _H_EPS, gl * gl / np.maximum(hl, _H_EPS), 0.0)
-        right_term = np.where(hr > _H_EPS, gr * gr / np.maximum(hr, _H_EPS), 0.0)
-        gains = 0.5 * (left_term + right_term - parent)
-        gains[~valid] = -math.inf
-        top = float(gains.max())
-        if top <= 0.0:
-            continue
-        candidates = np.flatnonzero(gains == top)
-        pos = int(candidates[0])  # lowest threshold among equal gains
-        threshold = float((xs[pos] + xs[pos + 1]) / 2.0)
-        if best is None or top > best[2]:
-            best = (j, threshold, top)
-    return best
+    # every column at once; cumsum along axis 0 adds in the same order as
+    # a per-column 1-D cumsum, so each gain is bit-identical to it
+    order = np.argsort(x, axis=0, kind="stable")
+    xs = np.take_along_axis(x, order, axis=0)
+    gl = np.cumsum(g[order], axis=0)[:-1]
+    hl = np.cumsum(h[order], axis=0)[:-1]
+    gr = g_total - gl
+    hr = h_total - hl
+    left_term = np.where(hl > _H_EPS, gl * gl / np.maximum(hl, _H_EPS), 0.0)
+    right_term = np.where(hr > _H_EPS, gr * gr / np.maximum(hr, _H_EPS), 0.0)
+    gains = 0.5 * (left_term + right_term - parent)
+    gains[xs[1:] == xs[:-1]] = -math.inf
+    # argmax takes the first maximum: the lowest feature, then the lowest threshold
+    tops = gains.max(axis=0)
+    j = int(np.argmax(tops))
+    top = float(tops[j])
+    if top <= 0.0:
+        return None
+    pos = int(np.argmax(gains[:, j]))
+    return j, float((xs[pos, j] + xs[pos + 1, j]) / 2.0), top
 
 
 def _fit_tree(

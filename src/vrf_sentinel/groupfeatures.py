@@ -418,7 +418,10 @@ def compute_group_features(
 
     `snapshots` must ascend by date and is read once. Each group resolves
     its voters when its reference snapshot (anterior for removals,
-    posterior otherwise) arrives, so only that snapshot need be held.
+    posterior otherwise) arrives, so only that snapshot need be held. The
+    election calendar is built from every voter of the earliest snapshot,
+    which must therefore hold all its records; later snapshots need hold
+    only the voters of the selected change types.
     """
     index = ChangeIndex(changes)
     labels = labels or {}

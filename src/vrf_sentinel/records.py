@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import datetime as dt
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import IntegrityError
 
@@ -104,25 +104,29 @@ class VoterRecord:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """A full voter-file copy captured at one instant.
+    """A voter-file copy captured at one instant.
 
-    locale_counts is derived from records at construction; callers never
-    supply it.
+    `records` holds every voter, or only the voters a caller asked the
+    parser for. `locale_counts` covers every valid row of the file either
+    way; when not supplied (a snapshot built in memory) it is derived from
+    `records`.
     """
 
     snapshot_date: dt.date
     records: dict[str, VoterRecord]
-    locale_counts: dict[str, int] = field(default_factory=dict)
+    locale_counts: dict[str, int] | None = None
 
     def __post_init__(self) -> None:
-        counts: dict[str, int] = {}
         for voter_id, rec in self.records.items():
             if voter_id != rec.voter_id:
                 raise IntegrityError(
                     f"record keyed {voter_id!r} carries voter_id {rec.voter_id!r}"
                 )
-            counts[rec.locale] = counts.get(rec.locale, 0) + 1
-        object.__setattr__(self, "locale_counts", counts)
+        if self.locale_counts is None:
+            counts: dict[str, int] = {}
+            for rec in self.records.values():
+                counts[rec.locale] = counts.get(rec.locale, 0) + 1
+            object.__setattr__(self, "locale_counts", counts)
 
     def __len__(self) -> int:
         return len(self.records)

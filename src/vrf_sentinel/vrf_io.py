@@ -8,7 +8,10 @@ import io
 import json
 import logging
 import re
+from collections import Counter
+from collections.abc import Collection
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 from .errors import FileParseError, IntegrityError, SchemaError, VrfError
 from .records import (
@@ -116,42 +119,61 @@ class RowIssue:
     message: str
 
 
-_VOTE_TOKEN_CACHE: dict[str, VoteEvent] = {}
+def _memo_date(text: str, memo: dict[str, dt.date]) -> dt.date:
+    """ISO date of a stripped cell; parsed dates are remembered in `memo`."""
+    try:
+        return memo[text]
+    except KeyError:
+        pass
+    try:
+        date = dt.date.fromisoformat(text)
+    except ValueError:
+        raise ValueError(f"bad date {text!r}") from None
+    memo[text] = date
+    return date
 
 
-def _parse_vote_history(cell: str, where: str) -> tuple[VoteEvent, ...]:
-    """Decode `election_id|date|kind|party` tuples joined by ';'.
+def _vote_event(token: str, dates: dict[str, dt.date]) -> VoteEvent:
+    parts = token.split("|")
+    if len(parts) != 4:
+        raise ValueError(f"bad vote-history token {token!r}")
+    election_id, date_text, kind_text, party = (p.strip() for p in parts)
+    try:
+        kind = BallotKind(kind_text)
+    except ValueError:
+        raise ValueError(f"unknown ballot kind {kind_text!r}") from None
+    return VoteEvent(
+        election_id=election_id,
+        election_date=_memo_date(date_text, dates),
+        kind=kind,
+        party_ballot=party or None,
+    )
 
-    Tokens repeat heavily across voters (same elections), so parsed events
-    are memoized; VoteEvent is immutable and safe to share.
+
+def _memo_history(
+    cell: str,
+    memo: dict[str, tuple[VoteEvent, ...]],
+    events: dict[str, VoteEvent],
+    dates: dict[str, dt.date],
+) -> tuple[VoteEvent, ...]:
+    """Decode a stripped `election_id|date|kind|party;...` cell.
+
+    Whole cells, and more so their tokens, repeat heavily across voters
+    (same elections), so decoded histories and events are remembered in
+    `memo` and `events`; VoteEvent is immutable and safe to share.
     """
-    cell = cell.strip()
-    if not cell:
-        return ()
-    events = []
-    for token in cell.split(";"):
-        cached = _VOTE_TOKEN_CACHE.get(token)
-        if cached is not None:
-            events.append(cached)
-            continue
-        parts = token.split("|")
-        if len(parts) != 4:
-            raise FileParseError(f"{where}: bad vote-history token {token!r}")
-        election_id, date_text, kind_text, party = (p.strip() for p in parts)
-        try:
-            kind = BallotKind(kind_text)
-        except ValueError as exc:
-            raise FileParseError(f"{where}: unknown ballot kind {kind_text!r}") from exc
-        event = VoteEvent(
-            election_id=election_id,
-            election_date=_parse_date(date_text, where),
-            kind=kind,
-            party_ballot=party or None,
-        )
-        if len(_VOTE_TOKEN_CACHE) < 1_000_000:
-            _VOTE_TOKEN_CACHE[token] = event
-        events.append(event)
-    return tuple(events)
+    try:
+        return memo[cell]
+    except KeyError:
+        pass
+    history = []
+    for token in cell.split(";") if cell else ():
+        event = events.get(token)
+        if event is None:
+            event = events[token] = _vote_event(token, dates)
+        history.append(event)
+    memo[cell] = decoded = tuple(history)
+    return decoded
 
 
 def format_vote_history(history: tuple[VoteEvent, ...]) -> str:
@@ -166,19 +188,30 @@ def parse_snapshot(
     schema: SnapshotSchema,
     snapshot_date: dt.date | None = None,
     issues: list[RowIssue] | None = None,
+    voter_ids: Collection[str] | None = None,
 ) -> Snapshot:
     """Parse a delimited snapshot file into a Snapshot.
 
-    Rows whose required fields cannot be parsed are appended to `issues`
-    (and logged) rather than silently dropped. Duplicate voter ids abort
-    with an IntegrityError naming the offenders.
+    Every row is validated. Rows whose fields cannot be parsed are appended
+    to `issues` (and summarized in one warning) rather than silently
+    dropped. Duplicate voter ids among the valid rows abort with an
+    IntegrityError naming the offenders. `locale_counts` counts every valid
+    row; `records` holds the voters in `voter_ids`, or every voter when it
+    is None.
     """
     date = snapshot_date or schema.snapshot_date or _date_from_filename(path)
     if issues is None:
         issues = []
+    first_issue = len(issues)
+    wanted = None if voter_ids is None else frozenset(voter_ids)
     records: dict[str, VoterRecord] = {}
+    counts: dict[str, int] = {}
+    seen: set[str] = set()
     duplicates: list[str] = []
     status_map = {s.value: s for s in VoterStatus}
+    dates: dict[str, dt.date] = {}
+    histories: dict[str, tuple[VoteEvent, ...]] = {}
+    events: dict[str, VoteEvent] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
         header = next(reader, None) or []
@@ -189,76 +222,71 @@ def parse_snapshot(
                     f"(logical field {logical!r})"
                 )
         position = {name: i for i, name in enumerate(header)}
-        # positional index per logical field, -1 when unmapped
-        idx = {
-            logical: position.get(name, -1)
-            for logical, name in schema.columns.items()
-        }
-        col = [idx.get(f, -1) for f in LOGICAL_FIELDS]
-        (i_vid, i_loc, i_status, i_first, i_middle, i_last, i_house, i_street,
-         i_unit, i_city, i_zip, i_party, i_gender, i_birth, i_reg, i_upd,
-         i_hist) = col
-
-        def cell(row: list[str], i: int) -> str:
-            return row[i].strip() if 0 <= i < len(row) else ""
+        # every logical field in one getter; unmapped fields read index -1,
+        # the "" appended to each row
+        fields = itemgetter(*(position.get(schema.columns.get(f), -1) for f in LOGICAL_FIELDS))
+        width = len(header)
+        pad = [""] * width
 
         for lineno, row in enumerate(reader, start=2):
-            voter_id = cell(row, i_vid)
+            if len(row) < width:
+                row += pad[len(row):]
+            row.append("")
+            (voter_id, locale, status_text, first, middle, last, house, street, unit,
+             city, zip_code, party, gender, birth, registered, updated,
+             history) = map(str.strip, fields(row))
             if not voter_id:
                 issues.append(RowIssue(lineno, "voter_id", "empty voter_id"))
                 continue
-            locale = cell(row, i_loc)
             if not locale:
                 issues.append(RowIssue(lineno, "locale", "empty locale"))
                 continue
-            status = status_map.get(cell(row, i_status).casefold())
+            status = status_map.get(status_text.casefold())
             if status is None:
-                issues.append(
-                    RowIssue(lineno, "status", f"unknown status {cell(row, i_status)!r}")
-                )
+                issues.append(RowIssue(lineno, "status", f"unknown status {status_text!r}"))
                 continue
-            where = f"{path}:{lineno}"
             try:
-                record = VoterRecord(
-                    voter_id=voter_id,
-                    locale=locale,
-                    first_name=cell(row, i_first),
-                    middle_name=cell(row, i_middle),
-                    last_name=cell(row, i_last),
-                    address=(
-                        cell(row, i_house),
-                        cell(row, i_street),
-                        cell(row, i_unit),
-                        cell(row, i_city),
-                        cell(row, i_zip),
-                    ),
-                    status=status,
-                    party=cell(row, i_party),
-                    gender=cell(row, i_gender),
-                    birth_date=_opt_date(cell(row, i_birth), where),
-                    registration_date=_opt_date(cell(row, i_reg), where),
-                    last_update_date=_opt_date(cell(row, i_upd), where),
-                    vote_history=_parse_vote_history(cell(row, i_hist), where),
-                )
-            except (FileParseError, IntegrityError) as exc:
-                issues.append(RowIssue(lineno, "-", str(exc)))
+                birth_date = _memo_date(birth, dates) if birth else None
+                registration_date = _memo_date(registered, dates) if registered else None
+                last_update_date = _memo_date(updated, dates) if updated else None
+                vote_history = _memo_history(history, histories, events, dates)
+            except ValueError as exc:
+                issues.append(RowIssue(lineno, "-", f"{path}:{lineno}: {exc}"))
                 continue
-            if voter_id in records:
+            if voter_id in seen:
                 duplicates.append(voter_id)
                 continue
-            records[voter_id] = record
+            seen.add(voter_id)
+            counts[locale] = counts.get(locale, 0) + 1
+            if wanted is None or voter_id in wanted:
+                # positional, in field order: keywords cost a third more here
+                records[voter_id] = VoterRecord(
+                    voter_id, locale, first, middle, last, (house, street, unit, city, zip_code),
+                    status, party, gender, birth_date, registration_date, last_update_date,
+                    vote_history,
+                )
 
     if duplicates:
         raise IntegrityError(
             f"{path}: duplicate voter_id values: {', '.join(sorted(set(duplicates)))}"
         )
-    for issue in issues:
-        logger.warning("%s:%d %s: %s", path, issue.line, issue.field, issue.message)
-    return Snapshot(snapshot_date=date, records=records)
+    _log_issues(path, issues[first_issue:])
+    return Snapshot(snapshot_date=date, records=records, locale_counts=counts)
 
 
-def _opt_date(cell: str, where: str) -> dt.date | None:
-    return _parse_date(cell, where) if cell else None
+def _log_issues(path: str, issues: list[RowIssue]) -> None:
+    """One warning for a file's dropped rows: counts by field and the first
+    few line numbers; the `issues` list keeps every row."""
+    if not issues:
+        return
+    by_field = Counter(issue.field for issue in issues)
+    logger.warning(
+        "%s: dropped %d malformed rows (%s); first at lines %s",
+        path,
+        len(issues),
+        ", ".join(f"{field} {n}" for field, n in by_field.items()),
+        ", ".join(str(issue.line) for issue in issues[:5]),
+    )
 
 
 def _date_from_filename(path: str) -> dt.date:
@@ -370,6 +398,8 @@ def diff_snapshots(
                     **dates,
                 )
             )
+            continue
+        if old == new:  # equal records have equal keys and status: no change
             continue
 
         if old.name_key() != new.name_key():

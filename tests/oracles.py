@@ -1,10 +1,14 @@
 """Independent brute-force reference implementations for the tests.
 
 Pure-python, loop-based, no shared code with the library's vectorized
-paths. Deliberately slow and obvious.
+paths. Deliberately slow and obvious. `loop_best_split` is the one
+exception: the library's former per-feature numpy loop, kept as the exact
+reference for its all-features-at-once replacement.
 """
 
 import math
+
+import numpy as np
 
 
 def bf_mean(pool):
@@ -123,4 +127,37 @@ def bf_best_stump(x_rows, g, h):
                 continue
             if best is None or loss < best[0] - 1e-15:
                 best = (loss, j, thr)
+    return best
+
+
+def loop_best_split(x, g, h):
+    """gbt.best_split one feature at a time: (feature, threshold, gain) of
+    the highest positive gain, ties to the lower feature, then the lower
+    threshold; None when no split gains."""
+    h_eps = 1e-12  # gbt._H_EPS
+    n, p = x.shape
+    g_total, h_total = float(g.sum()), float(h.sum())
+    parent = g_total * g_total / h_total if h_total > h_eps else 0.0
+    best = None
+    for j in range(p):
+        order = np.argsort(x[:, j], kind="stable")
+        xs = x[order, j]
+        gl = np.cumsum(g[order])[:-1]
+        hl = np.cumsum(h[order])[:-1]
+        valid = xs[1:] != xs[:-1]
+        if not valid.any():
+            continue
+        gr = g_total - gl
+        hr = h_total - hl
+        left_term = np.where(hl > h_eps, gl * gl / np.maximum(hl, h_eps), 0.0)
+        right_term = np.where(hr > h_eps, gr * gr / np.maximum(hr, h_eps), 0.0)
+        gains = 0.5 * (left_term + right_term - parent)
+        gains[~valid] = -math.inf
+        top = float(gains.max())
+        if top <= 0.0:
+            continue
+        pos = int(np.flatnonzero(gains == top)[0])
+        threshold = float((xs[pos] + xs[pos + 1]) / 2.0)
+        if best is None or top > best[2]:
+            best = (j, threshold, top)
     return best

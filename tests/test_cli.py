@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from vrf_sentinel import cli
+from vrf_sentinel import cli, groupfeatures, vrf_io
 from vrf_sentinel.errors import FileParseError
 from vrf_sentinel.groupfeatures import EventLabel
 from vrf_sentinel.records import ChangeType
@@ -89,6 +89,63 @@ def test_diff_pair_matches_sequence_rows(pipeline, tmp_path):
     with open(tmp_path / "changes.csv", newline="") as fh:
         assert list(csv.reader(fh)) == want
     assert len(want) > 1
+
+
+def record_counts(monkeypatch):
+    """Wrap parse_snapshot to note how many records each call built."""
+    parse = cli.vrf_io.parse_snapshot
+    built = []
+
+    def counted(*args, **kwargs):
+        snapshot = parse(*args, **kwargs)
+        built.append(len(snapshot.records))
+        return snapshot
+
+    monkeypatch.setattr(cli.vrf_io, "parse_snapshot", counted)
+    return built
+
+
+def test_matrix_builds_no_records(pipeline, tmp_path, monkeypatch):
+    built = record_counts(monkeypatch)
+    synth = pipeline / "synth"
+    assert run(
+        "matrix", "--changes", str(pipeline / "diff" / "changes.csv"),
+        "--snapshots", str(synth / "snapshots"), "--schema", str(synth / "schema.cfg"),
+        "--change-type", "deactivation", "--out", str(tmp_path),
+    ) == 0
+    assert built == [0] * 21
+    for name in ("matrix_deactivation.csv", "singular_values_deactivation.csv"):
+        assert (tmp_path / name).read_bytes() == (pipeline / "matrix" / name).read_bytes()
+
+
+@pytest.mark.parametrize("change_type", [None, "deactivation"])
+def test_features_match_fully_parsed_snapshots(pipeline, tmp_path, monkeypatch, change_type):
+    synth = pipeline / "synth"
+    changes = vrf_io.csv_to_changes(str(pipeline / "diff" / "changes.csv"))
+    schema = vrf_io.load_schema(str(synth / "schema.cfg"))
+    paths = sorted((synth / "snapshots").glob("snapshot_*.csv"))
+    change_types = (ChangeType(change_type),) if change_type else None
+    want = groupfeatures.compute_group_features(
+        changes, (vrf_io.parse_snapshot(str(p), schema) for p in paths),
+        interval_days=7, change_types=change_types,
+    )
+    groupfeatures.features_to_csv(want, str(tmp_path / "want.csv"))
+    earliest = len(vrf_io.parse_snapshot(str(paths[0]), schema))
+
+    built = record_counts(monkeypatch)
+    extra = ["--change-type", change_type] if change_type else []
+    assert run(
+        "features", "--changes", str(pipeline / "diff" / "changes.csv"),
+        "--snapshots", str(synth / "snapshots"), "--schema", str(synth / "schema.cfg"),
+        *extra, "--out", str(tmp_path / "cli"),
+    ) == 0
+    assert (tmp_path / "cli" / "group_features.csv").read_bytes() == (
+        tmp_path / "want.csv"
+    ).read_bytes()
+    # the earliest snapshot in full (for the calendar), later ones only grouped voters
+    grouped = {c.voter_id for c in changes if change_types is None or c.change_type in change_types}
+    assert built[0] == earliest
+    assert all(n <= len(grouped) for n in built[1:])
 
 
 def test_diff_and_matrix_artifacts(pipeline):

@@ -2,6 +2,7 @@ import collections
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import oracles
 import vrf_sentinel.gbt as gbt
@@ -54,6 +55,27 @@ def test_stump_matches_exhaustive_oracle():
             assert not stump.is_leaf
             assert stump.feature == want[1]
             assert stump.threshold == pytest.approx(want[2], abs=1e-12)
+
+
+# few distinct values, so repeated values and constant columns are common
+_SPLIT_VALUES = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
+
+
+@st.composite
+def split_problems(draw):
+    n, p = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    x = draw(st.lists(st.lists(_SPLIT_VALUES, min_size=p, max_size=p), min_size=n, max_size=n))
+    g = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    h = draw(st.lists(st.floats(0.0, 0.25), min_size=n, max_size=n))
+    return np.array(x), np.array(g), np.array(h)
+
+
+@given(split_problems())
+@example((np.array([[0.5, 1.0]]), np.array([0.3]), np.array([0.2])))
+@example((np.array([[0.5, 1.0], [0.5, 2.0]]), np.array([0.3, -0.3]), np.array([0.2, 0.2])))
+def test_best_split_matches_per_feature_loop(problem):
+    x, g, h = problem
+    assert gbt.best_split(x, g, h) == oracles.loop_best_split(x, g, h)
 
 
 def test_row_permutation_gives_identical_model(tmp_path):

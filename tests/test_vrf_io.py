@@ -1,6 +1,8 @@
 import datetime as dt
+import logging
 
 import pytest
+from hypothesis import given, strategies as st
 
 import vrf_sentinel.synthgen as sg
 import vrf_sentinel.vrf_io as io
@@ -102,6 +104,119 @@ def test_bad_rows_reported_not_dropped_silently(tmp_path):
     snapshot = io.parse_snapshot(path, simple_schema(), issues=issues)
     assert len(snapshot) == 1
     assert {(i.line, i.field) for i in issues} == {(3, "voter_id"), (4, "status")}
+
+
+# Every logical field but gender (absent, so unmapped) and middle_name
+# (present, but the schema leaves it unmapped), plus an extra column.
+MALFORMED_HEADER = (
+    "voter_id,locale,status,first_name,middle_name,last_name,house_num,street_name,unit,"
+    "city,zip,party,birth_date,registration_date,last_update_date,vote_history,notes\n"
+)
+HISTORY = "e1|2018-11-06|regular|;e2|2018-06-05|absentee|democrat"
+
+
+def full_row(voter_id="V1", locale="polk", status="active", birth="1970-01-02",
+             registered="2000-01-01", updated="2001-01-01", history=HISTORY):
+    return (
+        f"{voter_id},{locale},{status},ada,x,barnes,12,oak st,,polk city,50001,democrat,"
+        f"{birth},{registered},{updated},{history},note\n"
+    )
+
+
+MALFORMED_ROWS = [
+    full_row("V1"),                                   # line 2: valid
+    full_row(""),                                     # 3: empty voter_id
+    full_row("V3", locale=""),                        # 4: empty locale
+    full_row("V4", status="retired"),                 # 5: unknown status
+    full_row("V5", birth="1970-13-01"),               # 6: bad birth date
+    full_row("V6", registered="2000-02-30"),          # 7: bad registration date
+    full_row("V7", updated="yesterday"),              # 8: bad last-update date
+    full_row("V8", history="e1|2018-11-06|regular"),  # 9: bad vote-history token
+    full_row("V9", history="e1|2018-11-06|mail|"),    # 10: unknown ballot kind
+    "V10,story,inactive\n",                          # 11: short row, valid
+    full_row("V1", birth="1970-01-32"),               # 12: malformed, not a duplicate
+    full_row(" V11 ", locale=" story ", status=" Active "),  # 13: valid, padded
+    full_row("V12", history="e1|2018-02-30|regular|"),  # 14: bad election date
+    "V13,polk\n",                                    # 15: short row, no status
+    full_row("V14"),                                  # 16: valid, same history as V1
+]
+
+
+def write_full_file(tmp_path, rows):
+    path = tmp_path / "snapshot_2019-01-03.csv"
+    path.write_text(MALFORMED_HEADER + "".join(rows))
+    return str(path)
+
+
+def malformed_schema():
+    return io.SnapshotSchema(columns={f: f for f in io.LOGICAL_FIELDS if f != "middle_name"})
+
+
+def expected_issues(path):
+    where = f"{path}:"
+    return [
+        io.RowIssue(3, "voter_id", "empty voter_id"),
+        io.RowIssue(4, "locale", "empty locale"),
+        io.RowIssue(5, "status", "unknown status 'retired'"),
+        io.RowIssue(6, "-", f"{where}6: bad date '1970-13-01'"),
+        io.RowIssue(7, "-", f"{where}7: bad date '2000-02-30'"),
+        io.RowIssue(8, "-", f"{where}8: bad date 'yesterday'"),
+        io.RowIssue(9, "-", f"{where}9: bad vote-history token 'e1|2018-11-06|regular'"),
+        io.RowIssue(10, "-", f"{where}10: unknown ballot kind 'mail'"),
+        io.RowIssue(12, "-", f"{where}12: bad date '1970-01-32'"),
+        io.RowIssue(14, "-", f"{where}14: bad date '2018-02-30'"),
+        io.RowIssue(15, "status", "unknown status ''"),
+    ]
+
+
+@pytest.mark.parametrize("voter_ids", [None, (), {"V1", "V11", "V4", "nobody"}])
+def test_malformed_rows_same_issues_and_counts_for_any_voter_ids(tmp_path, voter_ids):
+    path = write_full_file(tmp_path, MALFORMED_ROWS)
+    full_issues, issues = [], []
+    full = io.parse_snapshot(path, malformed_schema(), issues=full_issues)
+    part = io.parse_snapshot(path, malformed_schema(), issues=issues, voter_ids=voter_ids)
+
+    assert full_issues == issues == expected_issues(path)
+    assert full.locale_counts == part.locale_counts == {"polk": 2, "story": 2}
+    assert set(full.records) == {"V1", "V10", "V11", "V14"}
+    wanted = full.records.keys() if voter_ids is None else set(voter_ids)
+    assert part.records == {k: v for k, v in full.records.items() if k in wanted}
+
+    v1, v10, v11 = full.records["V1"], full.records["V10"], full.records["V11"]
+    assert (v1.middle_name, v1.gender) == ("", "")  # unmapped fields read empty
+    assert v1.birth_date == dt.date(1970, 1, 2)
+    assert [ev.election_id for ev in v1.vote_history] == ["e1", "e2"]
+    assert full.records["V14"].vote_history == v1.vote_history
+    assert v10.status == VoterStatus.INACTIVE and v10.vote_history == ()
+    assert v10.address == ("", "", "", "", "") and v10.birth_date is None
+    assert (v11.locale, v11.status) == ("story", VoterStatus.ACTIVE)
+
+
+@pytest.mark.parametrize("voter_ids", [None, (), {"V2"}, {"V1"}])
+def test_duplicate_raises_for_any_voter_ids(tmp_path, voter_ids):
+    path = write_full_file(tmp_path, [full_row("V1"), full_row("V2"), full_row("V1")])
+    with pytest.raises(IntegrityError, match="V1"):
+        io.parse_snapshot(path, malformed_schema(), voter_ids=voter_ids)
+
+
+def test_bad_rows_logged_as_one_warning(tmp_path, caplog):
+    path = write_snapshot_file(
+        tmp_path,
+        ["A1,polk,active,ada,barnes,democrat\n",
+         ",polk,active,bea,calder,republican\n",
+         "A3,polk,nonsense,carl,dietz,no_party\n",
+         "A4,,active,dee,eames,no_party\n"],
+    )
+    issues = []
+    with caplog.at_level(logging.WARNING, logger="vrf_sentinel.vrf_io"):
+        io.parse_snapshot(path, simple_schema(), issues=issues)
+    assert len(issues) == 3
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    message = warnings[0].getMessage()
+    assert "3 malformed rows" in message
+    assert "voter_id 1, status 1, locale 1" in message
+    assert "lines 3, 4, 5" in message
 
 
 def test_load_schema_file(tmp_path):
@@ -286,3 +401,65 @@ def test_changes_csv_byte_identical(tmp_path):
     io.changes_to_csv(changes, str(p1))
     io.changes_to_csv(changes, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# --- diff properties -----------------------------------------------------------
+
+_IDS = ("A1", "A2", "A3", "A4", "A5")
+
+
+@st.composite
+def voter_sets(draw):
+    """Small snapshots: a few voters over few field values, so repeats and
+    equal records are common."""
+    voters = []
+    for voter_id in sorted(draw(st.sets(st.sampled_from(_IDS)))):
+        voters.append(
+            make_voter(
+                voter_id,
+                locale=draw(st.sampled_from(["polk", "story"])),
+                first_name=draw(st.sampled_from(["ada", "bea"])),
+                last_name=draw(st.sampled_from(["barnes", "calder"])),
+                address=(draw(st.sampled_from(["12", "40"])), "oak st", "", "polk city", "50001"),
+                status=draw(st.sampled_from(list(VoterStatus))),
+                party=draw(st.sampled_from(["democrat", "", "other"])),
+            )
+        )
+    return voters
+
+
+def ids_of(changes, change_type):
+    return {c.voter_id for c in changes if c.change_type == change_type}
+
+
+@given(voter_sets(), voter_sets())
+def test_removals_mirror_registrations(a, b):
+    forward = io.diff_snapshots(snap(D1, *a), snap(D2, *b))
+    backward = io.diff_snapshots(snap(D1, *b), snap(D2, *a))
+    assert ids_of(forward, ChangeType.REMOVAL) == ids_of(backward, ChangeType.REGISTRATION)
+    assert ids_of(forward, ChangeType.REGISTRATION) == ids_of(backward, ChangeType.REMOVAL)
+
+
+@given(voter_sets())
+def test_redated_copy_has_no_changes(voters):
+    snapshot = snap(D1, *voters)
+    assert io.diff_snapshots(snapshot, io.with_date(snapshot, D2)) == []
+
+
+_CASE_OR_SPACE = st.sampled_from([str.upper, str.title, lambda v: f"  {v} ", lambda v: v])
+
+
+@given(voter_sets(), st.data())
+def test_case_and_whitespace_edits_have_no_changes(voters, data):
+    edited = []
+    for voter in voters:
+        edit = {
+            f: data.draw(_CASE_OR_SPACE)(getattr(voter, f))
+            for f in ("first_name", "middle_name", "last_name", "party")
+        }
+        edit["first_name"] += " "  # always unequal, so the equal-record shortcut is skipped
+        address = tuple(data.draw(_CASE_OR_SPACE)(part) for part in voter.address)
+        edited.append(make_voter(voter.voter_id, locale=voter.locale, status=voter.status,
+                                 address=address, **edit))
+    assert all(old != new for old, new in zip(voters, edited))
+    assert io.diff_snapshots(snap(D1, *voters), snap(D2, *edited)) == []
