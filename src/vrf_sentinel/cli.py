@@ -19,6 +19,7 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
 from collections.abc import Collection, Iterator
 
 import numpy as np
@@ -60,14 +61,36 @@ def _snapshot_paths(snapshot_dir: str) -> list[str]:
 
 
 def _load_snapshots(
-    paths: list[str], schema_path: str | None, voter_ids: Collection[str] | None = None
+    paths: list[str],
+    schema_path: str | None,
+    counts: dict,
+    voter_ids: Collection[str] | None = None,
+    earliest_in_full: bool = False,
 ) -> Iterator[Snapshot]:
     """Parse each file when the consumer asks for it, so a consumer that
     keeps only what it needs never holds every snapshot at once. Records
-    are built only for `voter_ids` (every voter when None)."""
+    are built only for `voter_ids` (every voter when None), but for every
+    voter of the earliest file when `earliest_in_full`. One line memo spans
+    the stream, so a line byte-identical to a row of the previous file is
+    not parsed again. Once the stream is read to its end, `counts` holds
+    its snapshots, valid rows, row issues by field and reused rows."""
     schema = _schema(schema_path)
-    for path in paths:
-        yield vrf_io.parse_snapshot(path, schema, voter_ids=voter_ids)
+    memo = vrf_io.LineMemo()
+    rows = 0
+    row_issues: Counter[str] = Counter()
+    for i, path in enumerate(paths):
+        issues: list[vrf_io.RowIssue] = []
+        snapshot = vrf_io.parse_snapshot(
+            path, schema, issues=issues, memo=memo,
+            voter_ids=None if i == 0 and earliest_in_full else voter_ids,
+        )
+        rows += sum(snapshot.locale_counts.values())
+        row_issues.update(issue.field for issue in issues)
+        yield snapshot
+    counts.update(
+        snapshots=len(paths), rows=rows, row_issues=dict(sorted(row_issues.items())),
+        rows_reused=memo.reused,
+    )
 
 
 def _change_type(token: str) -> ChangeType:
@@ -170,10 +193,11 @@ def cmd_diff(args: argparse.Namespace, argv: list[str]) -> int:
     else:
         raise VrfError("diff needs either --snapshots or both --anterior and --posterior")
     changes = []
-    for anterior, posterior in itertools.pairwise(_load_snapshots(paths, args.schema)):
+    counts: dict = {}
+    for anterior, posterior in itertools.pairwise(_load_snapshots(paths, args.schema, counts)):
         changes.extend(vrf_io.diff_snapshots(anterior, posterior, strict_status=args.strict_status))
     vrf_io.changes_to_csv(changes, os.path.join(args.out, "changes.csv"))
-    _write_manifest(args.out, "diff", argv)
+    _write_manifest(args.out, "diff", argv, counts=counts)
     return EXIT_OK
 
 
@@ -181,7 +205,9 @@ def cmd_matrix(args: argparse.Namespace, argv: list[str]) -> int:
     change_type = _change_type(args.change_type)
     changes = vrf_io.csv_to_changes(args.changes)
     populations = {}
-    for snapshot in _load_snapshots(_snapshot_paths(args.snapshots), args.schema, voter_ids=()):
+    counts: dict = {}
+    paths = _snapshot_paths(args.snapshots)
+    for snapshot in _load_snapshots(paths, args.schema, counts, voter_ids=()):
         if snapshot.snapshot_date in populations:
             raise DataError(f"two snapshots dated {snapshot.snapshot_date}")
         populations[snapshot.snapshot_date] = snapshot.locale_counts
@@ -201,7 +227,7 @@ def cmd_matrix(args: argparse.Namespace, argv: list[str]) -> int:
         fh.write("rank,singular_value\n")
         for rank, value in enumerate(spectrum, start=1):
             fh.write(f"{rank},{value!r}\n")
-    _write_manifest(args.out, "matrix", argv)
+    _write_manifest(args.out, "matrix", argv, counts=counts)
     return EXIT_OK
 
 
@@ -283,11 +309,9 @@ def cmd_features(args: argparse.Namespace, argv: list[str]) -> int:
     changes = vrf_io.csv_to_changes(args.changes)
     paths = _snapshot_paths(args.snapshots)
     grouped = {c.voter_id for c in changes if change_types is None or c.change_type in change_types}
+    counts: dict = {}
     # the earliest snapshot is read in full: the election calendar counts every voter in it
-    snapshots = itertools.chain(
-        _load_snapshots(paths[:1], args.schema),
-        _load_snapshots(paths[1:], args.schema, voter_ids=grouped),
-    )
+    snapshots = _load_snapshots(paths, args.schema, counts, voter_ids=grouped, earliest_in_full=True)
     vectors = groupfeatures.compute_group_features(
         changes,
         snapshots,
@@ -297,7 +321,7 @@ def cmd_features(args: argparse.Namespace, argv: list[str]) -> int:
     )
     os.makedirs(args.out, exist_ok=True)
     groupfeatures.features_to_csv(vectors, os.path.join(args.out, "group_features.csv"))
-    _write_manifest(args.out, "features", argv)
+    _write_manifest(args.out, "features", argv, counts=counts)
     return EXIT_OK
 
 
@@ -350,19 +374,20 @@ def cmd_predict(args: argparse.Namespace, argv: list[str]) -> int:
     matrix = scaler.apply(np.vstack([v.features for v in vectors]))
     probs = np.atleast_2d(gbt.predict_proba(model, matrix))
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "predictions.csv"), "w", encoding="utf-8") as fh:
-        fh.write(
-            "locale,interval_start,change_type,"
-            + ",".join(f"p_{c}" for c in model.classes)
-            + ",predicted,explained\n"
+    with open(os.path.join(args.out, "predictions.csv"), "w", newline="", encoding="utf-8") as fh:
+        writer = vrf_io.csv_writer(fh, (v.key.locale for v in vectors))
+        writer.writerow(
+            ["locale", "interval_start", "change_type"]
+            + [f"p_{c}" for c in model.classes]
+            + ["predicted", "explained"]
         )
         for v, row in zip(vectors, probs):
             top = int(row.argmax())
             explained = "yes" if row[top] >= args.threshold else "no"
-            fh.write(
-                f"{v.key.locale},{v.key.interval.start.isoformat()},{v.key.change_type.value},"
-                + ",".join(repr(float(p)) for p in row)
-                + f",{model.classes[top]},{explained}\n"
+            writer.writerow(
+                [v.key.locale, v.key.interval.start.isoformat(), v.key.change_type.value]
+                + [repr(float(p)) for p in row]
+                + [model.classes[top], explained]
             )
     _write_manifest(args.out, "predict", argv)
     return EXIT_OK

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from ..modmatrix import MatrixEntryRef
+from ..vrf_io import csv_writer
 from .scoring import ScoreMatrix
 
 
@@ -73,7 +73,7 @@ def ranked_to_csv(ranked: RankedEntries, path: str) -> None:
     rows, cols = np.divmod(ranked.order, len(ranked.interval_starts))
     cells = zip(rows.tolist(), cols.tolist(), ranked.scores[ranked.order].tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv_writer(fh, ranked.locales)
         writer.writerow(["rank", "locale", "interval_start", "score"])
         writer.writerows(
             [rank, ranked.locales[i], ranked.interval_starts[j], repr(score)]

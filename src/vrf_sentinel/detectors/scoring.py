@@ -28,6 +28,7 @@ import numpy as np
 
 from ..errors import FileParseError, VrfError
 from ..modmatrix import DateInterval, ModificationMatrix
+from ..vrf_io import csv_writer
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,7 @@ def scores_to_csv(score_matrix: ScoreMatrix, path: str) -> None:
             )
             + "\n"
         )
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv_writer(fh, score_matrix.locales)
         writer.writerow(
             [f"{score_matrix.method}:{days}"]
             + [iv.start.isoformat() for iv in score_matrix.intervals]

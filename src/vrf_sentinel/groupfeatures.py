@@ -26,6 +26,7 @@ import numpy as np
 from .errors import DataError, FileParseError, VrfError
 from .modmatrix import DateInterval, _interval_of, build_intervals
 from .records import BallotKind, ChangeRecord, ChangeType, Snapshot, VoterRecord, normalize_text
+from .vrf_io import csv_writer
 
 logger = logging.getLogger(__name__)
 
@@ -463,7 +464,7 @@ def features_to_csv(vectors: list[GroupFeatureVector], path: str) -> None:
     if len(interval_days) > 1:
         raise DataError("mixed interval widths in one feature file")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv_writer(fh, (v.key.locale for v in vectors))
         writer.writerow(
             ["locale", "interval_start", "change_type", "n_voters", *FEATURE_NAMES, "label"]
         )

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DataError, FileParseError, VrfError
 from .records import ChangeRecord, ChangeType
+from .vrf_io import csv_writer
 
 logger = logging.getLogger(__name__)
 
@@ -235,7 +236,7 @@ def matrix_to_csv(matrix: ModificationMatrix, path: str) -> None:
     """
     days = matrix.intervals[0].days
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv_writer(fh, matrix.locales)
         header = [f"{matrix.change_type.value}:{days}"] + [
             iv.start.isoformat() for iv in matrix.intervals
         ]

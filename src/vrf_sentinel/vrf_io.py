@@ -5,13 +5,15 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import itertools
 import json
 import logging
 import re
 from collections import Counter
-from collections.abc import Collection
-from dataclasses import dataclass, replace
+from collections.abc import Collection, Iterable, Iterator
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
+from typing import Any, TextIO
 
 from .errors import FileParseError, IntegrityError, SchemaError, VrfError
 from .records import (
@@ -176,11 +178,63 @@ def _memo_history(
     return decoded
 
 
+def csv_writer(fh: TextIO, texts: Iterable[str]) -> Any:
+    """The csv writer of the artifacts that hold voter ids or locales, with
+    "\n" line ends.
+
+    Under that terminator csv leaves a carriage return inside a cell
+    unquoted (Python 3.11 does), and a reader then splits the row there.
+    So when any of `texts`, the free-text cells to be written (voter ids,
+    locales), holds one, every cell of the file is quoted.
+    """
+    quoting = csv.QUOTE_ALL if any("\r" in text for text in texts) else csv.QUOTE_MINIMAL
+    return csv.writer(fh, lineterminator="\n", quoting=quoting)
+
+
 def format_vote_history(history: tuple[VoteEvent, ...]) -> str:
     return ";".join(
         f"{ev.election_id}|{ev.election_date.isoformat()}|{ev.kind.value}|{ev.party_ballot or ''}"
         for ev in history
     )
+
+
+@dataclass
+class LineMemo:
+    """The valid one-line rows of the last file a snapshot stream parsed.
+
+    `rows` maps a raw line to `(voter_id, locale, VoterRecord or None,
+    line)`: its parse under `scope`, that file's header and schema, and the
+    line itself, so that a line two files share is held once.
+    `parse_snapshot` reuses an entry for a byte-identical line of the next
+    file, then replaces `rows` with that file's own, so the memo never
+    outgrows one file. `reused` counts the lines served from it so far.
+    """
+
+    scope: tuple | None = None
+    rows: dict[str, tuple[str, str, VoterRecord | None, str]] = field(default_factory=dict)
+    reused: int = 0
+
+
+class _LineFeed:
+    """Source of csv.reader: the line the parse loop hands it, then, for a
+    record that goes on past it (a quoted field spanning lines, or one the
+    file ends inside), further lines of the file, noting that in `pulled`."""
+
+    def __init__(self, lines: Iterator[str]) -> None:
+        self.lines = lines
+        self.line: str | None = None
+        self.pulled = False
+
+    def __iter__(self) -> _LineFeed:
+        return self
+
+    def __next__(self) -> str:
+        line = self.line
+        if line is None:
+            self.pulled = True
+            return next(self.lines)
+        self.line = None
+        return line
 
 
 def parse_snapshot(
@@ -189,19 +243,30 @@ def parse_snapshot(
     snapshot_date: dt.date | None = None,
     issues: list[RowIssue] | None = None,
     voter_ids: Collection[str] | None = None,
+    memo: LineMemo | None = None,
 ) -> Snapshot:
     """Parse a delimited snapshot file into a Snapshot.
 
     Every row is validated. Rows whose fields cannot be parsed are appended
     to `issues` (and summarized in one warning) rather than silently
-    dropped. Duplicate voter ids among the valid rows abort with an
-    IntegrityError naming the offenders. `locale_counts` counts every valid
-    row; `records` holds the voters in `voter_ids`, or every voter when it
-    is None.
+    dropped; their line numbers count records, the header being 1.
+    Duplicate voter ids among the valid rows abort with an IntegrityError
+    naming the offenders. `locale_counts` counts every valid row; `records`
+    holds the voters in `voter_ids`, or every voter when it is None.
+
+    A `memo` shared along a stream of files lets a line byte-identical to a
+    valid one-line row of the previous file take that row's parse instead
+    of being split and validated again, when both files have the same
+    header and schema (otherwise the memo starts empty). A reused row still
+    counts in `locale_counts` and in duplicate detection, and one whose
+    record is wanted but was not built is parsed afresh. Malformed rows and
+    rows spanning lines are never reused.
     """
     date = snapshot_date or schema.snapshot_date or _date_from_filename(path)
     if issues is None:
         issues = []
+    if memo is None:
+        memo = LineMemo()
     first_issue = len(issues)
     wanted = None if voter_ids is None else frozenset(voter_ids)
     records: dict[str, VoterRecord] = {}
@@ -212,8 +277,11 @@ def parse_snapshot(
     dates: dict[str, dt.date] = {}
     histories: dict[str, tuple[VoteEvent, ...]] = {}
     events: dict[str, VoteEvent] = {}
+    parsed: dict[str, tuple[str, str, VoterRecord | None, str]] = {}
+    reused = 0
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=schema.delimiter)
+        feed = _LineFeed(fh)
+        reader = csv.reader(feed, delimiter=schema.delimiter)
         header = next(reader, None) or []
         for logical in REQUIRED_FIELDS:
             if schema.columns[logical] not in header:
@@ -221,6 +289,9 @@ def parse_snapshot(
                     f"{path}: missing required column {schema.columns[logical]!r} "
                     f"(logical field {logical!r})"
                 )
+        # under another header or schema an identical line holds other fields
+        scope = (tuple(header), schema)
+        previous = memo.rows if memo.scope == scope else {}
         position = {name: i for i, name in enumerate(header)}
         # every logical field in one getter; unmapped fields read index -1,
         # the "" appended to each row
@@ -228,44 +299,64 @@ def parse_snapshot(
         width = len(header)
         pad = [""] * width
 
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) < width:
-                row += pad[len(row):]
-            row.append("")
-            (voter_id, locale, status_text, first, middle, last, house, street, unit,
-             city, zip_code, party, gender, birth, registered, updated,
-             history) = map(str.strip, fields(row))
-            if not voter_id:
-                issues.append(RowIssue(lineno, "voter_id", "empty voter_id"))
-                continue
-            if not locale:
-                issues.append(RowIssue(lineno, "locale", "empty locale"))
-                continue
-            status = status_map.get(status_text.casefold())
-            if status is None:
-                issues.append(RowIssue(lineno, "status", f"unknown status {status_text!r}"))
-                continue
-            try:
-                birth_date = _memo_date(birth, dates) if birth else None
-                registration_date = _memo_date(registered, dates) if registered else None
-                last_update_date = _memo_date(updated, dates) if updated else None
-                vote_history = _memo_history(history, histories, events, dates)
-            except ValueError as exc:
-                issues.append(RowIssue(lineno, "-", f"{path}:{lineno}: {exc}"))
-                continue
+        # one iteration per record: the feed pulls the further lines of a
+        # record that spans several
+        for lineno, line in enumerate(fh, start=2):
+            entry = previous.get(line)
+            if entry is not None and (
+                entry[2] is not None or wanted is not None and entry[0] not in wanted
+            ):
+                # `line` becomes the previous file's copy: one copy stays alive
+                voter_id, locale, record, line = entry
+                parsed[line] = entry
+                reused += 1
+            else:
+                feed.line, feed.pulled = line, False
+                row = next(reader)  # csv yields a record for any line it is handed
+                if len(row) < width:
+                    row += pad[len(row):]
+                row.append("")
+                (voter_id, locale, status_text, first, middle, last, house, street, unit,
+                 city, zip_code, party, gender, birth, registered, updated,
+                 history) = map(str.strip, fields(row))
+                if not voter_id:
+                    issues.append(RowIssue(lineno, "voter_id", "empty voter_id"))
+                    continue
+                if not locale:
+                    issues.append(RowIssue(lineno, "locale", "empty locale"))
+                    continue
+                status = status_map.get(status_text.casefold())
+                if status is None:
+                    issues.append(RowIssue(lineno, "status", f"unknown status {status_text!r}"))
+                    continue
+                try:
+                    birth_date = _memo_date(birth, dates) if birth else None
+                    registration_date = _memo_date(registered, dates) if registered else None
+                    last_update_date = _memo_date(updated, dates) if updated else None
+                    vote_history = _memo_history(history, histories, events, dates)
+                except ValueError as exc:
+                    issues.append(RowIssue(lineno, "-", f"{path}:{lineno}: {exc}"))
+                    continue
+                record = None
+                if wanted is None or voter_id in wanted:
+                    # positional, in field order: keywords cost a third more here
+                    record = VoterRecord(
+                        voter_id, locale, first, middle, last,
+                        (house, street, unit, city, zip_code), status, party, gender,
+                        birth_date, registration_date, last_update_date, vote_history,
+                    )
+                if not feed.pulled:  # the record ended with its own line
+                    parsed[line] = (voter_id, locale, record, line)
             if voter_id in seen:
                 duplicates.append(voter_id)
                 continue
             seen.add(voter_id)
             counts[locale] = counts.get(locale, 0) + 1
-            if wanted is None or voter_id in wanted:
-                # positional, in field order: keywords cost a third more here
-                records[voter_id] = VoterRecord(
-                    voter_id, locale, first, middle, last, (house, street, unit, city, zip_code),
-                    status, party, gender, birth_date, registration_date, last_update_date,
-                    vote_history,
-                )
+            if record is not None and (wanted is None or voter_id in wanted):
+                records[voter_id] = record
 
+    memo.scope, memo.rows = scope, parsed
+    memo.reused += reused
     if duplicates:
         raise IntegrityError(
             f"{path}: duplicate voter_id values: {', '.join(sorted(set(duplicates)))}"
@@ -399,7 +490,7 @@ def diff_snapshots(
                 )
             )
             continue
-        if old == new:  # equal records have equal keys and status: no change
+        if old is new or old == new:  # equal records have equal keys and status: no change
             continue
 
         if old.name_key() != new.name_key():
@@ -477,7 +568,7 @@ def changes_to_csv(changes: list[ChangeRecord], path: str) -> None:
 
 
 def write_changes(changes: list[ChangeRecord], fh: io.TextIOBase) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
+    writer = csv_writer(fh, itertools.chain.from_iterable((c.voter_id, c.locale) for c in changes))
     writer.writerow(CHANGE_CSV_COLUMNS)
     for ch in changes:
         writer.writerow(

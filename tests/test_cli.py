@@ -4,11 +4,13 @@ import gc
 import json
 import weakref
 
+import numpy as np
 import pytest
 
 from vrf_sentinel import cli, groupfeatures, vrf_io
 from vrf_sentinel.errors import FileParseError
 from vrf_sentinel.groupfeatures import EventLabel
+from vrf_sentinel.modmatrix import DateInterval
 from vrf_sentinel.records import ChangeType
 
 
@@ -146,6 +148,74 @@ def test_features_match_fully_parsed_snapshots(pipeline, tmp_path, monkeypatch, 
     grouped = {c.voter_id for c in changes if change_types is None or c.change_type in change_types}
     assert built[0] == earliest
     assert all(n <= len(grouped) for n in built[1:])
+
+
+def read_counts(outdir):
+    with open(outdir / "manifest.json", encoding="utf-8") as fh:
+        return json.load(fh)["counts"]
+
+
+def test_stream_manifests_record_counts_that_rerun_repeats(pipeline, tmp_path):
+    synth = pipeline / "synth"
+    assert run(
+        "features", "--changes", str(pipeline / "diff" / "changes.csv"),
+        "--snapshots", str(synth / "snapshots"), "--schema", str(synth / "schema.cfg"),
+        "--change-type", "deactivation", "--out", str(tmp_path / "features"),
+    ) == 0
+    schema = vrf_io.load_schema(str(synth / "schema.cfg"))
+    rows = sum(
+        sum(vrf_io.parse_snapshot(str(p), schema, voter_ids=()).locale_counts.values())
+        for p in (synth / "snapshots").glob("snapshot_*.csv")
+    )
+    for out in (pipeline / "diff", pipeline / "matrix", tmp_path / "features"):
+        counts = read_counts(out)
+        assert (counts["snapshots"], counts["rows"], counts["row_issues"]) == (21, rows, {})
+        assert 0 < counts["rows_reused"] < rows
+        replay = tmp_path / f"replay_{out.name}"
+        assert run("rerun", "--manifest", str(out / "manifest.json"), "--out", str(replay)) == 0
+        assert read_counts(replay) == counts
+
+
+def test_diff_manifest_counts_row_issues_by_field(tmp_path):
+    snapshots = tmp_path / "snapshots"
+    snapshots.mkdir()
+    header = "voter_id,locale,status\n"
+    (snapshots / "snapshot_2019-01-03.csv").write_text(header + "A1,polk,active\nA2,,active\n")
+    (snapshots / "snapshot_2019-01-10.csv").write_text(
+        header + "A1,polk,active\nA3,polk,retired\n\nA2,,active\n"
+    )
+    assert run("diff", "--snapshots", str(snapshots), "--out", str(tmp_path / "diff")) == 0
+    assert read_counts(tmp_path / "diff") == {
+        "snapshots": 2, "rows": 2, "rows_reused": 1,
+        "row_issues": {"locale": 2, "status": 1, "voter_id": 1},
+    }
+
+
+def test_predictions_csv_quotes_locale_text(tmp_path):
+    locales = ['Polk, "IA"', "Story\nCounty", "Ames"]
+    interval = DateInterval(dt.date(2019, 1, 3), dt.date(2019, 1, 10))
+    vectors = [
+        groupfeatures.GroupFeatureVector(
+            key=groupfeatures.GroupKey(locales[i % 3], interval, ChangeType.DEACTIVATION),
+            n_voters=3,
+            features=np.full(len(groupfeatures.FEATURE_NAMES), float(i % 2)),
+            label=(EventLabel.OTHER, EventLabel.NCOA_MAILINGS)[i % 2],
+        )
+        for i in range(8)
+    ]
+    features = tmp_path / "group_features.csv"
+    groupfeatures.features_to_csv(vectors, str(features))
+    train, predict = tmp_path / "train", tmp_path / "predict"
+    assert run("train", "--features", str(features), "--holdout", "0.25", "--out", str(train)) == 0
+    assert run(
+        "predict", "--model", str(train / "model.json"), "--scaler", str(train / "scaler.json"),
+        "--features", str(features), "--out", str(predict),
+    ) == 0
+    with open(predict / "predictions.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(header) == 3 + 2 + 2
+    assert [row[0] for row in rows] == [v.key.locale for v in vectors]
+    assert all(len(row) == len(header) for row in rows)
 
 
 def test_diff_and_matrix_artifacts(pipeline):

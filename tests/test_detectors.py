@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -280,4 +281,28 @@ def test_scores_csv_round_trip(tmp_path):
     assert back.method == scored.method
     assert back.locales == scored.locales
     assert back.intervals == scored.intervals
+    np.testing.assert_array_equal(back.scores, scored.scores)
+
+
+# Cell text with the characters CSV must quote or escape, and unicode.
+CSV_TEXT = st.text(st.sampled_from(list('ab ,;|"\'\n\r\tÄé漢')), max_size=6)
+
+
+@given(st.lists(CSV_TEXT, min_size=1, max_size=3), st.integers(1, 3), st.data())
+def test_scores_csv_round_trip_any_locale_text(locales, n_intervals, data):
+    cells = st.floats(allow_nan=True, allow_infinity=True)
+    grid = [[data.draw(cells) for _ in range(n_intervals)] for _ in locales]
+    scored = ScoreMatrix(
+        method="cl_std_5",
+        scores=np.array(grid, dtype=float),
+        locales=tuple(locales),
+        intervals=build_intervals(D0, D0 + dt.timedelta(days=7 * (n_intervals - 1)), 7),
+        params={"w": 2},
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        det.scores_to_csv(scored, f"{tmp}/scores.csv")
+        back = det.scores_from_csv(f"{tmp}/scores.csv")
+    assert (back.method, back.locales, back.intervals, back.params) == (
+        scored.method, scored.locales, scored.intervals, scored.params
+    )
     np.testing.assert_array_equal(back.scores, scored.scores)

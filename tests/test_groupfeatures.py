@@ -1,8 +1,10 @@
 import datetime as dt
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import vrf_sentinel.groupfeatures as gf
 from vrf_sentinel.errors import DataError, FileParseError
@@ -348,6 +350,32 @@ def test_features_csv_round_trip(tmp_path):
         assert a.key == b.key
         assert a.n_voters == b.n_voters
         assert a.label == b.label
+        np.testing.assert_array_equal(a.features, b.features)
+
+
+# Cell text with the characters CSV must quote or escape, and unicode.
+CSV_TEXT = st.text(st.sampled_from(list('ab ,;|"\'\n\r\tÄé漢')), max_size=6)
+
+
+@given(st.lists(st.tuples(CSV_TEXT, st.sampled_from([None, *gf.EventLabel])), max_size=4))
+def test_features_csv_round_trip_any_locale_text(groups):
+    vectors = [
+        gf.GroupFeatureVector(
+            key=gf.GroupKey(locale, DateInterval(AS_OF, AS_OF + dt.timedelta(days=7)),
+                            ChangeType.DEACTIVATION),
+            n_voters=i + 1,
+            features=np.full(len(NAMES), i / 3),
+            label=label,
+        )
+        for i, (locale, label) in enumerate(groups)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        gf.features_to_csv(vectors, f"{tmp}/features.csv")
+        back = gf.features_from_csv(f"{tmp}/features.csv")
+    assert [(v.key, v.n_voters, v.label) for v in back] == [
+        (v.key, v.n_voters, v.label) for v in vectors
+    ]
+    for a, b in zip(vectors, back):
         np.testing.assert_array_equal(a.features, b.features)
 
 

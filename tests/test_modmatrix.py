@@ -1,7 +1,9 @@
 import datetime as dt
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import vrf_sentinel.modmatrix as mm
 from vrf_sentinel.errors import DataError, FileParseError, VrfError
@@ -184,6 +186,32 @@ def test_matrix_csv_round_trip_exact(tmp_path):
     assert back.locales == matrix.locales
     assert back.intervals == matrix.intervals
     assert np.array_equal(back.values, matrix.values)
+    assert np.array_equal(back.raw_counts, matrix.raw_counts)
+    assert np.array_equal(back.populations, matrix.populations)
+
+
+# Cell text with the characters CSV must quote or escape, and unicode.
+CSV_TEXT = st.text(st.sampled_from(list('ab ,;|"\'\n\r\tÄé漢')), max_size=6)
+
+
+@given(st.lists(CSV_TEXT, min_size=1, max_size=3), st.integers(1, 3))
+def test_matrix_csv_round_trip_any_locale_text(locales, n_intervals):
+    raw = np.arange(len(locales) * n_intervals).reshape(len(locales), n_intervals)
+    matrix = mm.ModificationMatrix(
+        change_type=ChangeType.ADDRESS,
+        locales=tuple(locales),
+        intervals=mm.build_intervals(D0, D0 + dt.timedelta(days=7 * (n_intervals - 1)), 7),
+        values=raw / 7 / ((raw + 1) / 1000),
+        raw_counts=raw,
+        populations=raw + 1,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = f"{tmp}/m1.csv", f"{tmp}/m2.csv"
+        mm.matrix_to_csv(matrix, first)
+        back = mm.csv_to_matrix(first)
+        mm.matrix_to_csv(back, second)
+        assert open(first, "rb").read() == open(second, "rb").read()
+    assert back.locales == matrix.locales
     assert np.array_equal(back.raw_counts, matrix.raw_counts)
     assert np.array_equal(back.populations, matrix.populations)
 

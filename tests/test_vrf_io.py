@@ -1,5 +1,7 @@
 import datetime as dt
 import logging
+import pathlib
+import tempfile
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +10,9 @@ import vrf_sentinel.synthgen as sg
 import vrf_sentinel.vrf_io as io
 from vrf_sentinel.errors import FileParseError, IntegrityError, SchemaError
 from vrf_sentinel.records import (
+    ChangeRecord,
     ChangeType,
+    FieldDelta,
     Snapshot,
     VoterRecord,
     VoterStatus,
@@ -403,6 +407,25 @@ def test_changes_csv_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+# Cell text with the characters CSV must quote or escape, and unicode.
+CSV_TEXT = st.text(st.sampled_from(list('ab ,;|"\'\n\r\tÄé漢')), max_size=6)
+
+
+@given(st.lists(st.tuples(CSV_TEXT, CSV_TEXT, st.sampled_from(list(ChangeType)),
+                          st.lists(st.tuples(CSV_TEXT, CSV_TEXT, CSV_TEXT), max_size=2)),
+                max_size=4))
+def test_changes_csv_round_trip_any_text(rows):
+    changes = [
+        ChangeRecord(voter_id, locale, change_type, D1, D2,
+                     tuple(FieldDelta(*delta) for delta in deltas))
+        for voter_id, locale, change_type, deltas in rows
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/changes.csv"
+        io.changes_to_csv(changes, path)
+        assert io.csv_to_changes(path) == changes
+
+
 # --- diff properties -----------------------------------------------------------
 
 _IDS = ("A1", "A2", "A3", "A4", "A5")
@@ -463,3 +486,127 @@ def test_case_and_whitespace_edits_have_no_changes(voters, data):
                                  address=address, **edit))
     assert all(old != new for old, new in zip(voters, edited))
     assert io.diff_snapshots(snap(D1, *voters), snap(D2, *edited)) == []
+
+
+# --- line reuse along a stream -------------------------------------------------
+
+
+def write_named(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8", newline="")
+    return str(path)
+
+
+def parse_stream(paths, schema, voter_ids):
+    """Each file parsed through one shared memo, as the CLI streams do, and
+    each parsed alone; both as (records, locale_counts, issues) or the
+    IntegrityError text."""
+    memo = io.LineMemo()
+
+    def outcome(path, wanted, memo):
+        issues = []
+        try:
+            snapshot = io.parse_snapshot(path, schema, issues=issues, voter_ids=wanted, memo=memo)
+        except IntegrityError as exc:
+            return str(exc)
+        return snapshot.records, snapshot.locale_counts, issues
+
+    streamed = [outcome(p, w, memo) for p, w in zip(paths, voter_ids)]
+    alone = [outcome(p, w, None) for p, w in zip(paths, voter_ids)]
+    return streamed, alone, memo
+
+
+def test_reordered_header_drops_the_memo(tmp_path):
+    line = "A1,polk,active,ada,barnes,democrat\n"
+    first = write_named(tmp_path, "snapshot_2019-01-03.csv",
+                        "voter_id,locale,status,first_name,last_name,party\n" + line)
+    # the same line under swapped voter_id and locale columns
+    second = write_named(tmp_path, "snapshot_2019-01-10.csv",
+                         "locale,voter_id,status,first_name,last_name,party\n" + line)
+    streamed, alone, memo = parse_stream([first, second], simple_schema(), [None, None])
+    assert streamed == alone
+    records, counts, _ = streamed[1]
+    assert set(records) == {"polk"} and counts == {"A1": 1}
+    assert memo.reused == 0
+
+
+def test_identical_lines_are_reused(tmp_path):
+    rows = ["A1,polk,active,ada,barnes,democrat\n", "A2,story,inactive,bea,calder,\n"]
+    paths = [write_snapshot_file(tmp_path, rows, name=f"snapshot_2019-01-0{d}.csv")
+             for d in (3, 4)]
+    streamed, alone, memo = parse_stream(paths, simple_schema(), [None, None])
+    assert streamed == alone
+    assert memo.reused == 2
+    # the second file's records are the first file's objects
+    assert all(streamed[1][0][k] is streamed[0][0][k] for k in ("A1", "A2"))
+
+
+STREAM_COLUMNS = ("voter_id", "locale", "status", "birth_date", "vote_history")
+STREAM_SCHEMA = io.SnapshotSchema(columns={c: c for c in STREAM_COLUMNS})
+# Raw lines in STREAM_COLUMNS order; a header permutation gives them other
+# meanings. Some span two lines, some open a quote that runs on.
+STREAM_LINES = (
+    "A1,polk,active,1970-01-02,e1|2018-11-06|regular|\n",
+    "A1,story,inactive,,\n",
+    "A2,polk,active,1970-01-02,\r\n",
+    'A3,"polk, ia",active,,\n',
+    'A4,"po""lk",pending,,\n',
+    'A5,"po\nlk",active,,\n',
+    '"A6\r\n",polk,active,,e1|2018-11-06|absentee|democrat\n',
+    'A7,"open\n',
+    'A14,polk,active,,"e1|2018-11-06|regular|\n',
+    "\n",
+    "A8,polk\n",
+    "A9,polk,retired,,\n",
+    "A10,polk,active,1970-13-01,\n",
+    "A11,polk,active,,e1|2018-11-06\n",
+    ",polk,active,,\n",
+    "Ä12,pölk,Active,,\n",
+    "A13,story,active,1980-05-06,e2|2018-06-05|mail|\n",
+)
+STREAM_WANTED = st.sampled_from([None, (), ("A1", "A3", "A5", "polk", "Ä12")])
+
+
+def test_record_the_file_ends_inside_is_not_reused(tmp_path):
+    header = ",".join(STREAM_COLUMNS) + "\n"
+    # the quote opened here closes only at the end of the first file ...
+    line = 'A14,polk,active,,"e1|2018-11-06|regular|\n'
+    first = write_named(tmp_path, "snapshot_2019-01-03.csv", header + line)
+    # ... but runs on into the next line of the second
+    second = write_named(tmp_path, "snapshot_2019-01-10.csv", header + line + 'A15",story,active,,\n')
+    streamed, alone, memo = parse_stream([first, second], STREAM_SCHEMA, [None, None])
+    assert streamed == alone
+    records, _, _ = streamed[1]
+    assert set(records) == {"A14"} and records["A14"].vote_history[0].party_ballot == "A15"
+    assert memo.reused == 0
+
+
+@st.composite
+def stream_files(draw):
+    """2-4 files, each the previous one with a few lines inserted or
+    deleted (as adjacent weekly snapshots are), under a header in some
+    order of STREAM_COLUMNS, the last line sometimes without its line end."""
+    files = []
+    header = list(STREAM_COLUMNS)
+    lines = draw(st.lists(st.sampled_from(STREAM_LINES), max_size=8))
+    for _ in range(draw(st.integers(2, 4))):
+        if draw(st.booleans()):
+            header = draw(st.permutations(STREAM_COLUMNS))
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(STREAM_LINES)))
+        if lines and draw(st.booleans()):
+            del lines[draw(st.integers(0, len(lines) - 1))]
+        text = ",".join(header) + "\n" + "".join(lines)
+        if lines and draw(st.booleans()):
+            text = text.rstrip("\r\n")
+        files.append((text, draw(STREAM_WANTED)))
+    return files
+
+
+@given(stream_files())
+def test_stream_parse_matches_parsing_each_file_alone(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [write_named(pathlib.Path(tmp), f"snapshot_2019-01-0{k + 1}.csv", text)
+                 for k, (text, _) in enumerate(files)]
+        streamed, alone, _ = parse_stream(paths, STREAM_SCHEMA, [w for _, w in files])
+    assert streamed == alone
