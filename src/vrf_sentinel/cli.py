@@ -1,9 +1,13 @@
 """Command-line pipelines over the library modules.
 
-Every subcommand is file-in/file-out and writes a `manifest.json` echoing
-its resolved arguments and seed into the output directory; `rerun` replays
-a manifest, which must reproduce byte-identical data outputs. Exit codes:
-0 success, 2 usage error, 3 data/config error.
+Every subcommand is file-in/file-out. `main` creates the output location,
+runs one `cmd_*` and, when it succeeds, writes the run's one manifest
+(argv, package version and the extras the subcommand returns): a
+`manifest.json` in the `--out` directory, or `<svg>.manifest.json` beside
+the SVG that `heatmap` writes. `rerun` replays a manifest, which must
+reproduce byte-identical data outputs. Each `cmd_*` imports the library
+modules it runs, so `diff`, `ingest` and `--help` load no numpy. Exit
+codes: 0 success, 2 usage error, 3 data/config error.
 
 The VRF_SENTINEL_LOG environment variable sets the log level.
 """
@@ -22,9 +26,7 @@ import sys
 from collections import Counter
 from collections.abc import Collection, Iterator
 
-import numpy as np
-
-from . import __version__, detectors, evalharness, gbt, groupfeatures, modmatrix, plots, synthgen, vrf_io
+from . import __version__, vrf_io
 from .errors import DataError, FileParseError, VrfError
 from .records import ChangeType, Snapshot
 
@@ -35,15 +37,9 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 
 
-def _write_manifest(outdir: str, command: str, argv: list[str], **extras) -> None:
-    os.makedirs(outdir, exist_ok=True)
-    payload = {
-        "command": command,
-        "argv": argv,
-        "package_version": __version__,
-    }
-    payload.update(extras)
-    with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
+def _write_manifest(path: str, command: str, argv: list[str], **extras) -> None:
+    payload = {"command": command, "argv": argv, "package_version": __version__, **extras}
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
@@ -106,9 +102,10 @@ def _change_type(token: str) -> ChangeType:
 # --- subcommands ---------------------------------------------------------------
 
 
-def cmd_synth(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_synth(args: argparse.Namespace) -> dict:
+    from . import modmatrix, synthgen
+
     outdir = args.out
-    os.makedirs(outdir, exist_ok=True)
     if args.preset == "matrix":
         config = synthgen.planted_anomaly_matrix_config(seed=args.seed)
         matrix, truth = synthgen.generate_matrix_scenario(config)
@@ -125,18 +122,14 @@ def cmd_synth(args: argparse.Namespace, argv: list[str]) -> int:
                 indent=1,
             )
             fh.write("\n")
-        _write_manifest(outdir, "synth", argv)
-        return EXIT_OK
+        return {}
 
-    if args.preset == "pair":
-        config = synthgen.snapshot_pair_config(seed=args.seed)
-    elif args.preset == "labeled":
-        config = synthgen.labeled_scenario_config(seed=args.seed)
-    elif args.preset == "full":
-        config = synthgen.full_scenario_config(seed=args.seed)
-    else:
-        config = synthgen.small_scenario_config(seed=args.seed)
-
+    config = {
+        "pair": synthgen.snapshot_pair_config,
+        "small": synthgen.small_scenario_config,
+        "labeled": synthgen.labeled_scenario_config,
+        "full": synthgen.full_scenario_config,
+    }[args.preset](seed=args.seed)
     snap_dir = os.path.join(outdir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
     truth = None
@@ -152,17 +145,17 @@ def cmd_synth(args: argparse.Namespace, argv: list[str]) -> int:
         for field in vrf_io.LOGICAL_FIELDS:
             fh.write(f"{field} = {field}\n")
     if args.preset == "labeled":
-        labeled = synthgen.scenario_labels(truth, ChangeType.DEACTIVATION)
-        with open(os.path.join(outdir, "labels.csv"), "w", encoding="utf-8") as fh:
-            fh.write("locale,interval_start,change_type,label\n")
-            for locale, interval_index, label in sorted(labeled):
+        labeled = sorted(synthgen.scenario_labels(truth, ChangeType.DEACTIVATION))
+        with open(os.path.join(outdir, "labels.csv"), "w", newline="", encoding="utf-8") as fh:
+            writer = vrf_io.csv_writer(fh, (locale for locale, _, _ in labeled))
+            writer.writerow(["locale", "interval_start", "change_type", "label"])
+            for locale, interval_index, label in labeled:
                 start = truth.interval(interval_index).start.isoformat()
-                fh.write(f"{locale},{start},deactivation,{label}\n")
-    _write_manifest(outdir, "synth", argv)
-    return EXIT_OK
+                writer.writerow([locale, start, ChangeType.DEACTIVATION.value, label])
+    return {}
 
 
-def cmd_ingest(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_ingest(args: argparse.Namespace) -> dict:
     issues: list[vrf_io.RowIssue] = []
     snapshot = vrf_io.parse_snapshot(
         args.snapshot,
@@ -170,7 +163,6 @@ def cmd_ingest(args: argparse.Namespace, argv: list[str]) -> int:
         snapshot_date=dt.date.fromisoformat(args.date) if args.date else None,
         issues=issues,
     )
-    os.makedirs(args.out, exist_ok=True)
     summary = {
         "snapshot_date": snapshot.snapshot_date.isoformat(),
         "records": len(snapshot),
@@ -180,12 +172,10 @@ def cmd_ingest(args: argparse.Namespace, argv: list[str]) -> int:
     with open(os.path.join(args.out, "ingest_summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, sort_keys=True, indent=1)
         fh.write("\n")
-    _write_manifest(args.out, "ingest", argv)
-    return EXIT_OK
+    return {}
 
 
-def cmd_diff(args: argparse.Namespace, argv: list[str]) -> int:
-    os.makedirs(args.out, exist_ok=True)
+def cmd_diff(args: argparse.Namespace) -> dict:
     if args.snapshots:
         paths = _snapshot_paths(args.snapshots)
     elif args.anterior and args.posterior:
@@ -197,11 +187,12 @@ def cmd_diff(args: argparse.Namespace, argv: list[str]) -> int:
     for anterior, posterior in itertools.pairwise(_load_snapshots(paths, args.schema, counts)):
         changes.extend(vrf_io.diff_snapshots(anterior, posterior, strict_status=args.strict_status))
     vrf_io.changes_to_csv(changes, os.path.join(args.out, "changes.csv"))
-    _write_manifest(args.out, "diff", argv, counts=counts)
-    return EXIT_OK
+    return {"counts": counts}
 
 
-def cmd_matrix(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_matrix(args: argparse.Namespace) -> dict:
+    from . import modmatrix
+
     change_type = _change_type(args.change_type)
     changes = vrf_io.csv_to_changes(args.changes)
     populations = {}
@@ -217,7 +208,6 @@ def cmd_matrix(args: argparse.Namespace, argv: list[str]) -> int:
         interval_days=args.interval_days,
         populations=populations,
     )
-    os.makedirs(args.out, exist_ok=True)
     modmatrix.matrix_to_csv(matrix, os.path.join(args.out, f"matrix_{change_type.value}.csv"))
     spectrum = modmatrix.top_singular_values(matrix, min(20, min(matrix.shape)))
     with open(
@@ -227,14 +217,15 @@ def cmd_matrix(args: argparse.Namespace, argv: list[str]) -> int:
         fh.write("rank,singular_value\n")
         for rank, value in enumerate(spectrum, start=1):
             fh.write(f"{rank},{value!r}\n")
-    _write_manifest(args.out, "matrix", argv, counts=counts)
-    return EXIT_OK
+    return {"counts": counts}
 
 
-def cmd_detect(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_detect(args: argparse.Namespace) -> dict:
+    from . import detectors, modmatrix, plots
+
     matrix = modmatrix.csv_to_matrix(args.matrix)
     overrides = {}
-    if args.method == "nmf":
+    if args.method == "nmf" and args.k is not None:
         overrides["k"] = args.k
     if args.method == "rpca" and args.lambda_ is not None:
         overrides["lam"] = args.lambda_
@@ -243,7 +234,6 @@ def cmd_detect(args: argparse.Namespace, argv: list[str]) -> int:
         method = f"{method}_{2 * args.window + 1}"
     scored = detectors.score_with_method(matrix, method, seed=args.seed, **overrides)
     ranked = detectors.rank_entries(scored)
-    os.makedirs(args.out, exist_ok=True)
     detectors.scores_to_csv(scored, os.path.join(args.out, f"scores_{method}.csv"))
     detectors.ranked_to_csv(ranked, os.path.join(args.out, f"ranked_{method}.csv"))
     plots.render_heatmap(
@@ -256,32 +246,31 @@ def cmd_detect(args: argparse.Namespace, argv: list[str]) -> int:
     converged = bool(scored.params.get("converged", True))
     if not converged:
         logger.warning("detector %s did not converge; see params in scores CSV", method)
-    _write_manifest(args.out, "detect", argv, converged=converged)
-    return EXIT_OK
+    return {"converged": converged}
 
 
-def cmd_evaluate(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> dict:
+    from . import detectors, evalharness, modmatrix
+
     matrix = modmatrix.csv_to_matrix(args.matrix)
     methods = args.methods.split(",") if args.methods else list(detectors.METHOD_IDS)
-    results = []
-    for method in methods:
-        results.append(
-            evalharness.gamma_sweep(
-                matrix,
-                method.strip(),
-                fraction=args.fraction,
-                k=args.top_k,
-                grid_points=args.grid_points,
-                seed=args.seed,
-                fixed_mask=args.fixed_mask,
-            )
+    # options left unset take the library defaults
+    options = {"fraction": args.fraction, "k": args.top_k, "grid_points": args.grid_points}
+    options = {name: value for name, value in options.items() if value is not None}
+    results = [
+        evalharness.gamma_sweep(
+            matrix, method.strip(), seed=args.seed, fixed_mask=args.fixed_mask, **options
         )
+        for method in methods
+    ]
     evalharness.sweep_report(results, args.out, change_type=matrix.change_type.value)
-    _write_manifest(args.out, "evaluate", argv)
-    return EXIT_OK
+    return {}
 
 
-def _read_labels(path: str) -> dict[tuple[str, dt.date, ChangeType], groupfeatures.EventLabel]:
+def _read_labels(path: str) -> dict:
+    """(locale, interval start, change type) -> `groupfeatures.EventLabel`."""
+    from .groupfeatures import EventLabel
+
     labels = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -297,13 +286,15 @@ def _read_labels(path: str) -> dict[tuple[str, dt.date, ChangeType], groupfeatur
             locale, start, change_type, label = row
             try:
                 key = (locale, dt.date.fromisoformat(start), _change_type(change_type))
-                labels[key] = groupfeatures.EventLabel(label)
+                labels[key] = EventLabel(label)
             except ValueError as exc:
                 raise FileParseError(f"{path}: line {reader.line_num}: {exc}") from None
     return labels
 
 
-def cmd_features(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_features(args: argparse.Namespace) -> dict:
+    from . import groupfeatures
+
     labels = _read_labels(args.labels) if args.labels else None
     change_types = (_change_type(args.change_type),) if args.change_type else None
     changes = vrf_io.csv_to_changes(args.changes)
@@ -319,13 +310,13 @@ def cmd_features(args: argparse.Namespace, argv: list[str]) -> int:
         labels=labels,
         change_types=change_types,
     )
-    os.makedirs(args.out, exist_ok=True)
     groupfeatures.features_to_csv(vectors, os.path.join(args.out, "group_features.csv"))
-    _write_manifest(args.out, "features", argv, counts=counts)
-    return EXIT_OK
+    return {"counts": counts}
 
 
-def cmd_train(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_train(args: argparse.Namespace) -> dict:
+    from . import gbt, groupfeatures
+
     vectors = groupfeatures.features_from_csv(args.features)
     labeled = [v for v in vectors if v.label is not None]
     if len(labeled) < 4:
@@ -343,7 +334,6 @@ def cmd_train(args: argparse.Namespace, argv: list[str]) -> int:
     model = gbt.train(matrix[train_idx], [labels[i] for i in train_idx], config)
     report = gbt.evaluate(model, matrix[holdout_idx], [labels[i] for i in holdout_idx])
 
-    os.makedirs(args.out, exist_ok=True)
     gbt.save_model(model, os.path.join(args.out, "model.json"))
     with open(os.path.join(args.out, "scaler.json"), "w", encoding="utf-8") as fh:
         fh.write(scaler.to_json())
@@ -358,22 +348,24 @@ def cmd_train(args: argparse.Namespace, argv: list[str]) -> int:
         fh.write("truth\\predicted," + ",".join(report.classes) + "\n")
         for k, name in enumerate(report.classes):
             fh.write(name + "," + ",".join(str(int(v)) for v in report.confusion[k]) + "\n")
-    _write_manifest(args.out, "train", argv)
     logger.info(
         "holdout accuracy %.3f, weighted F1 %.3f (n=%d)",
         report.accuracy, report.f1_weighted, report.holdout_size,
     )
-    return EXIT_OK
+    return {}
 
 
-def cmd_predict(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_predict(args: argparse.Namespace) -> dict:
+    import numpy as np
+
+    from . import gbt, groupfeatures
+
     model = gbt.load_model(args.model)
     with open(args.scaler, encoding="utf-8") as fh:
         scaler = groupfeatures.FeatureScaler.from_json(fh.read())
     vectors = groupfeatures.features_from_csv(args.features)
     matrix = scaler.apply(np.vstack([v.features for v in vectors]))
     probs = np.atleast_2d(gbt.predict_proba(model, matrix))
-    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "predictions.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = vrf_io.csv_writer(fh, (v.key.locale for v in vectors))
         writer.writerow(
@@ -389,8 +381,7 @@ def cmd_predict(args: argparse.Namespace, argv: list[str]) -> int:
                 + [repr(float(p)) for p in row]
                 + [model.classes[top], explained]
             )
-    _write_manifest(args.out, "predict", argv)
-    return EXIT_OK
+    return {}
 
 
 def _highlight_cells(spec: str) -> set[tuple[int, int]]:
@@ -401,7 +392,9 @@ def _highlight_cells(spec: str) -> set[tuple[int, int]]:
         raise argparse.ArgumentTypeError(f'expected cells as "i,j;i,j", got {spec!r}') from None
 
 
-def cmd_heatmap(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_heatmap(args: argparse.Namespace) -> dict:
+    from . import detectors, modmatrix, plots
+
     if args.scores:
         scored = detectors.scores_from_csv(args.scores)
         grid = scored.scores
@@ -414,23 +407,20 @@ def cmd_heatmap(args: argparse.Namespace, argv: list[str]) -> int:
         rows = matrix.locales
         cols = [iv.start.isoformat() for iv in matrix.intervals]
         title = f"{matrix.change_type.value} changes/day/1000"
-    outdir = os.path.dirname(args.out) or "."
-    os.makedirs(outdir, exist_ok=True)
     plots.render_heatmap(grid, rows, cols, args.out, title=title, highlight=args.highlight)
-    _write_manifest(outdir, "heatmap", argv)
-    return EXIT_OK
+    return {}
 
 
-def cmd_rerun(args: argparse.Namespace, argv: list[str]) -> int:
-    del argv
-    with open(args.manifest, encoding="utf-8") as fh:
+def _replayed_argv(manifest_path: str, out: str | None) -> list[str]:
+    """A manifest's argv, with its `--out` value replaced by `out` if given."""
+    with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
     stored = list(manifest["argv"])
-    if args.out:
+    if out:
         for i, token in enumerate(stored):
             if token == "--out" and i + 1 < len(stored):
-                stored[i + 1] = args.out
-    return main(stored)
+                stored[i + 1] = out
+    return stored
 
 
 # --- argument parsing ------------------------------------------------------------
@@ -484,9 +474,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default="cl_std",
         help="nmf, rpca, cl_std, cl_iqr (with --window), or any registry id",
     )
-    p.add_argument("--k", type=int, default=detectors.DEFAULT_K)
+    p.add_argument("--k", type=int)
     p.add_argument("--window", type=int, default=2, help="cross-locale half-width w")
-    p.add_argument("--lambda", dest="lambda_", type=float, default=None)
+    p.add_argument("--lambda", dest="lambda_", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_detect)
@@ -494,9 +484,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="gamma sweep over detectors")
     p.add_argument("--matrix", required=True)
     p.add_argument("--methods", help="comma-separated method ids (default: all ten)")
-    p.add_argument("--fraction", type=float, default=evalharness.DEFAULT_FRACTION)
-    p.add_argument("--top-k", type=int, default=evalharness.DEFAULT_TOP_K)
-    p.add_argument("--grid-points", type=int, default=evalharness.DEFAULT_GRID_POINTS)
+    p.add_argument("--fraction", type=float)
+    p.add_argument("--top-k", type=int)
+    p.add_argument("--grid-points", type=int)
     p.add_argument("--fixed-mask", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -541,7 +531,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rerun", help="replay a run manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", help="redirect outputs to a different directory")
-    p.set_defaults(func=cmd_rerun)
     return parser
 
 
@@ -551,13 +540,21 @@ def main(argv: list[str] | None = None) -> int:
         level=os.environ.get("VRF_SENTINEL_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args, argv)
+        if args.command == "rerun":
+            return main(_replayed_argv(args.manifest, args.out))
+        if args.command == "heatmap":  # --out names the SVG; its manifest sits beside it
+            outdir, manifest = os.path.dirname(args.out) or ".", f"{args.out}.manifest.json"
+        else:
+            outdir, manifest = args.out, os.path.join(args.out, "manifest.json")
+        os.makedirs(outdir, exist_ok=True)
+        extras = args.func(args)
+        _write_manifest(manifest, args.command, argv, **extras)
     except (VrfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    return EXIT_OK
 
 
 if __name__ == "__main__":

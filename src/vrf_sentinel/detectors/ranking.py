@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -33,23 +32,9 @@ class RankedEntries:
     def __len__(self) -> int:
         return len(self.order)
 
-    def rank_of(self, ref: MatrixEntryRef) -> int:
-        """1-based rank of an entry."""
-        n_cols = len(self.interval_starts)
-        if not (0 <= ref.locale_index < len(self.locales) and 0 <= ref.interval_index < n_cols):
-            raise KeyError(ref.as_tuple())
-        return int(self._ranks[ref.locale_index * n_cols + ref.interval_index])
-
     def top(self, k: int) -> list[MatrixEntryRef]:
         n_cols = len(self.interval_starts)
         return [MatrixEntryRef(*divmod(ix, n_cols)) for ix in self.order[:k].tolist()]
-
-    @cached_property
-    def _ranks(self) -> np.ndarray:
-        """Inverse permutation of `order`: the 1-based rank of each flat cell."""
-        ranks = np.empty_like(self.order)
-        ranks[self.order] = np.arange(1, len(self.order) + 1)
-        return ranks
 
 
 def rank_entries(score_matrix: ScoreMatrix) -> RankedEntries:

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .detectors import rank_entries, score_with_method
 from .detectors.ranking import RankedEntries
 from .errors import VrfError
-from .modmatrix import MatrixEntryRef, ModificationMatrix
+from .modmatrix import ModificationMatrix
 
 DEFAULT_FRACTION = 0.01
 DEFAULT_TOP_K = 20
@@ -27,65 +27,48 @@ DEFAULT_GRID_POINTS = 21
 GAMMA_SPAN_MULTIPLIER = 20.0  # grid upper end = 20 * mean(values)
 
 
-def perturbed_cell_count(fraction: float, shape: tuple[int, int]) -> int:
+def perturbed_cells(
+    shape: tuple[int, int], fraction: float = DEFAULT_FRACTION, seed: int = 0
+) -> np.ndarray:
+    """A seeded sparse cell set of one matrix shape: sorted, distinct flat
+    row-major indices (locale_index * n_intervals + interval_index), a
+    `fraction` of all cells and at least one."""
     if not 0 < fraction <= 1:
         raise VrfError("fraction must be in (0, 1]")
-    return max(1, int(round(fraction * shape[0] * shape[1])))
+    total = shape[0] * shape[1]
+    count = max(1, int(round(fraction * total)))
+    return np.sort(np.random.default_rng(seed).choice(total, size=count, replace=False))
 
 
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """A seeded sparse perturbation of one matrix shape."""
-
-    shape: tuple[int, int]
-    gamma: float
-    fraction: float = DEFAULT_FRACTION
-    seed: int = 0
-    perturbed_set: tuple[MatrixEntryRef, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.gamma < 0:
-            raise VrfError("gamma must be non-negative")
-        count = perturbed_cell_count(self.fraction, self.shape)
-        rng = np.random.default_rng(self.seed)
-        total = self.shape[0] * self.shape[1]
-        flat = rng.choice(total, size=count, replace=False)
-        refs = tuple(
-            MatrixEntryRef(int(ix) // self.shape[1], int(ix) % self.shape[1])
-            for ix in sorted(flat)
-        )
-        object.__setattr__(self, "perturbed_set", refs)
-
-    def truth(self) -> set[MatrixEntryRef]:
-        return set(self.perturbed_set)
-
-
-def perturb(matrix: ModificationMatrix, spec: PerturbationSpec) -> ModificationMatrix:
-    """Copy of the matrix with gamma added to the spec's cells.
+def perturb(matrix: ModificationMatrix, cells: np.ndarray, gamma: float) -> ModificationMatrix:
+    """Copy of the matrix with gamma added to each of the distinct flat
+    `cells`.
 
     Only the values grid changes; raw counts and populations are carried
     over untouched.
     """
-    if spec.shape != matrix.shape:
-        raise VrfError(f"spec shape {spec.shape} != matrix shape {matrix.shape}")
+    if gamma < 0:
+        raise VrfError("gamma must be non-negative")
     values = matrix.values.copy()
-    for ref in spec.perturbed_set:
-        values[ref.locale_index, ref.interval_index] += spec.gamma
+    values.reshape(-1)[cells] += gamma
     return matrix.with_values(values)
 
 
-def precision_at_k(ranked: RankedEntries, truth: set[MatrixEntryRef], k: int) -> float:
+def precision_at_k(ranked: RankedEntries, cells: np.ndarray, k: int) -> float:
+    """Share of the top k entries that are among the flat `cells`."""
     if k > len(ranked):
         raise VrfError(f"k={k} exceeds ranking length {len(ranked)}")
-    hits = sum(1 for ref in ranked.top(k) if ref in truth)
-    return hits / k
+    return int(np.count_nonzero(np.isin(ranked.order[:k], cells))) / k
 
 
-def average_rank(ranked: RankedEntries, truth: set[MatrixEntryRef]) -> float:
-    """Mean 1-based rank of the truth entries."""
-    if not truth:
+def average_rank(ranked: RankedEntries, cells: np.ndarray) -> float:
+    """Mean 1-based rank of the distinct flat `cells`."""
+    if len(cells) == 0:
         raise VrfError("truth set must be non-empty")
-    return sum(ranked.rank_of(ref) for ref in truth) / len(truth)
+    ranks = np.flatnonzero(np.isin(ranked.order, cells)) + 1
+    if len(ranks) != len(cells):
+        raise VrfError("truth cells must be distinct cells of the ranked grid")
+    return int(ranks.sum()) / len(cells)
 
 
 @dataclass(frozen=True)
@@ -136,12 +119,9 @@ def gamma_sweep(
 
     precisions = []
     for idx, gamma in enumerate(gammas):
-        mask_seed = point_seed(seed, 0 if fixed_mask else idx)
-        spec = PerturbationSpec(
-            shape=matrix.shape, gamma=float(gamma), fraction=fraction, seed=mask_seed
-        )
-        scored = score_with_method(perturb(matrix, spec), method, seed=seed)
-        precisions.append(precision_at_k(rank_entries(scored), spec.truth(), k))
+        cells = perturbed_cells(matrix.shape, fraction, point_seed(seed, 0 if fixed_mask else idx))
+        scored = score_with_method(perturb(matrix, cells, float(gamma)), method, seed=seed)
+        precisions.append(precision_at_k(rank_entries(scored), cells, k))
 
     return SweepResult(
         method=method,

@@ -107,7 +107,8 @@ class Snapshot:
     """A voter-file copy captured at one instant.
 
     `records` holds every voter, or only the voters a caller asked the
-    parser for. `locale_counts` covers every valid row of the file either
+    parser for, each keyed by its own `voter_id` (the parser and the
+    generator both key them so; it is not checked again here). `locale_counts` covers every valid row of the file either
     way; when not supplied (a snapshot built in memory) it is derived from
     `records`.
     """
@@ -117,11 +118,6 @@ class Snapshot:
     locale_counts: dict[str, int] | None = None
 
     def __post_init__(self) -> None:
-        for voter_id, rec in self.records.items():
-            if voter_id != rec.voter_id:
-                raise IntegrityError(
-                    f"record keyed {voter_id!r} carries voter_id {rec.voter_id!r}"
-                )
         if self.locale_counts is None:
             counts: dict[str, int] = {}
             for rec in self.records.values():

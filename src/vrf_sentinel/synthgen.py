@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .modmatrix import (
     DateInterval,
     MatrixEntryRef,
@@ -30,7 +30,6 @@ from .modmatrix import (
 from .records import (
     ADDRESS_FIELDS,
     BallotKind,
-    ChangeRecord,
     ChangeType,
     Snapshot,
     VoteEvent,
@@ -185,13 +184,6 @@ class GroundTruth:
     cell_causes: dict[tuple[str, int, str], str] = field(default_factory=dict)
     inserted_voters: int = 0
     removed_voters: int = 0
-
-    def changes_for_interval(self, interval_index: int) -> set[tuple[str, str]]:
-        return {
-            (c.voter_id, c.change_type.value)
-            for c in self.changes
-            if c.interval_index == interval_index
-        }
 
     def anomaly_cells(self) -> set[tuple[str, int, str]]:
         return {cell for cell, cause in self.cell_causes.items() if cause == ANOMALY_CAUSE}
@@ -724,62 +716,6 @@ def _bias_weight(rec: VoterRecord, bias: str, as_of: dt.date, universe: _Univers
             return 1.0
         return 0.02
     return 1.0
-
-
-# --- patch oracle ------------------------------------------------------------
-
-
-def apply_changes(anterior: Snapshot, changes: list[ChangeRecord], posterior_date: dt.date) -> Snapshot:
-    """Replay change records on top of a snapshot.
-
-    Covers exactly the diff-visible fields: presence, names, address
-    components, party, and status. Used as the independent patch oracle
-    against diff output.
-    """
-    records = dict(anterior.records)
-    for change in changes:
-        if change.change_type == ChangeType.REMOVAL:
-            records.pop(change.voter_id, None)
-            continue
-        if change.change_type == ChangeType.REGISTRATION:
-            fields = {d.field: d.new for d in change.field_deltas}
-            address = tuple(fields.get(f, "") for f in ADDRESS_FIELDS)
-            records[change.voter_id] = VoterRecord(
-                voter_id=change.voter_id,
-                locale=change.locale,
-                first_name=fields.get("first_name", ""),
-                middle_name=fields.get("middle_name", ""),
-                last_name=fields.get("last_name", ""),
-                address=address,
-                status=VoterStatus(fields.get("status", "active")),
-                party=fields.get("party", ""),
-            )
-            continue
-        rec = records.get(change.voter_id)
-        if rec is None:
-            raise DataError(f"change for unknown voter {change.voter_id}")
-        updates: dict = {}
-        address = list(rec.address)
-        for delta in change.field_deltas:
-            if delta.field in ADDRESS_FIELDS:
-                address[ADDRESS_FIELDS.index(delta.field)] = delta.new
-            elif delta.field == "status":
-                updates["status"] = VoterStatus(delta.new)
-            elif delta.field in ("first_name", "middle_name", "last_name", "party"):
-                updates[delta.field] = delta.new
-            else:
-                raise DataError(f"unexpected delta field {delta.field!r}")
-        updates["address"] = tuple(address)
-        records[change.voter_id] = replace(rec, **updates)
-    return Snapshot(snapshot_date=posterior_date, records=records)
-
-
-def diff_projection(snapshot: Snapshot) -> dict[str, tuple]:
-    """Diff-visible view of a snapshot, for patch-oracle comparisons."""
-    return {
-        vid: (rec.name_key(), rec.address_key(), rec.party_key(), rec.status)
-        for vid, rec in snapshot.records.items()
-    }
 
 
 # --- labels ------------------------------------------------------------------

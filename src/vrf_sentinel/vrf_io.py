@@ -11,7 +11,7 @@ import logging
 import re
 from collections import Counter
 from collections.abc import Collection, Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, TextIO
 
@@ -620,8 +620,3 @@ def read_changes(fh, where: str = "<stream>") -> list[ChangeRecord]:
             )
         )
     return changes
-
-
-def with_date(snapshot: Snapshot, date: dt.date) -> Snapshot:
-    """Copy of a snapshot carrying a different capture date."""
-    return replace(snapshot, snapshot_date=date)

@@ -3,12 +3,19 @@
 Pure-python, loop-based, no shared code with the library's vectorized
 paths. Deliberately slow and obvious. `loop_best_split` is the one
 exception: the library's former per-feature numpy loop, kept as the exact
-reference for its all-features-at-once replacement.
+reference for its all-features-at-once replacement. The patch oracle
+(`apply_changes`, `diff_projection`) and the ground-truth and snapshot
+helpers below serve only the tests, so they live here and not in the
+package.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
+
+from vrf_sentinel.errors import DataError
+from vrf_sentinel.records import ADDRESS_FIELDS, ChangeType, Snapshot, VoterRecord, VoterStatus
 
 
 def bf_mean(pool):
@@ -161,3 +168,85 @@ def loop_best_split(x, g, h):
         if best is None or top > best[2]:
             best = (j, threshold, top)
     return best
+
+
+def bf_precision_at_k(ranked, truth, k):
+    """Share of the top k entries in `truth`, a set of MatrixEntryRef."""
+    return sum(1 for ref in ranked.top(k) if ref in truth) / k
+
+
+def bf_average_rank(ranked, truth):
+    """Mean 1-based rank of the MatrixEntryRef entries in `truth`."""
+    rank_of = {ref: rank for rank, ref in enumerate(ranked.top(len(ranked)), start=1)}
+    return sum(rank_of[ref] for ref in truth) / len(truth)
+
+
+# --- snapshots and ground truth ----------------------------------------------------
+
+
+def with_date(snapshot, date):
+    """Copy of a snapshot carrying a different capture date."""
+    return replace(snapshot, snapshot_date=date)
+
+
+def changes_for_interval(truth, interval_index):
+    """(voter_id, change type token) of every change the generator made in
+    one interval."""
+    return {
+        (c.voter_id, c.change_type.value)
+        for c in truth.changes
+        if c.interval_index == interval_index
+    }
+
+
+def apply_changes(anterior, changes, posterior_date):
+    """Replay change records on top of a snapshot.
+
+    Covers exactly the diff-visible fields: presence, names, address
+    components, party, and status. The independent patch oracle against
+    diff output.
+    """
+    records = dict(anterior.records)
+    for change in changes:
+        if change.change_type == ChangeType.REMOVAL:
+            records.pop(change.voter_id, None)
+            continue
+        if change.change_type == ChangeType.REGISTRATION:
+            fields = {d.field: d.new for d in change.field_deltas}
+            address = tuple(fields.get(f, "") for f in ADDRESS_FIELDS)
+            records[change.voter_id] = VoterRecord(
+                voter_id=change.voter_id,
+                locale=change.locale,
+                first_name=fields.get("first_name", ""),
+                middle_name=fields.get("middle_name", ""),
+                last_name=fields.get("last_name", ""),
+                address=address,
+                status=VoterStatus(fields.get("status", "active")),
+                party=fields.get("party", ""),
+            )
+            continue
+        rec = records.get(change.voter_id)
+        if rec is None:
+            raise DataError(f"change for unknown voter {change.voter_id}")
+        updates = {}
+        address = list(rec.address)
+        for delta in change.field_deltas:
+            if delta.field in ADDRESS_FIELDS:
+                address[ADDRESS_FIELDS.index(delta.field)] = delta.new
+            elif delta.field == "status":
+                updates["status"] = VoterStatus(delta.new)
+            elif delta.field in ("first_name", "middle_name", "last_name", "party"):
+                updates[delta.field] = delta.new
+            else:
+                raise DataError(f"unexpected delta field {delta.field!r}")
+        updates["address"] = tuple(address)
+        records[change.voter_id] = replace(rec, **updates)
+    return Snapshot(snapshot_date=posterior_date, records=records)
+
+
+def diff_projection(snapshot):
+    """Diff-visible view of a snapshot, for patch-oracle comparisons."""
+    return {
+        vid: (rec.name_key(), rec.address_key(), rec.party_key(), rec.status)
+        for vid, rec in snapshot.records.items()
+    }

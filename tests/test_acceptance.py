@@ -55,12 +55,12 @@ def test_criterion_1_diff_patch_oracle():
         assert len(anterior) >= 10_000, f"seed {seed}: only {len(anterior)} voters"
         changes = io.diff_snapshots(anterior, posterior)
         got = {(c.voter_id, c.change_type.value) for c in changes}
-        want = truth.changes_for_interval(0)
+        want = oracles.changes_for_interval(truth, 0)
         assert got == want, (
             f"seed {seed}: {len(want - got)} missed, {len(got - want)} spurious"
         )
-        patched = sg.apply_changes(anterior, changes, posterior.snapshot_date)
-        assert sg.diff_projection(patched) == sg.diff_projection(posterior)
+        patched = oracles.apply_changes(anterior, changes, posterior.snapshot_date)
+        assert oracles.diff_projection(patched) == oracles.diff_projection(posterior)
     elapsed = time.monotonic() - start
     _report(
         1,
@@ -74,8 +74,8 @@ def test_criterion_2_ranking_arithmetic():
     total = 99 * 149
     values = np.arange(total, dtype=float).reshape(99, 149)[::-1]
     ranked = det.rank_entries(det.global_scores(_as_matrix(values), "std"))
-    top4 = set(ranked.top(4))
-    bottom4 = set(ranked.top(len(ranked))[-4:])
+    top4 = ranked.order[:4]
+    bottom4 = ranked.order[-4:]
     best = ev.average_rank(ranked, top4)
     worst = ev.average_rank(ranked, bottom4)
     _report(
@@ -89,11 +89,13 @@ def test_criterion_2_ranking_arithmetic():
 def test_criterion_3_planted_anomaly_study():
     start = time.monotonic()
     matrix, truth = sg.generate_matrix_scenario(sg.planted_anomaly_matrix_config(seed=0))
-    truth_set = set(truth.anomaly_refs)
+    truth_cells = np.array(
+        [r.locale_index * matrix.shape[1] + r.interval_index for r in truth.anomaly_refs]
+    )
     ranks = {}
     for method in ("nmf", "cl_std_3", "rpca", "global_std"):
         scored = det.score_with_method(matrix, method, seed=0)
-        ranks[method] = ev.average_rank(det.rank_entries(scored), truth_set)
+        ranks[method] = ev.average_rank(det.rank_entries(scored), truth_cells)
     elapsed = time.monotonic() - start
     ok = (
         all(ranks[m] <= 50.0 for m in ("nmf", "cl_std_3", "rpca"))
@@ -122,8 +124,8 @@ def test_criterion_4_gamma_sweep_protocol():
     ranked = det.rank_entries(det.global_scores(matrix, "std"))
     precisions = []
     for seed in range(100):
-        spec = ev.PerturbationSpec(shape=matrix.shape, gamma=0.0, fraction=0.01, seed=seed)
-        precisions.append(ev.precision_at_k(ranked, spec.truth(), 20))
+        cells = ev.perturbed_cells(matrix.shape, fraction=0.01, seed=seed)
+        precisions.append(ev.precision_at_k(ranked, cells, 20))
     mean = float(np.mean(precisions))
     se = float(np.std(precisions)) / math.sqrt(len(precisions))
     null_ok = abs(mean - 0.01) <= 3.0 * se + 1e-9

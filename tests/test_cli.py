@@ -2,11 +2,15 @@ import csv
 import datetime as dt
 import gc
 import json
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
+import vrf_sentinel
 from vrf_sentinel import cli, groupfeatures, vrf_io
 from vrf_sentinel.errors import FileParseError
 from vrf_sentinel.groupfeatures import EventLabel
@@ -295,6 +299,65 @@ def test_heatmap_highlight(pipeline, tmp_path):
     text = svg.read_text()
     assert text.count('class="highlight"') == 2
     assert "min=" in text
+
+
+def test_heatmap_manifest_leaves_the_directory_manifest_alone(pipeline, tmp_path):
+    det = tmp_path / "det"
+    assert run(
+        "detect", "--matrix", str(pipeline / "matrix" / "matrix_deactivation.csv"),
+        "--method", "global_std", "--out", str(det),
+    ) == 0
+    svg = det / "again.svg"
+    assert run("heatmap", "--scores", str(det / "scores_global_std.csv"), "--out", str(svg)) == 0
+    assert json.loads((det / "manifest.json").read_text())["command"] == "detect"
+
+    replay = tmp_path / "replay"
+    assert run("rerun", "--manifest", str(det / "manifest.json"), "--out", str(replay)) == 0
+    for name in ("scores_global_std.csv", "ranked_global_std.csv", "scores_global_std.svg"):
+        assert (replay / name).read_bytes() == (det / name).read_bytes()
+    assert not (replay / "again.svg").exists()
+    assert run(
+        "rerun", "--manifest", str(det / "again.svg.manifest.json"),
+        "--out", str(replay / "again.svg"),
+    ) == 0
+    assert (replay / "again.svg").read_bytes() == svg.read_bytes()
+    assert json.loads((replay / "again.svg.manifest.json").read_text())["command"] == "heatmap"
+
+
+# runs the CLI as `python -m vrf_sentinel.cli` does, then reports its exit
+# code and whether numpy was imported along the way
+_RUN_AS_MAIN = """
+import runpy, sys
+sys.argv = ["vrf-sentinel", *sys.argv[1:]]
+try:
+    runpy.run_module("vrf_sentinel.cli", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code, "numpy" in sys.modules)
+"""
+
+
+def test_diff_ingest_and_help_load_no_numpy(tmp_path):
+    header = "voter_id,locale,status\n"
+    anterior = tmp_path / "snapshot_2019-01-03.csv"
+    posterior = tmp_path / "snapshot_2019-01-10.csv"
+    anterior.write_text(header + "A1,polk,active\nA2,polk,active\n")
+    posterior.write_text(header + "A1,polk,inactive\nA3,story,active\n")
+    src = os.path.dirname(os.path.dirname(vrf_sentinel.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    for argv in (
+        ["--help"],
+        ["diff", "--anterior", str(anterior), "--posterior", str(posterior),
+         "--out", str(tmp_path / "diff")],
+        ["ingest", "--snapshot", str(anterior), "--out", str(tmp_path / "ingest")],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-c", _RUN_AS_MAIN, *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.stdout.splitlines()[-1] == "0 False", (argv, done.stdout, done.stderr)
+    assert (tmp_path / "diff" / "changes.csv").read_text().count("\n") == 4
+    assert json.loads((tmp_path / "ingest" / "ingest_summary.json").read_text())["records"] == 2
 
 
 def test_heatmap_needs_exactly_one_source(pipeline, tmp_path):

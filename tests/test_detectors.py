@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 import vrf_sentinel.detectors as det
+import vrf_sentinel.evalharness as ev
 from vrf_sentinel.detectors.scoring import ScoreMatrix
 from vrf_sentinel.errors import VrfError
 from vrf_sentinel.modmatrix import (
@@ -235,7 +236,7 @@ def test_rank_entries_matches_brute_force(grids):
     scores, source = grids
     ranked = det.rank_entries(scores_only(scores, source))
     assert ranked.order.tolist() == oracles.bf_rank(scores, source)
-    ranks = [ranked.rank_of(ref) for ref in ranked.top(len(ranked))]
+    ranks = [ev.average_rank(ranked, np.array([cell])) for cell in ranked.order]
     assert ranks == list(range(1, len(ranked) + 1))
 
 

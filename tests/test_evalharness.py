@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import oracles
 import vrf_sentinel.evalharness as ev
 from vrf_sentinel.detectors import global_scores, rank_entries
 from vrf_sentinel.detectors.ranking import RankedEntries
+from vrf_sentinel.detectors.scoring import ScoreMatrix
 from vrf_sentinel.errors import VrfError
 from vrf_sentinel.modmatrix import MatrixEntryRef, ModificationMatrix, build_intervals
 from vrf_sentinel.records import ChangeType
@@ -48,40 +51,40 @@ def ranking_of(cells):
 
 def test_perturb_gamma_zero_is_identity():
     matrix = as_matrix(np.random.default_rng(0).uniform(0, 1, size=(5, 6)))
-    spec = ev.PerturbationSpec(shape=matrix.shape, gamma=0.0, fraction=0.1, seed=1)
-    assert np.array_equal(ev.perturb(matrix, spec).values, matrix.values)
+    cells = ev.perturbed_cells(matrix.shape, fraction=0.1, seed=1)
+    assert np.array_equal(ev.perturb(matrix, cells, 0.0).values, matrix.values)
 
 
 def test_perturb_exact_cell_count():
-    spec = ev.PerturbationSpec(shape=(10, 10), gamma=1.0, fraction=0.01, seed=2)
-    assert len(spec.perturbed_set) == 1
-    spec = ev.PerturbationSpec(shape=(99, 149), gamma=1.0, fraction=0.01, seed=2)
-    assert len(spec.perturbed_set) == 148  # round(147.51)
-    assert len(set(spec.perturbed_set)) == len(spec.perturbed_set)
+    cells = ev.perturbed_cells((10, 10), fraction=0.01, seed=2)
+    assert len(cells) == 1
+    cells = ev.perturbed_cells((99, 149), fraction=0.01, seed=2)
+    assert len(cells) == 148  # round(147.51)
+    assert len(set(cells.tolist())) == len(cells)
 
 
 def test_perturb_deltas_are_exactly_gamma():
     matrix = as_matrix(np.random.default_rng(3).uniform(0, 1, size=(8, 9)))
-    spec = ev.PerturbationSpec(shape=matrix.shape, gamma=2.5, fraction=0.05, seed=4)
-    diff = ev.perturb(matrix, spec).values - matrix.values
+    cells = ev.perturbed_cells(matrix.shape, fraction=0.05, seed=4)
+    diff = ev.perturb(matrix, cells, 2.5).values - matrix.values
     for i in range(8):
         for j in range(9):
-            expected = 2.5 if MatrixEntryRef(i, j) in spec.truth() else 0.0
+            expected = 2.5 if i * 9 + j in cells else 0.0
             assert diff[i, j] == expected
 
 
 def test_perturb_leaves_raw_counts():
     matrix = as_matrix(np.random.default_rng(5).uniform(0, 1, size=(4, 4)))
-    spec = ev.PerturbationSpec(shape=matrix.shape, gamma=1.0, fraction=0.2, seed=6)
-    assert np.array_equal(ev.perturb(matrix, spec).raw_counts, matrix.raw_counts)
+    cells = ev.perturbed_cells(matrix.shape, fraction=0.2, seed=6)
+    assert np.array_equal(ev.perturb(matrix, cells, 1.0).raw_counts, matrix.raw_counts)
 
 
 def test_perturb_seed_deterministic():
-    a = ev.PerturbationSpec(shape=(20, 20), gamma=1.0, fraction=0.05, seed=7)
-    b = ev.PerturbationSpec(shape=(20, 20), gamma=1.0, fraction=0.05, seed=7)
-    c = ev.PerturbationSpec(shape=(20, 20), gamma=1.0, fraction=0.05, seed=8)
-    assert a.perturbed_set == b.perturbed_set
-    assert a.perturbed_set != c.perturbed_set
+    a = ev.perturbed_cells((20, 20), fraction=0.05, seed=7)
+    b = ev.perturbed_cells((20, 20), fraction=0.05, seed=7)
+    c = ev.perturbed_cells((20, 20), fraction=0.05, seed=8)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 # --- precision and rank metrics ----------------------------------------------------
@@ -89,26 +92,26 @@ def test_perturb_seed_deterministic():
 
 def test_precision_truth_equals_topk():
     ranked = ranking_of([(0, n) for n in range(10)])
-    truth = {MatrixEntryRef(0, n) for n in range(4)}
+    truth = np.arange(4)
     assert ev.precision_at_k(ranked, truth, 4) == 1.0
 
 
 def test_precision_disjoint():
     ranked = ranking_of([(0, n) for n in range(10)])
-    truth = {MatrixEntryRef(9, 9)}
+    truth = np.array([9 * 10 + 9])
     assert ev.precision_at_k(ranked, truth, 5) == 0.0
 
 
 def test_precision_three_quarters():
     ranked = ranking_of([(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)])
-    truth = {MatrixEntryRef(0, 0), MatrixEntryRef(0, 1), MatrixEntryRef(0, 3)}
+    truth = np.array([0, 1, 3])
     assert ev.precision_at_k(ranked, truth, 4) == 0.75
 
 
 def test_average_rank_best_case():
     cells = [(0, n) for n in range(10)]
     ranked = ranking_of(cells)
-    truth = {MatrixEntryRef(0, n) for n in range(4)}
+    truth = np.arange(4)
     assert ev.average_rank(ranked, truth) == 2.5
 
 
@@ -117,18 +120,62 @@ def test_average_rank_worst_case_14751():
     values = np.arange(99 * 149, dtype=float).reshape(99, 149)[::-1]
     matrix = as_matrix(values)
     ranked = rank_entries(global_scores(matrix, "std"))
-    bottom = ranked.top(len(ranked))[-4:]
-    assert ev.average_rank(ranked, set(bottom)) == 14749.5
+    bottom = ranked.order[-4:]
+    assert ev.average_rank(ranked, bottom) == 14749.5
 
 
 def test_average_rank_single_top():
     ranked = ranking_of([(0, 0), (0, 1)])
-    assert ev.average_rank(ranked, {MatrixEntryRef(0, 0)}) == 1.0
+    assert ev.average_rank(ranked, np.array([0])) == 1.0
 
 
 def test_average_rank_empty_truth_rejected():
     with pytest.raises(VrfError):
-        ev.average_rank(ranking_of([(0, 0)]), set())
+        ev.average_rank(ranking_of([(0, 0)]), np.array([], dtype=np.int64))
+
+
+# few distinct values, so ties, signed zeros and both infinities are common
+_SCORE_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf])
+
+
+@st.composite
+def grids_and_cells(draw, values):
+    """A grid drawn from `values`, a second grid or None, and a distinct,
+    unsorted set of its flat cells."""
+    n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    grid = st.lists(values, min_size=n_rows * n_cols, max_size=n_rows * n_cols).map(
+        lambda cells: np.array(cells, dtype=float).reshape(n_rows, n_cols)
+    )
+    cells = st.lists(st.integers(0, n_rows * n_cols - 1), min_size=1, unique=True)
+    return draw(grid), draw(st.none() | grid), np.array(draw(cells))
+
+
+@given(grids_and_cells(_SCORE_VALUES))
+def test_flat_cell_metrics_match_brute_force(case):
+    scores, source, cells = case
+    n_rows, n_cols = scores.shape
+    ranked = rank_entries(ScoreMatrix(
+        method="test",
+        scores=scores,
+        locales=tuple(f"L{i}" for i in range(n_rows)),
+        intervals=as_matrix(np.zeros((1, n_cols))).intervals,
+        source_values=source,
+    ))
+    truth = {MatrixEntryRef(*divmod(cell, n_cols)) for cell in cells.tolist()}
+    for k in range(1, len(ranked) + 1):
+        assert ev.precision_at_k(ranked, cells, k) == oracles.bf_precision_at_k(ranked, truth, k)
+    assert ev.average_rank(ranked, cells) == oracles.bf_average_rank(ranked, truth)
+
+
+@given(grids_and_cells(st.floats(0.0, 1e9)), st.floats(0.0, 1e9))
+def test_perturb_adds_gamma_to_exactly_the_listed_cells(case, gamma):
+    values, _, cells = case
+    matrix = as_matrix(values)
+    want = values.copy()
+    for cell in cells.tolist():
+        i, j = divmod(cell, values.shape[1])
+        want[i, j] += gamma
+    assert ev.perturb(matrix, cells, gamma).values.tobytes() == want.tobytes()
 
 
 # --- sweeps ------------------------------------------------------------------------
@@ -184,8 +231,8 @@ def test_gamma_zero_precision_matches_fraction():
     fraction, k = 0.05, 10
     precisions = []
     for seed in range(100):
-        spec = ev.PerturbationSpec(shape=matrix.shape, gamma=0.0, fraction=fraction, seed=seed)
-        precisions.append(ev.precision_at_k(ranked, spec.truth(), k))
+        cells = ev.perturbed_cells(matrix.shape, fraction=fraction, seed=seed)
+        precisions.append(ev.precision_at_k(ranked, cells, k))
     mean = float(np.mean(precisions))
     se = float(np.std(precisions)) / math.sqrt(len(precisions))
     assert abs(mean - fraction) <= 3 * se + 1e-9
@@ -228,9 +275,8 @@ def test_average_rank_bounds_property():
         values = rng.uniform(0, 1, size=(n_rows, n_cols))
         ranked = rank_entries(global_scores(_matrix_for_bounds(values), "std"))
         t = int(rng.integers(1, 6))
-        refs = ranked.top(len(ranked))
-        truth = set(rng.choice(len(refs), size=t, replace=False).tolist())
-        got = ev.average_rank(ranked, {refs[i] for i in truth})
+        truth = rng.choice(len(ranked), size=t, replace=False)
+        got = ev.average_rank(ranked, ranked.order[truth])
         assert (t + 1) / 2 <= got <= total - (t - 1) / 2
 
 

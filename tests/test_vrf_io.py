@@ -6,6 +6,7 @@ import tempfile
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 import vrf_sentinel.synthgen as sg
 import vrf_sentinel.vrf_io as io
 from vrf_sentinel.errors import FileParseError, IntegrityError, SchemaError
@@ -338,7 +339,7 @@ def test_mirror_symmetry_of_counts():
     (s0, s1), _ = sg.generate_scenario(config)
     forward = io.diff_snapshots(s0, s1)
     backward = io.diff_snapshots(
-        io.with_date(s1, s0.snapshot_date), io.with_date(s0, s1.snapshot_date)
+        oracles.with_date(s1, s0.snapshot_date), oracles.with_date(s0, s1.snapshot_date)
     )
 
     def counts(changes):
@@ -358,8 +359,8 @@ def test_diff_patch_consistency():
     config = sg.snapshot_pair_config(seed=23, n_voters=800)
     (s0, s1), _ = sg.generate_scenario(config)
     changes = io.diff_snapshots(s0, s1)
-    patched = sg.apply_changes(s0, changes, s1.snapshot_date)
-    assert sg.diff_projection(patched) == sg.diff_projection(s1)
+    patched = oracles.apply_changes(s0, changes, s1.snapshot_date)
+    assert oracles.diff_projection(patched) == oracles.diff_projection(s1)
 
 
 # --- change CSV round trip -----------------------------------------------------
@@ -466,7 +467,7 @@ def test_removals_mirror_registrations(a, b):
 @given(voter_sets())
 def test_redated_copy_has_no_changes(voters):
     snapshot = snap(D1, *voters)
-    assert io.diff_snapshots(snapshot, io.with_date(snapshot, D2)) == []
+    assert io.diff_snapshots(snapshot, oracles.with_date(snapshot, D2)) == []
 
 
 _CASE_OR_SPACE = st.sampled_from([str.upper, str.title, lambda v: f"  {v} ", lambda v: v])
