@@ -246,7 +246,8 @@ def cmd_detect(args: argparse.Namespace) -> dict:
     converged = bool(scored.params.get("converged", True))
     if not converged:
         logger.warning("detector %s did not converge; see params in scores CSV", method)
-    return {"converged": converged}
+    traces = {k: v for k, v in scored.params.items() if k in ("iterations", "residual")}
+    return {"converged": converged, **traces}
 
 
 def cmd_evaluate(args: argparse.Namespace) -> dict:
@@ -414,8 +415,15 @@ def cmd_heatmap(args: argparse.Namespace) -> dict:
 def _replayed_argv(manifest_path: str, out: str | None) -> list[str]:
     """A manifest's argv, with its `--out` value replaced by `out` if given."""
     with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    stored = list(manifest["argv"])
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"{manifest_path}: not a JSON manifest ({exc})") from None
+    stored = manifest.get("argv") if isinstance(manifest, dict) else None
+    if not isinstance(stored, list) or not all(isinstance(t, str) for t in stored):
+        raise DataError(f"{manifest_path}: manifest needs an argv list of strings")
+    if stored[:1] == ["rerun"]:
+        raise DataError(f"{manifest_path}: a manifest cannot replay another rerun")
     if out:
         for i, token in enumerate(stored):
             if token == "--out" and i + 1 < len(stored):

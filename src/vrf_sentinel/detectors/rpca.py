@@ -8,6 +8,11 @@ and entrywise soft-thresholding (threshold lambda * step) for the sparse
 part, then a dual update; the shrinkage step starts at 1/spectral-norm
 and decays geometrically so the equality constraint is met to tolerance.
 Anomaly scores are the entries of the sparse component.
+
+Singular values are thresholded without an SVD, from `np.linalg.eigh` of
+the smaller Gram matrix (x x^T or x^T x). That squares the condition
+number, which costs accuracy only in singular values far below the largest;
+`tests/oracles.py::svd_threshold` keeps the SVD version as the reference.
 """
 
 from __future__ import annotations
@@ -39,10 +44,15 @@ def _soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _svd_threshold(x: np.ndarray, tau: float) -> np.ndarray:
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
-    s = np.maximum(s - tau, 0.0)
-    keep = s > 0
-    return (u[:, keep] * s[keep]) @ vt[keep, :]
+    """Soft-threshold the singular values of x by tau, from the eigenpairs
+    of x x^T: the kept left singular vectors, scaled by (s - tau) / s."""
+    if x.shape[0] > x.shape[1]:  # the transpose has the smaller Gram matrix
+        return _svd_threshold(x.T, tau).T
+    eigvals, u = np.linalg.eigh(x @ x.T)
+    s = np.sqrt(np.maximum(eigvals, 0.0))
+    keep = s > tau
+    u, s = u[:, keep], s[keep]
+    return (u * ((s - tau) / s)) @ (u.T @ x)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,10 @@ scored against:
 
 When the pool has zero spread, a value at or below the pool level scores 0
 and a value above it scores +inf, which ranks ahead of every finite score.
+
+One batched kernel, `_pool_scores`, scores them all: it takes the pools as
+rows and reduces along axis 1 once, bit-identical to scoring each pool on
+its own. Only the 2w clipped cross-locale edge columns call it in a loop.
 """
 
 from __future__ import annotations
@@ -69,55 +73,47 @@ def _score_matrix(
     )
 
 
-def _ratio(x: np.ndarray | float, center: float, spread: float) -> np.ndarray | float:
-    """(x - center) / spread elementwise; with zero spread, 0 at or below
-    the center and +inf above it."""
-    diff = np.asarray(x, dtype=float) - center
-    if spread == 0:
-        # [()] gives a scalar back for a scalar x
-        return np.where(diff <= 0, 0.0, math.inf)[()]
-    return diff / spread
-
-
-def zscore(x: np.ndarray | float, mean: float, std: float) -> np.ndarray | float:
-    """(x - mean) / std, with the zero-spread sentinel rule."""
-    if std < 0:
+def zscore(x: np.ndarray | float, mean, std) -> np.ndarray | float:
+    """(x - mean) / std elementwise; where std is zero, 0 at or below the
+    mean and +inf above it. `mean` and `std` may be arrays that broadcast
+    against x."""
+    if np.any(np.less(std, 0)):
         raise VrfError("std must be >= 0")
-    return _ratio(x, mean, std)
+    diff = np.asarray(x, dtype=float) - mean
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # [()] gives a scalar back for scalar arguments
+        return np.where(std == 0, np.where(diff <= 0, 0.0, math.inf), diff / std)[()]
 
 
-def iqr_score(x: np.ndarray | float, q1: float, q3: float) -> np.ndarray | float:
-    """(x - Q3) / (Q3 - Q1), with the zero-spread sentinel rule."""
-    if q3 < q1:
+def iqr_score(x: np.ndarray | float, q1, q3) -> np.ndarray | float:
+    """(x - Q3) / (Q3 - Q1), with zscore's zero-spread rule."""
+    if np.any(np.less(q3, q1)):
         raise VrfError("q3 must be >= q1")
-    return _ratio(x, q3, q3 - q1)
+    return zscore(x, q3, np.subtract(q3, q1))
 
 
-def _apply_stat(values: np.ndarray, pool: np.ndarray, stat: str) -> np.ndarray:
-    """Score every entry of `values` against the flat pool `pool`."""
+def _pool_scores(values: np.ndarray, pools: np.ndarray, stat: str) -> np.ndarray:
+    """Score row i of `values` against the pool in row i of `pools`."""
+    # contiguous rows: each pool is summed in the order a lone 1-D pool is
+    pools = np.ascontiguousarray(pools)
     if stat == "std":
-        if pool.min() == pool.max():
-            # constant pool: rounding in the mean must not dodge the
-            # zero-variance sentinel rule
-            mean, std = float(pool[0]), 0.0
-        else:
-            mean, std = float(np.mean(pool)), float(np.std(pool))
-        return zscore(values, mean, std)
+        # constant pool: rounding in the mean must not dodge the
+        # zero-variance sentinel rule
+        constant = pools.min(axis=1) == pools.max(axis=1)
+        mean = np.where(constant, pools[:, 0], np.mean(pools, axis=1))
+        std = np.where(constant, 0.0, np.std(pools, axis=1))
+        return zscore(values, mean[:, None], std[:, None])
     if stat == "iqr":
-        q1 = float(np.quantile(pool, 0.25))
-        q3 = float(np.quantile(pool, 0.75))
-        return iqr_score(values, q1, q3)
+        q1, q3 = np.quantile(pools, (0.25, 0.75), axis=1)
+        return iqr_score(values, q1[:, None], q3[:, None])
     raise VrfError(f"unknown statistic {stat!r} (expected 'std' or 'iqr')")
 
 
 def temporal_scores(matrix: ModificationMatrix, stat: str = "std") -> ScoreMatrix:
     """Score each entry against its own locale's time series."""
-    n_rows, n_cols = matrix.shape
-    if n_cols < 2:
+    if matrix.shape[1] < 2:
         raise VrfError("temporal scoring needs at least 2 intervals")
-    scores = np.zeros((n_rows, n_cols))
-    for i in range(n_rows):
-        scores[i] = _apply_stat(matrix.values[i], matrix.values[i], stat)
+    scores = _pool_scores(matrix.values, matrix.values, stat)
     return _score_matrix(matrix, f"temporal_{stat}", scores, {"stat": stat})
 
 
@@ -131,13 +127,18 @@ def cross_locale_scores(
     """
     if w < 0:
         raise VrfError("window half-width w must be >= 0")
-    n_rows, n_cols = matrix.shape
-    scores = np.zeros((n_rows, n_cols))
-    for j in range(n_cols):
-        lo, hi = max(0, j - w), min(n_cols, j + w + 1)
-        pool = matrix.values[:, lo:hi].ravel()
-        scores[:, j] = _apply_stat(matrix.values[:, j], pool, stat)
+    values = matrix.values
+    n_rows, n_cols = values.shape
     width = 2 * w + 1
+    scores = np.zeros((n_rows, n_cols))
+    # interior columns: each pool in the element order of values[:, lo:hi].ravel()
+    inner = np.arange(w, n_cols - w)
+    pools = values[:, inner[:, None] + np.arange(-w, w + 1)].transpose(1, 0, 2)
+    pools = pools.reshape(len(inner), n_rows * width)
+    scores[:, inner] = _pool_scores(values[:, inner].T, pools, stat).T
+    for j in (j for j in range(n_cols) if not w <= j < n_cols - w):
+        lo, hi = max(0, j - w), min(n_cols, j + w + 1)
+        scores[:, j] = _pool_scores(values[None, :, j], values[:, lo:hi].reshape(1, -1), stat)[0]
     return _score_matrix(
         matrix, f"cl_{stat}_{width}", scores, {"stat": stat, "w": w, "width": width}
     )
@@ -148,8 +149,8 @@ def global_scores(matrix: ModificationMatrix, stat: str = "std") -> ScoreMatrix:
     to ranking the raw values)."""
     if matrix.values.size < 2:
         raise VrfError("global scoring needs at least 2 entries")
-    pool = matrix.values.ravel()
-    scores = _apply_stat(matrix.values, pool, stat)
+    flat = matrix.values.reshape(1, -1)
+    scores = _pool_scores(flat, flat, stat).reshape(matrix.shape)
     return _score_matrix(matrix, f"global_{stat}", scores, {"stat": stat})
 
 

@@ -56,6 +56,8 @@ def perturb(matrix: ModificationMatrix, cells: np.ndarray, gamma: float) -> Modi
 
 def precision_at_k(ranked: RankedEntries, cells: np.ndarray, k: int) -> float:
     """Share of the top k entries that are among the flat `cells`."""
+    if k < 1:
+        raise VrfError(f"k={k} must be at least 1")
     if k > len(ranked):
         raise VrfError(f"k={k} exceeds ranking length {len(ranked)}")
     return int(np.count_nonzero(np.isin(ranked.order[:k], cells))) / k

@@ -1,9 +1,10 @@
 """Independent brute-force reference implementations for the tests.
 
 Pure-python, loop-based, no shared code with the library's vectorized
-paths. Deliberately slow and obvious. `loop_best_split` is the one
-exception: the library's former per-feature numpy loop, kept as the exact
-reference for its all-features-at-once replacement. The patch oracle
+paths. Deliberately slow and obvious. The `loop_*` functions are the
+exception: the library's former numpy loops (per feature in
+`loop_best_split`, per pool in the statistic scorers), kept as the exact
+references for their batched replacements. The patch oracle
 (`apply_changes`, `diff_projection`) and the ground-truth and snapshot
 helpers below serve only the tests, so they live here and not in the
 package.
@@ -89,6 +90,55 @@ def bf_cross_locale(values, stat, w):
 def bf_global(values, stat):
     pool = [x for row in values for x in row]
     return [[_score(x, pool, stat) for x in row] for row in values]
+
+
+def loop_pool_scores(values, pool, stat):
+    """Score every entry of `values` against the flat `pool` with scalar
+    statistics: the library's former per-pool scorer."""
+    if stat == "std":
+        if pool.min() == pool.max():
+            center, spread = float(pool[0]), 0.0
+        else:
+            center, spread = float(np.mean(pool)), float(np.std(pool))
+    else:
+        q1 = float(np.quantile(pool, 0.25))
+        center = float(np.quantile(pool, 0.75))
+        spread = center - q1
+    diff = np.asarray(values, dtype=float) - center
+    if spread == 0:
+        return np.where(diff <= 0, 0.0, math.inf)
+    return diff / spread
+
+
+def loop_temporal(values, stat):
+    """One `loop_pool_scores` call per row."""
+    scores = np.zeros(values.shape)
+    for i in range(values.shape[0]):
+        scores[i] = loop_pool_scores(values[i], values[i], stat)
+    return scores
+
+
+def loop_cross_locale(values, stat, w):
+    """One `loop_pool_scores` call per column, against its clipped window."""
+    n_cols = values.shape[1]
+    scores = np.zeros(values.shape)
+    for j in range(n_cols):
+        lo, hi = max(0, j - w), min(n_cols, j + w + 1)
+        scores[:, j] = loop_pool_scores(values[:, j], values[:, lo:hi].ravel(), stat)
+    return scores
+
+
+def loop_global(values, stat):
+    return loop_pool_scores(values, values.ravel(), stat)
+
+
+def svd_threshold(x, tau):
+    """Singular-value soft-thresholding from a full SVD: the library's former
+    `rpca._svd_threshold`."""
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    s = np.maximum(s - tau, 0.0)
+    keep = s > 0
+    return (u[:, keep] * s[keep]) @ vt[keep, :]
 
 
 def bf_rank(scores, source=None):

@@ -248,6 +248,19 @@ def test_detect_records_params(pipeline):
     assert (out / "scores_nmf.svg").exists()
     manifest = json.loads(open(out / "manifest.json").read())
     assert manifest["converged"] is True
+    assert manifest["iterations"] == header["params"]["iterations"] > 0
+    assert "residual" not in manifest
+
+    out = pipeline / "detect_rpca"
+    assert run(
+        "detect", "--matrix", str(pipeline / "matrix" / "matrix_deactivation.csv"),
+        "--method", "rpca", "--out", str(out),
+    ) == 0
+    params = json.loads(open(out / "scores_rpca.csv").readline())["params"]
+    manifest = json.loads(open(out / "manifest.json").read())
+    assert manifest["converged"] is True
+    assert manifest["iterations"] == params["iterations"] > 0
+    assert manifest["residual"] == params["residual"] <= params["tol"]
 
 
 def test_detect_window_method_naming(pipeline):
@@ -483,6 +496,38 @@ def test_rerun_reproduces_byte_identical(pipeline, tmp_path):
     assert run("rerun", "--manifest", str(first / "manifest.json"), "--out", str(replay)) == 0
     for name in ("scores_nmf.csv", "ranked_nmf.csv", "scores_nmf.svg"):
         assert (replay / name).read_bytes() == (first / name).read_bytes()
+
+
+@pytest.mark.parametrize("top_k", ["0", "-3"])
+def test_evaluate_top_k_below_one_exits_3(pipeline, tmp_path, capsys, top_k):
+    assert run(
+        "evaluate", "--matrix", str(pipeline / "matrix" / "matrix_deactivation.csv"),
+        "--methods", "global_std", "--grid-points", "2", "--top-k", top_k,
+        "--out", str(tmp_path),
+    ) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "at least 1" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "sweep_deactivation.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "not json",
+        json.dumps({"command": "detect"}),
+        json.dumps({"argv": 5}),
+        json.dumps({"argv": ["rerun", "--manifest", "SELF"]}),
+    ],
+    ids=["not-json", "no-argv", "argv-not-strings", "stored-rerun"],
+)
+def test_rerun_bad_manifest_exits_3(tmp_path, capsys, content):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(content.replace("SELF", str(manifest)))
+    assert run("rerun", "--manifest", str(manifest)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: ")
+    assert err.count("\n") == 1
 
 
 def test_labeled_pipeline_train_predict(tmp_path):

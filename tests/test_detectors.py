@@ -116,6 +116,32 @@ def test_statistic_scores_match_brute_force():
             np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+# signed zeros, ties and large magnitudes beside arbitrary values
+_POOL_VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e150]) | st.floats(0.0, 1e6)
+
+
+@st.composite
+def pool_grids(draw):
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(2, 10))
+    cells = draw(st.lists(_POOL_VALUES, min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    values = np.array(cells).reshape(n_rows, n_cols)
+    lo = draw(st.integers(0, n_cols))
+    values[:, lo:draw(st.integers(lo, n_cols))] = draw(_POOL_VALUES)  # constant pools
+    return values
+
+
+@given(pool_grids(), st.integers(0, 4), st.sampled_from(["std", "iqr"]))
+def test_batched_scores_match_per_pool_loop(values, w, stat):
+    matrix = as_matrix(values)
+    pairs = (
+        (det.temporal_scores(matrix, stat), oracles.loop_temporal(values, stat)),
+        (det.cross_locale_scores(matrix, stat, w=w), oracles.loop_cross_locale(values, stat, w)),
+        (det.global_scores(matrix, stat), oracles.loop_global(values, stat)),
+    )
+    for got, want in pairs:
+        assert got.scores.tobytes() == want.tobytes()
+
+
 def test_temporal_row_spike():
     matrix = as_matrix([[0.0, 0.0, 0.0, 10.0, 0.0]])
     scores = det.temporal_scores(matrix, "std").scores

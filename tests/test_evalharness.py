@@ -108,6 +108,13 @@ def test_precision_three_quarters():
     assert ev.precision_at_k(ranked, truth, 4) == 0.75
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_precision_rejects_k_below_one(k):
+    ranked = ranking_of([(0, n) for n in range(10)])
+    with pytest.raises(VrfError, match="at least 1"):
+        ev.precision_at_k(ranked, np.arange(4), k)
+
+
 def test_average_rank_best_case():
     cells = [(0, n) for n in range(10)]
     ranked = ranking_of(cells)

@@ -3,8 +3,9 @@ import datetime as dt
 import numpy as np
 import pytest
 
+import oracles
 from vrf_sentinel.detectors import rank_entries
-from vrf_sentinel.detectors.rpca import default_lambda, rpca_decompose, rpca_scores
+from vrf_sentinel.detectors.rpca import _svd_threshold, default_lambda, rpca_decompose, rpca_scores
 from vrf_sentinel.errors import VrfError
 from vrf_sentinel.modmatrix import MatrixEntryRef, ModificationMatrix, build_intervals
 from vrf_sentinel.records import ChangeType
@@ -38,15 +39,38 @@ def spike_instance(seed, shape=(60, 80), rank=2, spike_scale=10.0, fraction=0.01
 
 
 def test_spike_support_recovery_twenty_instances():
-    for seed in range(20):
-        low, spikes, idx = spike_instance(seed)
-        observed = low + spikes
-        result = rpca_decompose(observed, lam=default_lambda(observed.shape))
-        assert result.converged
-        assert result.residual <= 1e-7
-        top = np.argsort(np.abs(result.sparse).ravel())[::-1][: len(idx)]
-        hit = len(set(int(t) for t in top) & set(int(i) for i in idx)) / len(idx)
-        assert hit >= 0.95
+    for shape in ((60, 80), (80, 60)):  # wide and tall thresholding branches
+        for seed in range(20):
+            low, spikes, idx = spike_instance(seed, shape=shape)
+            observed = low + spikes
+            result = rpca_decompose(observed, lam=default_lambda(observed.shape))
+            assert result.converged
+            assert result.residual <= 1e-7
+            top = np.argsort(np.abs(result.sparse).ravel())[::-1][: len(idx)]
+            hit = len(set(int(t) for t in top) & set(int(i) for i in idx)) / len(idx)
+            assert hit >= 0.95
+
+
+def test_gram_threshold_matches_svd_threshold():
+    # criterion 6's instances draw from default_rng(seed + 100) in this order
+    cases = [low + spikes for low, spikes, _ in (spike_instance(s + 100) for s in range(20))]
+    rng = np.random.default_rng(41)
+    cases += [
+        rng.normal(size=(80, 60)),  # tall: thresholds through x.T @ x
+        rng.normal(size=(30, 3)) @ rng.normal(size=(3, 40)),  # rank 3
+        np.vstack([rng.normal(size=(20, 25)), np.zeros((5, 25))]),  # zero rows
+    ]
+    eps = np.finfo(float).eps
+    for x in cases:
+        s_max = float(np.linalg.norm(x, 2))
+        for tau in (0.5 * s_max, 0.1 * s_max, 1e-4 * s_max):
+            # the Gram matrix's backward error, ~eps * s_max**2, reaches the
+            # result through the shrink (s - tau) / s at slope <= 1 / (2 tau)
+            tolerance = 16 * eps * s_max**2 / tau
+            got = _svd_threshold(x, tau)
+            assert got.shape == x.shape
+            np.testing.assert_allclose(got, oracles.svd_threshold(x, tau), rtol=0, atol=tolerance)
+        assert not _svd_threshold(x, 1.01 * s_max).any()
 
 
 def test_zero_matrix():
