@@ -424,11 +424,15 @@ def _replayed_argv(manifest_path: str, out: str | None) -> list[str]:
         raise DataError(f"{manifest_path}: manifest needs an argv list of strings")
     if stored[:1] == ["rerun"]:
         raise DataError(f"{manifest_path}: a manifest cannot replay another rerun")
-    if out:
-        for i, token in enumerate(stored):
-            if token == "--out" and i + 1 < len(stored):
-                stored[i + 1] = out
-    return stored
+    if not out:
+        return stored
+    kept, tokens = [], iter(stored)
+    for token in tokens:  # drop the stored --out, spelled "--out x" or "--out=x"
+        if token == "--out":
+            next(tokens, None)
+        elif not token.startswith("--out="):
+            kept.append(token)
+    return kept + ["--out", out]
 
 
 # --- argument parsing ------------------------------------------------------------
@@ -559,7 +563,7 @@ def main(argv: list[str] | None = None) -> int:
         os.makedirs(outdir, exist_ok=True)
         extras = args.func(args)
         _write_manifest(manifest, args.command, argv, **extras)
-    except (VrfError, OSError) as exc:
+    except (VrfError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK

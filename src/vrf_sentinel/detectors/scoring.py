@@ -17,12 +17,12 @@ and a value above it scores +inf, which ranks ahead of every finite score.
 One batched kernel, `_pool_scores`, scores them all: it takes the pools as
 rows and reduces along axis 1 once, bit-identical to scoring each pool on
 its own. Only the 2w clipped cross-locale edge columns call it in a loop.
+
+Score files use the grid CSV layout described in `modmatrix`.
 """
 
 from __future__ import annotations
 
-import csv
-import datetime as dt
 import json
 import math
 from dataclasses import dataclass, field
@@ -31,8 +31,7 @@ from typing import Any
 import numpy as np
 
 from ..errors import FileParseError, VrfError
-from ..modmatrix import DateInterval, ModificationMatrix
-from ..vrf_io import csv_writer
+from ..modmatrix import DateInterval, ModificationMatrix, read_grid, write_grid
 
 
 @dataclass(frozen=True)
@@ -155,49 +154,28 @@ def global_scores(matrix: ModificationMatrix, stat: str = "std") -> ScoreMatrix:
 
 
 def scores_to_csv(score_matrix: ScoreMatrix, path: str) -> None:
-    """Score CSV: one JSON params line, then the matrix-CSV style layout."""
-    days = score_matrix.intervals[0].days
+    """Score CSV: one JSON params line, then the grid layout of `modmatrix`
+    with one block of `repr` floats under the method id."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(
-            json.dumps(
-                {"method": score_matrix.method, "params": score_matrix.params},
-                sort_keys=True,
-            )
-            + "\n"
+        meta = {"method": score_matrix.method, "params": score_matrix.params}
+        fh.write(json.dumps(meta, sort_keys=True) + "\n")
+        write_grid(
+            fh, score_matrix.method, score_matrix.intervals, score_matrix.locales,
+            [((repr(float(v)) for v in row) for row in score_matrix.scores)],
         )
-        writer = csv_writer(fh, score_matrix.locales)
-        writer.writerow(
-            [f"{score_matrix.method}:{days}"]
-            + [iv.start.isoformat() for iv in score_matrix.intervals]
-        )
-        for i, locale in enumerate(score_matrix.locales):
-            writer.writerow([locale] + [repr(float(v)) for v in score_matrix.scores[i]])
 
 
 def scores_from_csv(path: str) -> ScoreMatrix:
     """Read back a score CSV (the source-values grid is not persisted)."""
     with open(path, newline="", encoding="utf-8") as fh:
-        meta = json.loads(fh.readline())
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise FileParseError(f"{path}: missing score grid")
-    corner, *date_cells = rows[0]
-    days = int(corner.split(":")[-1])
-    starts = [dt.date.fromisoformat(c) for c in date_cells]
-    intervals = tuple(
-        DateInterval(s, s + dt.timedelta(days=days)) for s in starts
-    )
-    locales = []
-    grid = np.zeros((len(rows) - 1, len(starts)))
-    for i, row in enumerate(rows[1:]):
-        if len(row) != len(starts) + 1:
-            raise FileParseError(f"{path}: row {i} has wrong cell count")
-        locales.append(row[0])
-        grid[i] = [float(c) for c in row[1:]]
+        try:
+            meta = json.loads(fh.readline())
+        except ValueError as exc:
+            raise FileParseError(f"{path}: first line is not JSON ({exc})") from None
+        if not isinstance(meta, dict) or not {"method", "params"} <= meta.keys():
+            raise FileParseError(f"{path}: params line needs an object with method and params")
+        _, intervals, locales, (grid,) = read_grid(fh, path, 1)
     return ScoreMatrix(
-        method=meta["method"],
-        scores=grid,
-        locales=tuple(locales),
-        intervals=intervals,
+        method=meta["method"], scores=grid, locales=locales, intervals=intervals,
         params=meta["params"],
     )

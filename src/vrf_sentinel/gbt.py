@@ -55,12 +55,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.left is None
 
-    def predict(self, x: np.ndarray) -> float:
-        node = self
-        while not node.is_leaf:
-            node = node.left if x[node.feature] < node.threshold else node.right
-        return node.weight
-
     def predict_many(self, x: np.ndarray) -> np.ndarray:
         if self.is_leaf:
             return np.full(x.shape[0], self.weight)
@@ -395,6 +389,8 @@ def load_model(path: str, expected_manifest: str = FEATURE_MANIFEST_VERSION) -> 
             payload = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ModelError(f"cannot load model from {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ModelError(f"{path}: a model file holds one JSON object")
     if payload.get("format_version") != MODEL_FORMAT_VERSION:
         raise ModelError(
             f"{path}: model format {payload.get('format_version')!r} != "
@@ -405,19 +401,21 @@ def load_model(path: str, expected_manifest: str = FEATURE_MANIFEST_VERSION) -> 
             f"{path}: feature manifest {payload.get('feature_manifest_version')!r} "
             f"incompatible with expected {expected_manifest!r}"
         )
-    cfg = payload["config"]
-    model = GbtModel(
-        config=GbtConfig(
-            n_estimators=cfg["n_estimators"],
-            max_depth=cfg["max_depth"],
-            learning_rate=cfg["learning_rate"],
-            holdout_fraction=cfg["holdout_fraction"],
-            seed=cfg["seed"],
-        ),
-        classes=tuple(payload["classes"]),
-        n_features=int(payload["n_features"]),
-        trees=[[_node_from_dict(t) for t in rt] for rt in payload["trees"]],
-        train_loss=[float(v) for v in payload["train_loss"]],
-        feature_manifest_version=payload["feature_manifest_version"],
-    )
-    return model
+    try:
+        cfg = payload["config"]
+        return GbtModel(
+            config=GbtConfig(
+                n_estimators=cfg["n_estimators"],
+                max_depth=cfg["max_depth"],
+                learning_rate=cfg["learning_rate"],
+                holdout_fraction=cfg["holdout_fraction"],
+                seed=cfg["seed"],
+            ),
+            classes=tuple(payload["classes"]),
+            n_features=int(payload["n_features"]),
+            trees=[[_node_from_dict(t) for t in rt] for rt in payload["trees"]],
+            train_loss=[float(v) for v in payload["train_loss"]],
+            feature_manifest_version=payload["feature_manifest_version"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelError(f"{path}: malformed model ({exc!r})") from None

@@ -351,14 +351,15 @@ class FeatureScaler:
 
     @classmethod
     def from_json(cls, text: str) -> "FeatureScaler":
-        raw = json.loads(text)
-        return cls(
-            feature_names=tuple(raw["feature_names"]),
-            means=np.array([float(v) for v in raw["means"]]),
-            stds=np.array([float(v) for v in raw["stds"]]),
-            medians=np.array([float(v) for v in raw["medians"]]),
-            version=raw["version"],
-        )
+        try:
+            raw = json.loads(text)
+            names = tuple(raw["feature_names"])
+            columns = [np.array([float(v) for v in raw[k]]) for k in ("means", "stds", "medians")]
+            if any(len(column) != len(names) for column in columns):
+                raise ValueError("means, stds and medians must match feature_names in length")
+            return cls(names, *columns, version=raw["version"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FileParseError(f"malformed scaler JSON ({exc!r})") from None
 
 
 def standardize(vectors: list[GroupFeatureVector]) -> tuple[np.ndarray, FeatureScaler]:
@@ -494,16 +495,20 @@ def _manifest_path(csv_path: str) -> str:
 
 
 def features_from_csv(path: str) -> list[GroupFeatureVector]:
-    with open(_manifest_path(path), encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest["version"] != FEATURE_MANIFEST_VERSION:
+    try:
+        with open(_manifest_path(path), encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        version, features = manifest["version"], tuple(manifest["features"])
+        interval_days = int(manifest["interval_days"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileParseError(f"{path}: malformed feature manifest ({exc!r})") from None
+    if version != FEATURE_MANIFEST_VERSION:
         raise FileParseError(
-            f"{path}: feature manifest version {manifest['version']!r} != "
+            f"{path}: feature manifest version {version!r} != "
             f"expected {FEATURE_MANIFEST_VERSION!r}"
         )
-    if tuple(manifest["features"]) != FEATURE_NAMES:
+    if features != FEATURE_NAMES:
         raise FileParseError(f"{path}: manifest feature order differs from schema")
-    interval_days = int(manifest["interval_days"])
 
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -515,18 +520,21 @@ def features_from_csv(path: str) -> list[GroupFeatureVector]:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(expected):
                 raise FileParseError(f"{path}:{lineno}: wrong column count")
-            start = dt.date.fromisoformat(row[1])
-            key = GroupKey(
-                locale=row[0],
-                interval=DateInterval(start, start + dt.timedelta(days=interval_days)),
-                change_type=ChangeType(row[2]),
-            )
-            out.append(
-                GroupFeatureVector(
-                    key=key,
-                    n_voters=int(row[3]),
-                    features=np.array([float(x) for x in row[4 : 4 + len(FEATURE_NAMES)]]),
-                    label=EventLabel(row[-1]) if row[-1] else None,
+            try:
+                start = dt.date.fromisoformat(row[1])
+                key = GroupKey(
+                    locale=row[0],
+                    interval=DateInterval(start, start + dt.timedelta(days=interval_days)),
+                    change_type=ChangeType(row[2]),
                 )
-            )
+                out.append(
+                    GroupFeatureVector(
+                        key=key,
+                        n_voters=int(row[3]),
+                        features=np.array([float(x) for x in row[4 : 4 + len(FEATURE_NAMES)]]),
+                        label=EventLabel(row[-1]) if row[-1] else None,
+                    )
+                )
+            except (ValueError, OverflowError) as exc:
+                raise FileParseError(f"{path}:{lineno}: {exc}") from None
     return out

@@ -3,6 +3,14 @@
 A modification matrix is a locales x date-intervals grid of change counts
 normalized to changes per-day per-1000-voters, for one change type. All
 detectors operate on this grid.
+
+Matrix and score files share one grid CSV layout, written by `write_grid`
+and parsed by `read_grid`: a header row whose corner cell is
+`<name>:<interval days>` followed by the interval start dates, then one or
+more blocks separated by one empty row, each holding one row per locale
+that starts with the locale. A matrix file has three blocks (values,
+raw_counts, populations) under the change type; a score file has one
+block under the method id, after a JSON params line.
 """
 
 from __future__ import annotations
@@ -11,9 +19,10 @@ import bisect
 import csv
 import datetime as dt
 import logging
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import TextIO
 
 import numpy as np
 
@@ -225,87 +234,98 @@ def normalized_values(raw: np.ndarray, populations: np.ndarray, interval_days: n
     return raw / interval_days[np.newaxis, :] / (populations / 1000.0)
 
 
-# --- CSV round trip ----------------------------------------------------------
+# --- grid CSV codec -------------------------------------------------------------
+
+
+def write_grid(
+    fh: TextIO, corner: str, intervals: tuple[DateInterval, ...], locales: tuple[str, ...],
+    blocks: Iterable[Iterable[Iterable[str]]],
+) -> None:
+    """Write the grid layout (see the module docstring). Each block yields
+    one row of cell text per locale; `corner` is the name before `:<days>`."""
+    writer = csv_writer(fh, locales)
+    writer.writerow([f"{corner}:{intervals[0].days}"] + [iv.start.isoformat() for iv in intervals])
+    for b, block in enumerate(blocks):
+        if b:
+            writer.writerow([])
+        for locale, cells in zip(locales, block):
+            writer.writerow([locale, *cells])
+
+
+def read_grid(
+    fh: TextIO, path: str, n_blocks: int
+) -> tuple[str, tuple[DateInterval, ...], tuple[str, ...], np.ndarray]:
+    """Parse the grid layout into (corner name, intervals, locales, grids),
+    with `grids` of shape (n_blocks, locales, intervals). Any malformed
+    header, block, row or cell raises FileParseError naming `path`."""
+    try:
+        rows = list(csv.reader(fh))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise FileParseError(f"{path}: unreadable grid ({exc})") from None
+    corner, *date_cells = rows[0] if rows and rows[0] else [""]
+    try:
+        name, days_token = corner.rsplit(":", 1)
+        days = int(days_token)
+        if days < 1:
+            raise ValueError("interval days must be >= 1")
+    except ValueError:
+        raise FileParseError(f"{path}: bad corner cell {corner!r} (expected name:days)") from None
+    try:
+        starts = [dt.date.fromisoformat(c) for c in date_cells]
+        intervals = tuple(DateInterval(s, s + dt.timedelta(days=days)) for s in starts)
+    except (ValueError, OverflowError) as exc:
+        raise FileParseError(f"{path}: bad interval start date ({exc})") from None
+    if not intervals:
+        raise FileParseError(f"{path}: grid has no interval columns")
+
+    blocks: list[list[list[str]]] = [[]]
+    for row in rows[1:]:
+        if any(row):
+            blocks[-1].append(row)
+        else:
+            blocks.append([])
+    blocks = [b for b in blocks if b]
+    if len(blocks) != n_blocks:
+        raise FileParseError(f"{path}: expected {n_blocks} blocks, found {len(blocks)}")
+    locales = [row[0] for row in blocks[0]]
+    grids = np.empty((n_blocks, len(locales), len(intervals)))
+    for b, block in enumerate(blocks):
+        if [row[0] for row in block] != locales:
+            raise FileParseError(f"{path}: locale labels disagree between blocks")
+        for i, row in enumerate(block):
+            if len(row) != len(intervals) + 1:
+                raise FileParseError(
+                    f"{path}: block {b} row {i} has {len(row) - 1} cells, "
+                    f"expected {len(intervals)}"
+                )
+            try:
+                grids[b, i] = [float(c) for c in row[1:]]
+            except ValueError as exc:
+                raise FileParseError(f"{path}: block {b} row {i}: {exc}") from None
+    return name, intervals, tuple(locales), grids
 
 
 def matrix_to_csv(matrix: ModificationMatrix, path: str) -> None:
-    """Write the three stacked blocks (values, raw_counts, populations).
-
-    Header row: corner cell `<change_type>:<interval_days>`, then interval
-    start dates. First column of each row is the locale code.
-    """
-    days = matrix.intervals[0].days
+    """Write the values, raw_counts and populations blocks, corner
+    `<change_type>:<interval_days>`."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv_writer(fh, matrix.locales)
-        header = [f"{matrix.change_type.value}:{days}"] + [
-            iv.start.isoformat() for iv in matrix.intervals
-        ]
-        writer.writerow(header)
-        for i, locale in enumerate(matrix.locales):
-            writer.writerow([locale] + [FLOAT_FORMAT % v for v in matrix.values[i]])
-        writer.writerow([])
-        for i, locale in enumerate(matrix.locales):
-            writer.writerow([locale] + [str(int(v)) for v in matrix.raw_counts[i]])
-        writer.writerow([])
-        for i, locale in enumerate(matrix.locales):
-            writer.writerow([locale] + [str(int(v)) for v in matrix.populations[i]])
+        write_grid(
+            fh, matrix.change_type.value, matrix.intervals, matrix.locales,
+            [
+                ((FLOAT_FORMAT % v for v in row) for row in matrix.values),
+                ((str(int(v)) for v in row) for row in matrix.raw_counts),
+                ((str(int(v)) for v in row) for row in matrix.populations),
+            ],
+        )
 
 
 def csv_to_matrix(path: str) -> ModificationMatrix:
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise FileParseError(f"{path}: empty matrix file")
-    corner, *date_cells = rows[0]
+        type_token, intervals, locales, (values, raw, pops) = read_grid(fh, path, 3)
     try:
-        type_token, days_token = corner.split(":")
         change_type = ChangeType(type_token)
-        interval_days = int(days_token)
-    except ValueError as exc:
-        raise FileParseError(f"{path}: bad corner cell {corner!r}") from exc
-    starts = [dt.date.fromisoformat(c) for c in date_cells]
-    if not starts:
-        raise FileParseError(f"{path}: matrix has no interval columns")
-    intervals = tuple(
-        DateInterval(s, s + dt.timedelta(days=interval_days)) for s in starts
-    )
-
-    blocks: list[list[list[str]]] = [[]]
-    for row in rows[1:]:
-        if not row or all(not c for c in row):
-            blocks.append([])
-        else:
-            blocks[-1].append(row)
-    blocks = [b for b in blocks if b]
-    if len(blocks) != 3:
-        raise FileParseError(f"{path}: expected 3 blocks, found {len(blocks)}")
-    n_rows = len(blocks[0])
-    if n_rows == 0:
-        raise FileParseError(f"{path}: matrices must have at least one locale row")
-    if any(len(b) != n_rows for b in blocks):
-        raise FileParseError(f"{path}: blocks disagree on locale count")
-
-    locales: list[str] = []
-    grids = []
-    for b, block in enumerate(blocks):
-        grid = np.zeros((n_rows, len(starts)), dtype=float)
-        for i, row in enumerate(block):
-            if len(row) != len(starts) + 1:
-                raise FileParseError(
-                    f"{path}: block {b} row {i} has {len(row) - 1} cells, "
-                    f"expected {len(starts)}"
-                )
-            if b == 0:
-                locales.append(row[0])
-            elif row[0] != locales[i]:
-                raise FileParseError(f"{path}: locale labels disagree between blocks")
-            try:
-                grid[i] = [float(c) for c in row[1:]]
-            except ValueError as exc:
-                raise FileParseError(f"{path}: block {b} row {i}: {exc}") from exc
-        grids.append(grid)
-
-    values, raw, pops = grids
+    except ValueError:
+        raise FileParseError(f"{path}: unknown change type {type_token!r} in the corner") from None
     if np.any(values < 0):
         raise FileParseError(f"{path}: negative values in matrix body")
     raw_int = raw.astype(np.int64)
@@ -324,7 +344,7 @@ def csv_to_matrix(path: str) -> ModificationMatrix:
 
     return ModificationMatrix(
         change_type=change_type,
-        locales=tuple(locales),
+        locales=locales,
         intervals=intervals,
         values=values,
         raw_counts=raw_int,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
 import itertools
 import json
 import logging
@@ -564,59 +563,55 @@ CHANGE_CSV_COLUMNS = (
 
 def changes_to_csv(changes: list[ChangeRecord], path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        write_changes(changes, fh)
-
-
-def write_changes(changes: list[ChangeRecord], fh: io.TextIOBase) -> None:
-    writer = csv_writer(fh, itertools.chain.from_iterable((c.voter_id, c.locale) for c in changes))
-    writer.writerow(CHANGE_CSV_COLUMNS)
-    for ch in changes:
-        writer.writerow(
-            [
-                ch.voter_id,
-                ch.locale,
-                ch.change_type.value,
-                ch.anterior_date.isoformat(),
-                ch.posterior_date.isoformat(),
-                json.dumps([d.as_list() for d in ch.field_deltas]),
-            ]
+        writer = csv_writer(
+            fh, itertools.chain.from_iterable((c.voter_id, c.locale) for c in changes)
         )
+        writer.writerow(CHANGE_CSV_COLUMNS)
+        for ch in changes:
+            writer.writerow(
+                [
+                    ch.voter_id,
+                    ch.locale,
+                    ch.change_type.value,
+                    ch.anterior_date.isoformat(),
+                    ch.posterior_date.isoformat(),
+                    json.dumps([d.as_list() for d in ch.field_deltas]),
+                ]
+            )
 
 
 def csv_to_changes(path: str) -> list[ChangeRecord]:
     with open(path, newline="", encoding="utf-8") as fh:
-        return read_changes(fh, path)
-
-
-def read_changes(fh, where: str = "<stream>") -> list[ChangeRecord]:
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if header is None or tuple(header) != CHANGE_CSV_COLUMNS:
-        raise FileParseError(f"{where}: bad change-record header: {header}")
-    changes = []
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != len(CHANGE_CSV_COLUMNS):
-            raise FileParseError(f"{where}:{lineno}: expected {len(CHANGE_CSV_COLUMNS)} columns")
-        voter_id, locale, type_token, ante, post, deltas_json = row
-        try:
-            change_type = ChangeType(type_token)
-        except ValueError as exc:
-            raise FileParseError(
-                f"{where}:{lineno}: unknown change_type token {type_token!r}"
-            ) from exc
-        try:
-            raw_deltas = json.loads(deltas_json)
-            deltas = tuple(FieldDelta(*d) for d in raw_deltas)
-        except (ValueError, TypeError) as exc:
-            raise FileParseError(f"{where}:{lineno}: bad field_deltas: {exc}") from exc
-        changes.append(
-            ChangeRecord(
-                voter_id=voter_id,
-                locale=locale,
-                change_type=change_type,
-                anterior_date=_parse_date(ante, f"{where}:{lineno}"),
-                posterior_date=_parse_date(post, f"{where}:{lineno}"),
-                field_deltas=deltas,
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != CHANGE_CSV_COLUMNS:
+            raise FileParseError(f"{path}: bad change-record header: {header}")
+        changes = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(CHANGE_CSV_COLUMNS):
+                raise FileParseError(
+                    f"{path}:{lineno}: expected {len(CHANGE_CSV_COLUMNS)} columns"
+                )
+            voter_id, locale, type_token, ante, post, deltas_json = row
+            try:
+                change_type = ChangeType(type_token)
+            except ValueError as exc:
+                raise FileParseError(
+                    f"{path}:{lineno}: unknown change_type token {type_token!r}"
+                ) from exc
+            try:
+                raw_deltas = json.loads(deltas_json)
+                deltas = tuple(FieldDelta(*d) for d in raw_deltas)
+            except (ValueError, TypeError) as exc:
+                raise FileParseError(f"{path}:{lineno}: bad field_deltas: {exc}") from exc
+            changes.append(
+                ChangeRecord(
+                    voter_id=voter_id,
+                    locale=locale,
+                    change_type=change_type,
+                    anterior_date=_parse_date(ante, f"{path}:{lineno}"),
+                    posterior_date=_parse_date(post, f"{path}:{lineno}"),
+                    field_deltas=deltas,
+                )
             )
-        )
-    return changes
+        return changes

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import vrf_sentinel
-from vrf_sentinel import cli, groupfeatures, vrf_io
+from vrf_sentinel import cli, gbt, groupfeatures, vrf_io
 from vrf_sentinel.errors import FileParseError
 from vrf_sentinel.groupfeatures import EventLabel
 from vrf_sentinel.modmatrix import DateInterval
@@ -528,6 +528,88 @@ def test_rerun_bad_manifest_exits_3(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {manifest}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spelling", ["--out x", "--out=x"])
+def test_rerun_redirects_either_out_spelling(pipeline, tmp_path, spelling):
+    first, replay = tmp_path / "eqout", tmp_path / "eqout2"
+    out = ["--out", str(first)] if spelling == "--out x" else [f"--out={first}"]
+    assert run(
+        "detect", "--matrix", str(pipeline / "matrix" / "matrix_deactivation.csv"),
+        "--method", "global_std", *out,
+    ) == 0
+    original = json.loads((first / "manifest.json").read_text())
+    assert run("rerun", "--manifest", str(first / "manifest.json"), "--out", str(replay)) == 0
+    assert json.loads((first / "manifest.json").read_text()) == original
+    names = sorted(p.name for p in first.iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in replay.iterdir() if p.name != "manifest.json")
+    for name in names:
+        assert (replay / name).read_bytes() == (first / name).read_bytes()
+
+
+# case -> (command, file it reads, corruption): a JSON key to drop, bytes
+# that replace the file, or (line, comma-separated cell, replacement text)
+MALFORMED = {
+    "scores-corner": ("heatmap", "scores.csv", (1, 0, "bad")),
+    "scores-params": ("heatmap", "scores.csv", (0, 0, "not json")),
+    "scores-date": ("heatmap", "scores.csv", (1, 1, "notadate")),
+    "matrix-date": ("detect", "matrix.csv", (0, 1, "notadate")),
+    "features-cell": ("train", "features.csv", (1, 4, "abc")),
+    "features-not-utf8": ("train", "features.csv", b"\xff\xfe not utf-8\n"),
+    "features-manifest": ("train", "features.csv.manifest.json", "features"),
+    "model-config": ("predict", "model.json", "config"),
+    "scaler-means": ("predict", "scaler.json", "means"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_artifact_exits_3(pipeline, tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    matrix = (pipeline / "matrix" / "matrix_deactivation.csv").read_bytes()
+    (tmp_path / "matrix.csv").write_bytes(matrix)
+    assert run("detect", "--matrix", "matrix.csv", "--method", "global_std", "--out", ".") == 0
+    os.rename("scores_global_std.csv", "scores.csv")
+    width = len(groupfeatures.FEATURE_NAMES)
+    key = groupfeatures.GroupKey(
+        "L1", DateInterval(dt.date(2019, 1, 3), dt.date(2019, 1, 10)), ChangeType.DEACTIVATION
+    )
+    groupfeatures.features_to_csv(
+        [groupfeatures.GroupFeatureVector(key, 3, np.zeros(width))], "features.csv"
+    )
+    gbt.save_model(gbt.GbtModel(gbt.GbtConfig(), ("a", "b"), width), "model.json")
+    scaler = groupfeatures.FeatureScaler(
+        groupfeatures.FEATURE_NAMES, np.zeros(width), np.ones(width), np.zeros(width)
+    )
+    (tmp_path / "scaler.json").write_text(scaler.to_json(), encoding="utf-8")
+    capsys.readouterr()
+
+    command, name, corruption = MALFORMED[case]
+    path = tmp_path / name
+    if isinstance(corruption, bytes):
+        path.write_bytes(corruption)
+    elif isinstance(corruption, str):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        del payload[corruption]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+    else:
+        line, cell, replacement = corruption
+        lines = path.read_text(encoding="utf-8").split("\n")
+        cells = lines[line].split(",")
+        cells[cell] = replacement
+        lines[line] = ",".join(cells)
+        path.write_text("\n".join(lines), encoding="utf-8")
+    argv = {
+        "heatmap": ["--scores", "scores.csv", "--out", "heat.svg"],
+        "detect": ["--matrix", "matrix.csv", "--out", "out"],
+        "train": ["--features", "features.csv", "--out", "out"],
+        "predict": [
+            "--model", "model.json", "--scaler", "scaler.json",
+            "--features", "features.csv", "--out", "out",
+        ],
+    }[command]
+    assert run(command, *argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_labeled_pipeline_train_predict(tmp_path):

@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import tempfile
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import vrf_sentinel.detectors as det
 import vrf_sentinel.modmatrix as mm
+from vrf_sentinel.detectors.scoring import ScoreMatrix
 from vrf_sentinel.errors import DataError, FileParseError, VrfError
 from vrf_sentinel.records import ChangeRecord, ChangeType
 
@@ -214,6 +217,77 @@ def test_matrix_csv_round_trip_any_locale_text(locales, n_intervals):
     assert back.locales == matrix.locales
     assert np.array_equal(back.raw_counts, matrix.raw_counts)
     assert np.array_equal(back.populations, matrix.populations)
+
+
+# Score cells, and cell text that parses as a float: +-inf and NaN included.
+CELLS = st.floats(allow_nan=True, allow_infinity=True)
+CELL_TEXT = st.text() | CELLS.map(repr) | st.integers().map(str)
+
+
+def _corrupt(rows, data):
+    """Apply one corruption to the CSV rows of a grid file (header first)."""
+    kind = data.draw(st.sampled_from(["cell", "drop_cell", "drop_row", "drop_blank", "header"]))
+    full = [i for i, row in enumerate(rows) if row]
+    if kind == "cell":
+        row = rows[data.draw(st.sampled_from(full))]
+        row[data.draw(st.integers(0, len(row) - 1))] = data.draw(CELL_TEXT)
+    elif kind == "drop_cell":
+        row = rows[data.draw(st.sampled_from(full))]
+        del row[data.draw(st.integers(0, len(row) - 1))]
+    elif kind == "drop_row":
+        del rows[data.draw(st.integers(0, len(rows) - 1))]
+    elif kind == "drop_blank":
+        blanks = [i for i, row in enumerate(rows) if not row]
+        if blanks:
+            del rows[data.draw(st.sampled_from(blanks))]
+    else:
+        header = rows[0]
+        c = data.draw(st.integers(0, len(header)))
+        if c == 0:
+            name = data.draw(st.sampled_from(["address", "cl_std_5"]) | CSV_TEXT)
+            header[0] = f"{name}:{data.draw(st.integers())}"
+        else:
+            header[c:c + 1] = [data.draw(st.dates()).isoformat()]
+
+
+@given(
+    st.sampled_from(["matrix", "scores"]),
+    st.lists(CSV_TEXT, min_size=1, max_size=3),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_grid_reader_returns_grid_or_raises_vrf_error(kind, locales, n_intervals, data):
+    intervals = mm.build_intervals(D0, D0 + dt.timedelta(days=7 * (n_intervals - 1)), 7)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/grid.csv"
+        if kind == "matrix":
+            raw = np.array([[data.draw(st.integers(0, 1000)) for _ in intervals] for _ in locales])
+            pops = raw + data.draw(st.integers(1, 10**6))
+            values = mm.normalized_values(raw, pops, np.full(n_intervals, 7.0))
+            matrix = mm.ModificationMatrix(
+                ChangeType.ADDRESS, tuple(locales), intervals, values, raw, pops
+            )
+            mm.matrix_to_csv(matrix, path)
+            read = mm.csv_to_matrix
+        else:
+            grid = np.array([[data.draw(CELLS) for _ in intervals] for _ in locales])
+            scored = ScoreMatrix("cl_std_5", grid, tuple(locales), intervals, {"w": 2})
+            det.scores_to_csv(scored, path)
+            read = det.scores_from_csv
+        with open(path, newline="", encoding="utf-8") as fh:
+            params = fh.readline() if kind == "scores" else ""
+            rows = list(csv.reader(fh))
+        if kind == "scores" and data.draw(st.booleans()):
+            params = data.draw(st.text() | st.sampled_from(["{}", "[]", '{"method": "x"}'])) + "\n"
+        else:
+            _corrupt(rows, data)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(params)
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        try:
+            read(path)
+        except VrfError:
+            pass
 
 
 def test_matrix_csv_byte_identical(tmp_path):
