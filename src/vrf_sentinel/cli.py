@@ -15,7 +15,6 @@ The VRF_SENTINEL_LOG environment variable sets the log level.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime as dt
 import glob
 import itertools
@@ -35,6 +34,8 @@ logger = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
+
+LABEL_COLUMNS = ("locale", "interval_start", "change_type", "label")
 
 
 def _write_manifest(path: str, command: str, argv: list[str], **extras) -> None:
@@ -148,7 +149,7 @@ def cmd_synth(args: argparse.Namespace) -> dict:
         labeled = sorted(synthgen.scenario_labels(truth, ChangeType.DEACTIVATION))
         with open(os.path.join(outdir, "labels.csv"), "w", newline="", encoding="utf-8") as fh:
             writer = vrf_io.csv_writer(fh, (locale for locale, _, _ in labeled))
-            writer.writerow(["locale", "interval_start", "change_type", "label"])
+            writer.writerow(LABEL_COLUMNS)
             for locale, interval_index, label in labeled:
                 start = truth.interval(interval_index).start.isoformat()
                 writer.writerow([locale, start, ChangeType.DEACTIVATION.value, label])
@@ -233,9 +234,8 @@ def cmd_detect(args: argparse.Namespace) -> dict:
     if method in ("cl_std", "cl_iqr"):
         method = f"{method}_{2 * args.window + 1}"
     scored = detectors.score_with_method(matrix, method, seed=args.seed, **overrides)
-    ranked = detectors.rank_entries(scored)
     detectors.scores_to_csv(scored, os.path.join(args.out, f"scores_{method}.csv"))
-    detectors.ranked_to_csv(ranked, os.path.join(args.out, f"ranked_{method}.csv"))
+    detectors.ranked_to_csv(scored, os.path.join(args.out, f"ranked_{method}.csv"))
     plots.render_heatmap(
         scored.scores,
         scored.locales,
@@ -273,23 +273,12 @@ def _read_labels(path: str) -> dict:
     from .groupfeatures import EventLabel
 
     labels = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != ["locale", "interval_start", "change_type", "label"]:
-            raise VrfError(f"{path}: expected label header locale,interval_start,change_type,label")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 4:
-                raise FileParseError(
-                    f"{path}: line {reader.line_num}: expected 4 cells, got {len(row)}"
-                )
-            locale, start, change_type, label = row
-            try:
-                key = (locale, dt.date.fromisoformat(start), _change_type(change_type))
-                labels[key] = EventLabel(label)
-            except ValueError as exc:
-                raise FileParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    for number, (locale, start, change_type, label) in vrf_io.read_table(path, LABEL_COLUMNS):
+        try:
+            key = (locale, dt.date.fromisoformat(start), _change_type(change_type))
+            labels[key] = EventLabel(label)
+        except ValueError as exc:
+            raise FileParseError(f"{path}:{number}: {exc}") from None
     return labels
 
 
@@ -365,6 +354,8 @@ def cmd_predict(args: argparse.Namespace) -> dict:
     with open(args.scaler, encoding="utf-8") as fh:
         scaler = groupfeatures.FeatureScaler.from_json(fh.read())
     vectors = groupfeatures.features_from_csv(args.features)
+    if not vectors:
+        raise DataError(f"{args.features}: no feature rows to predict")
     matrix = scaler.apply(np.vstack([v.features for v in vectors]))
     probs = np.atleast_2d(gbt.predict_proba(model, matrix))
     with open(os.path.join(args.out, "predictions.csv"), "w", newline="", encoding="utf-8") as fh:

@@ -16,7 +16,7 @@ from typing import Any
 from ..errors import VrfError
 from ..modmatrix import ModificationMatrix
 from .nmf import DEFAULT_K, NmfResult, nmf_factorize, nmf_residual_scores
-from .ranking import RankedEntries, rank_entries, ranked_to_csv
+from .ranking import rank_entries, ranked_to_csv
 from .rpca import RpcaResult, default_lambda, rpca_decompose, rpca_scores
 from .scoring import (
     ScoreMatrix,
@@ -33,7 +33,6 @@ __all__ = [
     "DEFAULT_K",
     "METHOD_IDS",
     "NmfResult",
-    "RankedEntries",
     "RpcaResult",
     "ScoreMatrix",
     "cross_locale_scores",

@@ -74,12 +74,12 @@ def _score_matrix(
 
 def zscore(x: np.ndarray | float, mean, std) -> np.ndarray | float:
     """(x - mean) / std elementwise; where std is zero, 0 at or below the
-    mean and +inf above it. `mean` and `std` may be arrays that broadcast
-    against x."""
+    mean and +inf above it, and a quotient past the float range is ±inf.
+    `mean` and `std` may be arrays that broadcast against x."""
     if np.any(np.less(std, 0)):
         raise VrfError("std must be >= 0")
     diff = np.asarray(x, dtype=float) - mean
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # [()] gives a scalar back for scalar arguments
         return np.where(std == 0, np.where(diff <= 0, 0.0, math.inf), diff / std)[()]
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detectors import rank_entries, score_with_method
-from .detectors.ranking import RankedEntries
 from .errors import VrfError
 from .modmatrix import ModificationMatrix
 
@@ -54,20 +53,21 @@ def perturb(matrix: ModificationMatrix, cells: np.ndarray, gamma: float) -> Modi
     return matrix.with_values(values)
 
 
-def precision_at_k(ranked: RankedEntries, cells: np.ndarray, k: int) -> float:
-    """Share of the top k entries that are among the flat `cells`."""
+def precision_at_k(order: np.ndarray, cells: np.ndarray, k: int) -> float:
+    """Share of the top k entries of the ranking `order` (a permutation of
+    flat cells, best first) that are among the flat `cells`."""
     if k < 1:
         raise VrfError(f"k={k} must be at least 1")
-    if k > len(ranked):
-        raise VrfError(f"k={k} exceeds ranking length {len(ranked)}")
-    return int(np.count_nonzero(np.isin(ranked.order[:k], cells))) / k
+    if k > len(order):
+        raise VrfError(f"k={k} exceeds ranking length {len(order)}")
+    return int(np.count_nonzero(np.isin(order[:k], cells))) / k
 
 
-def average_rank(ranked: RankedEntries, cells: np.ndarray) -> float:
-    """Mean 1-based rank of the distinct flat `cells`."""
+def average_rank(order: np.ndarray, cells: np.ndarray) -> float:
+    """Mean 1-based rank in the ranking `order` of the distinct flat `cells`."""
     if len(cells) == 0:
         raise VrfError("truth set must be non-empty")
-    ranks = np.flatnonzero(np.isin(ranked.order, cells)) + 1
+    ranks = np.flatnonzero(np.isin(order, cells)) + 1
     if len(ranks) != len(cells):
         raise VrfError("truth cells must be distinct cells of the ranked grid")
     return int(ranks.sum()) / len(cells)

@@ -403,7 +403,7 @@ def load_model(path: str, expected_manifest: str = FEATURE_MANIFEST_VERSION) -> 
         )
     try:
         cfg = payload["config"]
-        return GbtModel(
+        model = GbtModel(
             config=GbtConfig(
                 n_estimators=cfg["n_estimators"],
                 max_depth=cfg["max_depth"],
@@ -419,3 +419,17 @@ def load_model(path: str, expected_manifest: str = FEATURE_MANIFEST_VERSION) -> 
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"{path}: malformed model ({exc!r})") from None
+    if len(model.classes) < 2:
+        raise ModelError(f"{path}: a model needs at least 2 classes, has {len(model.classes)}")
+    if any(len(round_trees) != len(model.classes) for round_trees in model.trees):
+        raise ModelError(f"{path}: every round needs one tree per class ({len(model.classes)})")
+    nodes = [tree for round_trees in model.trees for tree in round_trees]
+    while nodes:
+        node = nodes.pop()
+        if not node.is_leaf:
+            if not 0 <= node.feature < model.n_features:
+                raise ModelError(
+                    f"{path}: split feature {node.feature} outside [0, {model.n_features})"
+                )
+            nodes += (node.left, node.right)
+    return model

@@ -12,7 +12,6 @@ the vectors model-ready.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import enum
 import json
@@ -26,7 +25,7 @@ import numpy as np
 from .errors import DataError, FileParseError, VrfError
 from .modmatrix import DateInterval, _interval_of, build_intervals
 from .records import BallotKind, ChangeRecord, ChangeType, Snapshot, VoterRecord, normalize_text
-from .vrf_io import csv_writer
+from .vrf_io import csv_writer, read_table
 
 logger = logging.getLogger(__name__)
 
@@ -60,6 +59,9 @@ FEATURE_NAMES: tuple[str, ...] = (
     "provisional_votes",
     "absentee_votes",
     *(f"{ct.value}_changes_{span}" for ct in ChangeType for span in ("6mo", "all_time")),
+)
+FEATURE_CSV_COLUMNS = (
+    "locale", "interval_start", "change_type", "n_voters", *FEATURE_NAMES, "label",
 )
 
 
@@ -466,9 +468,7 @@ def features_to_csv(vectors: list[GroupFeatureVector], path: str) -> None:
         raise DataError("mixed interval widths in one feature file")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv_writer(fh, (v.key.locale for v in vectors))
-        writer.writerow(
-            ["locale", "interval_start", "change_type", "n_voters", *FEATURE_NAMES, "label"]
-        )
+        writer.writerow(FEATURE_CSV_COLUMNS)
         for v in vectors:
             writer.writerow(
                 [
@@ -511,30 +511,22 @@ def features_from_csv(path: str) -> list[GroupFeatureVector]:
         raise FileParseError(f"{path}: manifest feature order differs from schema")
 
     out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["locale", "interval_start", "change_type", "n_voters", *FEATURE_NAMES, "label"]
-        if header != expected:
-            raise FileParseError(f"{path}: unexpected feature CSV header")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(expected):
-                raise FileParseError(f"{path}:{lineno}: wrong column count")
-            try:
-                start = dt.date.fromisoformat(row[1])
-                key = GroupKey(
-                    locale=row[0],
-                    interval=DateInterval(start, start + dt.timedelta(days=interval_days)),
-                    change_type=ChangeType(row[2]),
+    for number, row in read_table(path, FEATURE_CSV_COLUMNS):
+        try:
+            start = dt.date.fromisoformat(row[1])
+            key = GroupKey(
+                locale=row[0],
+                interval=DateInterval(start, start + dt.timedelta(days=interval_days)),
+                change_type=ChangeType(row[2]),
+            )
+            out.append(
+                GroupFeatureVector(
+                    key=key,
+                    n_voters=int(row[3]),
+                    features=np.array([float(x) for x in row[4 : 4 + len(FEATURE_NAMES)]]),
+                    label=EventLabel(row[-1]) if row[-1] else None,
                 )
-                out.append(
-                    GroupFeatureVector(
-                        key=key,
-                        n_voters=int(row[3]),
-                        features=np.array([float(x) for x in row[4 : 4 + len(FEATURE_NAMES)]]),
-                        label=EventLabel(row[-1]) if row[-1] else None,
-                    )
-                )
-            except (ValueError, OverflowError) as exc:
-                raise FileParseError(f"{path}:{lineno}: {exc}") from None
+            )
+        except (ValueError, OverflowError) as exc:
+            raise FileParseError(f"{path}:{number}: {exc}") from None
     return out

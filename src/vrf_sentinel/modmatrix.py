@@ -44,9 +44,6 @@ class MatrixEntryRef:
     locale_index: int
     interval_index: int
 
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.locale_index, self.interval_index)
-
 
 @dataclass(frozen=True)
 class DateInterval:
@@ -321,17 +318,18 @@ def matrix_to_csv(matrix: ModificationMatrix, path: str) -> None:
 
 def csv_to_matrix(path: str) -> ModificationMatrix:
     with open(path, newline="", encoding="utf-8") as fh:
-        type_token, intervals, locales, (values, raw, pops) = read_grid(fh, path, 3)
+        type_token, intervals, locales, grids = read_grid(fh, path, 3)
     try:
         change_type = ChangeType(type_token)
     except ValueError:
         raise FileParseError(f"{path}: unknown change type {type_token!r} in the corner") from None
+    values, counts = grids[0], grids[1:]
     if np.any(values < 0):
         raise FileParseError(f"{path}: negative values in matrix body")
-    raw_int = raw.astype(np.int64)
-    pops_int = pops.astype(np.int64)
-    if np.any(raw_int != raw) or np.any(pops_int != pops):
-        raise FileParseError(f"{path}: raw_counts/populations must be integers")
+    # finite whole numbers within int64 only, so the cast is exact and silent
+    if not np.all((np.abs(counts) < 2.0**63) & (np.floor(counts) == counts)):
+        raise FileParseError(f"{path}: raw_counts/populations must be integers below 2^63")
+    raw_int, pops_int = counts.astype(np.int64)
 
     # Where the serialized value matches the normalization formula at the
     # written precision, restore the exact recomputed value.

@@ -88,19 +88,6 @@ class VoterRecord:
     def address_map(self) -> dict[str, str]:
         return dict(zip(ADDRESS_FIELDS, self.address))
 
-    def name_key(self) -> tuple[str, str, str]:
-        return (
-            normalize_text(self.first_name),
-            normalize_text(self.middle_name),
-            normalize_text(self.last_name),
-        )
-
-    def address_key(self) -> tuple[str, ...]:
-        return tuple(normalize_text(part) for part in self.address)
-
-    def party_key(self) -> str:
-        return normalize_text(self.party)
-
 
 @dataclass(frozen=True)
 class Snapshot:

@@ -9,9 +9,9 @@ import json
 import logging
 import re
 from collections import Counter
-from collections.abc import Collection, Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, TextIO
 
 from .errors import FileParseError, IntegrityError, SchemaError, VrfError
@@ -190,6 +190,29 @@ def csv_writer(fh: TextIO, texts: Iterable[str]) -> Any:
     return csv.writer(fh, lineterminator="\n", quoting=quoting)
 
 
+def read_table(path: str, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """The rows of a CSV artifact whose header is `columns`, each with its
+    record number (the header's is 1). Blank rows are skipped. A wrong
+    header, a row of another width, or text that csv or utf-8 cannot read
+    raises FileParseError naming `path`."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header != list(columns):
+                raise FileParseError(f"{path}: expected header {','.join(columns)}, got {header}")
+            for number, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(columns):
+                    raise FileParseError(
+                        f"{path}:{number}: expected {len(columns)} cells, got {len(row)}"
+                    )
+                yield number, row
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise FileParseError(f"{path}: unreadable CSV ({exc})") from None
+
+
 def format_vote_history(history: tuple[VoteEvent, ...]) -> str:
     return ";".join(
         f"{ev.election_id}|{ev.election_date.isoformat()}|{ev.kind.value}|{ev.party_ballot or ''}"
@@ -281,7 +304,10 @@ def parse_snapshot(
     with open(path, newline="", encoding="utf-8") as fh:
         feed = _LineFeed(fh)
         reader = csv.reader(feed, delimiter=schema.delimiter)
-        header = next(reader, None) or []
+        try:
+            header = next(reader, None) or []
+        except csv.Error as exc:
+            raise FileParseError(f"{path}:1: {exc}") from None
         for logical in REQUIRED_FIELDS:
             if schema.columns[logical] not in header:
                 raise SchemaError(
@@ -311,7 +337,10 @@ def parse_snapshot(
                 reused += 1
             else:
                 feed.line, feed.pulled = line, False
-                row = next(reader)  # csv yields a record for any line it is handed
+                try:  # csv yields a record for any line it is handed
+                    row = next(reader)
+                except csv.Error as exc:  # e.g. a stray quote running past the field limit
+                    raise FileParseError(f"{path}:{lineno}: {exc}") from None
                 if len(row) < width:
                     row += pad[len(row):]
                 row.append("")
@@ -433,12 +462,17 @@ _EXTENDED_TRANSITIONS = {
 }
 
 
-def _registration_deltas(rec: VoterRecord) -> tuple[FieldDelta, ...]:
-    deltas = [FieldDelta(f, "", getattr(rec, f)) for f in NAME_FIELDS]
-    deltas += [FieldDelta(f, "", v) for f, v in rec.address_map().items()]
-    deltas.append(FieldDelta("status", "", rec.status.value))
-    deltas.append(FieldDelta("party", "", rec.party))
-    return tuple(deltas)
+# The diffed field groups, in the order a registration lists its deltas:
+# (change type, field names, getter of a record's values for them). A group
+# changes when a field differs after trim and casefold. Status has no fixed
+# type: its transition types it, and a transition not in the table is no
+# change.
+_FIELD_GROUPS = (
+    (ChangeType.NAME, NAME_FIELDS, attrgetter(*NAME_FIELDS)),
+    (ChangeType.ADDRESS, ADDRESS_FIELDS, attrgetter("address")),
+    (None, ("status",), lambda rec: (rec.status.value,)),
+    (ChangeType.PARTY, ("party",), lambda rec: (rec.party,)),
+)
 
 
 def diff_snapshots(
@@ -461,90 +495,41 @@ def diff_snapshots(
     if not strict_status:
         transitions.update(_EXTENDED_TRANSITIONS)
 
-    dates = {"anterior_date": anterior.snapshot_date, "posterior_date": posterior.snapshot_date}
-    changes: list[ChangeRecord] = []
     ante, post = anterior.records, posterior.records
-
-    for voter_id, old in ante.items():
-        if voter_id not in post:
-            changes.append(
-                ChangeRecord(
-                    voter_id=voter_id,
-                    locale=old.locale,
-                    change_type=ChangeType.REMOVAL,
-                    **dates,
-                )
-            )
-
+    # (voter_id, locale, change type, field deltas) of each change
+    found: list[tuple[str, str, ChangeType, tuple[FieldDelta, ...]]] = [
+        (voter_id, old.locale, ChangeType.REMOVAL, ())
+        for voter_id, old in ante.items()
+        if voter_id not in post
+    ]
     for voter_id, new in post.items():
         old = ante.get(voter_id)
         if old is None:
-            changes.append(
-                ChangeRecord(
-                    voter_id=voter_id,
-                    locale=new.locale,
-                    change_type=ChangeType.REGISTRATION,
-                    field_deltas=_registration_deltas(new),
-                    **dates,
-                )
-            )
-            continue
-        if old is new or old == new:  # equal records have equal keys and status: no change
-            continue
-
-        if old.name_key() != new.name_key():
             deltas = tuple(
-                FieldDelta(f, getattr(old, f), getattr(new, f))
-                for f in NAME_FIELDS
-                if normalize_text(getattr(old, f)) != normalize_text(getattr(new, f))
+                FieldDelta(f, "", value)
+                for _, fields, values in _FIELD_GROUPS
+                for f, value in zip(fields, values(new))
             )
-            changes.append(
-                ChangeRecord(
-                    voter_id=voter_id,
-                    locale=new.locale,
-                    change_type=ChangeType.NAME,
-                    field_deltas=deltas,
-                    **dates,
-                )
-            )
-        if old.address_key() != new.address_key():
-            old_addr, new_addr = old.address_map(), new.address_map()
+            found.append((voter_id, new.locale, ChangeType.REGISTRATION, deltas))
+            continue
+        if old is new or old == new:  # equal records differ in no field
+            continue
+        for change_type, fields, values in _FIELD_GROUPS:
             deltas = tuple(
-                FieldDelta(f, old_addr[f], new_addr[f])
-                for f in ADDRESS_FIELDS
-                if normalize_text(old_addr[f]) != normalize_text(new_addr[f])
+                FieldDelta(f, a, b)
+                for f, a, b in zip(fields, values(old), values(new))
+                if normalize_text(a) != normalize_text(b)
             )
-            changes.append(
-                ChangeRecord(
-                    voter_id=voter_id,
-                    locale=new.locale,
-                    change_type=ChangeType.ADDRESS,
-                    field_deltas=deltas,
-                    **dates,
-                )
-            )
-        if old.party_key() != new.party_key():
-            changes.append(
-                ChangeRecord(
-                    voter_id=voter_id,
-                    locale=new.locale,
-                    change_type=ChangeType.PARTY,
-                    field_deltas=(FieldDelta("party", old.party, new.party),),
-                    **dates,
-                )
-            )
-        status_change = transitions.get((old.status, new.status))
-        if status_change is not None:
-            changes.append(
-                ChangeRecord(
-                    voter_id=voter_id,
-                    locale=new.locale,
-                    change_type=status_change,
-                    field_deltas=(FieldDelta("status", old.status.value, new.status.value),),
-                    **dates,
-                )
-            )
+            if deltas and change_type is None:
+                change_type = transitions.get((old.status, new.status))
+            if deltas and change_type is not None:
+                found.append((voter_id, new.locale, change_type, deltas))
 
+    changes = [
+        ChangeRecord(voter_id, locale, change_type, anterior.snapshot_date,
+                     posterior.snapshot_date, deltas)
+        for voter_id, locale, change_type, deltas in found
+    ]
     changes.sort(key=ChangeRecord.sort_key)
     return changes
 
@@ -581,37 +566,22 @@ def changes_to_csv(changes: list[ChangeRecord], path: str) -> None:
 
 
 def csv_to_changes(path: str) -> list[ChangeRecord]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != CHANGE_CSV_COLUMNS:
-            raise FileParseError(f"{path}: bad change-record header: {header}")
-        changes = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(CHANGE_CSV_COLUMNS):
-                raise FileParseError(
-                    f"{path}:{lineno}: expected {len(CHANGE_CSV_COLUMNS)} columns"
-                )
-            voter_id, locale, type_token, ante, post, deltas_json = row
-            try:
-                change_type = ChangeType(type_token)
-            except ValueError as exc:
-                raise FileParseError(
-                    f"{path}:{lineno}: unknown change_type token {type_token!r}"
-                ) from exc
-            try:
-                raw_deltas = json.loads(deltas_json)
-                deltas = tuple(FieldDelta(*d) for d in raw_deltas)
-            except (ValueError, TypeError) as exc:
-                raise FileParseError(f"{path}:{lineno}: bad field_deltas: {exc}") from exc
-            changes.append(
-                ChangeRecord(
-                    voter_id=voter_id,
-                    locale=locale,
-                    change_type=change_type,
-                    anterior_date=_parse_date(ante, f"{path}:{lineno}"),
-                    posterior_date=_parse_date(post, f"{path}:{lineno}"),
-                    field_deltas=deltas,
-                )
+    changes = []
+    for number, row in read_table(path, CHANGE_CSV_COLUMNS):
+        voter_id, locale, type_token, ante, post, deltas_json = row
+        where = f"{path}:{number}"
+        try:
+            change_type = ChangeType(type_token)
+        except ValueError:
+            raise FileParseError(f"{where}: unknown change_type token {type_token!r}") from None
+        try:
+            deltas = tuple(FieldDelta(*d) for d in json.loads(deltas_json))
+        except (ValueError, TypeError, RecursionError) as exc:
+            raise FileParseError(f"{where}: bad field_deltas: {exc}") from None
+        changes.append(
+            ChangeRecord(
+                voter_id, locale, change_type, _parse_date(ante, where),
+                _parse_date(post, where), deltas,
             )
-        return changes
+        )
+    return changes

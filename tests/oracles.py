@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from vrf_sentinel.errors import DataError
+from vrf_sentinel.modmatrix import MatrixEntryRef
 from vrf_sentinel.records import ADDRESS_FIELDS, ChangeType, Snapshot, VoterRecord, VoterStatus
 
 
@@ -107,7 +108,8 @@ def loop_pool_scores(values, pool, stat):
     diff = np.asarray(values, dtype=float) - center
     if spread == 0:
         return np.where(diff <= 0, 0.0, math.inf)
-    return diff / spread
+    with np.errstate(over="ignore"):  # a quotient past the float range is ±inf
+        return diff / spread
 
 
 def loop_temporal(values, stat):
@@ -220,14 +222,19 @@ def loop_best_split(x, g, h):
     return best
 
 
-def bf_precision_at_k(ranked, truth, k):
+def _refs(order, n_cols):
+    """The flat cells of a ranking as MatrixEntryRef, best first."""
+    return [MatrixEntryRef(*divmod(ix, n_cols)) for ix in order.tolist()]
+
+
+def bf_precision_at_k(order, n_cols, truth, k):
     """Share of the top k entries in `truth`, a set of MatrixEntryRef."""
-    return sum(1 for ref in ranked.top(k) if ref in truth) / k
+    return sum(1 for ref in _refs(order[:k], n_cols) if ref in truth) / k
 
 
-def bf_average_rank(ranked, truth):
+def bf_average_rank(order, n_cols, truth):
     """Mean 1-based rank of the MatrixEntryRef entries in `truth`."""
-    rank_of = {ref: rank for rank, ref in enumerate(ranked.top(len(ranked)), start=1)}
+    rank_of = {ref: rank for rank, ref in enumerate(_refs(order, n_cols), start=1)}
     return sum(rank_of[ref] for ref in truth) / len(truth)
 
 
@@ -295,8 +302,17 @@ def apply_changes(anterior, changes, posterior_date):
 
 
 def diff_projection(snapshot):
-    """Diff-visible view of a snapshot, for patch-oracle comparisons."""
+    """Diff-visible view of a snapshot, for patch-oracle comparisons: names,
+    address and party trimmed and case-folded, and the status."""
+    def fold(*texts):
+        return tuple(text.strip().casefold() for text in texts)
+
     return {
-        vid: (rec.name_key(), rec.address_key(), rec.party_key(), rec.status)
+        vid: (
+            fold(rec.first_name, rec.middle_name, rec.last_name),
+            fold(*rec.address),
+            fold(rec.party),
+            rec.status,
+        )
         for vid, rec in snapshot.records.items()
     }

@@ -73,15 +73,15 @@ def test_criterion_1_diff_patch_oracle():
 def test_criterion_2_ranking_arithmetic():
     total = 99 * 149
     values = np.arange(total, dtype=float).reshape(99, 149)[::-1]
-    ranked = det.rank_entries(det.global_scores(_as_matrix(values), "std"))
-    top4 = ranked.order[:4]
-    bottom4 = ranked.order[-4:]
-    best = ev.average_rank(ranked, top4)
-    worst = ev.average_rank(ranked, bottom4)
+    order = det.rank_entries(det.global_scores(_as_matrix(values), "std"))
+    top4 = order[:4]
+    bottom4 = order[-4:]
+    best = ev.average_rank(order, top4)
+    worst = ev.average_rank(order, bottom4)
     _report(
         2,
         "average rank exactly 2.5 (best) and 14749.5 (worst) of 14751",
-        best == 2.5 and worst == 14749.5 and len(ranked) == total,
+        best == 2.5 and worst == 14749.5 and len(order) == total,
         f"best={best} worst={worst}",
     )
 
@@ -121,11 +121,11 @@ def test_criterion_4_gamma_sweep_protocol():
     margin_nmf = results["nmf"].auc - results["global_std"].auc
 
     # gamma = 0 null calibration: fixed ranking, 100 fresh masks
-    ranked = det.rank_entries(det.global_scores(matrix, "std"))
+    order = det.rank_entries(det.global_scores(matrix, "std"))
     precisions = []
     for seed in range(100):
         cells = ev.perturbed_cells(matrix.shape, fraction=0.01, seed=seed)
-        precisions.append(ev.precision_at_k(ranked, cells, 20))
+        precisions.append(ev.precision_at_k(order, cells, 20))
     mean = float(np.mean(precisions))
     se = float(np.std(precisions)) / math.sqrt(len(precisions))
     null_ok = abs(mean - 0.01) <= 3.0 * se + 1e-9

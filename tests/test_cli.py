@@ -1,21 +1,24 @@
 import csv
 import datetime as dt
 import gc
+import io as stdio
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import vrf_sentinel
 from vrf_sentinel import cli, gbt, groupfeatures, vrf_io
-from vrf_sentinel.errors import FileParseError
+from vrf_sentinel.errors import FileParseError, VrfError
 from vrf_sentinel.groupfeatures import EventLabel
 from vrf_sentinel.modmatrix import DateInterval
-from vrf_sentinel.records import ChangeType
+from vrf_sentinel.records import ChangeRecord, ChangeType, FieldDelta
 
 
 def run(*argv):
@@ -557,6 +560,10 @@ MALFORMED = {
     "features-cell": ("train", "features.csv", (1, 4, "abc")),
     "features-not-utf8": ("train", "features.csv", b"\xff\xfe not utf-8\n"),
     "features-manifest": ("train", "features.csv.manifest.json", "features"),
+    "features-header-only": (
+        "predict", "features.csv", (",".join(groupfeatures.FEATURE_CSV_COLUMNS) + "\n").encode()
+    ),
+    "matrix-population-inf": ("detect", "matrix.csv", (-2, 1, "inf")),
     "model-config": ("predict", "model.json", "config"),
     "scaler-means": ("predict", "scaler.json", "means"),
 }
@@ -610,6 +617,95 @@ def test_malformed_artifact_exits_3(pipeline, tmp_path, monkeypatch, capsys, cas
     assert run(command, *argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_snapshot_stray_quote_exits_3(tmp_path, capsys):
+    """An unmatched quote makes csv read on past its field limit; the parse
+    names the record it starts in."""
+    path = tmp_path / "snapshot_2019-01-03.csv"
+    rows = "".join(f"V{i:05d},polk,active\n" for i in range(10_000))  # 170,000 characters
+    path.write_text('voter_id,locale,status\nV,"polk,active\n' + rows)
+    assert run("ingest", "--snapshot", str(path), "--out", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: ") and err.count("\n") == 1
+
+
+def _write_changes(path):
+    day, next_day = dt.date(2019, 1, 3), dt.date(2019, 1, 10)
+    vrf_io.changes_to_csv(
+        [
+            ChangeRecord("A1", "Polk é", ChangeType.ADDRESS, day, next_day,
+                         (FieldDelta("unit", "", "2b"),)),
+            ChangeRecord("A2", "Story", ChangeType.REMOVAL, day, next_day),
+        ],
+        path,
+    )
+
+
+def _write_features(path):
+    width = len(groupfeatures.FEATURE_NAMES)
+    interval = DateInterval(dt.date(2019, 1, 3), dt.date(2019, 1, 10))
+    groupfeatures.features_to_csv(
+        [
+            groupfeatures.GroupFeatureVector(
+                groupfeatures.GroupKey("Polk é", interval, ChangeType.DEACTIVATION),
+                3, np.linspace(0.0, 1.0, width), EventLabel.OTHER,
+            ),
+            groupfeatures.GroupFeatureVector(
+                groupfeatures.GroupKey("Story", interval, ChangeType.DEACTIVATION),
+                1, np.zeros(width),
+            ),
+        ],
+        path,
+    )
+
+
+def _write_labels(path):
+    rows = [["Polk é", "2019-01-03", "deactivation", "other"],
+            ["Story", "2019-01-10", "deactivation", EventLabel.NCOA_MAILINGS.value]]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = vrf_io.csv_writer(fh, (row[0] for row in rows))
+        writer.writerow(cli.LABEL_COLUMNS)
+        writer.writerows(rows)
+
+
+# table name -> (its writer, its reader)
+TABLES = {
+    "changes": (_write_changes, vrf_io.csv_to_changes),
+    "features": (_write_features, groupfeatures.features_from_csv),
+    "labels": (_write_labels, cli._read_labels),
+}
+
+
+@given(st.sampled_from(sorted(TABLES)), st.data())
+def test_table_reader_returns_or_raises_vrf_error(table, data):
+    """A written table, then truncated, with bytes inserted, or with one
+    cell replaced by any text, reads back or raises VrfError."""
+    write, read = TABLES[table]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/table.csv"
+        write(path)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        at = data.draw(st.integers(0, len(raw)))
+        kind = data.draw(st.sampled_from(["truncate", "insert", "cell"]))
+        if kind == "truncate":
+            raw = raw[:at]
+        elif kind == "insert":
+            raw = raw[:at] + data.draw(st.binary(min_size=1, max_size=8)) + raw[at:]
+        else:
+            rows = list(csv.reader(raw.decode("utf-8").splitlines()))
+            row = rows[data.draw(st.integers(0, len(rows) - 1))]
+            row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.text())
+            buffer = stdio.StringIO(newline="")
+            csv.writer(buffer, lineterminator="\n").writerows(rows)
+            raw = buffer.getvalue().encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            read(path)
+        except VrfError:
+            pass
 
 
 def test_labeled_pipeline_train_predict(tmp_path):

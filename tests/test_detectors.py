@@ -11,11 +11,7 @@ import vrf_sentinel.detectors as det
 import vrf_sentinel.evalharness as ev
 from vrf_sentinel.detectors.scoring import ScoreMatrix
 from vrf_sentinel.errors import VrfError
-from vrf_sentinel.modmatrix import (
-    MatrixEntryRef,
-    ModificationMatrix,
-    build_intervals,
-)
+from vrf_sentinel.modmatrix import ModificationMatrix, build_intervals
 from vrf_sentinel.records import ChangeType
 
 D0 = dt.date(2019, 1, 3)
@@ -185,16 +181,16 @@ def test_cross_locale_planted_spike_rank_one():
     rng = np.random.default_rng(3)
     values = rng.uniform(0.0, 0.3, size=(5, 9))
     values[2, 4] = 10.0 * 0.3
-    ranked = det.rank_entries(det.cross_locale_scores(as_matrix(values), "std", w=2))
-    assert ranked.top(1)[0] == MatrixEntryRef(2, 4)
+    order = det.rank_entries(det.cross_locale_scores(as_matrix(values), "std", w=2))
+    assert divmod(int(order[0]), 9) == (2, 4)
 
 
 def test_global_ranking_matches_raw_values():
     rng = np.random.default_rng(4)
     values = rng.uniform(0, 5, size=(6, 7))
     matrix = as_matrix(values)
-    ranked = det.rank_entries(det.global_scores(matrix, "std"))
-    got = [r.as_tuple() for r in ranked.top(len(ranked))]
+    order = det.rank_entries(det.global_scores(matrix, "std"))
+    got = [divmod(ix, 7) for ix in order.tolist()]
     raw = sorted(
         ((i, j) for i in range(6) for j in range(7)),
         key=lambda c: (-values[c], c[0], c[1]),
@@ -203,8 +199,8 @@ def test_global_ranking_matches_raw_values():
 
 
 def test_global_argmax_example():
-    ranked = det.rank_entries(det.global_scores(as_matrix([[1.0, 2.0], [3.0, 4.0]]), "std"))
-    assert ranked.top(1)[0] == MatrixEntryRef(1, 1)
+    order = det.rank_entries(det.global_scores(as_matrix([[1.0, 2.0], [3.0, 4.0]]), "std"))
+    assert divmod(int(order[0]), 2) == (1, 1)
 
 
 # --- ranking ---------------------------------------------------------------------
@@ -222,26 +218,26 @@ def scores_only(grid, source=None):
 
 
 def test_rank_entries_with_tie_rule():
-    ranked = det.rank_entries(scores_only([[1.0, 3.0], [2.0, 2.0]]))
-    assert [r.as_tuple() for r in ranked.top(len(ranked))] == [(0, 1), (1, 0), (1, 1), (0, 0)]
+    order = det.rank_entries(scores_only([[1.0, 3.0], [2.0, 2.0]]))
+    assert [divmod(ix, 2) for ix in order.tolist()] == [(0, 1), (1, 0), (1, 1), (0, 0)]
 
 
 def test_rank_entries_all_equal_index_order():
-    ranked = det.rank_entries(scores_only(np.zeros((2, 2))))
-    assert [r.as_tuple() for r in ranked.top(len(ranked))] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    order = det.rank_entries(scores_only(np.zeros((2, 2))))
+    assert [divmod(ix, 2) for ix in order.tolist()] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_rank_entries_sentinel_first():
     grid = [[1.0, math.inf], [5.0, 2.0]]
-    ranked = det.rank_entries(scores_only(grid))
-    assert ranked.top(1)[0] == MatrixEntryRef(0, 1)
+    order = det.rank_entries(scores_only(grid))
+    assert divmod(int(order[0]), 2) == (0, 1)
 
 
 def test_rank_entries_sentinel_ties_by_raw_value():
     grid = [[math.inf, math.inf], [0.0, 0.0]]
     source = [[1.0, 9.0], [0.0, 0.0]]
-    ranked = det.rank_entries(scores_only(grid, source))
-    assert [r.as_tuple() for r in ranked.top(2)] == [(0, 1), (0, 0)]
+    order = det.rank_entries(scores_only(grid, source))
+    assert [divmod(ix, 2) for ix in order[:2].tolist()] == [(0, 1), (0, 0)]
 
 
 # few distinct values, so ties, signed zeros and both infinities are common
@@ -260,15 +256,15 @@ def rank_grids(draw):
 @given(rank_grids())
 def test_rank_entries_matches_brute_force(grids):
     scores, source = grids
-    ranked = det.rank_entries(scores_only(scores, source))
-    assert ranked.order.tolist() == oracles.bf_rank(scores, source)
-    ranks = [ev.average_rank(ranked, np.array([cell])) for cell in ranked.order]
-    assert ranks == list(range(1, len(ranked) + 1))
+    order = det.rank_entries(scores_only(scores, source))
+    assert order.tolist() == oracles.bf_rank(scores, source)
+    ranks = [ev.average_rank(order, np.array([cell])) for cell in order]
+    assert ranks == list(range(1, len(order) + 1))
 
 
 def test_rank_length_covers_matrix():
-    ranked = det.rank_entries(scores_only(np.zeros((3, 5))))
-    assert len(ranked) == 15
+    order = det.rank_entries(scores_only(np.zeros((3, 5))))
+    assert len(order) == 15
 
 
 # --- registry ---------------------------------------------------------------------

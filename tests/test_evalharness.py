@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 import oracles
 import vrf_sentinel.evalharness as ev
 from vrf_sentinel.detectors import global_scores, rank_entries
-from vrf_sentinel.detectors.ranking import RankedEntries
 from vrf_sentinel.detectors.scoring import ScoreMatrix
 from vrf_sentinel.errors import VrfError
 from vrf_sentinel.modmatrix import MatrixEntryRef, ModificationMatrix, build_intervals
@@ -31,19 +30,10 @@ def as_matrix(values):
 
 
 def ranking_of(cells):
-    """RankedEntries straight from an explicit order of every cell of a grid."""
-    n_rows = 1 + max(i for i, _ in cells)
+    """A ranking (flat cell indices, best first) straight from an explicit
+    order of every cell of a grid."""
     n_cols = 1 + max(j for _, j in cells)
-    order = np.array([i * n_cols + j for i, j in cells])
-    scores = np.empty(len(cells))
-    scores[order] = -np.arange(len(cells), dtype=float)
-    return RankedEntries(
-        method="fixed",
-        order=order,
-        scores=scores,
-        locales=tuple(f"L{i}" for i in range(n_rows)),
-        interval_starts=("2019-01-03",) * n_cols,
-    )
+    return np.array([i * n_cols + j for i, j in cells])
 
 
 # --- perturbation ----------------------------------------------------------------
@@ -126,9 +116,9 @@ def test_average_rank_worst_case_14751():
     # full-size ranking: truth at the very bottom of 99 * 149 entries
     values = np.arange(99 * 149, dtype=float).reshape(99, 149)[::-1]
     matrix = as_matrix(values)
-    ranked = rank_entries(global_scores(matrix, "std"))
-    bottom = ranked.order[-4:]
-    assert ev.average_rank(ranked, bottom) == 14749.5
+    order = rank_entries(global_scores(matrix, "std"))
+    bottom = order[-4:]
+    assert ev.average_rank(order, bottom) == 14749.5
 
 
 def test_average_rank_single_top():
@@ -161,7 +151,7 @@ def grids_and_cells(draw, values):
 def test_flat_cell_metrics_match_brute_force(case):
     scores, source, cells = case
     n_rows, n_cols = scores.shape
-    ranked = rank_entries(ScoreMatrix(
+    order = rank_entries(ScoreMatrix(
         method="test",
         scores=scores,
         locales=tuple(f"L{i}" for i in range(n_rows)),
@@ -169,9 +159,10 @@ def test_flat_cell_metrics_match_brute_force(case):
         source_values=source,
     ))
     truth = {MatrixEntryRef(*divmod(cell, n_cols)) for cell in cells.tolist()}
-    for k in range(1, len(ranked) + 1):
-        assert ev.precision_at_k(ranked, cells, k) == oracles.bf_precision_at_k(ranked, truth, k)
-    assert ev.average_rank(ranked, cells) == oracles.bf_average_rank(ranked, truth)
+    for k in range(1, len(order) + 1):
+        got = ev.precision_at_k(order, cells, k)
+        assert got == oracles.bf_precision_at_k(order, n_cols, truth, k)
+    assert ev.average_rank(order, cells) == oracles.bf_average_rank(order, n_cols, truth)
 
 
 @given(grids_and_cells(st.floats(0.0, 1e9)), st.floats(0.0, 1e9))
@@ -280,10 +271,10 @@ def test_average_rank_bounds_property():
     total = n_rows * n_cols
     for _ in range(20):
         values = rng.uniform(0, 1, size=(n_rows, n_cols))
-        ranked = rank_entries(global_scores(_matrix_for_bounds(values), "std"))
+        order = rank_entries(global_scores(_matrix_for_bounds(values), "std"))
         t = int(rng.integers(1, 6))
-        truth = rng.choice(len(ranked), size=t, replace=False)
-        got = ev.average_rank(ranked, ranked.order[truth])
+        truth = rng.choice(len(order), size=t, replace=False)
+        got = ev.average_rank(order, order[truth])
         assert (t + 1) / 2 <= got <= total - (t - 1) / 2
 
 

@@ -1,4 +1,5 @@
 import collections
+import json
 
 import numpy as np
 import pytest
@@ -233,6 +234,41 @@ def test_manifest_version_mismatch_is_explicit(tmp_path):
     path = tmp_path / "model.json"
     gbt.save_model(model, str(path))
     with pytest.raises(ModelError, match="gfv999"):
+        gbt.load_model(str(path))
+
+
+def saved_payload(tmp_path):
+    """A trained two-class model's file and its JSON payload."""
+    x, y = separable_toy()
+    path = tmp_path / "model.json"
+    gbt.save_model(gbt.train(x, y, gbt.GbtConfig(n_estimators=2)), str(path))
+    return path, json.loads(path.read_text())
+
+
+def test_model_with_fewer_than_two_classes_is_load_error(tmp_path):
+    path, payload = saved_payload(tmp_path)
+    payload["classes"] = []
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelError, match="at least 2 classes"):
+        gbt.load_model(str(path))
+
+
+def test_model_round_without_one_tree_per_class_is_load_error(tmp_path):
+    path, payload = saved_payload(tmp_path)
+    payload["trees"][-1] = payload["trees"][-1][:1]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelError, match="one tree per class"):
+        gbt.load_model(str(path))
+
+
+@pytest.mark.parametrize("feature", [999, 2, -1])
+def test_model_split_on_unknown_feature_is_load_error(tmp_path, feature):
+    path, payload = saved_payload(tmp_path)
+    root = payload["trees"][0][0]
+    assert "f" in root  # separable data: the first tree splits
+    root["f"] = feature
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelError, match=f"split feature {feature} outside"):
         gbt.load_model(str(path))
 
 

@@ -1,6 +1,7 @@
 import csv
 import datetime as dt
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -328,6 +329,24 @@ def test_csv_negative_value_rejected(tmp_path):
     path.write_text("\n".join(text))
     with pytest.raises(FileParseError, match="negative"):
         mm.csv_to_matrix(str(path))
+
+
+@pytest.mark.parametrize("cell", ["inf", "nan", "1e19", "2.5"])
+def test_csv_counts_must_be_int64_whole_numbers(tmp_path, cell):
+    """A population that is not a whole number below 2^63 is a parse error,
+    raised before the int64 cast could warn."""
+    matrix = build_example_matrix()
+    path = tmp_path / "matrix.csv"
+    mm.matrix_to_csv(matrix, str(path))
+    lines = path.read_text().split("\n")
+    cells = lines[-2].split(",")  # the last populations row
+    cells[1] = cell
+    lines[-2] = ",".join(cells)
+    path.write_text("\n".join(lines))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(FileParseError, match="integers"):
+            mm.csv_to_matrix(str(path))
 
 
 def test_csv_dimension_mismatch(tmp_path):

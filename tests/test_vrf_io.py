@@ -398,6 +398,16 @@ def test_changes_csv_unknown_type(tmp_path):
         io.csv_to_changes(str(path))
 
 
+def test_changes_csv_deeply_nested_deltas(tmp_path):
+    path = tmp_path / "changes.csv"
+    nested = "[" * 10_000 + "]" * 10_000
+    path.write_text(
+        ",".join(io.CHANGE_CSV_COLUMNS) + f"\nA1,polk,address,2019-01-03,2019-01-10,{nested}\n"
+    )
+    with pytest.raises(FileParseError, match="field_deltas"):
+        io.csv_to_changes(str(path))
+
+
 def test_changes_csv_byte_identical(tmp_path):
     config = sg.snapshot_pair_config(seed=2, n_voters=500)
     (s0, s1), _ = sg.generate_scenario(config)
