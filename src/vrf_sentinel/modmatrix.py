@@ -330,6 +330,9 @@ def csv_to_matrix(path: str) -> ModificationMatrix:
     if not np.all((np.abs(counts) < 2.0**63) & (np.floor(counts) == counts)):
         raise FileParseError(f"{path}: raw_counts/populations must be integers below 2^63")
     raw_int, pops_int = counts.astype(np.int64)
+    # the rule ModificationMatrix applies, checked before the division below
+    if np.any(pops_int < 1):
+        raise FileParseError(f"{path}: populations must be >= 1")
 
     # Where the serialized value matches the normalization formula at the
     # written precision, restore the exact recomputed value.

@@ -462,17 +462,18 @@ _EXTENDED_TRANSITIONS = {
 }
 
 
-# The diffed field groups, in the order a registration lists its deltas:
-# (change type, field names, getter of a record's values for them). A group
-# changes when a field differs after trim and casefold. Status has no fixed
-# type: its transition types it, and a transition not in the table is no
-# change.
-_FIELD_GROUPS = (
+# Every diffed field group, in the order a registration lists its deltas:
+# (change type, field names, getter of a record's values for them). Status
+# has no fixed type: its transition types it.
+_REGISTRATION_GROUPS = (
     (ChangeType.NAME, NAME_FIELDS, attrgetter(*NAME_FIELDS)),
     (ChangeType.ADDRESS, ADDRESS_FIELDS, attrgetter("address")),
     (None, ("status",), lambda rec: (rec.status.value,)),
     (ChangeType.PARTY, ("party",), lambda rec: (rec.party,)),
 )
+# The groups of a fixed type; one changes when a field differs after trim
+# and casefold.
+_FIELD_GROUPS = tuple(group for group in _REGISTRATION_GROUPS if group[0] is not None)
 
 
 def diff_snapshots(
@@ -495,22 +496,25 @@ def diff_snapshots(
     if not strict_status:
         transitions.update(_EXTENDED_TRANSITIONS)
 
+    changes: list[ChangeRecord] = []
+
+    def record(voter_id: str, locale: str, change_type: ChangeType,
+               deltas: tuple[FieldDelta, ...] = ()) -> None:
+        changes.append(ChangeRecord(voter_id, locale, change_type, anterior.snapshot_date,
+                                    posterior.snapshot_date, deltas))
+
     ante, post = anterior.records, posterior.records
-    # (voter_id, locale, change type, field deltas) of each change
-    found: list[tuple[str, str, ChangeType, tuple[FieldDelta, ...]]] = [
-        (voter_id, old.locale, ChangeType.REMOVAL, ())
-        for voter_id, old in ante.items()
-        if voter_id not in post
-    ]
+    for voter_id, old in ante.items():
+        if voter_id not in post:
+            record(voter_id, old.locale, ChangeType.REMOVAL)
     for voter_id, new in post.items():
         old = ante.get(voter_id)
         if old is None:
-            deltas = tuple(
+            record(voter_id, new.locale, ChangeType.REGISTRATION, tuple(
                 FieldDelta(f, "", value)
-                for _, fields, values in _FIELD_GROUPS
+                for _, fields, values in _REGISTRATION_GROUPS
                 for f, value in zip(fields, values(new))
-            )
-            found.append((voter_id, new.locale, ChangeType.REGISTRATION, deltas))
+            ))
             continue
         if old is new or old == new:  # equal records differ in no field
             continue
@@ -520,16 +524,13 @@ def diff_snapshots(
                 for f, a, b in zip(fields, values(old), values(new))
                 if normalize_text(a) != normalize_text(b)
             )
-            if deltas and change_type is None:
-                change_type = transitions.get((old.status, new.status))
-            if deltas and change_type is not None:
-                found.append((voter_id, new.locale, change_type, deltas))
+            if deltas:
+                record(voter_id, new.locale, change_type, deltas)
+        status_change = transitions.get((old.status, new.status))
+        if status_change is not None:
+            record(voter_id, new.locale, status_change,
+                   (FieldDelta("status", old.status.value, new.status.value),))
 
-    changes = [
-        ChangeRecord(voter_id, locale, change_type, anterior.snapshot_date,
-                     posterior.snapshot_date, deltas)
-        for voter_id, locale, change_type, deltas in found
-    ]
     changes.sort(key=ChangeRecord.sort_key)
     return changes
 

@@ -349,6 +349,24 @@ def test_csv_counts_must_be_int64_whole_numbers(tmp_path, cell):
             mm.csv_to_matrix(str(path))
 
 
+@pytest.mark.parametrize("cell", ["0", "-1"])
+def test_csv_populations_must_be_positive(tmp_path, cell):
+    """A population below 1 is a parse error, raised before the
+    normalization could divide by it."""
+    matrix = build_example_matrix()
+    path = tmp_path / "matrix.csv"
+    mm.matrix_to_csv(matrix, str(path))
+    lines = path.read_text().split("\n")
+    cells = lines[-2].split(",")  # the last populations row
+    cells[1] = cell
+    lines[-2] = ",".join(cells)
+    path.write_text("\n".join(lines))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(FileParseError, match="populations must be >= 1"):
+            mm.csv_to_matrix(str(path))
+
+
 def test_csv_dimension_mismatch(tmp_path):
     matrix = build_example_matrix()
     path = tmp_path / "matrix.csv"
