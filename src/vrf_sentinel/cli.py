@@ -234,20 +234,23 @@ def cmd_detect(args: argparse.Namespace) -> dict:
     if method in ("cl_std", "cl_iqr"):
         method = f"{method}_{2 * args.window + 1}"
     scored = detectors.score_with_method(matrix, method, seed=args.seed, **overrides)
-    detectors.scores_to_csv(scored, os.path.join(args.out, f"scores_{method}.csv"))
-    detectors.ranked_to_csv(scored, os.path.join(args.out, f"ranked_{method}.csv"))
+    names = (f"scores_{method}.csv", f"ranked_{method}.csv", f"scores_{method}.svg")
+    scores_path, ranked_path, svg_path = (os.path.join(args.out, name) for name in names)
+    detectors.scores_to_csv(scored, scores_path)
+    detectors.ranked_to_csv(scored, ranked_path)
     plots.render_heatmap(
         scored.scores,
         scored.locales,
         [iv.start.isoformat() for iv in scored.intervals],
-        os.path.join(args.out, f"scores_{method}.svg"),
+        svg_path,
         title=f"{method} scores ({matrix.change_type.value})",
     )
     converged = bool(scored.params.get("converged", True))
     if not converged:
         logger.warning("detector %s did not converge; see params in scores CSV", method)
     traces = {k: v for k, v in scored.params.items() if k in ("iterations", "residual")}
-    return {"converged": converged, **traces}
+    sizes = {name: os.path.getsize(os.path.join(args.out, name)) for name in names}
+    return {"converged": converged, **traces, "output_bytes": sizes}
 
 
 def cmd_evaluate(args: argparse.Namespace) -> dict:
@@ -400,7 +403,7 @@ def cmd_heatmap(args: argparse.Namespace) -> dict:
         cols = [iv.start.isoformat() for iv in matrix.intervals]
         title = f"{matrix.change_type.value} changes/day/1000"
     plots.render_heatmap(grid, rows, cols, args.out, title=title, highlight=args.highlight)
-    return {}
+    return {"output_bytes": {os.path.basename(args.out): os.path.getsize(args.out)}}
 
 
 def _replayed_argv(manifest_path: str, out: str | None) -> list[str]:
@@ -408,7 +411,7 @@ def _replayed_argv(manifest_path: str, out: str | None) -> list[str]:
     with open(manifest_path, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise DataError(f"{manifest_path}: not a JSON manifest ({exc})") from None
     stored = manifest.get("argv") if isinstance(manifest, dict) else None
     if not isinstance(stored, list) or not all(isinstance(t, str) for t in stored):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..vrf_io import csv_writer
+from ..vrf_io import csv_cells, csv_writer
 from .scoring import ScoreMatrix
 
 
@@ -27,16 +27,23 @@ def rank_entries(score_matrix: ScoreMatrix) -> np.ndarray:
 
 
 def ranked_to_csv(score_matrix: ScoreMatrix, path: str) -> None:
-    """Rank the entries and write one row per cell, best first."""
+    """Rank the entries and write one row per cell, best first, joining
+    the rows of one grid row's worth of ranks per write."""
     order = rank_entries(score_matrix)
-    locales = score_matrix.locales
     starts = [iv.start.isoformat() for iv in score_matrix.intervals]
     rows, cols = np.divmod(order, len(starts))
-    cells = zip(rows.tolist(), cols.tolist(), score_matrix.scores.ravel()[order].tolist())
+    scores = score_matrix.scores.ravel()[order]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv_writer(fh, locales)
+        writer = csv_writer(fh, score_matrix.locales)
         writer.writerow(["rank", "locale", "interval_start", "score"])
-        writer.writerows(
-            [rank, locales[i], starts[j], repr(score)]
-            for rank, (i, j, score) in enumerate(cells, start=1)
-        )
+        locales, sep, quote = csv_cells(writer, score_matrix.locales)
+        line_break = f"{quote}\n{quote}"
+        for lo in range(0, len(order), len(starts)):
+            hi = lo + len(starts)
+            lines = map(sep.join, zip(
+                map(str, range(lo + 1, hi + 1)),
+                map(locales.__getitem__, rows[lo:hi].tolist()),
+                map(starts.__getitem__, cols[lo:hi].tolist()),
+                map(float.__repr__, scores[lo:hi].tolist()),
+            ))
+            fh.write(f"{quote}{line_break.join(lines)}{quote}\n")

@@ -161,7 +161,7 @@ def scores_to_csv(score_matrix: ScoreMatrix, path: str) -> None:
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
         write_grid(
             fh, score_matrix.method, score_matrix.intervals, score_matrix.locales,
-            [((repr(float(v)) for v in row) for row in score_matrix.scores)],
+            [(map(float.__repr__, row.tolist()) for row in score_matrix.scores)],
         )
 
 
@@ -170,7 +170,7 @@ def scores_from_csv(path: str) -> ScoreMatrix:
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             meta = json.loads(fh.readline())
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise FileParseError(f"{path}: first line is not JSON ({exc})") from None
         if not isinstance(meta, dict) or not {"method", "params"} <= meta.keys():
             raise FileParseError(f"{path}: params line needs an object with method and params")

@@ -387,7 +387,7 @@ def load_model(path: str, expected_manifest: str = FEATURE_MANIFEST_VERSION) -> 
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ModelError(f"cannot load model from {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ModelError(f"{path}: a model file holds one JSON object")
@@ -417,7 +417,7 @@ def load_model(path: str, expected_manifest: str = FEATURE_MANIFEST_VERSION) -> 
             train_loss=[float(v) for v in payload["train_loss"]],
             feature_manifest_version=payload["feature_manifest_version"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # recursion: a deep tree
         raise ModelError(f"{path}: malformed model ({exc!r})") from None
     if len(model.classes) < 2:
         raise ModelError(f"{path}: a model needs at least 2 classes, has {len(model.classes)}")

@@ -360,7 +360,7 @@ class FeatureScaler:
             if any(len(column) != len(names) for column in columns):
                 raise ValueError("means, stds and medians must match feature_names in length")
             return cls(names, *columns, version=raw["version"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise FileParseError(f"malformed scaler JSON ({exc!r})") from None
 
 
@@ -500,7 +500,7 @@ def features_from_csv(path: str) -> list[GroupFeatureVector]:
             manifest = json.load(fh)
         version, features = manifest["version"], tuple(manifest["features"])
         interval_days = int(manifest["interval_days"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise FileParseError(f"{path}: malformed feature manifest ({exc!r})") from None
     if version != FEATURE_MANIFEST_VERSION:
         raise FileParseError(

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DataError, FileParseError, VrfError
 from .records import ChangeRecord, ChangeType
-from .vrf_io import csv_writer
+from .vrf_io import csv_cells, csv_writer
 
 logger = logging.getLogger(__name__)
 
@@ -239,14 +239,17 @@ def write_grid(
     blocks: Iterable[Iterable[Iterable[str]]],
 ) -> None:
     """Write the grid layout (see the module docstring). Each block yields
-    one row of cell text per locale; `corner` is the name before `:<days>`."""
+    one row of plain cell text (numbers) per locale; `corner` is the name
+    before `:<days>`. Each row is joined as one line beside the locale's
+    cell text from `csv_cells`."""
     writer = csv_writer(fh, locales)
     writer.writerow([f"{corner}:{intervals[0].days}"] + [iv.start.isoformat() for iv in intervals])
+    cells, sep, quote = csv_cells(writer, locales)
     for b, block in enumerate(blocks):
         if b:
             writer.writerow([])
-        for locale, cells in zip(locales, block):
-            writer.writerow([locale, *cells])
+        for cell, row in zip(cells, block):
+            fh.write(f"{quote}{cell}{sep}{sep.join(row)}{quote}\n")
 
 
 def read_grid(
@@ -296,7 +299,7 @@ def read_grid(
                     f"expected {len(intervals)}"
                 )
             try:
-                grids[b, i] = [float(c) for c in row[1:]]
+                grids[b, i] = list(map(float, row[1:]))
             except ValueError as exc:
                 raise FileParseError(f"{path}: block {b} row {i}: {exc}") from None
     return name, intervals, tuple(locales), grids
@@ -309,9 +312,9 @@ def matrix_to_csv(matrix: ModificationMatrix, path: str) -> None:
         write_grid(
             fh, matrix.change_type.value, matrix.intervals, matrix.locales,
             [
-                ((FLOAT_FORMAT % v for v in row) for row in matrix.values),
-                ((str(int(v)) for v in row) for row in matrix.raw_counts),
-                ((str(int(v)) for v in row) for row in matrix.populations),
+                (map(FLOAT_FORMAT.__mod__, row.tolist()) for row in matrix.values),
+                (map(str, row.tolist()) for row in matrix.raw_counts),
+                (map(str, row.tolist()) for row in matrix.populations),
             ],
         )
 
@@ -339,7 +342,7 @@ def csv_to_matrix(path: str) -> ModificationMatrix:
     days_arr = np.array([iv.days for iv in intervals], dtype=float)
     exact = normalized_values(raw_int, pops_int, days_arr)
     rounded_exact = np.array(
-        [[float(FLOAT_FORMAT % v) for v in row] for row in exact]
+        [list(map(float, map(FLOAT_FORMAT.__mod__, row))) for row in exact.tolist()]
     )
     values = np.where(values == rounded_exact, exact, values)
 

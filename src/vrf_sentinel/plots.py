@@ -1,13 +1,16 @@
 """Dependency-free SVG rendering: matrix heatmaps and sweep line plots.
 
 SVG keeps the artifacts diffable and timestamp-free, so reruns are
-byte-identical.
+byte-identical. Titles, row labels and method names are XML-escaped, so
+any locale text gives a well-formed file; plain text keeps its bytes. A
+heatmap colours the whole grid in one numpy pass and is written a grid
+row at a time, so the file is never held in memory whole.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -24,13 +27,20 @@ _LINE_COLORS = (
 )
 
 
-def _color(t: float) -> str:
-    """Linear dark-blue to yellow ramp for t in [0, 1]."""
-    t = min(1.0, max(0.0, t))
-    r = int(20 + 235 * t)
-    g = int(24 + 210 * t)
-    b = int(96 + (40 - 96) * t)
-    return f"#{r:02x}{g:02x}{b:02x}"
+def _ramp(t: np.ndarray) -> np.ndarray:
+    """Linear dark-blue to yellow ramp: a 0xRRGGBB code per t, with t
+    clamped to [0, 1] and NaN taken as 0."""
+    t = np.fmin(np.fmax(t, 0.0), 1.0)  # fmax drops a NaN, as max(0.0, nan) does
+    r = (20 + 235 * t).astype(np.int64)
+    g = (24 + 210 * t).astype(np.int64)
+    b = (96 + (40 - 96) * t).astype(np.int64)
+    return r << 16 | g << 8 | b
+
+
+def _text(text: str) -> str:
+    """`text` as SVG character data; a carriage return is kept as a
+    reference, which an XML reader would otherwise turn into a newline."""
+    return escape(text, {"\r": "&#13;"})
 
 
 def render_heatmap(
@@ -42,7 +52,9 @@ def render_heatmap(
     highlight: set[tuple[int, int]] | None = None,
 ) -> None:
     """Write a heatmap SVG: rows = locales, columns = intervals, linear
-    color scale with min/max in the legend, highlighted cells outlined."""
+    color scale with min/max in the legend, highlighted cells outlined.
+    ±inf cells get an out-of-ramp color; a constant grid is drawn at the
+    ramp's middle."""
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise VrfError("cannot render an empty matrix")
@@ -51,65 +63,71 @@ def render_heatmap(
     n_rows, n_cols = grid.shape
     if len(rows) != n_rows or len(cols) != n_cols:
         raise VrfError("label counts do not match grid shape")
-    highlight = highlight or set()
+    highlight = sorted(highlight or ())
+    for i, j in highlight:
+        if not (0 <= i < n_rows and 0 <= j < n_cols):
+            raise VrfError(f"highlight cell {i},{j} is outside the {n_rows}x{n_cols} grid")
 
     finite = grid[np.isfinite(grid)]
     lo = float(finite.min()) if finite.size else 0.0
     hi = float(finite.max()) if finite.size else 0.0
     span = hi - lo
 
+    if span > 0:
+        # a cell far from lo overflows to inf, and inf / inf is nan: the ramp clamps both
+        with np.errstate(over="ignore", invalid="ignore"):
+            codes = _ramp((grid - lo) / span)
+    else:
+        codes = _ramp(np.full(grid.shape, 0.5))
+    codes[np.isinf(grid)] = 0xFF00FF
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    fills = np.array([f'#{code:06x}"/>\n' for code in distinct.tolist()], dtype=object)
+    fills = fills[inverse.reshape(grid.shape)]
+    # one rect line per cell: x prefix, then y and size, then fill
+    cells: list[str] = [""] * (3 * n_cols)
+    cells[0::3] = [f'<rect x="{_LEFT_GUTTER + j * _CELL}" y="' for j in range(n_cols)]
+
     width = _LEFT_GUTTER + n_cols * _CELL + 10
     height = _TOP_GUTTER + n_rows * _CELL + _LEGEND_H
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{_LEFT_GUTTER}" y="14" font-size="11" font-family="monospace">{title}</text>',
-    ]
-    for i in range(n_rows):
-        y = _TOP_GUTTER + i * _CELL
-        if n_rows <= 40 or i % max(1, n_rows // 20) == 0:
-            parts.append(
-                f'<text x="2" y="{y + _CELL - 1}" font-size="5" '
-                f'font-family="monospace">{rows[i]}</text>'
-            )
-        for j in range(n_cols):
-            v = grid[i, j]
-            if math.isinf(v):
-                fill = "#ff00ff"  # sentinel scores get an out-of-ramp color
-            else:
-                fill = _color((v - lo) / span) if span > 0 else _color(0.5)
-            x = _LEFT_GUTTER + j * _CELL
-            parts.append(
-                f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" fill="{fill}"/>'
-            )
-    for i, j in sorted(highlight):
-        if not (0 <= i < n_rows and 0 <= j < n_cols):
-            raise VrfError(f"highlight cell {i},{j} is outside the {n_rows}x{n_cols} grid")
-        x = _LEFT_GUTTER + j * _CELL
-        y = _TOP_GUTTER + i * _CELL
-        parts.append(
-            f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" fill="none" '
-            f'stroke="white" stroke-width="1.5" class="highlight"/>'
-        )
-
-    legend_y = _TOP_GUTTER + n_rows * _CELL + 12
-    for step in range(21):
-        parts.append(
-            f'<rect x="{_LEFT_GUTTER + step * 8}" y="{legend_y}" width="8" height="8" '
-            f'fill="{_color(step / 20)}"/>'
-        )
-    if span > 0:
-        scale_note = f"min={lo:.6g} max={hi:.6g}"
-    else:
-        scale_note = f"min=max={lo:.6g} (constant)"
-    parts.append(
-        f'<text x="{_LEFT_GUTTER + 176}" y="{legend_y + 8}" font-size="9" '
-        f'font-family="monospace">{scale_note}</text>'
-    )
-    parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+            f'viewBox="0 0 {width} {height}">\n'
+            f'<rect width="{width}" height="{height}" fill="white"/>\n'
+            f'<text x="{_LEFT_GUTTER}" y="14" font-size="11" font-family="monospace">'
+            f"{_text(title)}</text>\n"
+        )
+        for i in range(n_rows):
+            y = _TOP_GUTTER + i * _CELL
+            if n_rows <= 40 or i % max(1, n_rows // 20) == 0:
+                fh.write(
+                    f'<text x="2" y="{y + _CELL - 1}" font-size="5" '
+                    f'font-family="monospace">{_text(rows[i])}</text>\n'
+                )
+            cells[1::3] = [f'{y}" width="{_CELL}" height="{_CELL}" fill="'] * n_cols
+            cells[2::3] = fills[i].tolist()
+            fh.write("".join(cells))
+        for i, j in highlight:
+            fh.write(
+                f'<rect x="{_LEFT_GUTTER + j * _CELL}" y="{_TOP_GUTTER + i * _CELL}" '
+                f'width="{_CELL}" height="{_CELL}" fill="none" '
+                f'stroke="white" stroke-width="1.5" class="highlight"/>\n'
+            )
+        legend_y = _TOP_GUTTER + n_rows * _CELL + 12
+        for step, code in enumerate(_ramp(np.arange(21) / 20).tolist()):
+            fh.write(
+                f'<rect x="{_LEFT_GUTTER + step * 8}" y="{legend_y}" width="8" height="8" '
+                f'fill="#{code:06x}"/>\n'
+            )
+        if span > 0:
+            scale_note = f"min={lo:.6g} max={hi:.6g}"
+        else:
+            scale_note = f"min=max={lo:.6g} (constant)"
+        fh.write(
+            f'<text x="{_LEFT_GUTTER + 176}" y="{legend_y + 8}" font-size="9" '
+            f'font-family="monospace">{scale_note}</text>\n'
+            "</svg>\n"
+        )
 
 
 def render_sweep_svg(results, path: str, title: str = "") -> None:
@@ -127,7 +145,7 @@ def render_sweep_svg(results, path: str, title: str = "") -> None:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{left}" y="16" font-size="12" font-family="monospace">{title}</text>',
+        f'<text x="{left}" y="16" font-size="12" font-family="monospace">{_text(title)}</text>',
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" fill="none" '
         f'stroke="#444"/>',
         f'<text x="{left + plot_w // 2 - 20}" y="{height - 8}" font-size="10" '
@@ -162,7 +180,7 @@ def render_sweep_svg(results, path: str, title: str = "") -> None:
         )
         parts.append(
             f'<text x="{left + plot_w + 22}" y="{ly + 5}" font-size="9" '
-            f'font-family="monospace">{result.method} (auc={result.auc:.3f})</text>'
+            f'font-family="monospace">{_text(result.method)} (auc={result.auc:.3f})</text>'
         )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import itertools
 import json
 import logging
@@ -190,6 +191,20 @@ def csv_writer(fh: TextIO, texts: Iterable[str]) -> Any:
     return csv.writer(fh, lineterminator="\n", quoting=quoting)
 
 
+def csv_cells(writer: Any, texts: Sequence[str]) -> tuple[list[str], str, str]:
+    """Each of `texts` as `writer` writes it, for a caller that joins rows
+    of it and plain cells (numbers, dates) itself: a row is `quote +
+    sep.join(cells) + quote` and the line end."""
+    quote = '"' if writer.dialect.quoting == csv.QUOTE_ALL else ""
+    sep, end = f"{quote},{quote}", f'{quote},{quote}{quote}\n'  # end: a second, empty cell
+    cells = []
+    for text in texts:
+        buffer = io.StringIO()
+        csv.writer(buffer, writer.dialect).writerow((text, ""))
+        cells.append(buffer.getvalue()[len(quote):-len(end)])
+    return cells, sep, quote
+
+
 def read_table(path: str, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
     """The rows of a CSV artifact whose header is `columns`, each with its
     record number (the header's is 1). Blank rows are skipped. A wrong
@@ -259,6 +274,14 @@ class _LineFeed:
         return line
 
 
+def _text_lines(fh: TextIO, path: str) -> Iterator[str]:
+    """The lines of `fh`; bytes that are not utf-8 raise FileParseError."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise FileParseError(f"{path}: not utf-8 text ({exc})") from None
+
+
 def parse_snapshot(
     path: str,
     schema: SnapshotSchema,
@@ -302,7 +325,8 @@ def parse_snapshot(
     parsed: dict[str, tuple[str, str, VoterRecord | None, str]] = {}
     reused = 0
     with open(path, newline="", encoding="utf-8") as fh:
-        feed = _LineFeed(fh)
+        lines = _text_lines(fh, path)
+        feed = _LineFeed(lines)
         reader = csv.reader(feed, delimiter=schema.delimiter)
         try:
             header = next(reader, None) or []
@@ -326,7 +350,7 @@ def parse_snapshot(
 
         # one iteration per record: the feed pulls the further lines of a
         # record that spans several
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in enumerate(lines, start=2):
             entry = previous.get(line)
             if entry is not None and (
                 entry[2] is not None or wanted is not None and entry[0] not in wanted

@@ -4,7 +4,8 @@ Pure-python, loop-based, no shared code with the library's vectorized
 paths. Deliberately slow and obvious. The `loop_*` functions are the
 exception: the library's former numpy loops (per feature in
 `loop_best_split`, per pool in the statistic scorers), kept as the exact
-references for their batched replacements. The patch oracle
+references for their batched replacements, and the `row_*` writers, the
+library's former row-by-row detect-output writers. The patch oracle
 (`apply_changes`, `diff_projection`) and the ground-truth and snapshot
 helpers below serve only the tests, so they live here and not in the
 package.
@@ -12,12 +13,15 @@ package.
 
 import math
 from dataclasses import replace
+from xml.sax.saxutils import escape as xml_escape
 
 import numpy as np
 
+from vrf_sentinel.detectors.ranking import rank_entries
 from vrf_sentinel.errors import DataError
 from vrf_sentinel.modmatrix import MatrixEntryRef
 from vrf_sentinel.records import ADDRESS_FIELDS, ChangeType, Snapshot, VoterRecord, VoterStatus
+from vrf_sentinel.vrf_io import csv_writer
 
 
 def bf_mean(pool):
@@ -316,3 +320,108 @@ def diff_projection(snapshot):
         )
         for vid, rec in snapshot.records.items()
     }
+
+
+# --- former row-by-row writers --------------------------------------------------------
+# The library's detect-output writers before they were built from whole
+# arrays: one csv.writer call per row, one formatted <rect> per cell. They are
+# the byte-for-byte references of `write_grid`, `ranked_to_csv` and
+# `render_heatmap`; the heatmap text is escaped as the library escapes it.
+
+
+def row_write_grid(fh, corner, intervals, locales, blocks):
+    writer = csv_writer(fh, locales)
+    writer.writerow([f"{corner}:{intervals[0].days}"] + [iv.start.isoformat() for iv in intervals])
+    for b, block in enumerate(blocks):
+        if b:
+            writer.writerow([])
+        for locale, cells in zip(locales, block):
+            writer.writerow([locale, *cells])
+
+
+def row_ranked_to_csv(score_matrix, path):
+    order = rank_entries(score_matrix)
+    locales = score_matrix.locales
+    starts = [iv.start.isoformat() for iv in score_matrix.intervals]
+    rows, cols = np.divmod(order, len(starts))
+    cells = zip(rows.tolist(), cols.tolist(), score_matrix.scores.ravel()[order].tolist())
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv_writer(fh, locales)
+        writer.writerow(["rank", "locale", "interval_start", "score"])
+        writer.writerows(
+            [rank, locales[i], starts[j], repr(score)]
+            for rank, (i, j, score) in enumerate(cells, start=1)
+        )
+
+
+def _color(t):
+    t = min(1.0, max(0.0, t))
+    r = int(20 + 235 * t)
+    g = int(24 + 210 * t)
+    b = int(96 + (40 - 96) * t)
+    return f"#{r:02x}{g:02x}{b:02x}"
+
+
+def _svg_text(text):
+    return xml_escape(text, {"\r": "&#13;"})
+
+
+def row_render_heatmap(grid, row_labels, col_labels, path, title="", highlight=None):
+    grid = np.asarray(grid, dtype=float)
+    rows = list(row_labels)
+    n_rows, n_cols = grid.shape
+    cell, left, top, legend_h = 6, 60, 24, 34
+    finite = grid[np.isfinite(grid)]
+    lo = float(finite.min()) if finite.size else 0.0
+    hi = float(finite.max()) if finite.size else 0.0
+    span = hi - lo
+
+    width = left + n_cols * cell + 10
+    height = top + n_rows * cell + legend_h
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{left}" y="14" font-size="11" font-family="monospace">{_svg_text(title)}</text>',
+    ]
+    for i in range(n_rows):
+        y = top + i * cell
+        if n_rows <= 40 or i % max(1, n_rows // 20) == 0:
+            parts.append(
+                f'<text x="2" y="{y + cell - 1}" font-size="5" '
+                f'font-family="monospace">{_svg_text(rows[i])}</text>'
+            )
+        for j in range(n_cols):
+            v = grid[i, j]
+            if math.isinf(v):
+                fill = "#ff00ff"
+            else:
+                # a cell far from lo can overflow to inf, and inf / inf is nan
+                with np.errstate(over="ignore", invalid="ignore"):
+                    fill = _color((v - lo) / span) if span > 0 else _color(0.5)
+            x = left + j * cell
+            parts.append(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="{fill}"/>')
+    for i, j in sorted(highlight or ()):
+        x = left + j * cell
+        y = top + i * cell
+        parts.append(
+            f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="none" '
+            f'stroke="white" stroke-width="1.5" class="highlight"/>'
+        )
+    legend_y = top + n_rows * cell + 12
+    for step in range(21):
+        parts.append(
+            f'<rect x="{left + step * 8}" y="{legend_y}" width="8" height="8" '
+            f'fill="{_color(step / 20)}"/>'
+        )
+    if span > 0:
+        scale_note = f"min={lo:.6g} max={hi:.6g}"
+    else:
+        scale_note = f"min=max={lo:.6g} (constant)"
+    parts.append(
+        f'<text x="{left + 176}" y="{legend_y + 8}" font-size="9" '
+        f'font-family="monospace">{scale_note}</text>'
+    )
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts) + "\n")

@@ -266,6 +266,22 @@ def test_detect_records_params(pipeline):
     assert manifest["residual"] == params["residual"] <= params["tol"]
 
 
+def test_detect_and_heatmap_manifests_record_output_sizes(pipeline, tmp_path):
+    det = tmp_path / "det"
+    assert run(
+        "detect", "--matrix", str(pipeline / "matrix" / "matrix_deactivation.csv"),
+        "--method", "global_std", "--out", str(det),
+    ) == 0
+    written = {p.name: p.stat().st_size for p in det.iterdir() if p.name != "manifest.json"}
+    assert len(written) == 3
+    assert json.loads((det / "manifest.json").read_text())["output_bytes"] == written
+
+    svg = tmp_path / "heat.svg"
+    assert run("heatmap", "--scores", str(det / "scores_global_std.csv"), "--out", str(svg)) == 0
+    manifest = json.loads((tmp_path / "heat.svg.manifest.json").read_text())
+    assert manifest["output_bytes"] == {"heat.svg": svg.stat().st_size}
+
+
 def test_detect_window_method_naming(pipeline):
     out = pipeline / "detect_cl"
     assert run(
@@ -514,6 +530,10 @@ def test_evaluate_top_k_below_one_exits_3(pipeline, tmp_path, capsys, top_k):
     assert not (tmp_path / "sweep_deactivation.csv").exists()
 
 
+# JSON nested past the interpreter's recursion limit
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000 + b"\n"
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -521,8 +541,9 @@ def test_evaluate_top_k_below_one_exits_3(pipeline, tmp_path, capsys, top_k):
         json.dumps({"command": "detect"}),
         json.dumps({"argv": 5}),
         json.dumps({"argv": ["rerun", "--manifest", "SELF"]}),
+        DEEP_JSON.decode(),
     ],
-    ids=["not-json", "no-argv", "argv-not-strings", "stored-rerun"],
+    ids=["not-json", "no-argv", "argv-not-strings", "stored-rerun", "deep"],
 )
 def test_rerun_bad_manifest_exits_3(tmp_path, capsys, content):
     manifest = tmp_path / "manifest.json"
@@ -566,6 +587,10 @@ MALFORMED = {
     "matrix-population-inf": ("detect", "matrix.csv", (-2, 1, "inf")),
     "model-config": ("predict", "model.json", "config"),
     "scaler-means": ("predict", "scaler.json", "means"),
+    "scores-params-deep": ("heatmap", "scores.csv", DEEP_JSON),
+    "features-manifest-deep": ("train", "features.csv.manifest.json", DEEP_JSON),
+    "model-deep": ("predict", "model.json", DEEP_JSON),
+    "scaler-deep": ("predict", "scaler.json", DEEP_JSON),
 }
 
 

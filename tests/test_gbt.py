@@ -272,6 +272,17 @@ def test_model_split_on_unknown_feature_is_load_error(tmp_path, feature):
         gbt.load_model(str(path))
 
 
+def test_model_with_a_tree_too_deep_to_build_is_load_error(tmp_path, monkeypatch):
+    path, payload = saved_payload(tmp_path)
+    tree = {"w": 0.0}
+    for _ in range(100_000):  # deeper than the recursion limit; json.dump could not write it
+        tree = {"f": 0, "t": 0.0, "l": tree, "r": {"w": 0.0}}
+    payload["trees"][0][0] = tree
+    monkeypatch.setattr(gbt.json, "load", lambda fh: payload)
+    with pytest.raises(ModelError, match="malformed model"):
+        gbt.load_model(str(path))
+
+
 def test_tree_depth_respects_limit():
     x, y = separable_toy(seed=33)
     model = gbt.train(x, y, gbt.GbtConfig(n_estimators=10, max_depth=3))

@@ -1,4 +1,7 @@
+import csv
 import datetime as dt
+import functools
+import io as stdio
 import logging
 import pathlib
 import tempfile
@@ -9,7 +12,7 @@ from hypothesis import given, strategies as st
 import oracles
 import vrf_sentinel.synthgen as sg
 import vrf_sentinel.vrf_io as io
-from vrf_sentinel.errors import FileParseError, IntegrityError, SchemaError
+from vrf_sentinel.errors import FileParseError, IntegrityError, SchemaError, VrfError
 from vrf_sentinel.records import (
     ChangeRecord,
     ChangeType,
@@ -242,6 +245,42 @@ def test_snapshot_write_parse_round_trip(tmp_path):
     parsed = io.parse_snapshot(str(path), io.identity_schema())
     assert parsed.snapshot_date == snapshots[0].snapshot_date
     assert parsed.records == snapshots[0].records
+
+
+@functools.cache
+def written_snapshot():
+    """The bytes of a small synthetic snapshot file: every column, dates and
+    vote histories filled."""
+    snapshots, _ = sg.generate_scenario(sg.snapshot_pair_config(seed=5, n_voters=30))
+    with tempfile.TemporaryDirectory() as tmp:
+        io.write_snapshot(snapshots[0], f"{tmp}/s.csv")
+        return pathlib.Path(f"{tmp}/s.csv").read_bytes()
+
+
+@given(st.sampled_from(["truncate", "insert", "cell"]), st.data())
+def test_snapshot_reader_returns_or_raises_vrf_error(kind, data):
+    """A written snapshot, then truncated, with bytes inserted, or with one
+    cell replaced by any text, parses or raises VrfError."""
+    raw = written_snapshot()
+    at = data.draw(st.integers(0, len(raw)))
+    if kind == "truncate":
+        raw = raw[:at]
+    elif kind == "insert":
+        raw = raw[:at] + data.draw(st.binary(min_size=1, max_size=8)) + raw[at:]
+    else:
+        rows = list(csv.reader(raw.decode("utf-8").splitlines()))
+        row = rows[data.draw(st.integers(0, len(rows) - 1))]
+        row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.text())
+        buffer = stdio.StringIO(newline="")
+        csv.writer(buffer, lineterminator="\n").writerows(rows)
+        raw = buffer.getvalue().encode("utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "snapshot_2019-01-03.csv"
+        path.write_bytes(raw)
+        try:
+            assert isinstance(io.parse_snapshot(str(path), io.identity_schema()), Snapshot)
+        except VrfError:
+            pass
 
 
 # --- diffing ------------------------------------------------------------------
