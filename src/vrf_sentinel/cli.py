@@ -353,6 +353,8 @@ def cmd_predict(args: argparse.Namespace) -> dict:
 
     from . import gbt, groupfeatures
 
+    if not 0 <= args.threshold <= 1:  # also false for nan
+        raise VrfError(f"--threshold must lie in [0, 1], got {args.threshold!r}")
     model = gbt.load_model(args.model)
     with open(args.scaler, encoding="utf-8") as fh:
         scaler = groupfeatures.FeatureScaler.from_json(fh.read())

@@ -74,8 +74,8 @@ def rpca_decompose(
     m = matrix.values if isinstance(matrix, ModificationMatrix) else np.asarray(matrix, float)
     if lam is None:
         lam = default_lambda(m.shape)
-    if lam <= 0:
-        raise VrfError("lambda must be positive")
+    if not 0 < lam < np.inf:  # also false for nan
+        raise VrfError(f"lambda must be positive and finite, got {lam!r}")
 
     m_fro = float(np.linalg.norm(m, "fro"))
     if m_fro == 0.0:

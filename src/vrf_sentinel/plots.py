@@ -1,8 +1,9 @@
 """Dependency-free SVG rendering: matrix heatmaps and sweep line plots.
 
 SVG keeps the artifacts diffable and timestamp-free, so reruns are
-byte-identical. Titles, row labels and method names are XML-escaped, so
-any locale text gives a well-formed file; plain text keeps its bytes. A
+byte-identical. Titles, row labels and method names are XML-escaped, and
+characters XML cannot hold (most C0 controls) become U+FFFD, so any locale
+text gives a well-formed file; plain text keeps its bytes. A
 heatmap colours the whole grid in one numpy pass and is written a grid
 row at a time, so the file is never held in memory whole.
 """
@@ -37,10 +38,18 @@ def _ramp(t: np.ndarray) -> np.ndarray:
     return r << 16 | g << 8 | b
 
 
+# The characters XML 1.0 allows in no form, not even as a reference: the C0
+# controls but tab, LF and CR, and U+FFFE and U+FFFF.
+_NOT_XML = dict.fromkeys(
+    [c for c in range(0x20) if chr(c) not in "\t\n\r"] + [0xFFFE, 0xFFFF], "\ufffd"
+)
+
+
 def _text(text: str) -> str:
-    """`text` as SVG character data; a carriage return is kept as a
-    reference, which an XML reader would otherwise turn into a newline."""
-    return escape(text, {"\r": "&#13;"})
+    """`text` as SVG character data. A character XML cannot hold becomes
+    U+FFFD; a carriage return is kept as a reference, which an XML reader
+    would otherwise turn into a newline."""
+    return escape(text.translate(_NOT_XML), {"\r": "&#13;"})
 
 
 def render_heatmap(

@@ -85,9 +85,6 @@ class VoterRecord:
                 f"address must have {len(ADDRESS_FIELDS)} components, got {len(self.address)}"
             )
 
-    def address_map(self) -> dict[str, str]:
-        return dict(zip(ADDRESS_FIELDS, self.address))
-
 
 @dataclass(frozen=True)
 class Snapshot:

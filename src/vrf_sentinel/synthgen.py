@@ -252,6 +252,8 @@ class _Universe:
         # ids are zero-padded and issued in order, so append keeps each list sorted
         self._counter = 0
         self.change_log: dict[str, list[tuple[ChangeType, int]]] = {}
+        # voter id -> (record, its bias_inputs)
+        self._bias_inputs: dict[str, tuple[VoterRecord, tuple[int | None, int, float]]] = {}
 
         pops = _locale_populations(config, rng)
         for code, pop in zip(config.locale_codes(), pops):
@@ -354,6 +356,23 @@ class _Universe:
 
     def log_change(self, voter_id: str, change_type: ChangeType, interval_index: int) -> None:
         self.change_log.setdefault(voter_id, []).append((change_type, interval_index))
+
+    def bias_inputs(self, rec: VoterRecord) -> tuple[int | None, int, float]:
+        """Days from `rec`'s last vote to the start date (None if it never
+        voted), days registered and age in years at that date. Computed once
+        per record object: a replaced record gets them afresh."""
+        entry = self._bias_inputs.get(rec.voter_id)
+        if entry is not None and entry[0] is rec:
+            return entry[1]
+        as_of = self.config.start_date
+        last_vote = max((ev.election_date for ev in rec.vote_history), default=None)
+        inputs = (
+            (as_of - last_vote).days if last_vote else None,
+            (as_of - rec.registration_date).days if rec.registration_date else 0,
+            (as_of - rec.birth_date).days / 365.25 if rec.birth_date else 50.0,
+        )
+        self._bias_inputs[rec.voter_id] = (rec, inputs)
+        return inputs
 
 
 def _locale_populations(config: ScenarioConfig, rng: np.random.Generator) -> list[int]:
@@ -683,22 +702,16 @@ def _pick_voter(
     pool = [vid for vid in ids if eligible(universe.records[vid])]
     if not pool:
         return None
-    as_of = universe.config.start_date
-    weights = np.array(
-        [_bias_weight(universe.records[vid], bias, as_of, universe) for vid in pool]
-    )
+    weights = np.array([_bias_weight(universe.records[vid], bias, universe) for vid in pool])
     total = float(weights.sum())
     if total <= 0:
         return pool[int(rng.integers(len(pool)))]
     return pool[int(rng.choice(len(pool), p=weights / total))]
 
 
-def _bias_weight(rec: VoterRecord, bias: str, as_of: dt.date, universe: _Universe) -> float:
+def _bias_weight(rec: VoterRecord, bias: str, universe: _Universe) -> float:
     """Demographic bias profiles making event cohorts separable by kind."""
-    last_vote = max((ev.election_date for ev in rec.vote_history), default=None)
-    days_since_vote = (as_of - last_vote).days if last_vote else None
-    reg_days = (as_of - rec.registration_date).days if rec.registration_date else 0
-    age_years = (as_of - rec.birth_date).days / 365.25 if rec.birth_date else 50.0
+    days_since_vote, reg_days, age_years = universe.bias_inputs(rec)
 
     if bias == "inactivity_mailing_response_processing":
         # lapsed voters: voted before, but not in the last two years

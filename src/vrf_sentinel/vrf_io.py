@@ -441,35 +441,57 @@ def _date_from_filename(path: str) -> dt.date:
     return dt.date.fromisoformat(match.group(1))
 
 
+def _snapshot_row(rec: VoterRecord) -> tuple[str, ...]:
+    """A record's cells in LOGICAL_FIELDS order."""
+    return (
+        rec.voter_id,
+        rec.locale,
+        rec.status.value,
+        rec.first_name,
+        rec.middle_name,
+        rec.last_name,
+        *rec.address,
+        rec.party,
+        rec.gender,
+        rec.birth_date.isoformat() if rec.birth_date else "",
+        rec.registration_date.isoformat() if rec.registration_date else "",
+        rec.last_update_date.isoformat() if rec.last_update_date else "",
+        format_vote_history(rec.vote_history),
+    )
+
+
+def _snapshot_line(rec: VoterRecord) -> str:
+    """A record's line as `csv_writer` writes it: quoted whole when a cell
+    holds a carriage return, which csv would otherwise leave bare and a
+    reader split the row at, and minimally otherwise."""
+    row = _snapshot_row(rec)
+    buffer = io.StringIO()
+    csv_writer(buffer, row).writerow(row)
+    return buffer.getvalue()
+
+
+# The last file write_snapshot wrote: its records, held so that no other
+# object can take one of their ids, and each one's line by id(record).
+_written: tuple[list[VoterRecord], dict[int, str]] = ([], {})
+
+
 def write_snapshot(snapshot: Snapshot, path: str) -> None:
-    """Write a snapshot in the identity-schema column layout."""
+    """Write a snapshot in the identity-schema column layout.
+
+    A generated series hands the next snapshot the same record object for
+    every voter that did not change, so the line of a record the previous
+    call wrote is taken from it, not formatted again. The lines of this
+    file then replace those, so at most one file's lines are held.
+    """
+    global _written
+    held = _written[1]
+    records = [snapshot.records[voter_id] for voter_id in sorted(snapshot.records)]
+    keys = list(map(id, records))
+    lines = [held.get(key) or _snapshot_line(rec) for key, rec in zip(keys, records)]
+    _written = (records, dict(zip(keys, lines)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LOGICAL_FIELDS)
-        for voter_id in sorted(snapshot.records):
-            rec = snapshot.records[voter_id]
-            addr = rec.address_map()
-            writer.writerow(
-                [
-                    rec.voter_id,
-                    rec.locale,
-                    rec.status.value,
-                    rec.first_name,
-                    rec.middle_name,
-                    rec.last_name,
-                    addr["house_num"],
-                    addr["street_name"],
-                    addr["unit"],
-                    addr["city"],
-                    addr["zip"],
-                    rec.party,
-                    rec.gender,
-                    rec.birth_date.isoformat() if rec.birth_date else "",
-                    rec.registration_date.isoformat() if rec.registration_date else "",
-                    rec.last_update_date.isoformat() if rec.last_update_date else "",
-                    format_vote_history(rec.vote_history),
-                ]
-            )
+        fh.write(",".join(LOGICAL_FIELDS) + "\n")
+        fh.write("".join(lines))
 
 
 # --- diffing ---------------------------------------------------------------

@@ -12,6 +12,7 @@ package.
 """
 
 import math
+import re
 from dataclasses import replace
 from xml.sax.saxutils import escape as xml_escape
 
@@ -363,6 +364,7 @@ def _color(t):
 
 
 def _svg_text(text):
+    text = re.sub("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]", "\ufffd", text)
     return xml_escape(text, {"\r": "&#13;"})
 
 

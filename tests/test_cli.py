@@ -266,6 +266,31 @@ def test_detect_records_params(pipeline):
     assert manifest["residual"] == params["residual"] <= params["tol"]
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf", "-1"])
+def test_detect_rejects_a_lambda_not_positive_and_finite(pipeline, tmp_path, capsys, lam):
+    assert run(
+        "detect", "--matrix", str(pipeline / "matrix" / "matrix_deactivation.csv"),
+        "--method", "rpca", "--lambda", lam, "--out", str(tmp_path),
+    ) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: lambda must be positive and finite")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "scores_rpca.csv").exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "5", "-0.1"])
+def test_predict_rejects_a_threshold_outside_0_1(tmp_path, capsys, threshold):
+    missing = str(tmp_path / "missing.json")
+    assert run(
+        "predict", "--model", missing, "--scaler", missing, "--features", missing,
+        "--threshold", threshold, "--out", str(tmp_path),
+    ) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: --threshold must lie in [0, 1]")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "predictions.csv").exists()
+
+
 def test_detect_and_heatmap_manifests_record_output_sizes(pipeline, tmp_path):
     det = tmp_path / "det"
     assert run(

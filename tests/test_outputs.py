@@ -19,8 +19,9 @@ from vrf_sentinel.records import ChangeType
 
 D0 = dt.date(2019, 1, 3)
 
-# Locale text with the characters CSV must quote and XML must escape.
-LOCALE = st.text(st.sampled_from(list('ab ,"\n\r&<>\'Äé')), max_size=5)
+# Locale text with the characters CSV must quote, XML must escape, and XML
+# cannot hold at all.
+LOCALE = st.text(st.sampled_from(list('ab ,"\n\r&<>\'Äé\x01')), max_size=5)
 SCORE = st.sampled_from([np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e308, -1e308, 0.0, 1.5]) | st.floats()
 # both sides of the heatmap's row-label stride: every row up to 40 rows, every n // 20th above
 N_ROWS = st.integers(1, 4) | st.integers(39, 45)
@@ -102,6 +103,12 @@ def test_heatmap_parses_and_gives_labels_back(locales, title):
         texts = _texts(f"{tmp}/h.svg")
     assert texts[0] == title
     assert texts[1:-1] == drawn
+
+
+def test_heatmap_replaces_characters_xml_cannot_hold(tmp_path):
+    path = str(tmp_path / "h.svg")
+    plots.render_heatmap(np.ones((1, 1)), ["a\x01b\uffff"], ["c0"], path, "t\x1f\t")
+    assert _texts(path)[:2] == ["t\ufffd\t", "a\ufffdb\ufffd"]
 
 
 def test_sweep_svg_escapes_title_and_method_names(tmp_path):

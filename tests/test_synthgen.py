@@ -1,4 +1,5 @@
 import collections
+import hashlib
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.stats
 
 import oracles
 import vrf_sentinel.synthgen as sg
+from vrf_sentinel import cli
 import vrf_sentinel.vrf_io as io
 from vrf_sentinel.errors import ConfigError
 from vrf_sentinel.modmatrix import build_matrix
@@ -34,6 +36,31 @@ def test_determinism_byte_identical(tmp_path):
         (outdir / "truth.json").write_text(truth.to_json())
     for name in sorted(p.name for p in (tmp_path / "a").iterdir()):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def tree_digest(root):
+    """sha256 over each file's path under `root` and its sha256, in path
+    order; `manifest.json` is left out, as it names the output directory."""
+    files = sorted(p for p in root.rglob("*") if p.is_file() and p.name != "manifest.json")
+    listing = "".join(
+        f"{p.relative_to(root).as_posix()} {hashlib.sha256(p.read_bytes()).hexdigest()}\n"
+        for p in files
+    )
+    return hashlib.sha256(listing.encode()).hexdigest()
+
+
+# What `synth` wrote for these presets when they were pinned: a change to
+# the bytes of the generator or of the snapshot writer shows here.
+SYNTH_DIGESTS = {
+    ("small", 3): "f78d1e024b21007bb730251e78d7464d75c0fb4f84d5e635f05759fa7f13a2c5",
+    ("pair", 0): "650c6a3d17d954a60a26f11b81269694989451193d8164e6ef60394b2e26acbe",
+}
+
+
+@pytest.mark.parametrize(("preset", "seed"), sorted(SYNTH_DIGESTS))
+def test_synth_files_keep_their_pinned_digests(tmp_path, preset, seed):
+    assert cli.main(["synth", "--preset", preset, "--seed", str(seed), "--out", str(tmp_path)]) == 0
+    assert tree_digest(tmp_path) == SYNTH_DIGESTS[preset, seed]
 
 
 def test_zero_rates_identical_snapshots():
@@ -180,6 +207,14 @@ def test_scenario_labels_default_proportions(labeled_truth):
         "ncoa_mailings": 27,
         "other": 21,
     }
+
+
+def test_labeled_truth_keeps_its_pinned_digest(labeled_truth):
+    # the `groundtruth.json` of `synth --preset labeled --seed 0`: every biased
+    # event kind picks its voters here
+    text = labeled_truth.to_json() + "\n"
+    digest = "cbb94ab8dda477f302282f8a351614aeba220bbb6f95fe0da263f721fdb81d0c"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_scenario_labels_equal_proportions_small(labeled_truth):

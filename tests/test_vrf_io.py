@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import datetime as dt
 import functools
 import io as stdio
@@ -245,6 +246,96 @@ def test_snapshot_write_parse_round_trip(tmp_path):
     parsed = io.parse_snapshot(str(path), io.identity_schema())
     assert parsed.snapshot_date == snapshots[0].snapshot_date
     assert parsed.records == snapshots[0].records
+
+
+def write_alone(snapshot, path):
+    """`snapshot` written after an unrelated file, so that none of its lines
+    comes from the write before."""
+    io.write_snapshot(snap(D1, make_voter("Z1")), f"{path}.unrelated")
+    io.write_snapshot(snapshot, path)
+    return pathlib.Path(path).read_bytes()
+
+
+def test_stream_writes_match_each_snapshot_written_alone(tmp_path, monkeypatch):
+    snapshots, _ = sg.generate_scenario(sg.snapshot_pair_config(seed=5, n_voters=400))
+    last = snapshots[-1]
+    # a record replaced by an equal but distinct object, and one changed in place of it
+    same, changed = sorted(last.records)[:2]
+    records = dict(last.records)
+    records[same] = dataclasses.replace(records[same])
+    records[changed] = dataclasses.replace(records[changed], first_name="ed, \"jr\"")
+    snapshots.append(Snapshot(snapshot_date=last.snapshot_date, records=records))
+
+    formatted = []
+    row = io._snapshot_row
+    monkeypatch.setattr(io, "_snapshot_row", lambda rec: formatted.append(rec) or row(rec))
+    streamed = []
+    for k, snapshot in enumerate(snapshots):
+        formatted.clear()
+        io.write_snapshot(snapshot, str(tmp_path / f"stream_{k}.csv"))
+        streamed.append((tmp_path / f"stream_{k}.csv").read_bytes())
+        # only the records the write before did not hold are formatted
+        before = snapshots[k - 1].records.values() if k else ()
+        held = {id(rec) for rec in before}
+        assert formatted == [r for _, r in sorted(snapshot.records.items()) if id(r) not in held]
+    assert {id(r) for r in formatted} == {id(records[same]), id(records[changed])}
+    for k, snapshot in enumerate(snapshots):
+        assert streamed[k] == write_alone(snapshot, str(tmp_path / f"alone_{k}.csv"))
+    parsed = io.parse_snapshot(str(tmp_path / f"stream_{len(snapshots) - 1}.csv"),
+                               io.identity_schema(), snapshot_date=D1)
+    assert parsed.records == records
+
+
+# Cell text with what csv must quote or double, and what a reader splits at.
+ANY_CELL = st.text() | st.text(st.sampled_from(list(' ,"\r\n\t\x00é')), max_size=6)
+
+
+@st.composite
+def free_text_records(draw):
+    """Records whose name, address and locale cells hold any text; a locale
+    that strips to nothing would drop the row, so it holds one letter."""
+    return [
+        make_voter(
+            f"V{k}",
+            locale=draw(ANY_CELL) + "p" + draw(ANY_CELL),
+            first_name=draw(ANY_CELL),
+            middle_name=draw(ANY_CELL),
+            last_name=draw(ANY_CELL),
+            address=tuple(draw(ANY_CELL) for _ in range(5)),
+        )
+        for k in range(draw(st.integers(1, 3)))
+    ]
+
+
+def stripped(rec):
+    """`rec` as the parser gives it back: every cell stripped."""
+    return dataclasses.replace(
+        rec,
+        locale=rec.locale.strip(),
+        first_name=rec.first_name.strip(),
+        middle_name=rec.middle_name.strip(),
+        last_name=rec.last_name.strip(),
+        address=tuple(part.strip() for part in rec.address),
+    )
+
+
+@given(free_text_records())
+def test_snapshot_round_trip_any_text(voters):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/snapshot_2019-01-03.csv"
+        io.write_snapshot(snap(D1, *voters), path)
+        issues = []
+        parsed = io.parse_snapshot(path, io.identity_schema(), issues=issues)
+        raw = pathlib.Path(path).read_bytes()
+    assert issues == []
+    assert parsed.records == {v.voter_id: stripped(v) for v in voters}
+    if not any("\r" in cell for v in voters for cell in io._snapshot_row(v)):
+        # a file without a carriage return keeps csv's minimal quoting
+        buffer = stdio.StringIO(newline="")
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(io.LOGICAL_FIELDS)
+        writer.writerows(io._snapshot_row(v) for v in voters)
+        assert raw == buffer.getvalue().encode("utf-8")
 
 
 @functools.cache
