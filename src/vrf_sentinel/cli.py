@@ -6,8 +6,12 @@ runs one `cmd_*` and, when it succeeds, writes the run's one manifest
 `manifest.json` in the `--out` directory, or `<svg>.manifest.json` beside
 the SVG that `heatmap` writes. `rerun` replays a manifest, which must
 reproduce byte-identical data outputs. Each `cmd_*` imports the library
-modules it runs, so `diff`, `ingest` and `--help` load no numpy. Exit
-codes: 0 success, 2 usage error, 3 data/config error.
+modules it runs, so `diff`, `ingest` and `--help` load no numpy. Only
+`diff` parses snapshots: `matrix` and `features` read the census and
+election calendar of its manifest and the reference records it writes
+beside `changes.csv`, once that manifest matches their `--changes`,
+`--snapshots` files and `--schema`. Exit codes: 0 success, 2 usage
+error, 3 data/config error.
 
 The VRF_SENTINEL_LOG environment variable sets the log level.
 """
@@ -17,17 +21,15 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import glob
-import itertools
 import json
 import logging
 import os
 import sys
 from collections import Counter
-from collections.abc import Collection, Iterator
 
 from . import __version__, vrf_io
 from .errors import DataError, FileParseError, VrfError
-from .records import ChangeType, Snapshot
+from .records import ChangeType, Snapshot, election_tally
 
 logger = logging.getLogger(__name__)
 
@@ -57,37 +59,51 @@ def _snapshot_paths(snapshot_dir: str) -> list[str]:
     return paths
 
 
-def _load_snapshots(
-    paths: list[str],
-    schema_path: str | None,
-    counts: dict,
-    voter_ids: Collection[str] | None = None,
-    earliest_in_full: bool = False,
-) -> Iterator[Snapshot]:
-    """Parse each file when the consumer asks for it, so a consumer that
-    keeps only what it needs never holds every snapshot at once. Records
-    are built only for `voter_ids` (every voter when None), but for every
-    voter of the earliest file when `earliest_in_full`. One line memo spans
-    the stream, so a line byte-identical to a row of the previous file is
-    not parsed again. Once the stream is read to its end, `counts` holds
-    its snapshots, valid rows, row issues by field and reused rows."""
-    schema = _schema(schema_path)
-    memo = vrf_io.LineMemo()
-    rows = 0
-    row_issues: Counter[str] = Counter()
-    for i, path in enumerate(paths):
-        issues: list[vrf_io.RowIssue] = []
-        snapshot = vrf_io.parse_snapshot(
-            path, schema, issues=issues, memo=memo,
-            voter_ids=None if i == 0 and earliest_in_full else voter_ids,
+def _read_record(paths: list[str], schema: vrf_io.SnapshotSchema, changes: str) -> dict:
+    """What `diff` records of its run, for `matrix` and `features` to
+    check: each snapshot file's name and sha256, the parsed schema and the
+    sha256 of the changes file it wrote."""
+    import hashlib  # loads OpenSSL, ~3.6 MiB of RSS that only these steps need
+
+    def digest(path: str) -> str:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+    return {
+        "inputs": [[os.path.basename(path), digest(path)] for path in paths],
+        "schema": json.loads(json.dumps(vars(schema), default=str)),
+        "changes_sha256": digest(changes),
+    }
+
+
+def _diff_output(args: argparse.Namespace) -> tuple[str, dict, dict, dict]:
+    """The directory of the `diff` run that wrote `--changes`, and the
+    snapshot counts, census and election tally of its manifest, once that
+    manifest shows the run read the `--snapshots` files under the
+    `--schema` and wrote `--changes` as it now stands."""
+    where = os.path.dirname(args.changes) or "."
+    try:
+        with open(os.path.join(where, "manifest.json"), encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        counts = {key: manifest["counts"][key] for key in ("snapshots", "rows", "row_issues")}
+        census = {
+            dt.date.fromisoformat(date): dict(voters) for date, voters in manifest["census"].items()
+        }
+        elections = {
+            election_id: (dt.date.fromisoformat(date), bool(primary), int(turnout))
+            for election_id, date, primary, turnout in manifest["calendar"]
+        }
+    except (OSError, ValueError, RecursionError, KeyError, TypeError, AttributeError):
+        raise DataError(
+            f"{where}: no diff manifest beside --changes; run diff over these snapshots"
+        ) from None
+    read = _read_record(_snapshot_paths(args.snapshots), _schema(args.schema), args.changes)
+    if {key: manifest.get(key) for key in read} != read:
+        raise DataError(
+            f"{where}: diff read other snapshot files or another schema, or wrote other "
+            "changes; rerun diff over these snapshots"
         )
-        rows += sum(snapshot.locale_counts.values())
-        row_issues.update(issue.field for issue in issues)
-        yield snapshot
-    counts.update(
-        snapshots=len(paths), rows=rows, row_issues=dict(sorted(row_issues.items())),
-        rows_reused=memo.reused,
-    )
+    return where, counts, census, elections
 
 
 def _change_type(token: str) -> ChangeType:
@@ -183,31 +199,69 @@ def cmd_diff(args: argparse.Namespace) -> dict:
         paths = [args.anterior, args.posterior]
     else:
         raise VrfError("diff needs either --snapshots or both --anterior and --posterior")
-    changes = []
-    counts: dict = {}
-    for anterior, posterior in itertools.pairwise(_load_snapshots(paths, args.schema, counts)):
-        changes.extend(vrf_io.diff_snapshots(anterior, posterior, strict_status=args.strict_status))
-    vrf_io.changes_to_csv(changes, os.path.join(args.out, "changes.csv"))
-    return {"counts": counts}
+    schema = _schema(args.schema)
+    memo = vrf_io.LineMemo()  # spans the stream: a line the previous file held is not parsed again
+    voters = os.path.join(args.out, "voters")
+    os.makedirs(voters, exist_ok=True)
+    changes, census = [], {}
+    row_issues: Counter[str] = Counter()
+    # each snapshot's reference records (`ChangeRecord.reference_date`), written
+    # once the pair after it is diffed, so at most two snapshots are held
+    held, references = None, {}
+
+    def write_references() -> None:
+        name = f"snapshot_{held.snapshot_date.isoformat()}.csv"
+        vrf_io.write_snapshot(Snapshot(held.snapshot_date, references), os.path.join(voters, name))
+
+    for path in paths:
+        issues: list[vrf_io.RowIssue] = []
+        snapshot = vrf_io.parse_snapshot(path, schema, issues=issues, memo=memo)
+        row_issues.update(issue.field for issue in issues)
+        census[snapshot.snapshot_date.isoformat()] = snapshot.locale_counts
+        if held is None:
+            elections = election_tally(snapshot.records.values())
+        else:
+            pair = vrf_io.diff_snapshots(held, snapshot, strict_status=args.strict_status)
+            changes += pair
+            later = {}
+            for change in pair:
+                if change.change_type == ChangeType.REMOVAL:
+                    references[change.voter_id] = held.records[change.voter_id]
+                else:
+                    later[change.voter_id] = snapshot.records[change.voter_id]
+            write_references()
+            references = later
+        held = snapshot
+    write_references()
+
+    changes_path = os.path.join(args.out, "changes.csv")
+    vrf_io.changes_to_csv(changes, changes_path)
+    by_type = Counter(change.change_type for change in changes)
+    counts = {
+        "snapshots": len(paths),
+        "rows": sum(sum(voters.values()) for voters in census.values()),
+        "row_issues": dict(sorted(row_issues.items())),
+        "rows_reused": memo.reused,
+        "changes": {change_type.value: by_type[change_type] for change_type in ChangeType},
+    }
+    # a list keeps the elections in the order first seen, which `eligible()` follows
+    calendar = [[eid, day.isoformat(), primary, n] for eid, (day, primary, n) in elections.items()]
+    return {
+        "counts": counts, "census": census, "calendar": calendar,
+        **_read_record(paths, schema, changes_path),
+    }
 
 
 def cmd_matrix(args: argparse.Namespace) -> dict:
     from . import modmatrix
 
     change_type = _change_type(args.change_type)
-    changes = vrf_io.csv_to_changes(args.changes)
-    populations = {}
-    counts: dict = {}
-    paths = _snapshot_paths(args.snapshots)
-    for snapshot in _load_snapshots(paths, args.schema, counts, voter_ids=()):
-        if snapshot.snapshot_date in populations:
-            raise DataError(f"two snapshots dated {snapshot.snapshot_date}")
-        populations[snapshot.snapshot_date] = snapshot.locale_counts
+    _, counts, census, _ = _diff_output(args)
     matrix = modmatrix.build_matrix(
-        changes,
+        vrf_io.csv_to_changes(args.changes),
         change_type,
         interval_days=args.interval_days,
-        populations=populations,
+        populations=census,
     )
     modmatrix.matrix_to_csv(matrix, os.path.join(args.out, f"matrix_{change_type.value}.csv"))
     spectrum = modmatrix.top_singular_values(matrix, min(20, min(matrix.shape)))
@@ -218,7 +272,7 @@ def cmd_matrix(args: argparse.Namespace) -> dict:
         fh.write("rank,singular_value\n")
         for rank, value in enumerate(spectrum, start=1):
             fh.write(f"{rank},{value!r}\n")
-    return {"counts": counts}
+    return {"counts": {**counts, "cells": matrix.values.size}}
 
 
 def cmd_detect(args: argparse.Namespace) -> dict:
@@ -290,15 +344,18 @@ def cmd_features(args: argparse.Namespace) -> dict:
 
     labels = _read_labels(args.labels) if args.labels else None
     change_types = (_change_type(args.change_type),) if args.change_type else None
-    changes = vrf_io.csv_to_changes(args.changes)
-    paths = _snapshot_paths(args.snapshots)
-    grouped = {c.voter_id for c in changes if change_types is None or c.change_type in change_types}
-    counts: dict = {}
-    # the earliest snapshot is read in full: the election calendar counts every voter in it
-    snapshots = _load_snapshots(paths, args.schema, counts, voter_ids=grouped, earliest_in_full=True)
+    where, counts, census, elections = _diff_output(args)
+    references = (  # diff's reference-record files, one per census date
+        vrf_io.parse_snapshot(
+            os.path.join(where, "voters", f"snapshot_{date.isoformat()}.csv"),
+            vrf_io.identity_schema(),
+        )
+        for date in sorted(census)
+    )
     vectors = groupfeatures.compute_group_features(
-        changes,
-        snapshots,
+        vrf_io.csv_to_changes(args.changes),
+        references,
+        groupfeatures.ElectionCalendar(elections),
         interval_days=args.interval_days,
         labels=labels,
         change_types=change_types,
@@ -550,6 +607,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise VrfError(f"--seed must be >= 0, got {args.seed!r}")
         if args.command == "rerun":
             return main(_replayed_argv(args.manifest, args.out))
         if args.command == "heatmap":  # --out names the SVG; its manifest sits beside it

@@ -35,6 +35,8 @@ class GbtConfig:
     def __post_init__(self) -> None:
         if self.n_estimators < 1:
             raise VrfError("n_estimators must be >= 1")
+        if self.max_depth < 1:
+            raise VrfError("max_depth must be >= 1")
         if not 0 < self.learning_rate <= 1:
             raise VrfError("learning_rate must be in (0, 1]")
         if not 0 < self.holdout_fraction < 1:

@@ -17,7 +17,7 @@ import enum
 import json
 import logging
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +81,8 @@ class GroupFeatureVector:
 
 
 class ElectionCalendar:
-    """Election dates, kinds, and turnout proxies derived from the vote
-    histories present in a snapshot collection."""
+    """Election dates, kinds, and turnout proxies: `records.election_tally`
+    of the vote histories in a snapshot."""
 
     def __init__(self, elections: dict[str, tuple[dt.date, bool, int]]):
         if not elections:
@@ -93,16 +93,6 @@ class ElectionCalendar:
         self.last_date = max(dates)
         self.span_days = (self.last_date - self.first_date).days
         self.max_turnout = max(t for _, _, t in elections.values())
-
-    @classmethod
-    def from_records(cls, records) -> "ElectionCalendar":
-        elections: dict[str, list] = {}
-        for rec in records:
-            for ev in rec.vote_history:
-                entry = elections.setdefault(ev.election_id, [ev.election_date, False, 0])
-                entry[1] = entry[1] or ev.party_ballot is not None
-                entry[2] += 1
-        return cls({eid: tuple(v) for eid, v in elections.items()})
 
     def eligible(self, registration: dt.date | None, as_of: dt.date) -> list[tuple[dt.date, bool, int]]:
         """Elections the voter could have participated in: dated after
@@ -258,16 +248,18 @@ def voter_features(
 def group_features(
     key: GroupKey,
     changes: list[ChangeRecord],
-    snapshot: Snapshot,
+    references: Mapping[tuple[dt.date, str], VoterRecord],
     change_index: ChangeIndex,
     calendar: ElectionCalendar,
     label: EventLabel | None = None,
 ) -> GroupFeatureVector:
     """Column-wise mean feature vector over a group's distinct voters.
 
-    Voters are resolved in the given snapshot (anterior for removals,
-    posterior otherwise); unresolvable ids are warned about and excluded.
-    Change-history counts never include the change being summarized.
+    Each voter is resolved in the reference snapshot of their latest change
+    in the group (`ChangeRecord.reference_date`): `references` maps
+    (snapshot date, voter id) to the voter's record there. Unresolvable
+    voters are warned about and excluded. Change-history counts never
+    include the change being summarized.
     """
     for change in changes:
         if change.change_type != key.change_type or change.locale != key.locale:
@@ -287,7 +279,7 @@ def group_features(
     missing = []
     for voter_id in sorted(latest):
         change = latest[voter_id]
-        rec = snapshot.records.get(voter_id)
+        rec = references.get((change.reference_date, voter_id))
         if rec is None:
             missing.append(voter_id)
             continue
@@ -298,9 +290,9 @@ def group_features(
         rows.append(voter_features(rec, as_of, counts, calendar))
     if missing:
         logger.warning(
-            "group %s/%s/%s: %d voters unresolvable in snapshot %s: %s",
+            "group %s/%s/%s: %d voters unresolvable in their reference snapshots: %s",
             key.locale, key.interval.start, key.change_type.value,
-            len(missing), snapshot.snapshot_date, ", ".join(missing[:10]),
+            len(missing), ", ".join(missing[:10]),
         )
     if not rows:
         raise DataError(f"group {key} has no resolvable voters")
@@ -391,17 +383,14 @@ def standardize(vectors: list[GroupFeatureVector]) -> tuple[np.ndarray, FeatureS
 
 
 def group_changes(
-    changes: list[ChangeRecord],
-    interval_days: int,
-    start: dt.date | None = None,
-    end: dt.date | None = None,
+    changes: list[ChangeRecord], interval_days: int
 ) -> dict[GroupKey, list[ChangeRecord]]:
     """Partition changes into (locale, interval, change type) groups over a
-    contiguous interval grid keyed by posterior date."""
+    contiguous interval grid keyed by posterior date, from the earliest."""
     if not changes:
         return {}
     dates = [c.posterior_date for c in changes]
-    intervals = build_intervals(start or min(dates), end or max(dates), interval_days)
+    intervals = build_intervals(min(dates), max(dates), interval_days)
     groups: dict[GroupKey, list[ChangeRecord]] = {}
     for change in changes:
         interval = intervals[_interval_of(intervals, change.posterior_date)]
@@ -413,6 +402,7 @@ def group_changes(
 def compute_group_features(
     changes: list[ChangeRecord],
     snapshots: Iterable[Snapshot],
+    calendar: ElectionCalendar,
     interval_days: int,
     labels: dict[tuple[str, dt.date, ChangeType], EventLabel] | None = None,
     change_types: tuple[ChangeType, ...] | None = None,
@@ -420,41 +410,44 @@ def compute_group_features(
     """End-to-end driver: group the change stream and compute every group's
     mean vector, sorted by (locale, interval start, change type).
 
-    `snapshots` must ascend by date and is read once. Each group resolves
-    its voters when its reference snapshot (anterior for removals,
-    posterior otherwise) arrives, so only that snapshot need be held. The
-    election calendar is built from every voter of the earliest snapshot,
-    which must therefore hold all its records; later snapshots need hold
-    only the voters of the selected change types.
+    `snapshots` must ascend by date and is read once, keeping only the
+    records that resolve a grouped change (see `group_features`), so each
+    snapshot need hold only those.
     """
     index = ChangeIndex(changes)
     labels = labels or {}
-    groups = group_changes(changes, interval_days)
-    pending: dict[dt.date, list[GroupKey]] = {}
-    for key, group in groups.items():
-        if change_types is None or key.change_type in change_types:
-            removal = key.change_type == ChangeType.REMOVAL
-            ref = group[0].anterior_date if removal else group[0].posterior_date
-            pending.setdefault(ref, []).append(key)
+    groups = {
+        key: group for key, group in group_changes(changes, interval_days).items()
+        if change_types is None or key.change_type in change_types
+    }
+    pending: dict[dt.date, set[str]] = {}
+    for group in groups.values():
+        for change in group:
+            pending.setdefault(change.reference_date, set()).add(change.voter_id)
 
-    out = []
+    references: dict[tuple[dt.date, str], VoterRecord] = {}
     previous = None
     for snapshot in snapshots:
-        if previous is None:
-            # the earliest snapshot already carries every voter's full history
-            calendar = ElectionCalendar.from_records(snapshot.records.values())
-        elif snapshot.snapshot_date <= previous:
+        if previous is not None and snapshot.snapshot_date <= previous:
             raise DataError(
                 f"snapshot dated {snapshot.snapshot_date} follows {previous}; "
                 "snapshots must ascend by date"
             )
         previous = snapshot.snapshot_date
-        for key in pending.pop(snapshot.snapshot_date, ()):
-            label = labels.get((key.locale, key.interval.start, key.change_type))
-            out.append(group_features(key, groups[key], snapshot, index, calendar, label=label))
+        for voter_id in pending.pop(previous, ()):
+            record = snapshot.records.get(voter_id)
+            if record is not None:
+                references[previous, voter_id] = record
     if pending:
         ref = min(pending)
-        raise DataError(f"no snapshot dated {ref} to resolve group {pending[ref][0]}")
+        raise DataError(f"no snapshot dated {ref} to resolve voter {min(pending[ref])}")
+    out = [
+        group_features(
+            key, group, references, index, calendar,
+            label=labels.get((key.locale, key.interval.start, key.change_type)),
+        )
+        for key, group in groups.items()
+    ]
     out.sort(key=lambda v: (v.key.locale, v.key.interval.start, v.key.change_type.value))
     return out
 

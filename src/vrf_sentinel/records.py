@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import datetime as dt
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import IntegrityError
@@ -90,11 +91,10 @@ class VoterRecord:
 class Snapshot:
     """A voter-file copy captured at one instant.
 
-    `records` holds every voter, or only the voters a caller asked the
-    parser for, each keyed by its own `voter_id` (the parser and the
-    generator both key them so; it is not checked again here). `locale_counts` covers every valid row of the file either
-    way; when not supplied (a snapshot built in memory) it is derived from
-    `records`.
+    `records` holds its voters, each keyed by its own `voter_id` (the
+    parser and the generator both key them so; it is not checked again
+    here). `locale_counts` counts every valid row of the file; when not
+    supplied (a snapshot built in memory) it is derived from `records`.
     """
 
     snapshot_date: dt.date
@@ -144,3 +144,23 @@ class ChangeRecord:
 
     def sort_key(self) -> tuple[str, int]:
         return (self.voter_id, CHANGE_TYPE_ORDER[self.change_type])
+
+    @property
+    def reference_date(self) -> dt.date:
+        """Date of the snapshot holding the voter's record for this change:
+        the anterior one for a removal, the posterior one otherwise."""
+        return self.anterior_date if self.change_type == ChangeType.REMOVAL else self.posterior_date
+
+
+def election_tally(records: Iterable[VoterRecord]) -> dict[str, tuple[dt.date, bool, int]]:
+    """Election id -> (date, primary flag, turnout) over the vote histories
+    of `records`, in the order the elections are first seen. An election is
+    a primary when any ballot in it was a party ballot; its turnout is its
+    number of ballots."""
+    elections: dict[str, list] = {}
+    for rec in records:
+        for ev in rec.vote_history:
+            entry = elections.setdefault(ev.election_id, [ev.election_date, False, 0])
+            entry[1] = entry[1] or ev.party_ballot is not None
+            entry[2] += 1
+    return {election_id: tuple(entry) for election_id, entry in elections.items()}

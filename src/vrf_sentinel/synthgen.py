@@ -352,7 +352,8 @@ class _Universe:
         return self._batch_new_voters(locale, 1, as_of, established)[0]
 
     def take_snapshot(self, date: dt.date) -> Snapshot:
-        return Snapshot(snapshot_date=date, records=dict(self.records))
+        counts = {locale: len(ids) for locale, ids in self.by_locale.items() if ids}
+        return Snapshot(snapshot_date=date, records=dict(self.records), locale_counts=counts)
 
     def log_change(self, voter_id: str, change_type: ChangeType, interval_index: int) -> None:
         self.change_log.setdefault(voter_id, []).append((change_type, interval_index))

@@ -10,7 +10,7 @@ import json
 import logging
 import re
 from collections import Counter
-from collections.abc import Collection, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import Any, TextIO
@@ -239,16 +239,16 @@ def format_vote_history(history: tuple[VoteEvent, ...]) -> str:
 class LineMemo:
     """The valid one-line rows of the last file a snapshot stream parsed.
 
-    `rows` maps a raw line to `(voter_id, locale, VoterRecord or None,
-    line)`: its parse under `scope`, that file's header and schema, and the
-    line itself, so that a line two files share is held once.
-    `parse_snapshot` reuses an entry for a byte-identical line of the next
-    file, then replaces `rows` with that file's own, so the memo never
-    outgrows one file. `reused` counts the lines served from it so far.
+    `rows` maps a raw line to `(record, line)`: its parse under `scope`,
+    that file's header and schema, and the line itself, so that a line two
+    files share is held once. `parse_snapshot` reuses an entry for a
+    byte-identical line of the next file, then replaces `rows` with that
+    file's own, so the memo never outgrows one file. `reused` counts the
+    lines served from it so far.
     """
 
     scope: tuple | None = None
-    rows: dict[str, tuple[str, str, VoterRecord | None, str]] = field(default_factory=dict)
+    rows: dict[str, tuple[VoterRecord, str]] = field(default_factory=dict)
     reused: int = 0
 
 
@@ -287,7 +287,6 @@ def parse_snapshot(
     schema: SnapshotSchema,
     snapshot_date: dt.date | None = None,
     issues: list[RowIssue] | None = None,
-    voter_ids: Collection[str] | None = None,
     memo: LineMemo | None = None,
 ) -> Snapshot:
     """Parse a delimited snapshot file into a Snapshot.
@@ -296,16 +295,14 @@ def parse_snapshot(
     to `issues` (and summarized in one warning) rather than silently
     dropped; their line numbers count records, the header being 1.
     Duplicate voter ids among the valid rows abort with an IntegrityError
-    naming the offenders. `locale_counts` counts every valid row; `records`
-    holds the voters in `voter_ids`, or every voter when it is None.
+    naming the offenders.
 
     A `memo` shared along a stream of files lets a line byte-identical to a
-    valid one-line row of the previous file take that row's parse instead
+    valid one-line row of the previous file take that row's record instead
     of being split and validated again, when both files have the same
     header and schema (otherwise the memo starts empty). A reused row still
-    counts in `locale_counts` and in duplicate detection, and one whose
-    record is wanted but was not built is parsed afresh. Malformed rows and
-    rows spanning lines are never reused.
+    counts in `locale_counts` and in duplicate detection. Malformed rows
+    and rows spanning lines are never reused.
     """
     date = snapshot_date or schema.snapshot_date or _date_from_filename(path)
     if issues is None:
@@ -313,16 +310,14 @@ def parse_snapshot(
     if memo is None:
         memo = LineMemo()
     first_issue = len(issues)
-    wanted = None if voter_ids is None else frozenset(voter_ids)
     records: dict[str, VoterRecord] = {}
     counts: dict[str, int] = {}
-    seen: set[str] = set()
     duplicates: list[str] = []
     status_map = {s.value: s for s in VoterStatus}
     dates: dict[str, dt.date] = {}
     histories: dict[str, tuple[VoteEvent, ...]] = {}
     events: dict[str, VoteEvent] = {}
-    parsed: dict[str, tuple[str, str, VoterRecord | None, str]] = {}
+    parsed: dict[str, tuple[VoterRecord, str]] = {}
     reused = 0
     with open(path, newline="", encoding="utf-8") as fh:
         lines = _text_lines(fh, path)
@@ -352,11 +347,10 @@ def parse_snapshot(
         # record that spans several
         for lineno, line in enumerate(lines, start=2):
             entry = previous.get(line)
-            if entry is not None and (
-                entry[2] is not None or wanted is not None and entry[0] not in wanted
-            ):
+            if entry is not None:
                 # `line` becomes the previous file's copy: one copy stays alive
-                voter_id, locale, record, line = entry
+                record, line = entry
+                voter_id, locale = record.voter_id, record.locale
                 parsed[line] = entry
                 reused += 1
             else:
@@ -389,23 +383,19 @@ def parse_snapshot(
                 except ValueError as exc:
                     issues.append(RowIssue(lineno, "-", f"{path}:{lineno}: {exc}"))
                     continue
-                record = None
-                if wanted is None or voter_id in wanted:
-                    # positional, in field order: keywords cost a third more here
-                    record = VoterRecord(
-                        voter_id, locale, first, middle, last,
-                        (house, street, unit, city, zip_code), status, party, gender,
-                        birth_date, registration_date, last_update_date, vote_history,
-                    )
+                # positional, in field order: keywords cost a third more here
+                record = VoterRecord(
+                    voter_id, locale, first, middle, last,
+                    (house, street, unit, city, zip_code), status, party, gender,
+                    birth_date, registration_date, last_update_date, vote_history,
+                )
                 if not feed.pulled:  # the record ended with its own line
-                    parsed[line] = (voter_id, locale, record, line)
-            if voter_id in seen:
+                    parsed[line] = (record, line)
+            if voter_id in records:
                 duplicates.append(voter_id)
                 continue
-            seen.add(voter_id)
             counts[locale] = counts.get(locale, 0) + 1
-            if record is not None and (wanted is None or voter_id in wanted):
-                records[voter_id] = record
+            records[voter_id] = record
 
     memo.scope, memo.rows = scope, parsed
     memo.reused += reused

@@ -20,7 +20,7 @@ from vrf_sentinel import cli, detectors as det
 from vrf_sentinel.detectors.nmf import nmf_factorize
 from vrf_sentinel.detectors.rpca import default_lambda, rpca_decompose
 from vrf_sentinel.modmatrix import ModificationMatrix, build_intervals
-from vrf_sentinel.records import ChangeType
+from vrf_sentinel.records import ChangeType, election_tally
 
 
 def _report(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -262,6 +262,7 @@ def test_criterion_8_classifier_task():
     vectors = gf.compute_group_features(
         changes,
         snapshots,
+        gf.ElectionCalendar(election_tally(snapshots[0].records.values())),
         interval_days=config.interval_days,
         labels=labels_map,
         change_types=(ChangeType.DEACTIVATION,),

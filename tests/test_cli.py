@@ -18,7 +18,7 @@ from vrf_sentinel import cli, gbt, groupfeatures, vrf_io
 from vrf_sentinel.errors import FileParseError, VrfError
 from vrf_sentinel.groupfeatures import EventLabel
 from vrf_sentinel.modmatrix import DateInterval
-from vrf_sentinel.records import ChangeRecord, ChangeType, FieldDelta
+from vrf_sentinel.records import ChangeRecord, ChangeType, FieldDelta, election_tally
 
 
 def run(*argv):
@@ -56,19 +56,22 @@ def test_synth_writes_expected_artifacts(pipeline):
 
 @pytest.mark.parametrize("step", ["diff", "matrix", "features"])
 def test_steps_hold_at_most_two_snapshots(pipeline, tmp_path, monkeypatch, step):
-    parse = cli.vrf_io.parse_snapshot
-    parsed = []
+    """diff parses the 21 input snapshots, features the 21 reference files
+    diff wrote, and matrix nothing; each holds at most two at a time."""
+    parse = vrf_io.parse_snapshot
+    parsed, alive = [], []
     most_alive = 0
 
-    def tracked(*args, **kwargs):
+    def tracked(path, *args, **kwargs):
         nonlocal most_alive
         gc.collect()
-        most_alive = max(most_alive, sum(ref() is not None for ref in parsed))
-        snapshot = parse(*args, **kwargs)
-        parsed.append(weakref.ref(snapshot))
+        most_alive = max(most_alive, sum(ref() is not None for ref in alive))
+        snapshot = parse(path, *args, **kwargs)
+        parsed.append(os.path.dirname(os.path.abspath(path)))
+        alive.append(weakref.ref(snapshot))
         return snapshot
 
-    monkeypatch.setattr(cli.vrf_io, "parse_snapshot", tracked)
+    monkeypatch.setattr(vrf_io, "parse_snapshot", tracked)
     synth = pipeline / "synth"
     changes = ["--changes", str(pipeline / "diff" / "changes.csv")]
     extra = {
@@ -80,7 +83,8 @@ def test_steps_hold_at_most_two_snapshots(pipeline, tmp_path, monkeypatch, step)
         step, "--snapshots", str(synth / "snapshots"), "--schema", str(synth / "schema.cfg"),
         *extra, "--out", str(tmp_path),
     ) == 0
-    assert len(parsed) == 21
+    read = {"diff": synth / "snapshots", "features": pipeline / "diff" / "voters"}.get(step)
+    assert parsed == ([str(read)] * 21 if read else [])
     assert most_alive <= 2
 
 
@@ -100,48 +104,41 @@ def test_diff_pair_matches_sequence_rows(pipeline, tmp_path):
     assert len(want) > 1
 
 
-def record_counts(monkeypatch):
-    """Wrap parse_snapshot to note how many records each call built."""
-    parse = cli.vrf_io.parse_snapshot
-    built = []
-
-    def counted(*args, **kwargs):
-        snapshot = parse(*args, **kwargs)
-        built.append(len(snapshot.records))
-        return snapshot
-
-    monkeypatch.setattr(cli.vrf_io, "parse_snapshot", counted)
-    return built
-
-
 def test_matrix_builds_no_records(pipeline, tmp_path, monkeypatch):
-    built = record_counts(monkeypatch)
+    def parse(*args, **kwargs):
+        raise AssertionError("matrix parsed a snapshot file")
+
+    monkeypatch.setattr(vrf_io, "parse_snapshot", parse)  # diff's census suffices
     synth = pipeline / "synth"
     assert run(
         "matrix", "--changes", str(pipeline / "diff" / "changes.csv"),
         "--snapshots", str(synth / "snapshots"), "--schema", str(synth / "schema.cfg"),
         "--change-type", "deactivation", "--out", str(tmp_path),
     ) == 0
-    assert built == [0] * 21
     for name in ("matrix_deactivation.csv", "singular_values_deactivation.csv"):
         assert (tmp_path / name).read_bytes() == (pipeline / "matrix" / name).read_bytes()
 
 
-@pytest.mark.parametrize("change_type", [None, "deactivation"])
-def test_features_match_fully_parsed_snapshots(pipeline, tmp_path, monkeypatch, change_type):
+def fully_parsed_features(pipeline, changes, **options):
+    """The library path over every snapshot parsed in full, with the
+    election calendar tallied from the earliest: what `features` must
+    reproduce from diff's output."""
     synth = pipeline / "synth"
-    changes = vrf_io.csv_to_changes(str(pipeline / "diff" / "changes.csv"))
     schema = vrf_io.load_schema(str(synth / "schema.cfg"))
     paths = sorted((synth / "snapshots").glob("snapshot_*.csv"))
-    change_types = (ChangeType(change_type),) if change_type else None
-    want = groupfeatures.compute_group_features(
-        changes, (vrf_io.parse_snapshot(str(p), schema) for p in paths),
-        interval_days=7, change_types=change_types,
-    )
-    groupfeatures.features_to_csv(want, str(tmp_path / "want.csv"))
-    earliest = len(vrf_io.parse_snapshot(str(paths[0]), schema))
+    snapshots = [vrf_io.parse_snapshot(str(p), schema) for p in paths]
+    calendar = groupfeatures.ElectionCalendar(election_tally(snapshots[0].records.values()))
+    return groupfeatures.compute_group_features(changes, snapshots, calendar, **options)
 
-    built = record_counts(monkeypatch)
+
+@pytest.mark.parametrize("change_type", [None, "deactivation"])
+def test_features_match_fully_parsed_snapshots(pipeline, tmp_path, change_type):
+    synth = pipeline / "synth"
+    changes = vrf_io.csv_to_changes(str(pipeline / "diff" / "changes.csv"))
+    change_types = (ChangeType(change_type),) if change_type else None
+    want = fully_parsed_features(pipeline, changes, interval_days=7, change_types=change_types)
+    groupfeatures.features_to_csv(want, str(tmp_path / "want.csv"))
+
     extra = ["--change-type", change_type] if change_type else []
     assert run(
         "features", "--changes", str(pipeline / "diff" / "changes.csv"),
@@ -151,10 +148,85 @@ def test_features_match_fully_parsed_snapshots(pipeline, tmp_path, monkeypatch, 
     assert (tmp_path / "cli" / "group_features.csv").read_bytes() == (
         tmp_path / "want.csv"
     ).read_bytes()
-    # the earliest snapshot in full (for the calendar), later ones only grouped voters
-    grouped = {c.voter_id for c in changes if change_types is None or c.change_type in change_types}
-    assert built[0] == earliest
-    assert all(n <= len(grouped) for n in built[1:])
+
+
+def test_features_at_twice_the_snapshot_spacing_match_fully_parsed_snapshots(pipeline, tmp_path):
+    """At --interval-days 14 over weekly snapshots a group spans two diffs,
+    and each voter is resolved in the reference snapshot of their latest
+    change in it, which diff's reference files hold."""
+    synth = pipeline / "synth"
+    changes = vrf_io.csv_to_changes(str(pipeline / "diff" / "changes.csv"))
+    groups = groupfeatures.group_changes(changes, 14)
+    assert any(len({c.reference_date for c in group}) == 2 for group in groups.values())
+    want = fully_parsed_features(pipeline, changes, interval_days=14)
+    groupfeatures.features_to_csv(want, str(tmp_path / "want.csv"))
+    assert run(
+        "features", "--changes", str(pipeline / "diff" / "changes.csv"),
+        "--snapshots", str(synth / "snapshots"), "--schema", str(synth / "schema.cfg"),
+        "--interval-days", "14", "--out", str(tmp_path / "cli"),
+    ) == 0
+    assert (tmp_path / "cli" / "group_features.csv").read_bytes() == (
+        tmp_path / "want.csv"
+    ).read_bytes()
+
+
+@pytest.mark.parametrize("edited", ["snapshot", "changes"])
+@pytest.mark.parametrize("step", ["matrix", "features"])
+def test_file_edited_after_diff_exits_3(pipeline, tmp_path, capsys, step, edited):
+    """One byte of a snapshot or of changes.csv edited after `diff` no
+    longer matches the digests in its manifest."""
+    synth = pipeline / "synth"
+    snapshots = tmp_path / "snapshots"
+    snapshots.mkdir()
+    for path in (synth / "snapshots").glob("snapshot_*.csv"):
+        (snapshots / path.name).write_bytes(path.read_bytes())
+    diff = tmp_path / "diff"
+    schema = str(synth / "schema.cfg")
+    assert run("diff", "--snapshots", str(snapshots), "--schema", schema, "--out", str(diff)) == 0
+    argv = [
+        step, "--changes", str(diff / "changes.csv"), "--snapshots", str(snapshots),
+        "--schema", schema, "--change-type", "deactivation", "--out", str(tmp_path / step),
+    ]
+    assert run(*argv) == 0
+    path = diff / "changes.csv" if edited == "changes" else sorted(snapshots.glob("*.csv"))[5]
+    data = bytearray(path.read_bytes())
+    data[-2] = ord("x") if data[-2] != ord("x") else ord("y")  # one byte of the last row
+    path.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert run(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "rerun diff over these snapshots" in err
+
+
+@pytest.mark.parametrize("step", ["matrix", "features"])
+def test_changes_without_diff_output_beside_exit_3(pipeline, tmp_path, capsys, step):
+    changes = tmp_path / "changes.csv"
+    changes.write_bytes((pipeline / "diff" / "changes.csv").read_bytes())
+    synth = pipeline / "synth"
+    assert run(
+        step, "--changes", str(changes), "--snapshots", str(synth / "snapshots"),
+        "--schema", str(synth / "schema.cfg"), "--change-type", "deactivation",
+        "--out", str(tmp_path / step),
+    ) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "no diff manifest beside --changes" in err
+
+
+def test_features_reads_only_the_reference_files_of_this_diff(pipeline, tmp_path):
+    """A voters/ file left by an earlier diff into the same --out is not
+    read: features reads one reference file per date of diff's census."""
+    synth = pipeline / "synth"
+    diff = tmp_path / "diff"
+    (diff / "voters").mkdir(parents=True)
+    (diff / "voters" / "snapshot_2000-01-01.csv").write_text("not a snapshot\n")
+    snapshots = ["--snapshots", str(synth / "snapshots"), "--schema", str(synth / "schema.cfg")]
+    assert run("diff", *snapshots, "--out", str(diff)) == 0
+    assert run(
+        "features", "--changes", str(diff / "changes.csv"), *snapshots,
+        "--out", str(tmp_path / "features"),
+    ) == 0
 
 
 def read_counts(outdir):
@@ -171,13 +243,19 @@ def test_stream_manifests_record_counts_that_rerun_repeats(pipeline, tmp_path):
     ) == 0
     schema = vrf_io.load_schema(str(synth / "schema.cfg"))
     rows = sum(
-        sum(vrf_io.parse_snapshot(str(p), schema, voter_ids=()).locale_counts.values())
+        sum(vrf_io.parse_snapshot(str(p), schema).locale_counts.values())
         for p in (synth / "snapshots").glob("snapshot_*.csv")
     )
+    changes = vrf_io.csv_to_changes(str(pipeline / "diff" / "changes.csv"))
+    diff_counts = read_counts(pipeline / "diff")
+    assert 0 < diff_counts["rows_reused"] < rows
+    assert diff_counts["changes"] == {
+        ct.value: sum(c.change_type == ct for c in changes) for ct in ChangeType
+    }
+    assert read_counts(pipeline / "matrix")["cells"] == 12 * 20
     for out in (pipeline / "diff", pipeline / "matrix", tmp_path / "features"):
         counts = read_counts(out)
         assert (counts["snapshots"], counts["rows"], counts["row_issues"]) == (21, rows, {})
-        assert 0 < counts["rows_reused"] < rows
         replay = tmp_path / f"replay_{out.name}"
         assert run("rerun", "--manifest", str(out / "manifest.json"), "--out", str(replay)) == 0
         assert read_counts(replay) == counts
@@ -195,6 +273,7 @@ def test_diff_manifest_counts_row_issues_by_field(tmp_path):
     assert read_counts(tmp_path / "diff") == {
         "snapshots": 2, "rows": 2, "rows_reused": 1,
         "row_issues": {"locale": 2, "status": 1, "voter_id": 1},
+        "changes": {ct.value: 0 for ct in ChangeType},
     }
 
 
@@ -276,6 +355,25 @@ def test_detect_rejects_a_lambda_not_positive_and_finite(pipeline, tmp_path, cap
     assert err.startswith("error: lambda must be positive and finite")
     assert err.count("\n") == 1
     assert not (tmp_path / "scores_rpca.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--preset", "pair"],
+    ["evaluate", "--matrix", "{matrix}", "--methods", "global_std"],
+    ["train", "--features", "{features}"],
+    ["detect", "--matrix", "{matrix}", "--method", "nmf"],
+    ["detect", "--matrix", "{matrix}", "--method", "rpca"],
+], ids=["synth", "evaluate", "train", "detect-nmf", "detect-rpca"])
+def test_negative_seed_exits_3(pipeline, tmp_path, capsys, argv):
+    paths = {
+        "matrix": str(pipeline / "matrix" / "matrix_deactivation.csv"),
+        "features": str(tmp_path / "missing.csv"),
+    }
+    out = tmp_path / "out"
+    assert run(*(token.format(**paths) for token in argv), "--seed", "-1", "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err == "error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("threshold", ["nan", "inf", "5", "-0.1"])
@@ -498,7 +596,8 @@ def test_matrix_rejects_repeated_snapshot_date(pipeline, tmp_path, capsys):
         "--snapshots", str(synth / "snapshots"), "--schema", str(schema),
         "--change-type", "deactivation", "--out", str(tmp_path / "matrix"),
     ) == 3
-    assert "two snapshots dated 2018-06-04" in capsys.readouterr().err
+    # diff read these files under the schema without the date: they must be diffed again
+    assert "rerun diff over these snapshots" in capsys.readouterr().err
 
 
 LABEL_HEADER = "locale,interval_start,change_type,label\n"

@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 
 import oracles
 import vrf_sentinel.gbt as gbt
-from vrf_sentinel.errors import ModelError
+from vrf_sentinel.errors import ModelError, VrfError
 
 
 def separable_toy(seed=0):
@@ -95,6 +95,13 @@ def test_single_class_rejected():
     x = np.zeros((5, 2))
     with pytest.raises(ModelError, match="2 distinct classes"):
         gbt.train(x, ["a"] * 5)
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_max_depth_below_1_rejected(depth):
+    # _fit_tree stops only at depth 0, so a negative depth would grow unbounded trees
+    with pytest.raises(VrfError, match="max_depth must be >= 1"):
+        gbt.GbtConfig(max_depth=depth)
 
 
 def test_zero_tree_model_uniform():

@@ -17,6 +17,7 @@ from vrf_sentinel.records import (
     VoteEvent,
     VoterRecord,
     VoterStatus,
+    election_tally,
 )
 
 AS_OF = dt.date(2019, 6, 10)
@@ -52,6 +53,10 @@ def voter(voter_id="V1", **kwargs):
 
 def vote(eid, date, kind=BallotKind.REGULAR, party=None):
     return VoteEvent(election_id=eid, election_date=date, kind=kind, party_ballot=party)
+
+
+def calendar_of(snapshot):
+    return gf.ElectionCalendar(election_tally(snapshot.records.values()))
 
 
 def features_of(v, as_of=AS_OF, counts=None):
@@ -186,11 +191,16 @@ def snapshot_of(*voters, date=AS_OF):
     return Snapshot(snapshot_date=date, records={v.voter_id: v for v in voters})
 
 
+def references(*voters, date=AS_OF):
+    """`group_features`' records: each voter in the snapshot dated `date`."""
+    return {(date, v.voter_id): v for v in voters}
+
+
 def test_group_of_one_equals_voter_vector():
     v = voter(status=VoterStatus.INACTIVE)
     ch = change("V1", ChangeType.DEACTIVATION, AS_OF)
     got = gf.group_features(
-        group_key(), [ch], snapshot_of(v), gf.ChangeIndex([ch]), calendar()
+        group_key(), [ch], references(v), gf.ChangeIndex([ch]), calendar()
     )
     want = gf.voter_features(v, AS_OF, gf.ChangeIndex().counts("V1", AS_OF), calendar())
     np.testing.assert_array_equal(got.features, want)
@@ -202,7 +212,7 @@ def test_group_mean_of_ages():
     v2 = voter("V2", birth_date=AS_OF - dt.timedelta(days=round(50 * 365.25)))
     changes = [change("V1", ChangeType.DEACTIVATION, AS_OF), change("V2", ChangeType.DEACTIVATION, AS_OF)]
     got = gf.group_features(
-        group_key(), changes, snapshot_of(v1, v2), gf.ChangeIndex(changes), calendar()
+        group_key(), changes, references(v1, v2), gf.ChangeIndex(changes), calendar()
     )
     assert got.features[IDX["years_old"]] == pytest.approx(40.0, abs=0.01)
 
@@ -212,10 +222,10 @@ def test_current_change_always_excluded():
     ch = change("V1", ChangeType.DEACTIVATION, AS_OF)
     older = change("V1", ChangeType.DEACTIVATION, AS_OF - dt.timedelta(days=30))
     with_current = gf.group_features(
-        group_key(), [ch], snapshot_of(v), gf.ChangeIndex([older, ch]), calendar()
+        group_key(), [ch], references(v), gf.ChangeIndex([older, ch]), calendar()
     )
     without_current = gf.group_features(
-        group_key(), [ch], snapshot_of(v), gf.ChangeIndex([older]), calendar()
+        group_key(), [ch], references(v), gf.ChangeIndex([older]), calendar()
     )
     np.testing.assert_array_equal(with_current.features, without_current.features)
     assert with_current.features[IDX["deactivation_changes_all_time"]] == 1.0
@@ -224,10 +234,10 @@ def test_current_change_always_excluded():
 def test_group_permutation_invariance():
     voters = [voter(f"V{i}", birth_date=dt.date(1950 + 2 * i, 1, 1)) for i in range(6)]
     changes = [change(v.voter_id, ChangeType.DEACTIVATION, AS_OF) for v in voters]
-    snap = snapshot_of(*voters)
+    refs = references(*voters)
     index = gf.ChangeIndex(changes)
-    a = gf.group_features(group_key(), changes, snap, index, calendar())
-    b = gf.group_features(group_key(), list(reversed(changes)), snap, index, calendar())
+    a = gf.group_features(group_key(), changes, refs, index, calendar())
+    b = gf.group_features(group_key(), list(reversed(changes)), refs, index, calendar())
     np.testing.assert_array_equal(a.features, b.features)
 
 
@@ -238,7 +248,7 @@ def test_unresolvable_voters_warned_and_excluded(caplog):
         change("GHOST", ChangeType.DEACTIVATION, AS_OF),
     ]
     got = gf.group_features(
-        group_key(), changes, snapshot_of(v), gf.ChangeIndex(changes), calendar()
+        group_key(), changes, references(v), gf.ChangeIndex(changes), calendar()
     )
     assert got.n_voters == 1
     assert any("GHOST" in r.message for r in caplog.records)
@@ -248,7 +258,7 @@ def test_wrong_group_membership_rejected():
     ch = change("V1", ChangeType.NAME, AS_OF)
     with pytest.raises(DataError):
         gf.group_features(
-            group_key(ChangeType.DEACTIVATION), [ch], snapshot_of(voter()),
+            group_key(ChangeType.DEACTIVATION), [ch], references(voter()),
             gf.ChangeIndex([]), calendar(),
         )
 
@@ -258,10 +268,11 @@ def test_compute_group_features_needs_ascending_snapshots():
     ch = change("V1", ChangeType.DEACTIVATION, AS_OF)
     before = snapshot_of(v, date=AS_OF - dt.timedelta(days=7))
     after = snapshot_of(v)
-    (got,) = gf.compute_group_features([ch], iter([before, after]), interval_days=7)
+    calendar = calendar_of(before)
+    (got,) = gf.compute_group_features([ch], iter([before, after]), calendar, interval_days=7)
     assert got.n_voters == 1
     with pytest.raises(DataError, match="ascend"):
-        gf.compute_group_features([ch], iter([after, before]), interval_days=7)
+        gf.compute_group_features([ch], iter([after, before]), calendar, interval_days=7)
 
 
 def test_compute_group_features_missing_reference_snapshot():
@@ -269,7 +280,42 @@ def test_compute_group_features_missing_reference_snapshot():
     ch = change("V1", ChangeType.DEACTIVATION, AS_OF)
     earlier = snapshot_of(v, date=AS_OF - dt.timedelta(days=7))
     with pytest.raises(DataError, match=f"no snapshot dated {AS_OF}"):
-        gf.compute_group_features([ch], iter([earlier]), interval_days=7)
+        gf.compute_group_features([ch], iter([earlier]), calendar_of(earlier), interval_days=7)
+
+
+def test_each_voter_resolved_in_the_reference_snapshot_of_their_latest_change():
+    """One 14-day group over weekly snapshots: V1 changes in its first week,
+    V2 in both. V2 is resolved in the second week's snapshot, the reference
+    snapshot of their latest change, not in the first week's, which holds
+    another record for them."""
+    week = dt.timedelta(days=7)
+    history = (vote("2018-general", dt.date(2018, 11, 6)),)
+    v1 = voter("V1", vote_history=history)
+    v2_later = voter("V2", registration_date=AS_OF + dt.timedelta(days=3), vote_history=history)
+    changes = [
+        change("V1", ChangeType.DEACTIVATION, AS_OF),
+        change("V2", ChangeType.DEACTIVATION, AS_OF + week),
+        change("V2", ChangeType.DEACTIVATION, AS_OF),  # an earlier change is not the reference
+    ]
+    snapshots = [
+        snapshot_of(v1, voter("V2", birth_date=dt.date(1990, 1, 1), vote_history=history)),
+        snapshot_of(v1, v2_later, date=AS_OF + week),
+    ]
+    (got,) = gf.compute_group_features(
+        changes, iter(snapshots), calendar_of(snapshots[0]), interval_days=14
+    )
+    index = gf.ChangeIndex(changes)
+    want = np.mean([
+        gf.voter_features(v1, AS_OF, index.counts("V1", AS_OF, (ChangeType.DEACTIVATION, AS_OF)),
+                          calendar_of(snapshots[0])),
+        gf.voter_features(
+            v2_later, AS_OF + week,
+            index.counts("V2", AS_OF + week, (ChangeType.DEACTIVATION, AS_OF + week)),
+            calendar_of(snapshots[0]),
+        ),
+    ], axis=0)
+    np.testing.assert_array_equal(got.features, want)
+    assert got.n_voters == 2
 
 
 # --- standardization ----------------------------------------------------------------

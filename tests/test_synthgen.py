@@ -115,6 +115,14 @@ def test_conservation_of_insertions_and_removals():
     assert counts[ChangeType.REMOVAL] == truth.removed_voters
 
 
+def test_snapshot_locale_counts_equal_a_recount_of_records():
+    snapshots, truth = sg.generate_scenario(tiny_config(seed=12, n_intervals=5))
+    assert truth.inserted_voters and truth.removed_voters
+    for snapshot in snapshots:
+        recount = collections.Counter(rec.locale for rec in snapshot.records.values())
+        assert snapshot.locale_counts == recount
+
+
 def test_statewide_event_dominates_top_singular_direction():
     config = tiny_config(
         seed=5,

@@ -178,18 +178,32 @@ def expected_issues(path):
     ]
 
 
+def write_references(tmp_path, snapshot, voter_ids):
+    """The reference file `diff` writes for the changed voters `voter_ids`
+    (None: every voter) of a parsed snapshot, as its path."""
+    wanted = snapshot.records.keys() if voter_ids is None else set(voter_ids)
+    kept = {k: v for k, v in snapshot.records.items() if k in wanted}
+    path = tmp_path / "voters" / f"snapshot_{snapshot.snapshot_date}.csv"
+    path.parent.mkdir(exist_ok=True)
+    io.write_snapshot(Snapshot(snapshot.snapshot_date, kept), str(path))
+    return path, kept
+
+
 @pytest.mark.parametrize("voter_ids", [None, (), {"V1", "V11", "V4", "nobody"}])
 def test_malformed_rows_same_issues_and_counts_for_any_voter_ids(tmp_path, voter_ids):
+    """Every row of an input snapshot is parsed in full; whichever voters'
+    records `diff` then keeps as references read back unchanged."""
     path = write_full_file(tmp_path, MALFORMED_ROWS)
-    full_issues, issues = [], []
-    full = io.parse_snapshot(path, malformed_schema(), issues=full_issues)
-    part = io.parse_snapshot(path, malformed_schema(), issues=issues, voter_ids=voter_ids)
+    issues = []
+    full = io.parse_snapshot(path, malformed_schema(), issues=issues)
 
-    assert full_issues == issues == expected_issues(path)
-    assert full.locale_counts == part.locale_counts == {"polk": 2, "story": 2}
+    assert issues == expected_issues(path)
+    assert full.locale_counts == {"polk": 2, "story": 2}
     assert set(full.records) == {"V1", "V10", "V11", "V14"}
-    wanted = full.records.keys() if voter_ids is None else set(voter_ids)
-    assert part.records == {k: v for k, v in full.records.items() if k in wanted}
+    references, kept = write_references(tmp_path, full, voter_ids)
+    part = io.parse_snapshot(str(references), io.identity_schema())
+    assert part.snapshot_date == full.snapshot_date
+    assert part.records == kept
 
     v1, v10, v11 = full.records["V1"], full.records["V10"], full.records["V11"]
     assert (v1.middle_name, v1.gender) == ("", "")  # unmapped fields read empty
@@ -203,9 +217,22 @@ def test_malformed_rows_same_issues_and_counts_for_any_voter_ids(tmp_path, voter
 
 @pytest.mark.parametrize("voter_ids", [None, (), {"V2"}, {"V1"}])
 def test_duplicate_raises_for_any_voter_ids(tmp_path, voter_ids):
+    """A repeated voter id aborts the input parse, and a reference file
+    holding any set of voters plus a repeated V1 aborts its read too."""
     path = write_full_file(tmp_path, [full_row("V1"), full_row("V2"), full_row("V1")])
     with pytest.raises(IntegrityError, match="V1"):
-        io.parse_snapshot(path, malformed_schema(), voter_ids=voter_ids)
+        io.parse_snapshot(path, malformed_schema())
+
+    clean = io.parse_snapshot(write_full_file(tmp_path, [full_row("V1"), full_row("V2")]),
+                              malformed_schema())
+    (tmp_path / "v1").mkdir()
+    only_v1, _ = write_references(tmp_path / "v1", clean, {"V1"})
+    v1_line = only_v1.read_text().splitlines(keepends=True)[-1]
+    references, kept = write_references(tmp_path, clean, voter_ids)
+    with open(references, "a") as fh:
+        fh.write(v1_line * (1 if "V1" in kept else 2))
+    with pytest.raises(IntegrityError, match="V1"):
+        io.parse_snapshot(str(references), io.identity_schema())
 
 
 def test_bad_rows_logged_as_one_warning(tmp_path, caplog):
@@ -638,22 +665,22 @@ def write_named(tmp_path, name, text):
     return str(path)
 
 
-def parse_stream(paths, schema, voter_ids):
+def parse_stream(paths, schema):
     """Each file parsed through one shared memo, as the CLI streams do, and
     each parsed alone; both as (records, locale_counts, issues) or the
     IntegrityError text."""
     memo = io.LineMemo()
 
-    def outcome(path, wanted, memo):
+    def outcome(path, memo):
         issues = []
         try:
-            snapshot = io.parse_snapshot(path, schema, issues=issues, voter_ids=wanted, memo=memo)
+            snapshot = io.parse_snapshot(path, schema, issues=issues, memo=memo)
         except IntegrityError as exc:
             return str(exc)
         return snapshot.records, snapshot.locale_counts, issues
 
-    streamed = [outcome(p, w, memo) for p, w in zip(paths, voter_ids)]
-    alone = [outcome(p, w, None) for p, w in zip(paths, voter_ids)]
+    streamed = [outcome(p, memo) for p in paths]
+    alone = [outcome(p, None) for p in paths]
     return streamed, alone, memo
 
 
@@ -664,7 +691,7 @@ def test_reordered_header_drops_the_memo(tmp_path):
     # the same line under swapped voter_id and locale columns
     second = write_named(tmp_path, "snapshot_2019-01-10.csv",
                          "locale,voter_id,status,first_name,last_name,party\n" + line)
-    streamed, alone, memo = parse_stream([first, second], simple_schema(), [None, None])
+    streamed, alone, memo = parse_stream([first, second], simple_schema())
     assert streamed == alone
     records, counts, _ = streamed[1]
     assert set(records) == {"polk"} and counts == {"A1": 1}
@@ -675,7 +702,7 @@ def test_identical_lines_are_reused(tmp_path):
     rows = ["A1,polk,active,ada,barnes,democrat\n", "A2,story,inactive,bea,calder,\n"]
     paths = [write_snapshot_file(tmp_path, rows, name=f"snapshot_2019-01-0{d}.csv")
              for d in (3, 4)]
-    streamed, alone, memo = parse_stream(paths, simple_schema(), [None, None])
+    streamed, alone, memo = parse_stream(paths, simple_schema())
     assert streamed == alone
     assert memo.reused == 2
     # the second file's records are the first file's objects
@@ -705,7 +732,6 @@ STREAM_LINES = (
     "Ä12,pölk,Active,,\n",
     "A13,story,active,1980-05-06,e2|2018-06-05|mail|\n",
 )
-STREAM_WANTED = st.sampled_from([None, (), ("A1", "A3", "A5", "polk", "Ä12")])
 
 
 def test_record_the_file_ends_inside_is_not_reused(tmp_path):
@@ -715,7 +741,7 @@ def test_record_the_file_ends_inside_is_not_reused(tmp_path):
     first = write_named(tmp_path, "snapshot_2019-01-03.csv", header + line)
     # ... but runs on into the next line of the second
     second = write_named(tmp_path, "snapshot_2019-01-10.csv", header + line + 'A15",story,active,,\n')
-    streamed, alone, memo = parse_stream([first, second], STREAM_SCHEMA, [None, None])
+    streamed, alone, memo = parse_stream([first, second], STREAM_SCHEMA)
     assert streamed == alone
     records, _, _ = streamed[1]
     assert set(records) == {"A14"} and records["A14"].vote_history[0].party_ballot == "A15"
@@ -740,7 +766,7 @@ def stream_files(draw):
         text = ",".join(header) + "\n" + "".join(lines)
         if lines and draw(st.booleans()):
             text = text.rstrip("\r\n")
-        files.append((text, draw(STREAM_WANTED)))
+        files.append(text)
     return files
 
 
@@ -748,6 +774,6 @@ def stream_files(draw):
 def test_stream_parse_matches_parsing_each_file_alone(files):
     with tempfile.TemporaryDirectory() as tmp:
         paths = [write_named(pathlib.Path(tmp), f"snapshot_2019-01-0{k + 1}.csv", text)
-                 for k, (text, _) in enumerate(files)]
-        streamed, alone, _ = parse_stream(paths, STREAM_SCHEMA, [w for _, w in files])
+                 for k, text in enumerate(files)]
+        streamed, alone, _ = parse_stream(paths, STREAM_SCHEMA)
     assert streamed == alone
