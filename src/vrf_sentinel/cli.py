@@ -2,7 +2,7 @@
 
 Every subcommand is file-in/file-out. `main` creates the output location,
 runs one `cmd_*` and, when it succeeds, writes the run's one manifest
-(argv, package version and the extras the subcommand returns): a
+(argv, package version, `wall_s`, `peak_rss_mib` and the extras it returns): a
 `manifest.json` in the `--out` directory, or `<svg>.manifest.json` beside
 the SVG that `heatmap` writes. `rerun` replays a manifest, which must
 reproduce byte-identical data outputs. Each `cmd_*` imports the library
@@ -24,7 +24,9 @@ import glob
 import json
 import logging
 import os
+import resource
 import sys
+import time
 from collections import Counter
 
 from . import __version__, vrf_io
@@ -616,7 +618,10 @@ def main(argv: list[str] | None = None) -> int:
         else:
             outdir, manifest = args.out, os.path.join(args.out, "manifest.json")
         os.makedirs(outdir, exist_ok=True)
+        start = time.perf_counter()
         extras = args.func(args)
+        extras["wall_s"] = time.perf_counter() - start
+        extras["peak_rss_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         _write_manifest(manifest, args.command, argv, **extras)
     except (VrfError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

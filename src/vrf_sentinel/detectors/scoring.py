@@ -16,7 +16,9 @@ and a value above it scores +inf, which ranks ahead of every finite score.
 
 One batched kernel, `_pool_scores`, scores them all: it takes the pools as
 rows and reduces along axis 1 once, bit-identical to scoring each pool on
-its own. Only the 2w clipped cross-locale edge columns call it in a loop.
+its own. The cross-locale pools overlap, so they are copied out and scored
+in chunks of interior columns holding at most `POOL_CHUNK_VALUES` pooled
+values each; the 2w clipped edge columns are scored one at a time.
 
 Score files use the grid CSV layout described in `modmatrix`.
 """
@@ -29,9 +31,12 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import FileParseError, VrfError
 from ..modmatrix import DateInterval, ModificationMatrix, read_grid, write_grid
+
+POOL_CHUNK_VALUES = 1 << 18  # pooled values per cross-locale chunk: 2 MiB of float64
 
 
 @dataclass(frozen=True)
@@ -130,11 +135,13 @@ def cross_locale_scores(
     n_rows, n_cols = values.shape
     width = 2 * w + 1
     scores = np.zeros((n_rows, n_cols))
-    # interior columns: each pool in the element order of values[:, lo:hi].ravel()
-    inner = np.arange(w, n_cols - w)
-    pools = values[:, inner[:, None] + np.arange(-w, w + 1)].transpose(1, 0, 2)
-    pools = pools.reshape(len(inner), n_rows * width)
-    scores[:, inner] = _pool_scores(values[:, inner].T, pools, stat).T
+    # interior columns a chunk at a time, column j's pool values[:, j - w:j + w + 1].ravel()
+    step = max(1, POOL_CHUNK_VALUES // (n_rows * width))
+    for lo in range(w, n_cols - w, step):
+        hi = min(lo + step, n_cols - w)
+        windows = sliding_window_view(values[:, lo - w:hi + w], width, axis=1)
+        pools = windows.transpose(1, 0, 2).reshape(hi - lo, n_rows * width)
+        scores[:, lo:hi] = _pool_scores(values[:, lo:hi].T, pools, stat).T
     for j in (j for j in range(n_cols) if not w <= j < n_cols - w):
         lo, hi = max(0, j - w), min(n_cols, j + w + 1)
         scores[:, j] = _pool_scores(values[None, :, j], values[:, lo:hi].reshape(1, -1), stat)[0]

@@ -10,7 +10,8 @@ and parsed by `read_grid`: a header row whose corner cell is
 more blocks separated by one empty row, each holding one row per locale
 that starts with the locale. A matrix file has three blocks (values,
 raw_counts, populations) under the change type; a score file has one
-block under the method id, after a JSON params line.
+block under the method id, after a JSON params line. `read_grid` holds one
+row of text at a time, so a read costs memory in proportion to its grids.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ import bisect
 import csv
 import datetime as dt
 import logging
+from array import array
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from itertools import groupby
 from operator import attrgetter
 from typing import TextIO
 
@@ -254,15 +257,35 @@ def write_grid(
 
 def read_grid(
     fh: TextIO, path: str, n_blocks: int
-) -> tuple[str, tuple[DateInterval, ...], tuple[str, ...], np.ndarray]:
+) -> tuple[str, tuple[DateInterval, ...], tuple[str, ...], list[np.ndarray]]:
     """Parse the grid layout into (corner name, intervals, locales, grids),
-    with `grids` of shape (n_blocks, locales, intervals). Any malformed
-    header, block, row or cell raises FileParseError naming `path`."""
+    with one (locales, intervals) float grid per block, holding one row of
+    text at a time. Any malformed header, block, row or cell raises
+    FileParseError naming `path`: of several, the first in the order of a
+    whole-file check (unreadable text, header, block count, then block by
+    block its locale labels and first bad row)."""
+    blocks: list[tuple[list[str], array]] = []  # each block's locale labels and cells
+    fault = None  # (block, message) of the first bad row
     try:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        header = next(reader, None) or [""]
+        for b, rows in enumerate(group for full, group in groupby(reader, key=any) if full):
+            blocks.append(([], array("d")))
+            labels, cells = blocks[-1]
+            for i, row in enumerate(rows):
+                labels.append(row[0])
+                if fault:
+                    continue
+                if len(row) != len(header):
+                    fault = b, f"block {b} row {i} has {len(row) - 1} cells, expected {len(header) - 1}"
+                    continue
+                try:
+                    cells.fromlist(list(map(float, row[1:])))
+                except ValueError as exc:
+                    fault = b, f"block {b} row {i}: {exc}"
     except (csv.Error, UnicodeDecodeError) as exc:
         raise FileParseError(f"{path}: unreadable grid ({exc})") from None
-    corner, *date_cells = rows[0] if rows and rows[0] else [""]
+    corner, *date_cells = header
     try:
         name, days_token = corner.rsplit(":", 1)
         days = int(days_token)
@@ -277,32 +300,15 @@ def read_grid(
         raise FileParseError(f"{path}: bad interval start date ({exc})") from None
     if not intervals:
         raise FileParseError(f"{path}: grid has no interval columns")
-
-    blocks: list[list[list[str]]] = [[]]
-    for row in rows[1:]:
-        if any(row):
-            blocks[-1].append(row)
-        else:
-            blocks.append([])
-    blocks = [b for b in blocks if b]
     if len(blocks) != n_blocks:
         raise FileParseError(f"{path}: expected {n_blocks} blocks, found {len(blocks)}")
-    locales = [row[0] for row in blocks[0]]
-    grids = np.empty((n_blocks, len(locales), len(intervals)))
-    for b, block in enumerate(blocks):
-        if [row[0] for row in block] != locales:
-            raise FileParseError(f"{path}: locale labels disagree between blocks")
-        for i, row in enumerate(block):
-            if len(row) != len(intervals) + 1:
-                raise FileParseError(
-                    f"{path}: block {b} row {i} has {len(row) - 1} cells, "
-                    f"expected {len(intervals)}"
-                )
-            try:
-                grids[b, i] = list(map(float, row[1:]))
-            except ValueError as exc:
-                raise FileParseError(f"{path}: block {b} row {i}: {exc}") from None
-    return name, intervals, tuple(locales), grids
+    locales = blocks[0][0]
+    if any(labels != locales for labels, _ in blocks[: fault[0] + 1 if fault else None]):
+        raise FileParseError(f"{path}: locale labels disagree between blocks")
+    if fault:
+        raise FileParseError(f"{path}: {fault[1]}")
+    shape = len(locales), len(intervals)
+    return name, intervals, tuple(locales), [np.frombuffer(c).reshape(shape) for _, c in blocks]
 
 
 def matrix_to_csv(matrix: ModificationMatrix, path: str) -> None:
@@ -321,38 +327,38 @@ def matrix_to_csv(matrix: ModificationMatrix, path: str) -> None:
 
 def csv_to_matrix(path: str) -> ModificationMatrix:
     with open(path, newline="", encoding="utf-8") as fh:
-        type_token, intervals, locales, grids = read_grid(fh, path, 3)
+        type_token, intervals, locales, (values, raw, pops) = read_grid(fh, path, 3)
     try:
         change_type = ChangeType(type_token)
     except ValueError:
         raise FileParseError(f"{path}: unknown change type {type_token!r} in the corner") from None
-    values, counts = grids[0], grids[1:]
     if np.any(values < 0):
         raise FileParseError(f"{path}: negative values in matrix body")
     # finite whole numbers within int64 only, so the cast is exact and silent
-    if not np.all((np.abs(counts) < 2.0**63) & (np.floor(counts) == counts)):
-        raise FileParseError(f"{path}: raw_counts/populations must be integers below 2^63")
-    raw_int, pops_int = counts.astype(np.int64)
+    for counts in (raw, pops):
+        if not np.all((np.abs(counts) < 2.0**63) & (np.floor(counts) == counts)):
+            raise FileParseError(f"{path}: raw_counts/populations must be integers below 2^63")
+    raw = raw.astype(np.int64)  # one block at a time: each float block is freed
+    pops = pops.astype(np.int64)
     # the rule ModificationMatrix applies, checked before the division below
-    if np.any(pops_int < 1):
+    if np.any(pops < 1):
         raise FileParseError(f"{path}: populations must be >= 1")
 
     # Where the serialized value matches the normalization formula at the
-    # written precision, restore the exact recomputed value.
-    days_arr = np.array([iv.days for iv in intervals], dtype=float)
-    exact = normalized_values(raw_int, pops_int, days_arr)
-    rounded_exact = np.array(
-        [list(map(float, map(FLOAT_FORMAT.__mod__, row))) for row in exact.tolist()]
-    )
-    values = np.where(values == rounded_exact, exact, values)
+    # written precision, restore the exact recomputed value, a row at a time.
+    days = np.array([iv.days for iv in intervals], dtype=float)
+    for row, counts, voters in zip(values, raw, pops):
+        exact = normalized_values(counts, voters, days)[0]
+        rounded = np.array(list(map(float, map(FLOAT_FORMAT.__mod__, exact.tolist()))))
+        np.copyto(row, exact, where=row == rounded)
 
     return ModificationMatrix(
         change_type=change_type,
         locales=locales,
         intervals=intervals,
         values=values,
-        raw_counts=raw_int,
-        populations=pops_int,
+        raw_counts=raw,
+        populations=pops,
     )
 
 

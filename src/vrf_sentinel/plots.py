@@ -11,7 +11,6 @@ row at a time, so the file is never held in memory whole.
 from __future__ import annotations
 
 from typing import Iterable
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -38,18 +37,19 @@ def _ramp(t: np.ndarray) -> np.ndarray:
     return r << 16 | g << 8 | b
 
 
-# The characters XML 1.0 allows in no form, not even as a reference: the C0
-# controls but tab, LF and CR, and U+FFFE and U+FFFF.
-_NOT_XML = dict.fromkeys(
+# SVG character data for each character that cannot stand as itself: the
+# characters XML 1.0 allows in no form, not even as a reference (the C0
+# controls but tab, LF and CR, and U+FFFE and U+FFFF), become U+FFFD; the
+# markup characters become entities; a carriage return is kept as a
+# reference, which an XML reader would otherwise turn into a newline.
+_XML_TEXT = dict.fromkeys(
     [c for c in range(0x20) if chr(c) not in "\t\n\r"] + [0xFFFE, 0xFFFF], "\ufffd"
-)
+) | {ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;", ord("\r"): "&#13;"}
 
 
 def _text(text: str) -> str:
-    """`text` as SVG character data. A character XML cannot hold becomes
-    U+FFFD; a carriage return is kept as a reference, which an XML reader
-    would otherwise turn into a newline."""
-    return escape(text.translate(_NOT_XML), {"\r": "&#13;"})
+    """`text` as SVG character data (see `_XML_TEXT`)."""
+    return text.translate(_XML_TEXT)
 
 
 def render_heatmap(

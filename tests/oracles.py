@@ -5,12 +5,15 @@ paths. Deliberately slow and obvious. The `loop_*` functions are the
 exception: the library's former numpy loops (per feature in
 `loop_best_split`, per pool in the statistic scorers), kept as the exact
 references for their batched replacements, and the `row_*` writers, the
-library's former row-by-row detect-output writers. The patch oracle
+library's former row-by-row detect-output writers, and `whole_read_grid`,
+the grid reader that held the whole file as text. The patch oracle
 (`apply_changes`, `diff_projection`) and the ground-truth and snapshot
 helpers below serve only the tests, so they live here and not in the
 package.
 """
 
+import csv
+import datetime as dt
 import math
 import re
 from dataclasses import replace
@@ -19,8 +22,8 @@ from xml.sax.saxutils import escape as xml_escape
 import numpy as np
 
 from vrf_sentinel.detectors.ranking import rank_entries
-from vrf_sentinel.errors import DataError
-from vrf_sentinel.modmatrix import MatrixEntryRef
+from vrf_sentinel.errors import DataError, FileParseError
+from vrf_sentinel.modmatrix import DateInterval, MatrixEntryRef
 from vrf_sentinel.records import ADDRESS_FIELDS, ChangeType, Snapshot, VoterRecord, VoterStatus
 from vrf_sentinel.vrf_io import csv_writer
 
@@ -427,3 +430,58 @@ def row_render_heatmap(grid, row_labels, col_labels, path, title="", highlight=N
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
+
+
+# --- former whole-file grid reader ------------------------------------------------------
+
+
+def whole_read_grid(fh, path, n_blocks):
+    """`modmatrix.read_grid` as it was when it held every cell of the file as
+    text: the reference for the faults, and the order of them, that the
+    streaming reader reports. Returns grids as one (n_blocks, locales,
+    intervals) array."""
+    try:
+        rows = list(csv.reader(fh))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise FileParseError(f"{path}: unreadable grid ({exc})") from None
+    corner, *date_cells = rows[0] if rows and rows[0] else [""]
+    try:
+        name, days_token = corner.rsplit(":", 1)
+        days = int(days_token)
+        if days < 1:
+            raise ValueError("interval days must be >= 1")
+    except ValueError:
+        raise FileParseError(f"{path}: bad corner cell {corner!r} (expected name:days)") from None
+    try:
+        starts = [dt.date.fromisoformat(c) for c in date_cells]
+        intervals = tuple(DateInterval(s, s + dt.timedelta(days=days)) for s in starts)
+    except (ValueError, OverflowError) as exc:
+        raise FileParseError(f"{path}: bad interval start date ({exc})") from None
+    if not intervals:
+        raise FileParseError(f"{path}: grid has no interval columns")
+
+    blocks = [[]]
+    for row in rows[1:]:
+        if any(row):
+            blocks[-1].append(row)
+        else:
+            blocks.append([])
+    blocks = [b for b in blocks if b]
+    if len(blocks) != n_blocks:
+        raise FileParseError(f"{path}: expected {n_blocks} blocks, found {len(blocks)}")
+    locales = [row[0] for row in blocks[0]]
+    grids = np.empty((n_blocks, len(locales), len(intervals)))
+    for b, block in enumerate(blocks):
+        if [row[0] for row in block] != locales:
+            raise FileParseError(f"{path}: locale labels disagree between blocks")
+        for i, row in enumerate(block):
+            if len(row) != len(intervals) + 1:
+                raise FileParseError(
+                    f"{path}: block {b} row {i} has {len(row) - 1} cells, "
+                    f"expected {len(intervals)}"
+                )
+            try:
+                grids[b, i] = list(map(float, row[1:]))
+            except ValueError as exc:
+                raise FileParseError(f"{path}: block {b} row {i}: {exc}") from None
+    return name, intervals, tuple(locales), grids

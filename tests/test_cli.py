@@ -405,6 +405,24 @@ def test_detect_and_heatmap_manifests_record_output_sizes(pipeline, tmp_path):
     assert manifest["output_bytes"] == {"heat.svg": svg.stat().st_size}
 
 
+def test_detect_manifest_records_wall_time_and_peak_rss(pipeline, tmp_path):
+    """Timings go into the manifests of the run and of its rerun, and the
+    data files of both stay byte-identical."""
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert run(
+        "detect", "--matrix", str(pipeline / "matrix" / "matrix_deactivation.csv"),
+        "--method", "cl_iqr", "--out", str(first),
+    ) == 0
+    assert run("rerun", "--manifest", str(first / "manifest.json"), "--out", str(replay)) == 0
+    for out in (first, replay):
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["wall_s"] > 0 and manifest["peak_rss_mib"] > 0
+    names = sorted(p.name for p in first.iterdir() if p.name != "manifest.json")
+    assert len(names) == 3
+    for name in names:
+        assert (replay / name).read_bytes() == (first / name).read_bytes()
+
+
 def test_detect_window_method_naming(pipeline):
     out = pipeline / "detect_cl"
     assert run(

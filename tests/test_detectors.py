@@ -1,6 +1,7 @@
 import datetime as dt
 import math
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 import oracles
 import vrf_sentinel.detectors as det
 import vrf_sentinel.evalharness as ev
+from vrf_sentinel.detectors import scoring
 from vrf_sentinel.detectors.scoring import ScoreMatrix
 from vrf_sentinel.errors import VrfError
 from vrf_sentinel.modmatrix import ModificationMatrix, build_intervals
@@ -136,6 +138,33 @@ def test_batched_scores_match_per_pool_loop(values, w, stat):
     )
     for got, want in pairs:
         assert got.scores.tobytes() == want.tobytes()
+
+
+@given(pool_grids(), st.integers(0, 4), st.sampled_from(["std", "iqr"]), st.integers(1, 40))
+def test_cross_locale_chunks_match_per_pool_loop(values, w, stat, budget):
+    """With a pooled-value budget of a few values, the interior columns are
+    scored over many chunks, one column each at the smallest; the scores
+    stay bit-identical to one pool at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scoring, "POOL_CHUNK_VALUES", budget)
+        got = det.cross_locale_scores(as_matrix(values), stat, w=w).scores
+    assert got.tobytes() == oracles.loop_cross_locale(values, stat, w).tobytes()
+
+
+@pytest.mark.parametrize("stat", ["std", "iqr"])
+def test_cross_locale_peak_memory_per_cell(stat):
+    """The pools are copied a chunk of columns at a time, so above its input
+    the scorer holds the score grid and a fixed few MiB, not pools that
+    grow with the window and the grid."""
+    matrix = as_matrix(np.random.default_rng(3).random((500, 520)))
+    tracemalloc.start()
+    try:
+        scored = det.cross_locale_scores(matrix, stat, w=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scored.shape == (500, 520)
+    assert peak <= 40 * matrix.values.size
 
 
 def test_temporal_row_spike():

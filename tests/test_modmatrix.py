@@ -1,12 +1,14 @@
 import csv
 import datetime as dt
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import oracles
 import vrf_sentinel.detectors as det
 import vrf_sentinel.modmatrix as mm
 from vrf_sentinel.detectors.scoring import ScoreMatrix
@@ -289,6 +291,89 @@ def test_grid_reader_returns_grid_or_raises_vrf_error(kind, locales, n_intervals
             read(path)
         except VrfError:
             pass
+
+
+def _read_or_fault(reader, path, n_blocks):
+    """What a grid reader makes of a file: its parse, grids as bytes, or the
+    FileParseError message."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            name, intervals, locales, grids = reader(fh, path, n_blocks)
+    except FileParseError as exc:
+        return str(exc)
+    grids = np.asarray(grids)
+    return name, intervals, locales, grids.shape, grids.tobytes()
+
+
+# Faults whose order a reader that raises as it goes would get wrong: a bad
+# row in any block, a bad corner cell, a cell past the csv field limit (a
+# csv.Error mid-file) and a locale label of the last block that differs.
+ORDER_FAULTS = st.sets(st.sampled_from(["bad_row", "corner", "csv_error", "last_label"]))
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from([1, 3]),
+    st.lists(CSV_TEXT, min_size=1, max_size=3),
+    st.integers(1, 3),
+    ORDER_FAULTS,
+    st.data(),
+)
+def test_streaming_grid_reader_matches_whole_file_reader(
+    n_blocks, locales, n_intervals, faults, data
+):
+    """The row-at-a-time reader returns the whole-file reader's grids, or
+    raises its message: for a file with one fault, and for one with several,
+    where the fault raised is the first in the whole-file reader's order."""
+    intervals = mm.build_intervals(D0, D0 + dt.timedelta(days=7 * (n_intervals - 1)), 7)
+    blocks = [
+        [[repr(data.draw(CELLS)) for _ in intervals] for _ in locales] for _ in range(n_blocks)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/grid.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            mm.write_grid(fh, "address", intervals, tuple(locales), blocks)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        body = st.sampled_from([i for i, row in enumerate(rows) if row][1:])
+        cell = st.integers(1, n_intervals)
+        if "bad_row" in faults:
+            rows[data.draw(body)][data.draw(cell)] = "not a number"
+        if "corner" in faults:
+            rows[0][0] = "address"
+        if "last_label" in faults:
+            rows[-1][0] += "!"
+        if "csv_error" in faults:
+            rows[data.draw(body)][data.draw(cell)] = "x" * (csv.field_size_limit() + 1)
+        _corrupt(rows, data)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        got = _read_or_fault(mm.read_grid, path, n_blocks)
+        assert got == _read_or_fault(oracles.whole_read_grid, path, n_blocks)
+
+
+def test_csv_to_matrix_peak_memory_per_cell(tmp_path):
+    """Reading a matrix holds one row of text at a time, and its float
+    blocks are freed as they are cast: the traced peak stays near the 24
+    bytes per cell of the three grids it returns."""
+    rng = np.random.default_rng(7)
+    raw = rng.integers(0, 40, size=(400, 150))
+    pops = rng.integers(1000, 90_000, size=raw.shape)
+    intervals = mm.build_intervals(D0, D0 + dt.timedelta(days=7 * 149), 7)
+    matrix = mm.ModificationMatrix(
+        ChangeType.ADDRESS, tuple(f"L{i:03d}" for i in range(400)), intervals,
+        mm.normalized_values(raw, pops, np.full(150, 7.0)), raw, pops,
+    )
+    path = str(tmp_path / "matrix.csv")
+    mm.matrix_to_csv(matrix, path)
+    tracemalloc.start()
+    try:
+        back = mm.csv_to_matrix(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.values, matrix.values)
+    assert peak <= 48 * raw.size
 
 
 def test_matrix_csv_byte_identical(tmp_path):
