@@ -166,11 +166,14 @@ def cmd_synth(args: argparse.Namespace) -> dict:
     if args.preset == "labeled":
         labeled = sorted(synthgen.scenario_labels(truth, ChangeType.DEACTIVATION))
         with open(os.path.join(outdir, "labels.csv"), "w", newline="", encoding="utf-8") as fh:
-            writer = vrf_io.csv_writer(fh, (locale for locale, _, _ in labeled))
-            writer.writerow(LABEL_COLUMNS)
-            for locale, interval_index, label in labeled:
-                start = truth.interval(interval_index).start.isoformat()
-                writer.writerow([locale, start, ChangeType.DEACTIVATION.value, label])
+            fh.write(vrf_io.csv_line(LABEL_COLUMNS))
+            fh.writelines(
+                vrf_io.csv_line((
+                    locale, truth.interval(interval_index).start.isoformat(),
+                    ChangeType.DEACTIVATION.value, label,
+                ))
+                for locale, interval_index, label in labeled
+            )
     return {}
 
 
@@ -423,20 +426,17 @@ def cmd_predict(args: argparse.Namespace) -> dict:
     matrix = scaler.apply(np.vstack([v.features for v in vectors]))
     probs = np.atleast_2d(gbt.predict_proba(model, matrix))
     with open(os.path.join(args.out, "predictions.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = vrf_io.csv_writer(fh, (v.key.locale for v in vectors))
-        writer.writerow(
-            ["locale", "interval_start", "change_type"]
-            + [f"p_{c}" for c in model.classes]
-            + ["predicted", "explained"]
-        )
+        fh.write(vrf_io.csv_line((
+            "locale", "interval_start", "change_type",
+            *[f"p_{c}" for c in model.classes], "predicted", "explained",
+        )))
         for v, row in zip(vectors, probs):
             top = int(row.argmax())
             explained = "yes" if row[top] >= args.threshold else "no"
-            writer.writerow(
-                [v.key.locale, v.key.interval.start.isoformat(), v.key.change_type.value]
-                + [repr(float(p)) for p in row]
-                + [model.classes[top], explained]
-            )
+            fh.write(vrf_io.csv_line((
+                v.key.locale, v.key.interval.start.isoformat(), v.key.change_type.value,
+                *[repr(float(p)) for p in row], model.classes[top], explained,
+            )))
     return {}
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..vrf_io import csv_cells, csv_writer
+from ..vrf_io import csv_cell, csv_line
 from .scoring import ScoreMatrix
 
 
@@ -34,16 +34,14 @@ def ranked_to_csv(score_matrix: ScoreMatrix, path: str) -> None:
     rows, cols = np.divmod(order, len(starts))
     scores = score_matrix.scores.ravel()[order]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv_writer(fh, score_matrix.locales)
-        writer.writerow(["rank", "locale", "interval_start", "score"])
-        locales, sep, quote = csv_cells(writer, score_matrix.locales)
-        line_break = f"{quote}\n{quote}"
+        fh.write(csv_line(("rank", "locale", "interval_start", "score")))
+        locales = list(map(csv_cell, score_matrix.locales))
         for lo in range(0, len(order), len(starts)):
             hi = lo + len(starts)
-            lines = map(sep.join, zip(
+            lines = map(",".join, zip(
                 map(str, range(lo + 1, hi + 1)),
                 map(locales.__getitem__, rows[lo:hi].tolist()),
                 map(starts.__getitem__, cols[lo:hi].tolist()),
                 map(float.__repr__, scores[lo:hi].tolist()),
             ))
-            fh.write(f"{quote}{line_break.join(lines)}{quote}\n")
+            fh.write("\n".join(lines) + "\n")

@@ -10,7 +10,6 @@ average-rank metric used for planted-anomaly studies.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 
@@ -19,6 +18,7 @@ import numpy as np
 from .detectors import rank_entries, score_with_method
 from .errors import VrfError
 from .modmatrix import ModificationMatrix
+from .vrf_io import csv_line
 
 DEFAULT_FRACTION = 0.01
 DEFAULT_TOP_K = 20
@@ -148,20 +148,18 @@ def sweep_report(
     os.makedirs(outdir, exist_ok=True)
     sweep_path = os.path.join(outdir, f"sweep_{change_type}.csv")
     with open(sweep_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "gamma", "precision"])
+        fh.write(csv_line(("method", "gamma", "precision")))
         for result in results:
             for gamma, precision in zip(result.gamma_grid, result.precision_at_k):
-                writer.writerow([result.method, repr(gamma), repr(precision)])
+                fh.write(csv_line((result.method, repr(gamma), repr(precision))))
         for result in results:  # one AUC summary row per method
-            writer.writerow([result.method, "auc", repr(result.auc)])
+            fh.write(csv_line((result.method, "auc", repr(result.auc))))
 
     auc_path = os.path.join(outdir, "auc_summary.csv")
     with open(auc_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["change_type"] + [r.method for r in results])
+        fh.write(csv_line(("change_type", *[r.method for r in results])))
         if results:
-            writer.writerow([change_type] + ["%.6f" % r.auc for r in results])
+            fh.write(csv_line((change_type, *["%.6f" % r.auc for r in results])))
 
     svg_path = os.path.join(outdir, f"sweep_{change_type}.svg")
     render_sweep_svg(results, svg_path, title=f"precision@k vs gamma ({change_type})")

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DataError, FileParseError, VrfError
 from .modmatrix import DateInterval, _interval_of, build_intervals
 from .records import BallotKind, ChangeRecord, ChangeType, Snapshot, VoterRecord, normalize_text
-from .vrf_io import csv_writer, read_table
+from .vrf_io import csv_line, read_table
 
 logger = logging.getLogger(__name__)
 
@@ -460,19 +460,18 @@ def features_to_csv(vectors: list[GroupFeatureVector], path: str) -> None:
     if len(interval_days) > 1:
         raise DataError("mixed interval widths in one feature file")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv_writer(fh, (v.key.locale for v in vectors))
-        writer.writerow(FEATURE_CSV_COLUMNS)
-        for v in vectors:
-            writer.writerow(
-                [
-                    v.key.locale,
-                    v.key.interval.start.isoformat(),
-                    v.key.change_type.value,
-                    v.n_voters,
-                    *[repr(float(x)) for x in v.features],
-                    v.label.value if v.label else "",
-                ]
-            )
+        fh.write(csv_line(FEATURE_CSV_COLUMNS))
+        fh.writelines(
+            csv_line((
+                v.key.locale,
+                v.key.interval.start.isoformat(),
+                v.key.change_type.value,
+                str(v.n_voters),
+                *[repr(float(x)) for x in v.features],
+                v.label.value if v.label else "",
+            ))
+            for v in vectors
+        )
     manifest = {
         "version": FEATURE_MANIFEST_VERSION,
         "features": list(FEATURE_NAMES),

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DataError, FileParseError, VrfError
 from .records import ChangeRecord, ChangeType
-from .vrf_io import csv_cells, csv_writer
+from .vrf_io import csv_cell, csv_line
 
 logger = logging.getLogger(__name__)
 
@@ -140,16 +140,13 @@ def build_matrix(
     change_type: ChangeType,
     interval_days: int,
     populations: Mapping[dt.date, Mapping[str, int]],
-    start: dt.date | None = None,
-    end: dt.date | None = None,
-    locales: list[str] | None = None,
 ) -> ModificationMatrix:
     """Aggregate matching change records into a normalized matrix.
 
     Each matching record increments exactly one cell, keyed by its
-    posterior_date and locale. The interval grid defaults to covering the
-    posterior dates seen; locales default to every locale counted in any
-    census (so zero-change locales still get rows).
+    posterior_date and locale. The interval grid covers the posterior dates
+    seen; the locales are every locale counted in any census or changed
+    (so zero-change locales still get rows).
 
     `populations` maps each census (snapshot) date to its registered-voter
     count per locale. An interval takes its counts from the latest census
@@ -159,28 +156,16 @@ def build_matrix(
     if not populations:
         raise DataError("need at least one census for populations")
     matching = [c for c in changes if c.change_type == change_type]
-    if start is None or end is None:
-        if not matching:
-            raise DataError(
-                f"no {change_type.value} changes and no explicit date span given"
-            )
-        dates = [c.posterior_date for c in matching]
-        start = start or min(dates)
-        end = end or max(dates)
-    intervals = build_intervals(start, end, interval_days)
-
-    if locales is None:
-        counted = set().union(*populations.values())
-        locales = sorted(counted | {c.locale for c in matching})
-    else:
-        locales = sorted(locales)
+    if not matching:
+        raise DataError(f"no {change_type.value} changes")
+    dates = [c.posterior_date for c in matching]
+    intervals = build_intervals(min(dates), max(dates), interval_days)
+    locales = sorted(set().union(*populations.values()) | {c.locale for c in matching})
     row = {loc: i for i, loc in enumerate(locales)}
     n_rows, n_cols = len(locales), len(intervals)
 
     raw = np.zeros((n_rows, n_cols), dtype=np.int64)
     for change in matching:
-        if change.locale not in row:
-            raise DataError(f"change locale {change.locale!r} missing from locale list")
         raw[row[change.locale], _interval_of(intervals, change.posterior_date)] += 1
 
     census = sorted(populations)
@@ -244,15 +229,15 @@ def write_grid(
     """Write the grid layout (see the module docstring). Each block yields
     one row of plain cell text (numbers) per locale; `corner` is the name
     before `:<days>`. Each row is joined as one line beside the locale's
-    cell text from `csv_cells`."""
-    writer = csv_writer(fh, locales)
-    writer.writerow([f"{corner}:{intervals[0].days}"] + [iv.start.isoformat() for iv in intervals])
-    cells, sep, quote = csv_cells(writer, locales)
+    cell, computed once by `csv_cell`."""
+    header = [f"{corner}:{intervals[0].days}", *(iv.start.isoformat() for iv in intervals)]
+    fh.write(csv_line(header))
+    cells = list(map(csv_cell, locales))
     for b, block in enumerate(blocks):
         if b:
-            writer.writerow([])
+            fh.write("\n")
         for cell, row in zip(cells, block):
-            fh.write(f"{quote}{cell}{sep}{sep.join(row)}{quote}\n")
+            fh.write(f"{cell},{','.join(row)}\n")
 
 
 def read_grid(

@@ -212,28 +212,6 @@ class GroundTruth:
         }
         return json.dumps(payload, sort_keys=True, indent=1)
 
-    @classmethod
-    def from_json(cls, text: str) -> "GroundTruth":
-        raw = json.loads(text)
-        truth = cls(
-            config_seed=raw["config_seed"],
-            start_date=dt.date.fromisoformat(raw["start_date"]),
-            interval_days=raw["interval_days"],
-            n_intervals=raw["n_intervals"],
-            locales=tuple(raw["locales"]),
-            inserted_voters=raw["inserted_voters"],
-            removed_voters=raw["removed_voters"],
-        )
-        truth.changes = [
-            TruthChange(i, v, loc, ChangeType(ct), cause)
-            for i, v, loc, ct, cause in raw["changes"]
-        ]
-        truth.cell_causes = {
-            (locale, interval, ct): cause
-            for locale, interval, ct, cause in raw["cell_causes"]
-        }
-        return truth
-
 
 # --- voter universe ----------------------------------------------------------
 
@@ -734,42 +712,22 @@ def _bias_weight(rec: VoterRecord, bias: str, universe: _Universe) -> float:
 
 # --- labels ------------------------------------------------------------------
 
-DEFAULT_LABEL_PROPORTIONS = (99, 37, 27, 21)  # by EVENT_LABELS order
+LABEL_COUNTS = (99, 37, 27, 21)  # labeled groups per label, in EVENT_LABELS order
 
 
-def scenario_labels(
-    truth: GroundTruth,
-    change_type: ChangeType,
-    total: int | None = None,
-    proportions: tuple[int, ...] = DEFAULT_LABEL_PROPORTIONS,
-) -> list[tuple[str, int, str]]:
+def scenario_labels(truth: GroundTruth, change_type: ChangeType) -> list[tuple[str, int, str]]:
     """(locale, interval_index, label) triples for systematic change groups.
 
-    Cells are drawn from the ground truth's event-marked cells for the
-    change type, with per-label counts apportioned to `total` by largest
-    remainder over `proportions`. Deterministic: cells are taken in sorted
-    order.
+    Each label takes the first LABEL_COUNTS cells, in sorted order, of the
+    ground truth's cells of that cause for the change type.
     """
-    if len(proportions) != len(EVENT_LABELS):
-        raise ConfigError("proportions must align with the event label list")
     by_label: dict[str, list[tuple[str, int]]] = {label: [] for label in EVENT_LABELS}
     for (locale, interval, ct), cause in sorted(truth.cell_causes.items()):
         if ct == change_type.value and cause in by_label:
             by_label[cause].append((locale, interval))
 
-    if total is None:
-        total = sum(proportions)
-    weight = sum(proportions)
-    quotas = [total * p / weight for p in proportions]
-    counts = [int(q) for q in quotas]
-    remainders = sorted(
-        range(len(quotas)), key=lambda i: (-(quotas[i] - counts[i]), i)
-    )
-    for i in remainders[: total - sum(counts)]:
-        counts[i] += 1
-
     labeled = []
-    for label, count in zip(EVENT_LABELS, counts):
+    for label, count in zip(EVENT_LABELS, LABEL_COUNTS):
         cells = by_label[label]
         if len(cells) < count:
             raise ConfigError(

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
-import itertools
 import json
 import logging
 import re
@@ -13,7 +11,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
-from typing import Any, TextIO
+from typing import TextIO
 
 from .errors import FileParseError, IntegrityError, SchemaError, VrfError
 from .records import (
@@ -178,31 +176,19 @@ def _memo_history(
     return decoded
 
 
-def csv_writer(fh: TextIO, texts: Iterable[str]) -> Any:
-    """The csv writer of the artifacts that hold voter ids or locales, with
-    "\n" line ends.
-
-    Under that terminator csv leaves a carriage return inside a cell
-    unquoted (Python 3.11 does), and a reader then splits the row there.
-    So when any of `texts`, the free-text cells to be written (voter ids,
-    locales), holds one, every cell of the file is quoted.
-    """
-    quoting = csv.QUOTE_ALL if any("\r" in text for text in texts) else csv.QUOTE_MINIMAL
-    return csv.writer(fh, lineterminator="\n", quoting=quoting)
+def csv_cell(text: str) -> str:
+    """`text` as one CSV cell: quoted, with its `"` doubled, exactly when it
+    holds a comma, a quote, a line feed or a carriage return. This is csv's
+    minimal quoting, except that a carriage return is quoted too, which
+    csv under a "\n" line end leaves bare and a reader then splits at."""
+    if '"' in text or "," in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def csv_cells(writer: Any, texts: Sequence[str]) -> tuple[list[str], str, str]:
-    """Each of `texts` as `writer` writes it, for a caller that joins rows
-    of it and plain cells (numbers, dates) itself: a row is `quote +
-    sep.join(cells) + quote` and the line end."""
-    quote = '"' if writer.dialect.quoting == csv.QUOTE_ALL else ""
-    sep, end = f"{quote},{quote}", f'{quote},{quote}{quote}\n'  # end: a second, empty cell
-    cells = []
-    for text in texts:
-        buffer = io.StringIO()
-        csv.writer(buffer, writer.dialect).writerow((text, ""))
-        cells.append(buffer.getvalue()[len(quote):-len(end)])
-    return cells, sep, quote
+def csv_line(cells: Iterable[str]) -> str:
+    """One CSV line of text cells, each written by `csv_cell`, with a "\n" end."""
+    return ",".join(map(csv_cell, cells)) + "\n"
 
 
 def read_table(path: str, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
@@ -450,16 +436,6 @@ def _snapshot_row(rec: VoterRecord) -> tuple[str, ...]:
     )
 
 
-def _snapshot_line(rec: VoterRecord) -> str:
-    """A record's line as `csv_writer` writes it: quoted whole when a cell
-    holds a carriage return, which csv would otherwise leave bare and a
-    reader split the row at, and minimally otherwise."""
-    row = _snapshot_row(rec)
-    buffer = io.StringIO()
-    csv_writer(buffer, row).writerow(row)
-    return buffer.getvalue()
-
-
 # The last file write_snapshot wrote: its records, held so that no other
 # object can take one of their ids, and each one's line by id(record).
 _written: tuple[list[VoterRecord], dict[int, str]] = ([], {})
@@ -477,10 +453,10 @@ def write_snapshot(snapshot: Snapshot, path: str) -> None:
     held = _written[1]
     records = [snapshot.records[voter_id] for voter_id in sorted(snapshot.records)]
     keys = list(map(id, records))
-    lines = [held.get(key) or _snapshot_line(rec) for key, rec in zip(keys, records)]
+    lines = [held.get(key) or csv_line(_snapshot_row(rec)) for key, rec in zip(keys, records)]
     _written = (records, dict(zip(keys, lines)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(LOGICAL_FIELDS) + "\n")
+        fh.write(csv_line(LOGICAL_FIELDS))
         fh.write("".join(lines))
 
 
@@ -585,21 +561,18 @@ CHANGE_CSV_COLUMNS = (
 
 def changes_to_csv(changes: list[ChangeRecord], path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv_writer(
-            fh, itertools.chain.from_iterable((c.voter_id, c.locale) for c in changes)
+        fh.write(csv_line(CHANGE_CSV_COLUMNS))
+        fh.writelines(
+            csv_line((
+                ch.voter_id,
+                ch.locale,
+                ch.change_type.value,
+                ch.anterior_date.isoformat(),
+                ch.posterior_date.isoformat(),
+                json.dumps([d.as_list() for d in ch.field_deltas]),
+            ))
+            for ch in changes
         )
-        writer.writerow(CHANGE_CSV_COLUMNS)
-        for ch in changes:
-            writer.writerow(
-                [
-                    ch.voter_id,
-                    ch.locale,
-                    ch.change_type.value,
-                    ch.anterior_date.isoformat(),
-                    ch.posterior_date.isoformat(),
-                    json.dumps([d.as_list() for d in ch.field_deltas]),
-                ]
-            )
 
 
 def csv_to_changes(path: str) -> list[ChangeRecord]:

@@ -14,6 +14,7 @@ package.
 
 import csv
 import datetime as dt
+import io
 import math
 import re
 from dataclasses import replace
@@ -25,7 +26,6 @@ from vrf_sentinel.detectors.ranking import rank_entries
 from vrf_sentinel.errors import DataError, FileParseError
 from vrf_sentinel.modmatrix import DateInterval, MatrixEntryRef
 from vrf_sentinel.records import ADDRESS_FIELDS, ChangeType, Snapshot, VoterRecord, VoterStatus
-from vrf_sentinel.vrf_io import csv_writer
 
 
 def bf_mean(pool):
@@ -333,14 +333,21 @@ def diff_projection(snapshot):
 # `render_heatmap`; the heatmap text is escaped as the library escapes it.
 
 
+def csv_row(cells):
+    """One row as csv writes it under a "\r\n" line end, which quotes every
+    cell holding a carriage return or a line feed, with that end made "\n"."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerow(cells)
+    return buffer.getvalue()[:-2] + "\n"
+
+
 def row_write_grid(fh, corner, intervals, locales, blocks):
-    writer = csv_writer(fh, locales)
-    writer.writerow([f"{corner}:{intervals[0].days}"] + [iv.start.isoformat() for iv in intervals])
+    fh.write(csv_row([f"{corner}:{intervals[0].days}"] + [iv.start.isoformat() for iv in intervals]))
     for b, block in enumerate(blocks):
         if b:
-            writer.writerow([])
+            fh.write(csv_row([]))
         for locale, cells in zip(locales, block):
-            writer.writerow([locale, *cells])
+            fh.write(csv_row([locale, *cells]))
 
 
 def row_ranked_to_csv(score_matrix, path):
@@ -350,12 +357,9 @@ def row_ranked_to_csv(score_matrix, path):
     rows, cols = np.divmod(order, len(starts))
     cells = zip(rows.tolist(), cols.tolist(), score_matrix.scores.ravel()[order].tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv_writer(fh, locales)
-        writer.writerow(["rank", "locale", "interval_start", "score"])
-        writer.writerows(
-            [rank, locales[i], starts[j], repr(score)]
-            for rank, (i, j, score) in enumerate(cells, start=1)
-        )
+        fh.write(csv_row(["rank", "locale", "interval_start", "score"]))
+        for rank, (i, j, score) in enumerate(cells, start=1):
+            fh.write(csv_row([rank, locales[i], starts[j], repr(score)]))
 
 
 def _color(t):

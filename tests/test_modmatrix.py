@@ -42,12 +42,16 @@ def test_normalization_hand_value():
 
 def test_zero_changes_full_label_sets():
     pops = {D0: {"polk": 1000, "story": 2000}}
-    matrix = mm.build_matrix(
-        [], ChangeType.NAME, 7, pops, start=D0, end=D0 + dt.timedelta(days=20)
-    )
+    changes = [
+        change("V1", "polk", ChangeType.NAME),
+        change("V2", "polk", ChangeType.NAME, day_offset=20),
+        change("V3", "story", ChangeType.ADDRESS, day_offset=9),
+    ]
+    matrix = mm.build_matrix(changes, ChangeType.NAME, 7, pops)
     assert matrix.locales == ("polk", "story")
     assert len(matrix.intervals) == 3
-    assert not matrix.values.any()
+    assert list(matrix.raw_counts[0]) == [1, 0, 1]
+    assert not matrix.values[1].any()  # story has no name change
 
 
 def test_equal_populations_symmetry():
@@ -132,9 +136,9 @@ def test_snapshot_populations_use_anterior_count():
     populations = {s.snapshot_date: s.locale_counts for s in (s0, s1)}
     locale = s0.records[next(iter(s0.records))].locale
     # interval starting at the posterior date should use the anterior tally
-    matrix = mm.build_matrix(
-        [], ChangeType.ADDRESS, 7, populations, start=s1.snapshot_date, end=s1.snapshot_date
-    )
+    moved = ChangeRecord("V1", locale, ChangeType.ADDRESS, s0.snapshot_date, s1.snapshot_date)
+    matrix = mm.build_matrix([moved], ChangeType.ADDRESS, 7, populations)
+    assert matrix.intervals[0].start == s1.snapshot_date
     assert matrix.populations[matrix.locale_index(locale), 0] == s0.locale_counts[locale]
 
 
@@ -150,9 +154,10 @@ def test_interval_before_first_census_uses_earliest():
 
 
 def test_uncounted_locale_without_changes_is_zeroed_silently(caplog):
-    matrix = mm.build_matrix(
-        [change("V1", "a")], ChangeType.ADDRESS, 7, {D0: {"a": 1000}}, locales=["a", "b"]
-    )
+    # "b" is counted only in the later census, which no interval reads
+    populations = {D0: {"a": 1000}, D0 + dt.timedelta(days=7): {"a": 1000, "b": 500}}
+    matrix = mm.build_matrix([change("V1", "a")], ChangeType.ADDRESS, 7, populations)
+    assert matrix.locales == ("a", "b")
     assert matrix.populations[1, 0] == 1
     assert matrix.values[1, 0] == 0.0
     assert not caplog.records

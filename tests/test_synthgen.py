@@ -225,26 +225,22 @@ def test_labeled_truth_keeps_its_pinned_digest(labeled_truth):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_scenario_labels_equal_proportions_small(labeled_truth):
-    labeled = sg.scenario_labels(
-        labeled_truth, ChangeType.DEACTIVATION, total=4, proportions=(1, 1, 1, 1)
+def test_scenario_labels_take_the_first_cells_of_each_cause(labeled_truth):
+    cells = sorted(
+        (cause, locale, interval)
+        for (locale, interval, ct), cause in labeled_truth.cell_causes.items()
+        if ct == "deactivation"
     )
-    counts = collections.Counter(label for _, _, label in labeled)
-    assert all(v == 1 for v in counts.values())
+    want = []
+    for label, count in zip(sg.EVENT_LABELS, (99, 37, 27, 21)):
+        want += [(locale, i, label) for cause, locale, i in cells if cause == label][:count]
+    assert sg.scenario_labels(labeled_truth, ChangeType.DEACTIVATION) == want
 
 
 def test_labels_cover_only_systematic_cells(labeled_truth):
     labeled = sg.scenario_labels(labeled_truth, ChangeType.DEACTIVATION)
     for locale, interval, label in labeled:
         assert labeled_truth.cell_causes[(locale, interval, "deactivation")] == label
-
-
-def test_ground_truth_json_round_trip():
-    _, truth = sg.generate_scenario(tiny_config(seed=2))
-    back = sg.GroundTruth.from_json(truth.to_json())
-    assert back.changes == truth.changes
-    assert back.cell_causes == truth.cell_causes
-    assert back.locales == truth.locales
 
 
 # --- matrix scenarios ----------------------------------------------------------------

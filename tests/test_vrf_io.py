@@ -356,13 +356,9 @@ def test_snapshot_round_trip_any_text(voters):
         raw = pathlib.Path(path).read_bytes()
     assert issues == []
     assert parsed.records == {v.voter_id: stripped(v) for v in voters}
-    if not any("\r" in cell for v in voters for cell in io._snapshot_row(v)):
-        # a file without a carriage return keeps csv's minimal quoting
-        buffer = stdio.StringIO(newline="")
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(io.LOGICAL_FIELDS)
-        writer.writerows(io._snapshot_row(v) for v in voters)
-        assert raw == buffer.getvalue().encode("utf-8")
+    # csv's minimal quoting, and a cell holding a carriage return quoted too
+    rows = [io.LOGICAL_FIELDS, *(io._snapshot_row(v) for v in voters)]
+    assert raw == "".join(map(oracles.csv_row, rows)).encode("utf-8")
 
 
 @functools.cache
@@ -518,6 +514,25 @@ def test_diff_patch_consistency():
     changes = io.diff_snapshots(s0, s1)
     patched = oracles.apply_changes(s0, changes, s1.snapshot_date)
     assert oracles.diff_projection(patched) == oracles.diff_projection(s1)
+
+
+# --- CSV cell rule --------------------------------------------------------------
+
+
+@given(st.lists(ANY_CELL, min_size=2, max_size=5))
+def test_csv_line_quotes_only_special_cells_and_reads_back(cells):
+    """A cell is quoted exactly when it holds a comma, a quote, LF or CR;
+    without a CR the line is csv's own, and any line reads back whole."""
+    line = io.csv_line(cells)
+    assert [io.csv_cell(cell).startswith('"') for cell in cells] == [
+        any(c in cell for c in ',"\n\r') for cell in cells
+    ]
+    if not any("\r" in cell for cell in cells):
+        buffer = stdio.StringIO(newline="")
+        csv.writer(buffer, lineterminator="\n").writerow(cells)
+        assert line == buffer.getvalue()
+    assert list(csv.reader(stdio.StringIO(line, newline=""))) == [cells]
+    assert io.csv_line([]) == "\n"
 
 
 # --- change CSV round trip -----------------------------------------------------
