@@ -54,6 +54,7 @@ def tree_digest(root):
 SYNTH_DIGESTS = {
     ("small", 3): "f78d1e024b21007bb730251e78d7464d75c0fb4f84d5e635f05759fa7f13a2c5",
     ("pair", 0): "650c6a3d17d954a60a26f11b81269694989451193d8164e6ef60394b2e26acbe",
+    ("matrix", 0): "6f0e7088f1d022ec9f3864762e6aa8669fc2a7ee734fa86b62cd97a9c0029c58",
 }
 
 
