@@ -327,7 +327,13 @@ def cmd_evaluate(args: argparse.Namespace) -> dict:
         for method in methods
     ]
     evalharness.sweep_report(results, args.out, change_type=matrix.change_type.value)
-    return {}
+    for result in results:
+        if result.unconverged:
+            logger.warning(
+                "detector %s did not converge at %d of %d sweep points",
+                result.method, result.unconverged, len(result.gamma_grid),
+            )
+    return {"unconverged": {result.method: result.unconverged for result in results}}
 
 
 def _read_labels(path: str) -> dict:

@@ -127,8 +127,6 @@ def nmf_factorize(
             converged = True
             break
 
-    if not converged:
-        logger.warning("factorization did not converge in %d iterations", max_iter)
     return NmfResult(row_factors=p, col_factors=q, objective=history, converged=converged)
 
 

@@ -17,7 +17,6 @@ number, which costs accuracy only in singular values far below the largest;
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +24,6 @@ import numpy as np
 from ..errors import VrfError
 from ..modmatrix import ModificationMatrix
 from .scoring import ScoreMatrix, _score_matrix
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-7      # relative Frobenius feasibility
 DEFAULT_MAX_ITER = 1000
@@ -104,10 +101,6 @@ def rpca_decompose(
         step /= _STEP_DECAY
         mu *= _STEP_DECAY
 
-    if not converged:
-        logger.warning(
-            "decomposition stopped at max_iter=%d with residual %.3g", max_iter, residual
-        )
     return RpcaResult(low, sparse, converged, iterations, residual)
 
 

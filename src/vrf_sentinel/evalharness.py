@@ -79,7 +79,7 @@ class SweepResult:
     gamma_grid: tuple[float, ...]
     precision_at_k: tuple[float, ...]
     auc: float
-    k: int = DEFAULT_TOP_K
+    unconverged: int = 0  # grid points whose detector did not converge
 
     def __post_init__(self) -> None:
         if len(self.gamma_grid) != len(self.precision_at_k):
@@ -119,18 +119,19 @@ def gamma_sweep(
     gamma_max = GAMMA_SPAN_MULTIPLIER * float(np.mean(matrix.values))
     gammas = np.linspace(0.0, gamma_max, grid_points)
 
-    precisions = []
+    precisions, unconverged = [], 0
     for idx, gamma in enumerate(gammas):
         cells = perturbed_cells(matrix.shape, fraction, point_seed(seed, 0 if fixed_mask else idx))
         scored = score_with_method(perturb(matrix, cells, float(gamma)), method, seed=seed)
         precisions.append(precision_at_k(rank_entries(scored), cells, k))
+        unconverged += not scored.params.get("converged", True)
 
     return SweepResult(
         method=method,
         gamma_grid=tuple(float(g) for g in gammas),
         precision_at_k=tuple(precisions),
         auc=_normalized_auc(gammas, np.asarray(precisions)),
-        k=k,
+        unconverged=unconverged,
     )
 
 

@@ -385,7 +385,7 @@ def save_model(model: GbtModel, path: str) -> None:
     os.replace(tmp, path)
 
 
-def load_model(path: str, expected_manifest: str = FEATURE_MANIFEST_VERSION) -> GbtModel:
+def load_model(path: str) -> GbtModel:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -398,10 +398,10 @@ def load_model(path: str, expected_manifest: str = FEATURE_MANIFEST_VERSION) -> 
             f"{path}: model format {payload.get('format_version')!r} != "
             f"supported {MODEL_FORMAT_VERSION}"
         )
-    if payload.get("feature_manifest_version") != expected_manifest:
+    if payload.get("feature_manifest_version") != FEATURE_MANIFEST_VERSION:
         raise ModelError(
             f"{path}: feature manifest {payload.get('feature_manifest_version')!r} "
-            f"incompatible with expected {expected_manifest!r}"
+            f"incompatible with expected {FEATURE_MANIFEST_VERSION!r}"
         )
     try:
         cfg = payload["config"]

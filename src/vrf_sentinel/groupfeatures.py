@@ -13,7 +13,6 @@ the vectors model-ready.
 from __future__ import annotations
 
 import datetime as dt
-import enum
 import json
 import logging
 import math
@@ -24,19 +23,14 @@ import numpy as np
 
 from .errors import DataError, FileParseError, VrfError
 from .modmatrix import DateInterval, _interval_of, build_intervals
-from .records import BallotKind, ChangeRecord, ChangeType, Snapshot, VoterRecord, normalize_text
+from .records import (
+    BallotKind, ChangeRecord, ChangeType, EventLabel, Snapshot, VoterRecord, normalize_text,
+)
 from .vrf_io import csv_line, read_table
 
 logger = logging.getLogger(__name__)
 
 SIX_MONTHS_DAYS = 183
-
-
-class EventLabel(str, enum.Enum):
-    INACTIVITY_MAILING = "inactivity_mailing_response_processing"
-    SEPTEMBER_MAINTENANCE = "systematic_september_maintenance"
-    NCOA_MAILINGS = "ncoa_mailings"
-    OTHER = "other"
 
 
 GENDER_CATEGORIES = ("female", "male", "other", "unknown")
@@ -347,11 +341,16 @@ class FeatureScaler:
     def from_json(cls, text: str) -> "FeatureScaler":
         try:
             raw = json.loads(text)
-            names = tuple(raw["feature_names"])
+            version = raw["version"]
+            if tuple(raw["feature_names"]) != FEATURE_NAMES or version != FEATURE_MANIFEST_VERSION:
+                raise FileParseError(
+                    f"scaler fitted on another feature set (version {version!r}); predict needs "
+                    f"version {FEATURE_MANIFEST_VERSION!r} and its feature names in order"
+                )
             columns = [np.array([float(v) for v in raw[k]]) for k in ("means", "stds", "medians")]
-            if any(len(column) != len(names) for column in columns):
+            if any(len(column) != len(FEATURE_NAMES) for column in columns):
                 raise ValueError("means, stds and medians must match feature_names in length")
-            return cls(names, *columns, version=raw["version"])
+            return cls(FEATURE_NAMES, *columns)
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise FileParseError(f"malformed scaler JSON ({exc!r})") from None
 

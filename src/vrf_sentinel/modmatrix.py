@@ -103,13 +103,6 @@ class ModificationMatrix:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    def locale_index(self, locale: str) -> int:
-        return self.locales.index(locale)
-
-    def interval_index(self, date: dt.date) -> int:
-        """Column whose half-open interval contains `date`."""
-        return _interval_of(self.intervals, date)
-
     def with_values(self, values: np.ndarray) -> "ModificationMatrix":
         """Copy carrying a replaced values grid (raw counts untouched)."""
         return ModificationMatrix(

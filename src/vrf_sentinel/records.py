@@ -41,6 +41,15 @@ class ChangeType(str, enum.Enum):
     PARTY = "party"
 
 
+class EventLabel(str, enum.Enum):
+    """Root cause of a systematic change group: the classifier's classes."""
+
+    INACTIVITY_MAILING = "inactivity_mailing_response_processing"
+    SEPTEMBER_MAINTENANCE = "systematic_september_maintenance"
+    NCOA_MAILINGS = "ncoa_mailings"
+    OTHER = "other"
+
+
 # Deterministic sort rank for change types (declaration order).
 CHANGE_TYPE_ORDER = {ct: i for i, ct in enumerate(ChangeType)}
 

@@ -31,18 +31,14 @@ from .records import (
     ADDRESS_FIELDS,
     BallotKind,
     ChangeType,
+    EventLabel,
     Snapshot,
     VoteEvent,
     VoterRecord,
     VoterStatus,
 )
 
-EVENT_LABELS = (
-    "inactivity_mailing_response_processing",
-    "systematic_september_maintenance",
-    "ncoa_mailings",
-    "other",
-)
+EVENT_LABELS = tuple(label.value for label in EventLabel)
 ANOMALY_CAUSE = "anomaly"
 ORGANIC_CAUSE = "organic"
 
@@ -67,6 +63,8 @@ _PARTIES = ("democrat", "republican", "no_party", "libertarian", "other")
 _PARTY_P = (0.32, 0.32, 0.30, 0.04, 0.02)
 _STATUSES = (VoterStatus.ACTIVE, VoterStatus.INACTIVE, VoterStatus.PENDING)
 _STATUS_P = (0.88, 0.10, 0.02)
+_NEVER_VOTED_FRACTION = 0.22
+_OLD_REGISTRATION_FRACTION = 0.35
 
 
 # --- election calendar -------------------------------------------------------
@@ -148,8 +146,6 @@ class ScenarioConfig:
     )
     events: tuple[EventSpec, ...] = ()
     anomalies: tuple[PlantedAnomaly, ...] = ()
-    never_voted_fraction: float = 0.22
-    old_registration_fraction: float = 0.35
     seed: int = 0
 
     def locale_codes(self) -> tuple[str, ...]:
@@ -213,197 +209,25 @@ class GroundTruth:
         return json.dumps(payload, sort_keys=True, indent=1)
 
 
-# --- voter universe ----------------------------------------------------------
-
-
-class _Universe:
-    """Mutable working state for one scenario walk."""
-
-    def __init__(self, config: ScenarioConfig, rng: np.random.Generator):
-        self.config = config
-        self.rng = rng
-        self.calendar = default_election_calendar(
-            config.start_date.year - 6, config.start_date.year
-        )
-        self.records: dict[str, VoterRecord] = {}
-        self.by_locale: dict[str, list[str]] = {code: [] for code in config.locale_codes()}
-        # ids are zero-padded and issued in order, so append keeps each list sorted
-        self._counter = 0
-        self.change_log: dict[str, list[tuple[ChangeType, int]]] = {}
-        # voter id -> (record, its bias_inputs)
-        self._bias_inputs: dict[str, tuple[VoterRecord, tuple[int | None, int, float]]] = {}
-
-        pops = _locale_populations(config, rng)
-        for code, pop in zip(config.locale_codes(), pops):
-            for rec in self._batch_new_voters(code, pop, config.start_date, established=True):
-                self.records[rec.voter_id] = rec
-                self.by_locale[code].append(rec.voter_id)
-
-    def _next_id(self) -> str:
-        self._counter += 1
-        return f"V{self._counter:07d}"
-
-    def _batch_new_voters(
-        self, locale: str, n: int, as_of: dt.date, established: bool
-    ) -> list[VoterRecord]:
-        """Sample all attribute columns at once, then assemble records."""
-        rng = self.rng
-        cfg = self.config
-        age_years = rng.uniform(18.5, 94.0, size=n)
-        adult_days = np.maximum(60, ((age_years - 18.0) * 365).astype(int))
-        if established:
-            old = rng.random(n) < cfg.old_registration_fraction
-            recent_days = rng.uniform(90, 3650, size=n).astype(int)
-            old_days = rng.uniform(3650, 10950, size=n).astype(int)
-            reg_days = np.where(old & (adult_days > 3650), old_days, recent_days)
-            reg_days = np.minimum(np.maximum(reg_days, 30), adult_days)
-            statuses = rng.choice(len(_STATUSES), size=n, p=_STATUS_P)
-        else:
-            reg_days = np.zeros(n, dtype=int)
-            statuses = np.where(rng.random(n) < 0.9, 0, 2)  # active or pending
-        parties = rng.choice(len(_PARTIES), size=n, p=_PARTY_P)
-        genders = rng.choice(len(_GENDERS), size=n, p=_GENDER_P)
-        firsts = rng.integers(len(_FIRST_NAMES), size=n)
-        lasts = rng.integers(len(_LAST_NAMES), size=n)
-        houses = rng.integers(1, 9900, size=n)
-        streets = rng.integers(len(_STREETS), size=n)
-        zips = rng.integers(0, 9999, size=n)
-        never = rng.random(n) < cfg.never_voted_fraction
-        propensity = rng.uniform(0.25, 0.95, size=n)
-        # per-election participation draws, columns aligned with the calendar
-        turnout = rng.random((n, len(self.calendar)))
-        kind_draw = rng.random((n, len(self.calendar)))
-
-        records = []
-        for i in range(n):
-            birth = as_of - dt.timedelta(days=int(age_years[i] * 365.25))
-            registration = as_of - dt.timedelta(days=int(reg_days[i]))
-            party = _PARTIES[parties[i]]
-            history: tuple[VoteEvent, ...] = ()
-            if not never[i]:
-                events = []
-                for e, election in enumerate(self.calendar):
-                    if election.date <= registration or election.date >= cfg.start_date:
-                        continue
-                    if turnout[i, e] < propensity[i] * election.scale:
-                        if kind_draw[i, e] < 0.08:
-                            kind = BallotKind.PROVISIONAL
-                        elif kind_draw[i, e] < 0.30:
-                            kind = BallotKind.ABSENTEE
-                        else:
-                            kind = BallotKind.REGULAR
-                        events.append(
-                            VoteEvent(
-                                election_id=election.election_id,
-                                election_date=election.date,
-                                kind=kind,
-                                party_ballot=party if election.is_primary else None,
-                            )
-                        )
-                history = tuple(events)
-            records.append(
-                VoterRecord(
-                    voter_id=self._next_id(),
-                    locale=locale,
-                    first_name=_FIRST_NAMES[firsts[i]],
-                    middle_name="",
-                    last_name=_LAST_NAMES[lasts[i]],
-                    address=(
-                        str(int(houses[i])),
-                        f"{_STREETS[streets[i]]} st",
-                        "",
-                        f"{locale} city",
-                        f"5{int(zips[i]):04d}",
-                    ),
-                    status=_STATUSES[statuses[i]],
-                    party=party,
-                    gender=_GENDERS[genders[i]],
-                    birth_date=birth,
-                    registration_date=registration,
-                    last_update_date=registration,
-                    vote_history=history,
-                )
-            )
-        return records
-
-    def _new_voter(self, locale: str, as_of: dt.date, established: bool) -> VoterRecord:
-        return self._batch_new_voters(locale, 1, as_of, established)[0]
-
-    def take_snapshot(self, date: dt.date) -> Snapshot:
-        counts = {locale: len(ids) for locale, ids in self.by_locale.items() if ids}
-        return Snapshot(snapshot_date=date, records=dict(self.records), locale_counts=counts)
-
-    def log_change(self, voter_id: str, change_type: ChangeType, interval_index: int) -> None:
-        self.change_log.setdefault(voter_id, []).append((change_type, interval_index))
-
-    def bias_inputs(self, rec: VoterRecord) -> tuple[int | None, int, float]:
-        """Days from `rec`'s last vote to the start date (None if it never
-        voted), days registered and age in years at that date. Computed once
-        per record object: a replaced record gets them afresh."""
-        entry = self._bias_inputs.get(rec.voter_id)
-        if entry is not None and entry[0] is rec:
-            return entry[1]
-        as_of = self.config.start_date
-        last_vote = max((ev.election_date for ev in rec.vote_history), default=None)
-        inputs = (
-            (as_of - last_vote).days if last_vote else None,
-            (as_of - rec.registration_date).days if rec.registration_date else 0,
-            (as_of - rec.birth_date).days / 365.25 if rec.birth_date else 50.0,
-        )
-        self._bias_inputs[rec.voter_id] = (rec, inputs)
-        return inputs
-
-
-def _locale_populations(config: ScenarioConfig, rng: np.random.Generator) -> list[int]:
-    draws = rng.normal(0.0, 1.0, size=config.n_locales)
-    pops = np.round(config.population_median * np.exp(config.population_sigma * draws))
-    return [int(max(50, p)) for p in pops]
-
-
 # --- scenario walk -----------------------------------------------------------
 
-_FIELD_TYPES = (ChangeType.ADDRESS, ChangeType.NAME, ChangeType.PARTY)
 _STATUS_TYPES = (ChangeType.DEACTIVATION, ChangeType.ACTIVATION)
-
-
-class _IntervalGuard:
-    """Tracks which voters may still receive which change this interval, so
-    the generated stream matches the diff semantics exactly: one record per
-    (voter, type), no same-interval status flip-flops, and insertions or
-    removals never combine with anything else."""
-
-    def __init__(self) -> None:
-        self.by_type: dict[ChangeType, set[str]] = {ct: set() for ct in ChangeType}
-        self.status_touched: set[str] = set()
-        self.any_touched: set[str] = set()
-        self.frozen: set[str] = set()  # registered or removed this interval
-
-    def can_field_change(self, voter_id: str, change_type: ChangeType) -> bool:
-        return voter_id not in self.by_type[change_type] and voter_id not in self.frozen
-
-    def can_status_change(self, voter_id: str) -> bool:
-        return voter_id not in self.status_touched and voter_id not in self.frozen
-
-    def can_remove(self, voter_id: str) -> bool:
-        return voter_id not in self.any_touched
-
-    def mark(self, voter_id: str, change_type: ChangeType) -> None:
-        self.by_type[change_type].add(voter_id)
-        if change_type in _STATUS_TYPES:
-            self.status_touched.add(voter_id)
-        if change_type in (ChangeType.REGISTRATION, ChangeType.REMOVAL):
-            self.frozen.add(voter_id)
-        self.any_touched.add(voter_id)
+_ENDS = {ChangeType.REGISTRATION, ChangeType.REMOVAL}
+# The types a voter already got this interval that rule out one more change of
+# each type, so the stream matches the diff semantics: one record per (voter,
+# type), one status change per voter, and a registration or removal combines
+# with nothing else.
+_BLOCKED_BY = {
+    **{ct: _ENDS | {ct} for ct in ChangeType},
+    **dict.fromkeys(_STATUS_TYPES, _ENDS.union(_STATUS_TYPES)),
+    ChangeType.REMOVAL: set(ChangeType),
+}
 
 
 def generate_scenario(config: ScenarioConfig) -> tuple[list[Snapshot], GroundTruth]:
     """Materialize the full snapshot sequence plus ground truth."""
-    snapshots = []
-    truth = None
-    for snapshot, truth in iter_scenario_snapshots(config):
-        snapshots.append(snapshot)
-    assert truth is not None
-    return snapshots, truth
+    pairs = list(iter_scenario_snapshots(config))
+    return [snapshot for snapshot, _ in pairs], pairs[-1][1]
 
 
 def iter_scenario_snapshots(config: ScenarioConfig):
@@ -414,35 +238,7 @@ def iter_scenario_snapshots(config: ScenarioConfig):
     scenarios out of memory.
     """
     _validate_config(config)
-    root = np.random.SeedSequence(config.seed)
-    universe_seq, walk_seq = root.spawn(2)
-    universe = _Universe(config, np.random.default_rng(universe_seq))
-    truth = GroundTruth(
-        config_seed=config.seed,
-        start_date=config.start_date,
-        interval_days=config.interval_days,
-        n_intervals=config.n_intervals,
-        locales=config.locale_codes(),
-    )
-    dates = config.snapshot_dates()
-    yield universe.take_snapshot(dates[0]), truth
-
-    walk_rng = np.random.default_rng(walk_seq)
-    events_by_interval: dict[int, list[EventSpec]] = {}
-    for event in config.events:
-        events_by_interval.setdefault(event.interval_index, []).append(event)
-    anomalies_by_interval: dict[int, list[PlantedAnomaly]] = {}
-    for anomaly in config.anomalies:
-        anomalies_by_interval.setdefault(anomaly.interval_index, []).append(anomaly)
-
-    for t in range(config.n_intervals):
-        guard = _IntervalGuard()
-        _apply_organic(universe, truth, walk_rng, t, guard)
-        for event in events_by_interval.get(t, ()):
-            _apply_event(universe, truth, walk_rng, t, event, guard)
-        for anomaly in anomalies_by_interval.get(t, ()):
-            _apply_anomaly(universe, truth, walk_rng, t, anomaly, guard)
-        yield universe.take_snapshot(dates[t + 1]), truth
+    yield from _Walk(config)
 
 
 def _validate_config(config: ScenarioConfig) -> None:
@@ -463,252 +259,330 @@ def _validate_config(config: ScenarioConfig) -> None:
             raise ConfigError(f"negative base rate for {change_type.value}")
 
 
-def _apply_organic(
-    universe: _Universe,
-    truth: GroundTruth,
-    rng: np.random.Generator,
-    t: int,
-    guard: _IntervalGuard,
-) -> None:
-    cfg = universe.config
-    for locale in cfg.locale_codes():
-        pop = len(universe.by_locale[locale])
-        for change_type in ChangeType:
-            rate = cfg.base_rates.get(change_type, 0.0)
-            if rate <= 0.0 or pop == 0:
-                continue
-            count = int(rng.poisson(rate * cfg.interval_days * pop / 1000.0))
+class _Walk:
+    """One scenario walk: the voters, the ground truth and the current
+    interval `t`. Voter attributes draw from the seed's first stream and
+    change draws from its second, each in a fixed order."""
+
+    def __init__(self, config: ScenarioConfig):
+        self.config = config
+        voter_seq, change_seq = np.random.SeedSequence(config.seed).spawn(2)
+        self.voter_rng = np.random.default_rng(voter_seq)
+        self.rng = np.random.default_rng(change_seq)
+        self.truth = GroundTruth(
+            config_seed=config.seed,
+            start_date=config.start_date,
+            interval_days=config.interval_days,
+            n_intervals=config.n_intervals,
+            locales=config.locale_codes(),
+        )
+        self.calendar = default_election_calendar(
+            config.start_date.year - 6, config.start_date.year
+        )
+        self.dates = config.snapshot_dates()
+        self.records: dict[str, VoterRecord] = {}
+        # ids are zero-padded and issued in order, so append keeps each list sorted
+        self.by_locale: dict[str, list[str]] = {code: [] for code in config.locale_codes()}
+        self.issued = 0
+        self.t = -1  # the interval being walked; -1 before the first
+        self.touched: dict[str, set[ChangeType]] = {}  # this interval's types per voter
+        self.changed: set[str] = set()  # voters that ever got a field or status change
+        # voter id -> (record, days since its last vote, days registered, age in years)
+        self._bias_inputs: dict[str, tuple[VoterRecord, tuple[int | None, int, float]]] = {}
+
+        draws = self.voter_rng.normal(0.0, 1.0, size=config.n_locales)
+        pops = np.round(config.population_median * np.exp(config.population_sigma * draws))
+        for code, pop in zip(config.locale_codes(), pops):
+            self._new_voters(code, int(max(50, pop)), config.start_date, established=True)
+
+    def __iter__(self):
+        events: dict[int, list[EventSpec]] = {}
+        for event in self.config.events:
+            events.setdefault(event.interval_index, []).append(event)
+        anomalies: dict[int, list[PlantedAnomaly]] = {}
+        for anomaly in self.config.anomalies:
+            anomalies.setdefault(anomaly.interval_index, []).append(anomaly)
+
+        yield self._snapshot(), self.truth
+        for self.t in range(self.config.n_intervals):
+            self.touched = {}
+            self._organic()
+            for event in events.get(self.t, ()):
+                self._event(event)
+            for anomaly in anomalies.get(self.t, ()):
+                self._anomaly(anomaly)
+            yield self._snapshot(), self.truth
+
+    def _snapshot(self) -> Snapshot:
+        counts = {locale: len(ids) for locale, ids in self.by_locale.items() if ids}
+        return Snapshot(
+            snapshot_date=self.dates[self.t + 1], records=dict(self.records), locale_counts=counts
+        )
+
+    def _new_voters(self, locale: str, n: int, as_of: dt.date, established: bool) -> None:
+        """Sample all attribute columns at once, then assemble and add records."""
+        rng = self.voter_rng
+        age_years = rng.uniform(18.5, 94.0, size=n)
+        adult_days = np.maximum(60, ((age_years - 18.0) * 365).astype(int))
+        if established:
+            old = rng.random(n) < _OLD_REGISTRATION_FRACTION
+            recent_days = rng.uniform(90, 3650, size=n).astype(int)
+            old_days = rng.uniform(3650, 10950, size=n).astype(int)
+            reg_days = np.where(old & (adult_days > 3650), old_days, recent_days)
+            reg_days = np.minimum(np.maximum(reg_days, 30), adult_days)
+            statuses = rng.choice(len(_STATUSES), size=n, p=_STATUS_P)
+        else:
+            reg_days = np.zeros(n, dtype=int)
+            statuses = np.where(rng.random(n) < 0.9, 0, 2)  # active or pending
+        parties = rng.choice(len(_PARTIES), size=n, p=_PARTY_P)
+        genders = rng.choice(len(_GENDERS), size=n, p=_GENDER_P)
+        firsts = rng.integers(len(_FIRST_NAMES), size=n)
+        lasts = rng.integers(len(_LAST_NAMES), size=n)
+        houses = rng.integers(1, 9900, size=n)
+        streets = rng.integers(len(_STREETS), size=n)
+        zips = rng.integers(0, 9999, size=n)
+        never = rng.random(n) < _NEVER_VOTED_FRACTION
+        propensity = rng.uniform(0.25, 0.95, size=n)
+        # per-election participation draws, columns aligned with the calendar
+        turnout = rng.random((n, len(self.calendar)))
+        kind_draw = rng.random((n, len(self.calendar)))
+
+        for i in range(n):
+            birth = as_of - dt.timedelta(days=int(age_years[i] * 365.25))
+            registration = as_of - dt.timedelta(days=int(reg_days[i]))
+            party = _PARTIES[parties[i]]
+            history: tuple[VoteEvent, ...] = ()
+            if not never[i]:
+                events = []
+                for e, election in enumerate(self.calendar):
+                    if election.date <= registration or election.date >= self.config.start_date:
+                        continue
+                    if turnout[i, e] < propensity[i] * election.scale:
+                        if kind_draw[i, e] < 0.08:
+                            kind = BallotKind.PROVISIONAL
+                        elif kind_draw[i, e] < 0.30:
+                            kind = BallotKind.ABSENTEE
+                        else:
+                            kind = BallotKind.REGULAR
+                        events.append(
+                            VoteEvent(
+                                election_id=election.election_id,
+                                election_date=election.date,
+                                kind=kind,
+                                party_ballot=party if election.is_primary else None,
+                            )
+                        )
+                history = tuple(events)
+            self.issued += 1
+            rec = VoterRecord(
+                voter_id=f"V{self.issued:07d}",
+                locale=locale,
+                first_name=_FIRST_NAMES[firsts[i]],
+                middle_name="",
+                last_name=_LAST_NAMES[lasts[i]],
+                address=(
+                    str(int(houses[i])),
+                    f"{_STREETS[streets[i]]} st",
+                    "",
+                    f"{locale} city",
+                    f"5{int(zips[i]):04d}",
+                ),
+                status=_STATUSES[statuses[i]],
+                party=party,
+                gender=_GENDERS[genders[i]],
+                birth_date=birth,
+                registration_date=registration,
+                last_update_date=registration,
+                vote_history=history,
+            )
+            self.records[rec.voter_id] = rec
+            self.by_locale[locale].append(rec.voter_id)
+
+    def _organic(self) -> None:
+        cfg = self.config
+        for locale in cfg.locale_codes():
+            pop = len(self.by_locale[locale])
+            for change_type in ChangeType:
+                rate = cfg.base_rates.get(change_type, 0.0)
+                if rate <= 0.0 or pop == 0:
+                    continue
+                count = int(self.rng.poisson(rate * cfg.interval_days * pop / 1000.0))
+                for _ in range(count):
+                    self._change(locale, change_type, ORGANIC_CAUSE)
+
+    def _event(self, event: EventSpec) -> None:
+        for locale in event.locales or self.config.locale_codes():
+            pop = len(self.by_locale[locale])
+            count = max(1, int(round(event.per_1000 * pop / 1000.0)))
+            if event.kind == "other":
+                count = int(self.rng.integers(3, 16))  # small clusters by definition
+            applied = 0
             for _ in range(count):
-                _apply_one_change(universe, truth, rng, t, locale, change_type, ORGANIC_CAUSE, guard)
+                voter_id = self._change(locale, event.change_type, event.kind, bias=event.kind)
+                if voter_id is None:
+                    continue
+                applied += 1
+                if (
+                    event.companion_address_fraction > 0
+                    and self.rng.random() < event.companion_address_fraction
+                    and self._free(voter_id, ChangeType.ADDRESS)
+                ):
+                    self._mutate(voter_id, ChangeType.ADDRESS)
+                    self._record(voter_id, locale, ChangeType.ADDRESS, event.kind)
+            if applied == 0:
+                raise ConfigError(
+                    f"event {event.kind} at interval {self.t} found no eligible voters in {locale}"
+                )
 
-
-def _apply_event(
-    universe: _Universe,
-    truth: GroundTruth,
-    rng: np.random.Generator,
-    t: int,
-    event: EventSpec,
-    guard: _IntervalGuard,
-) -> None:
-    locales = event.locales or universe.config.locale_codes()
-    for locale in locales:
-        pop = len(universe.by_locale[locale])
-        count = max(1, int(round(event.per_1000 * pop / 1000.0)))
-        if event.kind == "other":
-            count = int(rng.integers(3, 16))  # small clusters by definition
-        applied = 0
-        for _ in range(count):
-            voter_id = _apply_one_change(
-                universe, truth, rng, t, locale, event.change_type, event.kind, guard,
-                bias=event.kind,
-            )
-            if voter_id is None:
-                continue
-            applied += 1
-            if (
-                event.companion_address_fraction > 0
-                and rng.random() < event.companion_address_fraction
-                and guard.can_field_change(voter_id, ChangeType.ADDRESS)
-            ):
-                _mutate_field(universe, truth, rng, t, voter_id, ChangeType.ADDRESS, event.kind, guard)
-        if applied == 0:
+    def _anomaly(self, anomaly: PlantedAnomaly) -> None:
+        applied = sum(
+            self._change(anomaly.locale, anomaly.change_type, ANOMALY_CAUSE) is not None
+            for _ in range(anomaly.count)
+        )
+        if applied < anomaly.count:
             raise ConfigError(
-                f"event {event.kind} at interval {t} found no eligible voters in {locale}"
+                f"anomaly at ({anomaly.locale}, {self.t}) wanted {anomaly.count} "
+                f"{anomaly.change_type.value} changes, applied {applied}"
             )
 
-
-def _apply_anomaly(
-    universe: _Universe,
-    truth: GroundTruth,
-    rng: np.random.Generator,
-    t: int,
-    anomaly: PlantedAnomaly,
-    guard: _IntervalGuard,
-) -> None:
-    applied = 0
-    for _ in range(anomaly.count):
-        if _apply_one_change(
-            universe, truth, rng, t, anomaly.locale, anomaly.change_type, ANOMALY_CAUSE, guard
-        ):
-            applied += 1
-    if applied < anomaly.count:
-        raise ConfigError(
-            f"anomaly at ({anomaly.locale}, {t}) wanted {anomaly.count} "
-            f"{anomaly.change_type.value} changes, applied {applied}"
-        )
-
-
-def _apply_one_change(
-    universe: _Universe,
-    truth: GroundTruth,
-    rng: np.random.Generator,
-    t: int,
-    locale: str,
-    change_type: ChangeType,
-    cause: str,
-    guard: _IntervalGuard,
-    bias: str | None = None,
-) -> str | None:
-    """Apply one change of the given type; returns the voter id or None if
-    no eligible voter exists."""
-    if change_type == ChangeType.REGISTRATION:
-        rec = universe._new_voter(locale, _interval_end(universe.config, t), established=False)
-        universe.records[rec.voter_id] = rec
-        universe.by_locale[locale].append(rec.voter_id)
-        guard.mark(rec.voter_id, change_type)
-        truth.inserted_voters += 1
-        _record(truth, universe, t, rec.voter_id, locale, change_type, cause)
-        return rec.voter_id
-
-    if change_type == ChangeType.REMOVAL:
-        voter_id = _pick_voter(universe, rng, locale, lambda v: guard.can_remove(v.voter_id))
-        if voter_id is None:
-            return None
-        del universe.records[voter_id]
-        universe.by_locale[locale].remove(voter_id)
-        guard.mark(voter_id, change_type)
-        truth.removed_voters += 1
-        _record(truth, universe, t, voter_id, locale, change_type, cause)
+    def _change(
+        self, locale: str, change_type: ChangeType, cause: str, bias: str | None = None
+    ) -> str | None:
+        """Apply one change of the given type; returns the voter id or None if
+        no eligible voter exists."""
+        if change_type == ChangeType.REGISTRATION:
+            self._new_voters(locale, 1, self.dates[self.t + 1], established=False)
+            voter_id = self.by_locale[locale][-1]
+            self.truth.inserted_voters += 1
+        elif change_type == ChangeType.REMOVAL:
+            voter_id = self._pick(locale, change_type)
+            if voter_id is None:
+                return None
+            del self.records[voter_id]
+            self.by_locale[locale].remove(voter_id)
+            self.truth.removed_voters += 1
+        elif change_type in _STATUS_TYPES:
+            old, new = VoterStatus.ACTIVE, VoterStatus.INACTIVE
+            if change_type == ChangeType.ACTIVATION:
+                old, new = new, old
+            voter_id = self._pick(locale, change_type, old, bias)
+            if voter_id is None:
+                return None
+            self.records[voter_id] = replace(self.records[voter_id], status=new)
+        else:
+            voter_id = self._pick(locale, change_type, bias=bias)
+            if voter_id is None:
+                return None
+            self._mutate(voter_id, change_type)
+        self._record(voter_id, locale, change_type, cause)
         return voter_id
 
-    if change_type in _STATUS_TYPES:
-        want = VoterStatus.ACTIVE if change_type == ChangeType.DEACTIVATION else VoterStatus.INACTIVE
-        new_status = (
-            VoterStatus.INACTIVE if change_type == ChangeType.DEACTIVATION else VoterStatus.ACTIVE
-        )
-        voter_id = _pick_voter(
-            universe,
-            rng,
-            locale,
-            lambda v: v.status == want and guard.can_status_change(v.voter_id),
-            bias=bias,
-        )
-        if voter_id is None:
+    def _mutate(self, voter_id: str, change_type: ChangeType) -> None:
+        """Give a voter a new address, last name or party."""
+        rng, rec = self.rng, self.records[voter_id]
+        if change_type == ChangeType.ADDRESS:
+            addr = list(rec.address)
+            house_idx = ADDRESS_FIELDS.index("house_num")
+            street_idx = ADDRESS_FIELDS.index("street_name")
+            addr[house_idx] = str(int(rng.integers(1, 9900)))
+            new_street = f"{_STREETS[rng.integers(len(_STREETS))]} ave"
+            if new_street == addr[street_idx]:
+                new_street = f"{_STREETS[rng.integers(len(_STREETS))]} rd"
+            addr[street_idx] = new_street
+            rec = replace(rec, address=tuple(addr))
+        elif change_type == ChangeType.NAME:
+            new_last = _LAST_NAMES[rng.integers(len(_LAST_NAMES))]
+            if new_last == rec.last_name:
+                new_last = rec.last_name + "son"
+            rec = replace(rec, last_name=new_last)
+        else:
+            choices = [p for p in _PARTIES if p != rec.party]
+            rec = replace(rec, party=choices[rng.integers(len(choices))])
+        self.records[voter_id] = rec
+
+    def _record(self, voter_id: str, locale: str, change_type: ChangeType, cause: str) -> None:
+        self.touched.setdefault(voter_id, set()).add(change_type)
+        if change_type not in _ENDS:
+            self.changed.add(voter_id)
+        truth = self.truth
+        truth.changes.append(TruthChange(self.t, voter_id, locale, change_type, cause))
+        if cause != ORGANIC_CAUSE:
+            cell = (locale, self.t, change_type.value)
+            # anomaly marks win over event marks when both touch a cell
+            if truth.cell_causes.get(cell) != ANOMALY_CAUSE:
+                truth.cell_causes[cell] = cause
+
+    def _free(self, voter_id: str, change_type: ChangeType) -> bool:
+        """Whether the voter may still get a change of this type this interval."""
+        types = self.touched.get(voter_id)
+        return types is None or not types & _BLOCKED_BY[change_type]
+
+    def _pick(
+        self,
+        locale: str,
+        change_type: ChangeType,
+        status: VoterStatus | None = None,
+        bias: str | None = None,
+    ) -> str | None:
+        """A voter of the locale, with `status` if given, who may still get
+        this change type, weighted by `bias`; None if there is none."""
+        ids, records, rng = self.by_locale[locale], self.records, self.rng
+        if not ids:
             return None
-        universe.records[voter_id] = replace(universe.records[voter_id], status=new_status)
-        guard.mark(voter_id, change_type)
-        universe.log_change(voter_id, change_type, t)
-        _record(truth, universe, t, voter_id, locale, change_type, cause)
-        return voter_id
 
-    voter_id = _pick_voter(
-        universe, rng, locale, lambda v: guard.can_field_change(v.voter_id, change_type), bias=bias
-    )
-    if voter_id is None:
-        return None
-    _mutate_field(universe, truth, rng, t, voter_id, change_type, cause, guard)
-    return voter_id
+        def eligible(vid: str) -> bool:
+            if status is not None and records[vid].status != status:
+                return False
+            return self._free(vid, change_type)
 
-
-def _mutate_field(
-    universe: _Universe,
-    truth: GroundTruth,
-    rng: np.random.Generator,
-    t: int,
-    voter_id: str,
-    change_type: ChangeType,
-    cause: str,
-    guard: _IntervalGuard,
-) -> None:
-    rec = universe.records[voter_id]
-    if change_type == ChangeType.ADDRESS:
-        addr = list(rec.address)
-        house_idx = ADDRESS_FIELDS.index("house_num")
-        street_idx = ADDRESS_FIELDS.index("street_name")
-        addr[house_idx] = str(int(rng.integers(1, 9900)))
-        new_street = f"{_STREETS[rng.integers(len(_STREETS))]} ave"
-        if new_street == addr[street_idx]:
-            new_street = f"{_STREETS[rng.integers(len(_STREETS))]} rd"
-        addr[street_idx] = new_street
-        new_rec = replace(rec, address=tuple(addr))
-    elif change_type == ChangeType.NAME:
-        new_last = _LAST_NAMES[rng.integers(len(_LAST_NAMES))]
-        if new_last == rec.last_name:
-            new_last = rec.last_name + "son"
-        new_rec = replace(rec, last_name=new_last)
-    elif change_type == ChangeType.PARTY:
-        choices = [p for p in _PARTIES if p != rec.party]
-        new_rec = replace(rec, party=choices[rng.integers(len(choices))])
-    else:
-        raise ConfigError(f"not a field change type: {change_type.value}")
-    universe.records[voter_id] = new_rec
-    guard.mark(voter_id, change_type)
-    universe.log_change(voter_id, change_type, t)
-    _record(truth, universe, t, voter_id, rec.locale, change_type, cause)
-
-
-def _record(
-    truth: GroundTruth,
-    universe: _Universe,
-    t: int,
-    voter_id: str,
-    locale: str,
-    change_type: ChangeType,
-    cause: str,
-) -> None:
-    truth.changes.append(TruthChange(t, voter_id, locale, change_type, cause))
-    if cause != ORGANIC_CAUSE:
-        cell = (locale, t, change_type.value)
-        # anomaly marks win over event marks when both touch a cell
-        if truth.cell_causes.get(cell) != ANOMALY_CAUSE:
-            truth.cell_causes[cell] = cause
-
-
-def _interval_end(config: ScenarioConfig, t: int) -> dt.date:
-    return config.start_date + dt.timedelta(days=(t + 1) * config.interval_days)
-
-
-def _pick_voter(
-    universe: _Universe,
-    rng: np.random.Generator,
-    locale: str,
-    eligible,
-    bias: str | None = None,
-) -> str | None:
-    ids = universe.by_locale[locale]
-    if not ids:
-        return None
-    if bias is None or bias == "other":
-        # unbiased picks dominate; try rejection sampling before scanning
-        for _ in range(40):
-            vid = ids[int(rng.integers(len(ids)))]
-            if eligible(universe.records[vid]):
-                return vid
-        pool = [vid for vid in ids if eligible(universe.records[vid])]
+        unbiased = bias is None or bias == "other"
+        if unbiased:
+            # unbiased picks dominate; try rejection sampling before scanning
+            for _ in range(40):
+                vid = ids[int(rng.integers(len(ids)))]
+                if eligible(vid):
+                    return vid
+        pool = [vid for vid in ids if eligible(vid)]
         if not pool:
             return None
+        if not unbiased:
+            weights = np.array([self._bias_weight(records[vid], bias) for vid in pool])
+            total = float(weights.sum())
+            if total > 0:
+                return pool[int(rng.choice(len(pool), p=weights / total))]
         return pool[int(rng.integers(len(pool)))]
-    pool = [vid for vid in ids if eligible(universe.records[vid])]
-    if not pool:
-        return None
-    weights = np.array([_bias_weight(universe.records[vid], bias, universe) for vid in pool])
-    total = float(weights.sum())
-    if total <= 0:
-        return pool[int(rng.integers(len(pool)))]
-    return pool[int(rng.choice(len(pool), p=weights / total))]
 
+    def _bias_weight(self, rec: VoterRecord, bias: str) -> float:
+        """Demographic bias profiles making event cohorts separable by kind.
+        A record's inputs are computed once per record object: a replaced
+        record gets them afresh."""
+        entry = self._bias_inputs.get(rec.voter_id)
+        if entry is None or entry[0] is not rec:
+            as_of = self.config.start_date
+            last_vote = max((ev.election_date for ev in rec.vote_history), default=None)
+            entry = self._bias_inputs[rec.voter_id] = (rec, (
+                (as_of - last_vote).days if last_vote else None,
+                (as_of - rec.registration_date).days if rec.registration_date else 0,
+                (as_of - rec.birth_date).days / 365.25 if rec.birth_date else 50.0,
+            ))
+        days_since_vote, reg_days, age_years = entry[1]
 
-def _bias_weight(rec: VoterRecord, bias: str, universe: _Universe) -> float:
-    """Demographic bias profiles making event cohorts separable by kind."""
-    days_since_vote, reg_days, age_years = universe.bias_inputs(rec)
-
-    if bias == "inactivity_mailing_response_processing":
-        # lapsed voters: voted before, but not in the last two years
-        if days_since_vote is not None and days_since_vote >= 700:
-            return 1.0
-        return 0.02
-    if bias == "systematic_september_maintenance":
-        # stale registrations that never produced a ballot or a change
-        if days_since_vote is None and reg_days >= 3000 and not universe.change_log.get(rec.voter_id):
-            return 1.0
-        return 0.02
-    if bias == "ncoa_mailings":
-        # older movers with a live voting habit
-        if age_years >= 64 and days_since_vote is not None and days_since_vote < 800:
-            return 1.0
-        return 0.02
-    return 1.0
-
+        if bias == "inactivity_mailing_response_processing":
+            # lapsed voters: voted before, but not in the last two years
+            if days_since_vote is not None and days_since_vote >= 700:
+                return 1.0
+            return 0.02
+        if bias == "systematic_september_maintenance":
+            # stale registrations that never produced a ballot or a change
+            if days_since_vote is None and reg_days >= 3000 and rec.voter_id not in self.changed:
+                return 1.0
+            return 0.02
+        if bias == "ncoa_mailings":
+            # older movers with a live voting habit
+            if age_years >= 64 and days_since_vote is not None and days_since_vote < 800:
+                return 1.0
+            return 0.02
+        return 1.0
 
 # --- labels ------------------------------------------------------------------
 
@@ -739,6 +613,10 @@ def scenario_labels(truth: GroundTruth, change_type: ChangeType) -> list[tuple[s
 
 # --- matrix-level scenarios ----------------------------------------------------
 
+_SEASONAL_PERIOD = 52.0  # intervals
+_EVENT_PROFILE_SIGMA = 0.30
+_ANOMALY_MULTIPLIER = 10.0  # times the organic background mean value
+
 
 @dataclass(frozen=True)
 class MatrixScenarioConfig:
@@ -757,15 +635,12 @@ class MatrixScenarioConfig:
     base_rate: float = 0.18
     locale_sigma: float = 0.12
     seasonal_amplitude: float = 0.25
-    seasonal_period: float = 52.0
     # each event column carries its own locale profile, so the systematic
     # structure spans more independent components than a k=5 factorization
     # can spend on single-cell spikes
     event_intervals: tuple[int, ...] = (12, 18, 34, 44, 70, 96, 122, 140)
     event_intensities: tuple[float, ...] = (9.0, 8.0, 12.0, 13.0, 7.0, 11.0, 16.0, 8.0)
-    event_profile_sigma: float = 0.30
     anomaly_cells: tuple[tuple[int, int], ...] = ()
-    anomaly_multiplier: float = 10.0  # times the organic background mean value
     seed: int = 0
 
 
@@ -800,12 +675,12 @@ def generate_matrix_scenario(
     pops = np.maximum(pops, 500)
 
     level = np.exp(config.locale_sigma * level_rng.normal(size=config.n_locales))
-    phase = np.arange(config.n_intervals) * 2.0 * np.pi / config.seasonal_period
+    phase = np.arange(config.n_intervals) * 2.0 * np.pi / _SEASONAL_PERIOD
     season = 1.0 + config.seasonal_amplitude * np.sin(phase)
     rates = config.base_rate * np.outer(level, season)
 
     profiles = np.exp(
-        config.event_profile_sigma
+        _EVENT_PROFILE_SIGMA
         * profile_rng.normal(size=(len(config.event_intervals), config.n_locales))
     )
     for e, (j, intensity) in enumerate(zip(config.event_intervals, config.event_intensities)):
@@ -820,7 +695,7 @@ def generate_matrix_scenario(
 
     anomaly_refs = []
     for i, j in config.anomaly_cells:
-        extra_value = config.anomaly_multiplier * background_mean
+        extra_value = _ANOMALY_MULTIPLIER * background_mean
         extra = max(1, int(round(extra_value * config.interval_days * pops[i] / 1000.0)))
         raw[i, j] += extra
         anomaly_refs.append(MatrixEntryRef(i, j))

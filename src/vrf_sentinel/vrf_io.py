@@ -69,6 +69,8 @@ class SnapshotSchema:
         unknown = [f for f in self.columns if f not in LOGICAL_FIELDS]
         if unknown:
             raise SchemaError(f"schema maps unknown logical fields: {', '.join(unknown)}")
+        if len(self.delimiter) != 1:
+            raise SchemaError(f"schema delimiter must be one character, got {self.delimiter!r}")
 
 
 def identity_schema(snapshot_date: dt.date | None = None) -> SnapshotSchema:

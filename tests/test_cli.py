@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import datetime as dt
 import gc
 import hashlib
 import io as stdio
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -464,6 +466,28 @@ def test_evaluate_with_subset_of_methods(pipeline):
     assert (out / "sweep_deactivation.svg").exists()
 
 
+def test_evaluate_reports_unconverged_sweep_points_once(pipeline, tmp_path, monkeypatch, caplog):
+    import vrf_sentinel.detectors.nmf as nmf
+
+    factorizations, real = [], nmf.nmf_factorize
+
+    def counted(*args, **kwargs):
+        factorizations.append(real(*args, **kwargs))
+        return factorizations[-1]
+
+    monkeypatch.setattr(nmf, "nmf_factorize", counted)
+    assert run(
+        "evaluate", "--matrix", str(pipeline / "matrix" / "matrix_deactivation.csv"),
+        "--methods", "nmf,global_std", "--out", str(tmp_path),
+    ) == 0
+    unconverged = sum(not result.converged for result in factorizations)
+    assert len(factorizations) == 21 and unconverged > 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["unconverged"] == {"nmf": unconverged, "global_std": 0}
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert warnings == [f"detector nmf did not converge at {unconverged} of 21 sweep points"]
+
+
 def test_heatmap_highlight(pipeline, tmp_path):
     svg = tmp_path / "heat.svg"
     assert run(
@@ -717,6 +741,14 @@ def test_rerun_redirects_either_out_spelling(pipeline, tmp_path, spelling):
         assert (replay / name).read_bytes() == (first / name).read_bytes()
 
 
+def other_scaler(**changes):
+    """A scaler file fitted on another feature set: `changes` replace fields."""
+    width = len(groupfeatures.FEATURE_NAMES)
+    ones, zeros = np.ones(width), np.zeros(width)
+    fitted = groupfeatures.FeatureScaler(groupfeatures.FEATURE_NAMES, zeros, ones, zeros)
+    return dataclasses.replace(fitted, **changes).to_json().encode()
+
+
 # case -> (command, file it reads, corruption): a JSON key to drop, bytes
 # that replace the file, or (line, comma-separated cell, replacement text)
 MALFORMED = {
@@ -737,6 +769,10 @@ MALFORMED = {
     "features-manifest-deep": ("train", "features.csv.manifest.json", DEEP_JSON),
     "model-deep": ("predict", "model.json", DEEP_JSON),
     "scaler-deep": ("predict", "scaler.json", DEEP_JSON),
+    "scaler-reordered": (
+        "predict", "scaler.json", other_scaler(feature_names=groupfeatures.FEATURE_NAMES[::-1])
+    ),
+    "scaler-version": ("predict", "scaler.json", other_scaler(version="gfv0")),
 }
 
 
@@ -799,6 +835,24 @@ def test_snapshot_stray_quote_exits_3(tmp_path, capsys):
     assert run("ingest", "--snapshot", str(path), "--out", str(tmp_path / "out")) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:2: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("delimiter", ["", ";;"])
+@pytest.mark.parametrize("command", ["ingest", "diff"])
+def test_schema_delimiter_not_one_character_exits_3(tmp_path, capsys, command, delimiter):
+    snapshot = tmp_path / "snapshot_2019-01-03.csv"
+    snapshot.write_text("voter_id,locale,status\nV1,polk,active\n")
+    schema = tmp_path / "schema.cfg"
+    schema.write_text(
+        f"voter_id = voter_id\nlocale = locale\nstatus = status\ndelimiter = {delimiter}\n"
+    )
+    inputs = {
+        "ingest": ["--snapshot", str(snapshot)],
+        "diff": ["--anterior", str(snapshot), "--posterior", str(snapshot)],
+    }[command]
+    assert run(command, *inputs, "--schema", str(schema), "--out", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: schema delimiter must be one character") and err.count("\n") == 1
 
 
 def _write_changes(path):

@@ -241,8 +241,8 @@ def test_gamma_zero_precision_matches_fraction():
 
 def test_sweep_report_row_counts(tmp_path):
     results = [
-        ev.SweepResult("global_std", (0.0, 1.0, 2.0), (0.0, 0.5, 1.0), auc=0.5, k=5),
-        ev.SweepResult("cl_std_3", (0.0, 1.0, 2.0), (0.5, 1.0, 1.0), auc=0.875, k=5),
+        ev.SweepResult("global_std", (0.0, 1.0, 2.0), (0.0, 0.5, 1.0), auc=0.5),
+        ev.SweepResult("cl_std_3", (0.0, 1.0, 2.0), (0.5, 1.0, 1.0), auc=0.875),
     ]
     paths = ev.sweep_report(results, str(tmp_path), change_type="address")
     with open(paths["sweep"]) as fh:

@@ -139,7 +139,7 @@ def test_snapshot_populations_use_anterior_count():
     moved = ChangeRecord("V1", locale, ChangeType.ADDRESS, s0.snapshot_date, s1.snapshot_date)
     matrix = mm.build_matrix([moved], ChangeType.ADDRESS, 7, populations)
     assert matrix.intervals[0].start == s1.snapshot_date
-    assert matrix.populations[matrix.locale_index(locale), 0] == s0.locale_counts[locale]
+    assert matrix.populations[matrix.locales.index(locale), 0] == s0.locale_counts[locale]
 
 
 def test_interval_before_first_census_uses_earliest():
