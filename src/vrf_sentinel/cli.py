@@ -291,23 +291,28 @@ def cmd_detect(args: argparse.Namespace) -> dict:
         overrides["lam"] = args.lambda_
     method = args.method
     if method in ("cl_std", "cl_iqr"):
+        if args.window < 0:
+            raise VrfError(f"--window must be >= 0, got {args.window}")
         method = f"{method}_{2 * args.window + 1}"
-    scored = detectors.score_with_method(matrix, method, seed=args.seed, **overrides)
+    scores, params = detectors.score_with_method(
+        matrix.values, method, seed=args.seed, **overrides
+    )
+    scored = detectors.ScoreMatrix(method, scores, matrix.locales, matrix.intervals, params)
     names = (f"scores_{method}.csv", f"ranked_{method}.csv", f"scores_{method}.svg")
     scores_path, ranked_path, svg_path = (os.path.join(args.out, name) for name in names)
     detectors.scores_to_csv(scored, scores_path)
-    detectors.ranked_to_csv(scored, ranked_path)
+    detectors.ranked_to_csv(scored, detectors.rank_entries(scores, matrix.values), ranked_path)
     plots.render_heatmap(
-        scored.scores,
-        scored.locales,
-        [iv.start.isoformat() for iv in scored.intervals],
+        scores,
+        matrix.locales,
+        [iv.start.isoformat() for iv in matrix.intervals],
         svg_path,
         title=f"{method} scores ({matrix.change_type.value})",
     )
-    converged = bool(scored.params.get("converged", True))
+    converged = bool(params.get("converged", True))
     if not converged:
         logger.warning("detector %s did not converge; see params in scores CSV", method)
-    traces = {k: v for k, v in scored.params.items() if k in ("iterations", "residual")}
+    traces = {k: v for k, v in params.items() if k in ("iterations", "residual")}
     sizes = {name: os.path.getsize(os.path.join(args.out, name)) for name in names}
     return {"converged": converged, **traces, "output_bytes": sizes}
 
@@ -322,7 +327,7 @@ def cmd_evaluate(args: argparse.Namespace) -> dict:
     options = {name: value for name, value in options.items() if value is not None}
     results = [
         evalharness.gamma_sweep(
-            matrix, method.strip(), seed=args.seed, fixed_mask=args.fixed_mask, **options
+            matrix.values, method.strip(), seed=args.seed, fixed_mask=args.fixed_mask, **options
         )
         for method in methods
     ]
@@ -333,7 +338,10 @@ def cmd_evaluate(args: argparse.Namespace) -> dict:
                 "detector %s did not converge at %d of %d sweep points",
                 result.method, result.unconverged, len(result.gamma_grid),
             )
-    return {"unconverged": {result.method: result.unconverged for result in results}}
+    return {
+        "unconverged": {result.method: result.unconverged for result in results},
+        "iterations": {result.method: result.iterations for result in results},
+    }
 
 
 def _read_labels(path: str) -> dict:

@@ -1,24 +1,31 @@
-"""Anomaly detectors over modification matrices, plus the method registry.
+"""Anomaly detectors over modification-matrix value grids, plus the
+method registry.
 
-The registry exposes the ten standard method ids used by the evaluation
-harness and the CLI:
+Every detector takes a float grid (locales x intervals) and returns a score
+grid of its shape. `score_with_method` runs one by method id and is the
+only code that reads or names an id. An id is one of
 
     nmf, rpca,
-    cl_std_5, cl_std_3, cl_iqr_5, cl_iqr_3,
+    cl_std_<width>, cl_iqr_<width>   (any odd width, no leading zero),
     temporal_std, temporal_iqr,
     global_std, global_iqr
+
+and `METHOD_IDS` lists the ten that the evaluation harness runs by default.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Any
 
+import numpy as np
+
 from ..errors import VrfError
-from ..modmatrix import ModificationMatrix
 from .nmf import DEFAULT_K, NmfResult, nmf_factorize, nmf_residual_scores
 from .ranking import rank_entries, ranked_to_csv
 from .rpca import RpcaResult, default_lambda, rpca_decompose, rpca_scores
 from .scoring import (
+    Scored,
     ScoreMatrix,
     cross_locale_scores,
     global_scores,
@@ -35,6 +42,7 @@ __all__ = [
     "NmfResult",
     "RpcaResult",
     "ScoreMatrix",
+    "Scored",
     "cross_locale_scores",
     "default_lambda",
     "global_scores",
@@ -65,31 +73,44 @@ METHOD_IDS = (
     "global_iqr",
 )
 
+# a row or whole-grid pool and its statistic, or the cross-locale statistic
+# and a window width written canonically; nine digits cover a window wider
+# than any grid, and stay far below int()'s limit on digits
+_POOLED_ID = re.compile(r"(temporal|global)_(std|iqr)|cl_(std|iqr)_(0|[1-9][0-9]{0,8})")
+
 
 def score_with_method(
-    matrix: ModificationMatrix,
+    values: np.ndarray,
     method: str,
     seed: int = 0,
     **overrides: Any,
-) -> ScoreMatrix:
-    """Run one registered detector by id.
+) -> Scored:
+    """Score a grid with the detector a method id names, returning the
+    score grid and the params its score file records.
 
-    Overrides are forwarded to the detector (`k`, `lam`, `tol`,
-    `max_iter`); the window-based ids fix their own width. `seed` is used
-    only by nmf; every other detector is deterministic.
+    Overrides are forwarded to nmf (`k`, `tol`, `max_iter`) and rpca
+    (`lam`, `tol`, `max_iter`); the pooled ids fix their own settings.
+    `seed` is used only by nmf; every other detector is deterministic.
     """
     if method == "nmf":
-        return nmf_residual_scores(matrix, seed=seed, **overrides)
+        return nmf_residual_scores(values, seed=seed, **overrides)
     if method == "rpca":
-        return rpca_scores(matrix, **overrides)
-    if method.startswith("cl_"):
-        _, stat, width_token = method.split("_")
-        width = int(width_token)
-        if width % 2 != 1:
-            raise VrfError(f"cross-locale window width must be odd, got {width}")
-        return cross_locale_scores(matrix, stat=stat, w=(width - 1) // 2)
-    if method.startswith("temporal_"):
-        return temporal_scores(matrix, stat=method.removeprefix("temporal_"))
-    if method.startswith("global_"):
-        return global_scores(matrix, stat=method.removeprefix("global_"))
-    raise VrfError(f"unknown detector method {method!r} (known: {', '.join(METHOD_IDS)})")
+        return rpca_scores(values, **overrides)
+    match = _POOLED_ID.fullmatch(method)
+    if match is None:
+        raise VrfError(
+            f"unknown detector method {method!r} (known: {', '.join(METHOD_IDS)}, "
+            "or cl_std_<width> and cl_iqr_<width> for any odd width)"
+        )
+    pool, stat, cl_stat, width = match.groups()
+    if pool == "temporal":
+        return Scored(temporal_scores(values, stat), {"stat": stat})
+    if pool == "global":
+        return Scored(global_scores(values, stat), {"stat": stat})
+    width = int(width)
+    if width % 2 != 1:
+        raise VrfError(f"cross-locale window width must be odd, got {width}")
+    w = width // 2
+    return Scored(
+        cross_locale_scores(values, cl_stat, w), {"stat": cl_stat, "w": w, "width": width}
+    )

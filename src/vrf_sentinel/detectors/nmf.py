@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import VrfError
-from ..modmatrix import ModificationMatrix
-from .scoring import ScoreMatrix, _score_matrix
+from .scoring import Scored
 
 logger = logging.getLogger(__name__)
 
@@ -131,30 +130,24 @@ def nmf_factorize(
 
 
 def nmf_residual_scores(
-    matrix: ModificationMatrix,
+    values: np.ndarray,
     k: int = DEFAULT_K,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> ScoreMatrix:
+) -> Scored:
     """Signed residual scores `values - reconstruction` under a rank-k
-    non-negative factorization. k is clamped to min(matrix shape)."""
-    if k > min(matrix.shape):
-        logger.warning("k=%d exceeds min(shape)=%d; clamping", k, min(matrix.shape))
-        k = min(matrix.shape)
-    result = nmf_factorize(matrix.values, k=k, seed=seed, tol=tol, max_iter=max_iter)
-    scores = matrix.values - result.reconstruction()
-    return _score_matrix(
-        matrix,
-        "nmf",
-        scores,
-        {
-            "k": k,
-            "seed": seed,
-            "tol": tol,
-            "max_iter": max_iter,
-            "converged": result.converged,
-            "iterations": len(result.objective) - 1,
-            "objective": result.objective[-1],
-        },
-    )
+    non-negative factorization. k is clamped to min(grid shape)."""
+    if k > min(values.shape):
+        logger.warning("k=%d exceeds min(shape)=%d; clamping", k, min(values.shape))
+        k = min(values.shape)
+    result = nmf_factorize(values, k=k, seed=seed, tol=tol, max_iter=max_iter)
+    return Scored(values - result.reconstruction(), {
+        "k": k,
+        "seed": seed,
+        "tol": tol,
+        "max_iter": max_iter,
+        "converged": result.converged,
+        "iterations": len(result.objective) - 1,
+        "objective": result.objective[-1],
+    })

@@ -1,4 +1,4 @@
-"""Deterministic total ordering of score-matrix entries."""
+"""Deterministic total ordering of score-grid entries."""
 
 from __future__ import annotations
 
@@ -8,28 +8,27 @@ from ..vrf_io import csv_cell, csv_line
 from .scoring import ScoreMatrix
 
 
-def rank_entries(score_matrix: ScoreMatrix) -> np.ndarray:
-    """All matrix entries in descending score order: a permutation of the
+def rank_entries(scores: np.ndarray, source: np.ndarray | None = None) -> np.ndarray:
+    """All grid entries in descending score order: a permutation of the
     flat row-major cell indices (locale_index * n_intervals +
     interval_index), best first.
 
-    +inf sentinel scores come first (among themselves ordered by source
-    value descending); remaining ties break by (locale_index,
-    interval_index) ascending.
+    +inf sentinel scores come first, among themselves ordered by the
+    `source` grid's value descending when one is given; remaining ties
+    break by (locale_index, interval_index) ascending.
     """
-    scores = score_matrix.scores.ravel()
-    # Raw source value breaks ties only among +inf sentinels.
-    sentinel_tiebreak = np.zeros(scores.shape)
-    if score_matrix.source_values is not None:
-        sentinel = np.isposinf(scores)
-        sentinel_tiebreak[sentinel] = -score_matrix.source_values.ravel()[sentinel]
-    return np.lexsort((np.arange(scores.size), sentinel_tiebreak, -scores))
+    flat = scores.ravel()
+    order = np.argsort(-flat, kind="stable")
+    if source is not None:
+        # the +inf cells are the prefix of `order`, in cell order
+        head = order[:np.count_nonzero(np.isposinf(flat))]
+        head[:] = head[np.argsort(-source.ravel()[head], kind="stable")]
+    return order
 
 
-def ranked_to_csv(score_matrix: ScoreMatrix, path: str) -> None:
-    """Rank the entries and write one row per cell, best first, joining
-    the rows of one grid row's worth of ranks per write."""
-    order = rank_entries(score_matrix)
+def ranked_to_csv(score_matrix: ScoreMatrix, order: np.ndarray, path: str) -> None:
+    """Write one row per cell in the ranking `order` (`rank_entries`),
+    joining the rows of one grid row's worth of ranks per write."""
     starts = [iv.start.isoformat() for iv in score_matrix.intervals]
     rows, cols = np.divmod(order, len(starts))
     scores = score_matrix.scores.ravel()[order]

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import VrfError
-from ..modmatrix import ModificationMatrix
-from .scoring import ScoreMatrix, _score_matrix
+from .scoring import Scored
 
 DEFAULT_TOL = 1e-7      # relative Frobenius feasibility
 DEFAULT_MAX_ITER = 1000
@@ -62,13 +61,13 @@ class RpcaResult:
 
 
 def rpca_decompose(
-    matrix: ModificationMatrix | np.ndarray,
+    values: np.ndarray,
     lam: float | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> RpcaResult:
-    """Decompose into low-rank + sparse parts (deterministic)."""
-    m = matrix.values if isinstance(matrix, ModificationMatrix) else np.asarray(matrix, float)
+    """Decompose a grid into low-rank + sparse parts (deterministic)."""
+    m = np.asarray(values, dtype=float)
     if lam is None:
         lam = default_lambda(m.shape)
     if not 0 < lam < np.inf:  # also false for nan
@@ -105,25 +104,20 @@ def rpca_decompose(
 
 
 def rpca_scores(
-    matrix: ModificationMatrix,
+    values: np.ndarray,
     lam: float | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> ScoreMatrix:
+) -> Scored:
     """Sparse-component entries as anomaly scores."""
     if lam is None:
-        lam = default_lambda(matrix.shape)
-    result = rpca_decompose(matrix, lam=lam, tol=tol, max_iter=max_iter)
-    return _score_matrix(
-        matrix,
-        "rpca",
-        result.sparse,
-        {
-            "lambda": lam,
-            "tol": tol,
-            "max_iter": max_iter,
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "residual": result.residual,
-        },
-    )
+        lam = default_lambda(values.shape)
+    result = rpca_decompose(values, lam=lam, tol=tol, max_iter=max_iter)
+    return Scored(result.sparse, {
+        "lambda": lam,
+        "tol": tol,
+        "max_iter": max_iter,
+        "converged": result.converged,
+        "iterations": result.iterations,
+        "residual": result.residual,
+    })

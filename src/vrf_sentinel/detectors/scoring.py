@@ -3,8 +3,9 @@
 All three share the same two normalizations of a value x against a pool of
 values: the z-score (x - mean) / std with the population standard
 deviation, and the IQR score (x - Q3) / (Q3 - Q1) with linearly
-interpolated quartiles. They differ only in which pool each entry is
-scored against:
+interpolated quartiles. Each takes a float grid (locales x intervals) and
+returns a score grid of its shape. They differ only in which pool each
+entry is scored against:
 
   temporal      - the entry's own row (one locale over time)
   cross-locale  - all rows within a sliding column window of width 2w+1,
@@ -20,7 +21,8 @@ its own. The cross-locale pools overlap, so they are copied out and scored
 in chunks of interior columns holding at most `POOL_CHUNK_VALUES` pooled
 values each; the 2w clipped edge columns are scored one at a time.
 
-Score files use the grid CSV layout described in `modmatrix`.
+Score files use the grid CSV layout described in `modmatrix`; a
+`ScoreMatrix` labels a grid for them.
 """
 
 from __future__ import annotations
@@ -28,27 +30,26 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import FileParseError, VrfError
-from ..modmatrix import DateInterval, ModificationMatrix, read_grid, write_grid
+from ..modmatrix import DateInterval, read_grid, write_grid
 
 POOL_CHUNK_VALUES = 1 << 18  # pooled values per cross-locale chunk: 2 MiB of float64
 
 
 @dataclass(frozen=True)
 class ScoreMatrix:
-    """Per-entry anomaly scores aligned with a source modification matrix."""
+    """A detector's score grid with the labels and params its files carry."""
 
     method: str
     scores: np.ndarray
     locales: tuple[str, ...]
     intervals: tuple[DateInterval, ...]
     params: dict[str, Any] = field(default_factory=dict)
-    source_values: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         expected = (len(self.locales), len(self.intervals))
@@ -61,20 +62,12 @@ class ScoreMatrix:
         return self.scores.shape
 
 
-def _score_matrix(
-    matrix: ModificationMatrix,
-    method: str,
-    scores: np.ndarray,
-    params: dict[str, Any],
-) -> ScoreMatrix:
-    return ScoreMatrix(
-        method=method,
-        scores=scores,
-        locales=matrix.locales,
-        intervals=matrix.intervals,
-        params=params,
-        source_values=matrix.values,
-    )
+class Scored(NamedTuple):
+    """A score grid and the params its score file records (nmf and rpca
+    add their convergence and iteration count)."""
+
+    scores: np.ndarray
+    params: dict[str, Any]
 
 
 def zscore(x: np.ndarray | float, mean, std) -> np.ndarray | float:
@@ -113,17 +106,14 @@ def _pool_scores(values: np.ndarray, pools: np.ndarray, stat: str) -> np.ndarray
     raise VrfError(f"unknown statistic {stat!r} (expected 'std' or 'iqr')")
 
 
-def temporal_scores(matrix: ModificationMatrix, stat: str = "std") -> ScoreMatrix:
+def temporal_scores(values: np.ndarray, stat: str = "std") -> np.ndarray:
     """Score each entry against its own locale's time series."""
-    if matrix.shape[1] < 2:
+    if values.shape[1] < 2:
         raise VrfError("temporal scoring needs at least 2 intervals")
-    scores = _pool_scores(matrix.values, matrix.values, stat)
-    return _score_matrix(matrix, f"temporal_{stat}", scores, {"stat": stat})
+    return _pool_scores(values, values, stat)
 
 
-def cross_locale_scores(
-    matrix: ModificationMatrix, stat: str = "std", w: int = 2
-) -> ScoreMatrix:
+def cross_locale_scores(values: np.ndarray, stat: str = "std", w: int = 2) -> np.ndarray:
     """Score each entry against all locales within a +-w column window.
 
     Windows are clipped to existing columns at the matrix edges. The window
@@ -131,7 +121,6 @@ def cross_locale_scores(
     """
     if w < 0:
         raise VrfError("window half-width w must be >= 0")
-    values = matrix.values
     n_rows, n_cols = values.shape
     width = 2 * w + 1
     scores = np.zeros((n_rows, n_cols))
@@ -145,19 +134,16 @@ def cross_locale_scores(
     for j in (j for j in range(n_cols) if not w <= j < n_cols - w):
         lo, hi = max(0, j - w), min(n_cols, j + w + 1)
         scores[:, j] = _pool_scores(values[None, :, j], values[:, lo:hi].reshape(1, -1), stat)[0]
-    return _score_matrix(
-        matrix, f"cl_{stat}_{width}", scores, {"stat": stat, "w": w, "width": width}
-    )
+    return scores
 
 
-def global_scores(matrix: ModificationMatrix, stat: str = "std") -> ScoreMatrix:
-    """Score each entry against the whole matrix (baseline; rank-equivalent
+def global_scores(values: np.ndarray, stat: str = "std") -> np.ndarray:
+    """Score each entry against the whole grid (baseline; rank-equivalent
     to ranking the raw values)."""
-    if matrix.values.size < 2:
+    if values.size < 2:
         raise VrfError("global scoring needs at least 2 entries")
-    flat = matrix.values.reshape(1, -1)
-    scores = _pool_scores(flat, flat, stat).reshape(matrix.shape)
-    return _score_matrix(matrix, f"global_{stat}", scores, {"stat": stat})
+    flat = values.reshape(1, -1)
+    return _pool_scores(flat, flat, stat).reshape(values.shape)
 
 
 def scores_to_csv(score_matrix: ScoreMatrix, path: str) -> None:
@@ -173,7 +159,7 @@ def scores_to_csv(score_matrix: ScoreMatrix, path: str) -> None:
 
 
 def scores_from_csv(path: str) -> ScoreMatrix:
-    """Read back a score CSV (the source-values grid is not persisted)."""
+    """Read back a score CSV."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             meta = json.loads(fh.readline())

@@ -17,7 +17,6 @@ import numpy as np
 
 from .detectors import rank_entries, score_with_method
 from .errors import VrfError
-from .modmatrix import ModificationMatrix
 from .vrf_io import csv_line
 
 DEFAULT_FRACTION = 0.01
@@ -39,18 +38,15 @@ def perturbed_cells(
     return np.sort(np.random.default_rng(seed).choice(total, size=count, replace=False))
 
 
-def perturb(matrix: ModificationMatrix, cells: np.ndarray, gamma: float) -> ModificationMatrix:
-    """Copy of the matrix with gamma added to each of the distinct flat
-    `cells`.
-
-    Only the values grid changes; raw counts and populations are carried
-    over untouched.
-    """
+def perturb(values: np.ndarray, cells: np.ndarray, gamma: float) -> np.ndarray:
+    """Read-only copy of the values grid with gamma added to each of the
+    distinct flat `cells`."""
     if gamma < 0:
         raise VrfError("gamma must be non-negative")
-    values = matrix.values.copy()
-    values.reshape(-1)[cells] += gamma
-    return matrix.with_values(values)
+    perturbed = np.array(values, dtype=float, order="C")
+    perturbed.reshape(-1)[cells] += gamma
+    perturbed.setflags(write=False)
+    return perturbed
 
 
 def precision_at_k(order: np.ndarray, cells: np.ndarray, k: int) -> float:
@@ -80,6 +76,7 @@ class SweepResult:
     precision_at_k: tuple[float, ...]
     auc: float
     unconverged: int = 0  # grid points whose detector did not converge
+    iterations: int = 0   # detector iterations over all grid points (0 if not iterative)
 
     def __post_init__(self) -> None:
         if len(self.gamma_grid) != len(self.precision_at_k):
@@ -100,7 +97,7 @@ def point_seed(seed: int, grid_index: int) -> int:
 
 
 def gamma_sweep(
-    matrix: ModificationMatrix,
+    values: np.ndarray,
     method: str,
     fraction: float = DEFAULT_FRACTION,
     k: int = DEFAULT_TOP_K,
@@ -108,7 +105,7 @@ def gamma_sweep(
     seed: int = 0,
     fixed_mask: bool = False,
 ) -> SweepResult:
-    """Precision-vs-gamma sweep for one method on one matrix.
+    """Precision-vs-gamma sweep for one method on one values grid.
 
     By default each grid point draws a fresh perturbed set from a sub-seed
     of (seed, point index); with fixed_mask the gamma=0 point's set is
@@ -116,15 +113,17 @@ def gamma_sweep(
     """
     if grid_points < 2:
         raise VrfError("grid_points must be >= 2")
-    gamma_max = GAMMA_SPAN_MULTIPLIER * float(np.mean(matrix.values))
+    gamma_max = GAMMA_SPAN_MULTIPLIER * float(np.mean(values))
     gammas = np.linspace(0.0, gamma_max, grid_points)
 
-    precisions, unconverged = [], 0
+    precisions, unconverged, iterations = [], 0, 0
     for idx, gamma in enumerate(gammas):
-        cells = perturbed_cells(matrix.shape, fraction, point_seed(seed, 0 if fixed_mask else idx))
-        scored = score_with_method(perturb(matrix, cells, float(gamma)), method, seed=seed)
-        precisions.append(precision_at_k(rank_entries(scored), cells, k))
-        unconverged += not scored.params.get("converged", True)
+        cells = perturbed_cells(values.shape, fraction, point_seed(seed, 0 if fixed_mask else idx))
+        perturbed = perturb(values, cells, float(gamma))
+        scores, params = score_with_method(perturbed, method, seed=seed)
+        precisions.append(precision_at_k(rank_entries(scores, perturbed), cells, k))
+        unconverged += not params.get("converged", True)
+        iterations += params.get("iterations", 0)
 
     return SweepResult(
         method=method,
@@ -132,6 +131,7 @@ def gamma_sweep(
         precision_at_k=tuple(precisions),
         auc=_normalized_auc(gammas, np.asarray(precisions)),
         unconverged=unconverged,
+        iterations=iterations,
     )
 
 

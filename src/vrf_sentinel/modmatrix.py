@@ -103,17 +103,6 @@ class ModificationMatrix:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    def with_values(self, values: np.ndarray) -> "ModificationMatrix":
-        """Copy carrying a replaced values grid (raw counts untouched)."""
-        return ModificationMatrix(
-            change_type=self.change_type,
-            locales=self.locales,
-            intervals=self.intervals,
-            values=np.asarray(values, dtype=float).copy(),
-            raw_counts=self.raw_counts.copy(),
-            populations=self.populations.copy(),
-        )
-
 
 def build_intervals(start: dt.date, end: dt.date, interval_days: int) -> tuple[DateInterval, ...]:
     """Contiguous half-open intervals of fixed width covering [start, end]."""

@@ -6,12 +6,12 @@ import csv
 import datetime as dt
 import json
 import logging
+import os
 import re
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
-from typing import TextIO
 
 from .errors import FileParseError, IntegrityError, SchemaError, VrfError
 from .records import (
@@ -262,14 +262,6 @@ class _LineFeed:
         return line
 
 
-def _text_lines(fh: TextIO, path: str) -> Iterator[str]:
-    """The lines of `fh`; bytes that are not utf-8 raise FileParseError."""
-    try:
-        yield from fh
-    except UnicodeDecodeError as exc:
-        raise FileParseError(f"{path}: not utf-8 text ({exc})") from None
-
-
 def parse_snapshot(
     path: str,
     schema: SnapshotSchema,
@@ -307,83 +299,85 @@ def parse_snapshot(
     events: dict[str, VoteEvent] = {}
     parsed: dict[str, tuple[VoterRecord, str]] = {}
     reused = 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = _text_lines(fh, path)
-        feed = _LineFeed(lines)
-        reader = csv.reader(feed, delimiter=schema.delimiter)
-        try:
-            header = next(reader, None) or []
-        except csv.Error as exc:
-            raise FileParseError(f"{path}:1: {exc}") from None
-        for logical in REQUIRED_FIELDS:
-            if schema.columns[logical] not in header:
-                raise SchemaError(
-                    f"{path}: missing required column {schema.columns[logical]!r} "
-                    f"(logical field {logical!r})"
-                )
-        # under another header or schema an identical line holds other fields
-        scope = (tuple(header), schema)
-        previous = memo.rows if memo.scope == scope else {}
-        position = {name: i for i, name in enumerate(header)}
-        # every logical field in one getter; unmapped fields read index -1,
-        # the "" appended to each row
-        fields = itemgetter(*(position.get(schema.columns.get(f), -1) for f in LOGICAL_FIELDS))
-        width = len(header)
-        pad = [""] * width
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            feed = _LineFeed(fh)
+            reader = csv.reader(feed, delimiter=schema.delimiter)
+            try:
+                header = next(reader, None) or []
+            except csv.Error as exc:
+                raise FileParseError(f"{path}:1: {exc}") from None
+            for logical in REQUIRED_FIELDS:
+                if schema.columns[logical] not in header:
+                    raise SchemaError(
+                        f"{path}: missing required column {schema.columns[logical]!r} "
+                        f"(logical field {logical!r})"
+                    )
+            # under another header or schema an identical line holds other fields
+            scope = (tuple(header), schema)
+            previous = memo.rows if memo.scope == scope else {}
+            position = {name: i for i, name in enumerate(header)}
+            # every logical field in one getter; unmapped fields read index -1,
+            # the "" appended to each row
+            fields = itemgetter(*(position.get(schema.columns.get(f), -1) for f in LOGICAL_FIELDS))
+            width = len(header)
+            pad = [""] * width
 
-        # one iteration per record: the feed pulls the further lines of a
-        # record that spans several
-        for lineno, line in enumerate(lines, start=2):
-            entry = previous.get(line)
-            if entry is not None:
-                # `line` becomes the previous file's copy: one copy stays alive
-                record, line = entry
-                voter_id, locale = record.voter_id, record.locale
-                parsed[line] = entry
-                reused += 1
-            else:
-                feed.line, feed.pulled = line, False
-                try:  # csv yields a record for any line it is handed
-                    row = next(reader)
-                except csv.Error as exc:  # e.g. a stray quote running past the field limit
-                    raise FileParseError(f"{path}:{lineno}: {exc}") from None
-                if len(row) < width:
-                    row += pad[len(row):]
-                row.append("")
-                (voter_id, locale, status_text, first, middle, last, house, street, unit,
-                 city, zip_code, party, gender, birth, registered, updated,
-                 history) = map(str.strip, fields(row))
-                if not voter_id:
-                    issues.append(RowIssue(lineno, "voter_id", "empty voter_id"))
+            # one iteration per record: the feed pulls the further lines of a
+            # record that spans several
+            for lineno, line in enumerate(fh, start=2):
+                entry = previous.get(line)
+                if entry is not None:
+                    # `line` becomes the previous file's copy: one copy stays alive
+                    record, line = entry
+                    voter_id, locale = record.voter_id, record.locale
+                    parsed[line] = entry
+                    reused += 1
+                else:
+                    feed.line, feed.pulled = line, False
+                    try:  # csv yields a record for any line it is handed
+                        row = next(reader)
+                    except csv.Error as exc:  # e.g. a stray quote running past the field limit
+                        raise FileParseError(f"{path}:{lineno}: {exc}") from None
+                    if len(row) < width:
+                        row += pad[len(row):]
+                    row.append("")
+                    (voter_id, locale, status_text, first, middle, last, house, street, unit,
+                     city, zip_code, party, gender, birth, registered, updated,
+                     history) = map(str.strip, fields(row))
+                    if not voter_id:
+                        issues.append(RowIssue(lineno, "voter_id", "empty voter_id"))
+                        continue
+                    if not locale:
+                        issues.append(RowIssue(lineno, "locale", "empty locale"))
+                        continue
+                    status = status_map.get(status_text.casefold())
+                    if status is None:
+                        issues.append(RowIssue(lineno, "status", f"unknown status {status_text!r}"))
+                        continue
+                    try:
+                        birth_date = _memo_date(birth, dates) if birth else None
+                        registration_date = _memo_date(registered, dates) if registered else None
+                        last_update_date = _memo_date(updated, dates) if updated else None
+                        vote_history = _memo_history(history, histories, events, dates)
+                    except ValueError as exc:
+                        issues.append(RowIssue(lineno, "-", f"{path}:{lineno}: {exc}"))
+                        continue
+                    # positional, in field order: keywords cost a third more here
+                    record = VoterRecord(
+                        voter_id, locale, first, middle, last,
+                        (house, street, unit, city, zip_code), status, party, gender,
+                        birth_date, registration_date, last_update_date, vote_history,
+                    )
+                    if not feed.pulled:  # the record ended with its own line
+                        parsed[line] = (record, line)
+                if voter_id in records:
+                    duplicates.append(voter_id)
                     continue
-                if not locale:
-                    issues.append(RowIssue(lineno, "locale", "empty locale"))
-                    continue
-                status = status_map.get(status_text.casefold())
-                if status is None:
-                    issues.append(RowIssue(lineno, "status", f"unknown status {status_text!r}"))
-                    continue
-                try:
-                    birth_date = _memo_date(birth, dates) if birth else None
-                    registration_date = _memo_date(registered, dates) if registered else None
-                    last_update_date = _memo_date(updated, dates) if updated else None
-                    vote_history = _memo_history(history, histories, events, dates)
-                except ValueError as exc:
-                    issues.append(RowIssue(lineno, "-", f"{path}:{lineno}: {exc}"))
-                    continue
-                # positional, in field order: keywords cost a third more here
-                record = VoterRecord(
-                    voter_id, locale, first, middle, last,
-                    (house, street, unit, city, zip_code), status, party, gender,
-                    birth_date, registration_date, last_update_date, vote_history,
-                )
-                if not feed.pulled:  # the record ended with its own line
-                    parsed[line] = (record, line)
-            if voter_id in records:
-                duplicates.append(voter_id)
-                continue
-            counts[locale] = counts.get(locale, 0) + 1
-            records[voter_id] = record
+                counts[locale] = counts.get(locale, 0) + 1
+                records[voter_id] = record
+    except UnicodeDecodeError as exc:
+        raise FileParseError(f"{path}: not utf-8 text ({exc})") from None
 
     memo.scope, memo.rows = scope, parsed
     memo.reused += reused
@@ -411,7 +405,8 @@ def _log_issues(path: str, issues: list[RowIssue]) -> None:
 
 
 def _date_from_filename(path: str) -> dt.date:
-    match = _DATE_IN_NAME.search(path)
+    """The first ISO date in the file's name; its directories' names do not count."""
+    match = _DATE_IN_NAME.search(os.path.basename(path))
     if not match:
         raise SchemaError(
             f"{path}: snapshot date not given and no ISO date found in filename"
@@ -500,6 +495,9 @@ def diff_snapshots(
     A voter may emit several records of different types in one diff. Output
     is sorted by (voter_id, change_type) and is a pure function of the
     inputs. Field comparisons ignore surrounding whitespace and case.
+    Locale is not a diffed field: a voter whose locale changes while every
+    diffed field stays the same gets no record, and only the snapshots'
+    `locale_counts` (the census) move them to the other row.
     """
     if anterior.snapshot_date >= posterior.snapshot_date:
         raise VrfError(

@@ -22,7 +22,6 @@ from xml.sax.saxutils import escape as xml_escape
 
 import numpy as np
 
-from vrf_sentinel.detectors.ranking import rank_entries
 from vrf_sentinel.errors import DataError, FileParseError
 from vrf_sentinel.modmatrix import DateInterval, MatrixEntryRef
 from vrf_sentinel.records import ADDRESS_FIELDS, ChangeType, Snapshot, VoterRecord, VoterStatus
@@ -350,8 +349,7 @@ def row_write_grid(fh, corner, intervals, locales, blocks):
             fh.write(csv_row([locale, *cells]))
 
 
-def row_ranked_to_csv(score_matrix, path):
-    order = rank_entries(score_matrix)
+def row_ranked_to_csv(score_matrix, order, path):
     locales = score_matrix.locales
     starts = [iv.start.isoformat() for iv in score_matrix.intervals]
     rows, cols = np.divmod(order, len(starts))

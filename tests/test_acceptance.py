@@ -19,7 +19,6 @@ import vrf_sentinel.vrf_io as io
 from vrf_sentinel import cli, detectors as det
 from vrf_sentinel.detectors.nmf import nmf_factorize
 from vrf_sentinel.detectors.rpca import default_lambda, rpca_decompose
-from vrf_sentinel.modmatrix import ModificationMatrix, build_intervals
 from vrf_sentinel.records import ChangeType, election_tally
 
 
@@ -28,23 +27,6 @@ def _report(number: int, description: str, ok: bool, detail: str = "") -> None:
     suffix = f" [{detail}]" if detail else ""
     print(f"ACCEPTANCE {number:2d} {status}: {description}{suffix}")
     assert ok, f"criterion {number} failed: {description} {suffix}"
-
-
-def _as_matrix(values):
-    import datetime as dt
-
-    values = np.asarray(values, dtype=float)
-    start = dt.date(2019, 1, 3)
-    return ModificationMatrix(
-        change_type=ChangeType.DEACTIVATION,
-        locales=tuple(f"L{i:03d}" for i in range(values.shape[0])),
-        intervals=build_intervals(
-            start, start + dt.timedelta(days=7 * (values.shape[1] - 1)), 7
-        ),
-        values=values,
-        raw_counts=np.zeros_like(values, dtype=np.int64),
-        populations=np.ones_like(values, dtype=np.int64),
-    )
 
 
 def test_criterion_1_diff_patch_oracle():
@@ -73,7 +55,7 @@ def test_criterion_1_diff_patch_oracle():
 def test_criterion_2_ranking_arithmetic():
     total = 99 * 149
     values = np.arange(total, dtype=float).reshape(99, 149)[::-1]
-    order = det.rank_entries(det.global_scores(_as_matrix(values), "std"))
+    order = det.rank_entries(det.global_scores(values, "std"), values)
     top4 = order[:4]
     bottom4 = order[-4:]
     best = ev.average_rank(order, top4)
@@ -94,8 +76,8 @@ def test_criterion_3_planted_anomaly_study():
     )
     ranks = {}
     for method in ("nmf", "cl_std_3", "rpca", "global_std"):
-        scored = det.score_with_method(matrix, method, seed=0)
-        ranks[method] = ev.average_rank(det.rank_entries(scored), truth_cells)
+        scores, _ = det.score_with_method(matrix.values, method, seed=0)
+        ranks[method] = ev.average_rank(det.rank_entries(scores, matrix.values), truth_cells)
     elapsed = time.monotonic() - start
     ok = (
         all(ranks[m] <= 50.0 for m in ("nmf", "cl_std_3", "rpca"))
@@ -112,7 +94,7 @@ def test_criterion_4_gamma_sweep_protocol():
     results = {}
     for method in det.METHOD_IDS:
         results[method] = ev.gamma_sweep(
-            matrix, method, fraction=0.01, k=20, grid_points=21, seed=5
+            matrix.values, method, fraction=0.01, k=20, grid_points=21, seed=5
         )
     elapsed = time.monotonic() - start
 
@@ -121,7 +103,7 @@ def test_criterion_4_gamma_sweep_protocol():
     margin_nmf = results["nmf"].auc - results["global_std"].auc
 
     # gamma = 0 null calibration: fixed ranking, 100 fresh masks
-    order = det.rank_entries(det.global_scores(matrix, "std"))
+    order = det.rank_entries(det.global_scores(matrix.values, "std"), matrix.values)
     precisions = []
     for seed in range(100):
         cells = ev.perturbed_cells(matrix.shape, fraction=0.01, seed=seed)
@@ -212,17 +194,16 @@ def test_criterion_7_statistic_oracles():
         values = rng.uniform(0, 3, size=(n_rows, n_cols))
         if trial % 6 == 0:
             values[int(rng.integers(n_rows))] = 0.7  # zero-spread rows
-        matrix = _as_matrix(values)
         listed = values.tolist()
         w = int(rng.integers(0, 4))
         for stat in ("std", "iqr"):
             pairs = (
-                (det.temporal_scores(matrix, stat).scores, oracles.bf_temporal(listed, stat)),
+                (det.temporal_scores(values, stat), oracles.bf_temporal(listed, stat)),
                 (
-                    det.cross_locale_scores(matrix, stat, w=w).scores,
+                    det.cross_locale_scores(values, stat, w=w),
                     oracles.bf_cross_locale(listed, stat, w),
                 ),
-                (det.global_scores(matrix, stat).scores, oracles.bf_global(listed, stat)),
+                (det.global_scores(values, stat), oracles.bf_global(listed, stat)),
             )
             for got, want in pairs:
                 want = np.asarray(want)

@@ -447,6 +447,21 @@ def test_detect_finds_planted_anomaly(pipeline):
     assert [top[1], top[2]] in [[loc, _interval_start(truth, idx)] for loc, idx, _, _ in planted]
 
 
+@pytest.mark.parametrize("method", [
+    "cl_std_x", "cl_a_b_c", "cl_std_05", "cl_std_4", "temporal_foo", "nmf_3",
+])
+@pytest.mark.parametrize("option", ["detect --method", "evaluate --methods"])
+def test_malformed_method_id_exits_3(pipeline, tmp_path, capsys, option, method):
+    out = tmp_path / "out"
+    assert run(
+        *option.split(), method,
+        "--matrix", str(pipeline / "matrix" / "matrix_deactivation.csv"), "--out", str(out),
+    ) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not any(out.iterdir())
+
+
 def _interval_start(truth, index):
     import datetime as dt
 
@@ -484,6 +499,8 @@ def test_evaluate_reports_unconverged_sweep_points_once(pipeline, tmp_path, monk
     assert len(factorizations) == 21 and unconverged > 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["unconverged"] == {"nmf": unconverged, "global_std": 0}
+    iterations = sum(len(result.objective) - 1 for result in factorizations)
+    assert manifest["iterations"] == {"nmf": iterations, "global_std": 0}
     warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
     assert warnings == [f"detector nmf did not converge at {unconverged} of 21 sweep points"]
 
@@ -1041,6 +1058,25 @@ def test_labeled_pipeline_train_predict(tmp_path):
     n_groups = len(open(feats / "group_features.csv").readlines()) - 1
     assert len(lines) == 1 + n_groups  # every group scored, labeled or not
     assert n_groups >= 184
+
+
+def test_snapshot_dates_come_from_file_names_not_directories(tmp_path):
+    snapshots = tmp_path / "run-2021-01-01" / "snapshots"
+    snapshots.mkdir(parents=True)
+    header = "voter_id,locale,status\n"
+    (snapshots / "snapshot_2019-01-03.csv").write_text(header + "A1,polk,active\n")
+    (snapshots / "snapshot_2019-01-10.csv").write_text(header + "A1,polk,inactive\n")
+    assert run("diff", "--snapshots", str(snapshots), "--out", str(tmp_path / "diff")) == 0
+    rows = list(csv.DictReader(open(tmp_path / "diff" / "changes.csv")))
+    assert [(r["anterior_date"], r["posterior_date"]) for r in rows] == [
+        ("2019-01-03", "2019-01-10")
+    ]
+    assert run(
+        "ingest", "--snapshot", str(snapshots / "snapshot_2019-01-10.csv"),
+        "--out", str(tmp_path / "ingest"),
+    ) == 0
+    summary = json.loads((tmp_path / "ingest" / "ingest_summary.json").read_text())
+    assert summary["snapshot_date"] == "2019-01-10"
 
 
 def test_ingest_summary(pipeline, tmp_path):

@@ -97,19 +97,18 @@ def test_statistic_scores_match_brute_force():
             values[rng.integers(n_rows)] = 1.0  # constant rows hit sentinels
         if trial % 7 == 0:
             values = np.round(values, 1)  # ties for the iqr path
-        matrix = as_matrix(values)
         listed = values.tolist()
         w = int(rng.integers(0, 4))
         for stat in ("std", "iqr"):
-            got = det.temporal_scores(matrix, stat).scores
+            got = det.temporal_scores(values, stat)
             want = np.array(oracles.bf_temporal(listed, stat))
             np.testing.assert_allclose(got, want, atol=1e-12)
 
-            got = det.cross_locale_scores(matrix, stat, w=w).scores
+            got = det.cross_locale_scores(values, stat, w=w)
             want = np.array(oracles.bf_cross_locale(listed, stat, w))
             np.testing.assert_allclose(got, want, atol=1e-12)
 
-            got = det.global_scores(matrix, stat).scores
+            got = det.global_scores(values, stat)
             want = np.array(oracles.bf_global(listed, stat))
             np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -130,14 +129,13 @@ def pool_grids(draw):
 
 @given(pool_grids(), st.integers(0, 4), st.sampled_from(["std", "iqr"]))
 def test_batched_scores_match_per_pool_loop(values, w, stat):
-    matrix = as_matrix(values)
     pairs = (
-        (det.temporal_scores(matrix, stat), oracles.loop_temporal(values, stat)),
-        (det.cross_locale_scores(matrix, stat, w=w), oracles.loop_cross_locale(values, stat, w)),
-        (det.global_scores(matrix, stat), oracles.loop_global(values, stat)),
+        (det.temporal_scores(values, stat), oracles.loop_temporal(values, stat)),
+        (det.cross_locale_scores(values, stat, w=w), oracles.loop_cross_locale(values, stat, w)),
+        (det.global_scores(values, stat), oracles.loop_global(values, stat)),
     )
     for got, want in pairs:
-        assert got.scores.tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes()
 
 
 @given(pool_grids(), st.integers(0, 4), st.sampled_from(["std", "iqr"]), st.integers(1, 40))
@@ -147,7 +145,7 @@ def test_cross_locale_chunks_match_per_pool_loop(values, w, stat, budget):
     stay bit-identical to one pool at a time."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scoring, "POOL_CHUNK_VALUES", budget)
-        got = det.cross_locale_scores(as_matrix(values), stat, w=w).scores
+        got = det.cross_locale_scores(values, stat, w=w)
     assert got.tobytes() == oracles.loop_cross_locale(values, stat, w).tobytes()
 
 
@@ -156,41 +154,39 @@ def test_cross_locale_peak_memory_per_cell(stat):
     """The pools are copied a chunk of columns at a time, so above its input
     the scorer holds the score grid and a fixed few MiB, not pools that
     grow with the window and the grid."""
-    matrix = as_matrix(np.random.default_rng(3).random((500, 520)))
+    values = np.random.default_rng(3).random((500, 520))
     tracemalloc.start()
     try:
-        scored = det.cross_locale_scores(matrix, stat, w=2)
+        scores = det.cross_locale_scores(values, stat, w=2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert scored.shape == (500, 520)
-    assert peak <= 40 * matrix.values.size
+    assert scores.shape == (500, 520)
+    assert peak <= 40 * values.size
 
 
 def test_temporal_row_spike():
-    matrix = as_matrix([[0.0, 0.0, 0.0, 10.0, 0.0]])
-    scores = det.temporal_scores(matrix, "std").scores
+    scores = det.temporal_scores(np.array([[0.0, 0.0, 0.0, 10.0, 0.0]]), "std")
     assert scores[0].argmax() == 3
     assert (scores[0, 3] > np.delete(scores[0], 3)).all()
 
 
 def test_temporal_constant_matrix_zero():
-    scores = det.temporal_scores(as_matrix(np.full((3, 4), 2.0)), "std").scores
+    scores = det.temporal_scores(np.full((3, 4), 2.0), "std")
     assert not scores.any()
 
 
 def test_temporal_row_independence():
     rng = np.random.default_rng(1)
     values = rng.uniform(0, 1, size=(4, 6))
-    matrix = det.temporal_scores(as_matrix(values), "std").scores
+    scores = det.temporal_scores(values, "std")
     perm = [2, 0, 3, 1]
-    permuted = det.temporal_scores(as_matrix(values[perm]), "std").scores
-    np.testing.assert_array_equal(permuted, matrix[perm])
+    permuted = det.temporal_scores(values[perm], "std")
+    np.testing.assert_array_equal(permuted, scores[perm])
 
 
 def test_cross_locale_w0_single_column():
-    matrix = as_matrix(np.array([[1.0], [1.0], [10.0]]))
-    scores = det.cross_locale_scores(matrix, "std", w=0).scores
+    scores = det.cross_locale_scores(np.array([[1.0], [1.0], [10.0]]), "std", w=0)
     assert scores.argmax() == 2
 
 
@@ -198,10 +194,10 @@ def test_cross_locale_window_locality():
     rng = np.random.default_rng(2)
     values = rng.uniform(0, 1, size=(5, 9))
     w = 2
-    base = det.cross_locale_scores(as_matrix(values), "std", w=w).scores
+    base = det.cross_locale_scores(values, "std", w=w)
     tweaked = values.copy()
     tweaked[0, 8] += 50.0  # outside the window of column 4
-    after = det.cross_locale_scores(as_matrix(tweaked), "std", w=w).scores
+    after = det.cross_locale_scores(tweaked, "std", w=w)
     np.testing.assert_array_equal(after[:, 4], base[:, 4])
     assert not np.array_equal(after[:, 8], base[:, 8])
 
@@ -210,15 +206,14 @@ def test_cross_locale_planted_spike_rank_one():
     rng = np.random.default_rng(3)
     values = rng.uniform(0.0, 0.3, size=(5, 9))
     values[2, 4] = 10.0 * 0.3
-    order = det.rank_entries(det.cross_locale_scores(as_matrix(values), "std", w=2))
+    order = det.rank_entries(det.cross_locale_scores(values, "std", w=2), values)
     assert divmod(int(order[0]), 9) == (2, 4)
 
 
 def test_global_ranking_matches_raw_values():
     rng = np.random.default_rng(4)
     values = rng.uniform(0, 5, size=(6, 7))
-    matrix = as_matrix(values)
-    order = det.rank_entries(det.global_scores(matrix, "std"))
+    order = det.rank_entries(det.global_scores(values, "std"), values)
     got = [divmod(ix, 7) for ix in order.tolist()]
     raw = sorted(
         ((i, j) for i in range(6) for j in range(7)),
@@ -228,44 +223,33 @@ def test_global_ranking_matches_raw_values():
 
 
 def test_global_argmax_example():
-    order = det.rank_entries(det.global_scores(as_matrix([[1.0, 2.0], [3.0, 4.0]]), "std"))
+    values = np.array([[1.0, 2.0], [3.0, 4.0]])
+    order = det.rank_entries(det.global_scores(values, "std"), values)
     assert divmod(int(order[0]), 2) == (1, 1)
 
 
 # --- ranking ---------------------------------------------------------------------
 
 
-def scores_only(grid, source=None):
-    grid = np.asarray(grid, dtype=float)
-    return ScoreMatrix(
-        method="test",
-        scores=grid,
-        locales=tuple(f"L{i}" for i in range(grid.shape[0])),
-        intervals=build_intervals(D0, D0 + dt.timedelta(days=7 * (grid.shape[1] - 1)), 7),
-        source_values=None if source is None else np.asarray(source, dtype=float),
-    )
-
-
 def test_rank_entries_with_tie_rule():
-    order = det.rank_entries(scores_only([[1.0, 3.0], [2.0, 2.0]]))
+    order = det.rank_entries(np.array([[1.0, 3.0], [2.0, 2.0]]))
     assert [divmod(ix, 2) for ix in order.tolist()] == [(0, 1), (1, 0), (1, 1), (0, 0)]
 
 
 def test_rank_entries_all_equal_index_order():
-    order = det.rank_entries(scores_only(np.zeros((2, 2))))
+    order = det.rank_entries(np.zeros((2, 2)))
     assert [divmod(ix, 2) for ix in order.tolist()] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_rank_entries_sentinel_first():
-    grid = [[1.0, math.inf], [5.0, 2.0]]
-    order = det.rank_entries(scores_only(grid))
+    order = det.rank_entries(np.array([[1.0, math.inf], [5.0, 2.0]]))
     assert divmod(int(order[0]), 2) == (0, 1)
 
 
 def test_rank_entries_sentinel_ties_by_raw_value():
-    grid = [[math.inf, math.inf], [0.0, 0.0]]
-    source = [[1.0, 9.0], [0.0, 0.0]]
-    order = det.rank_entries(scores_only(grid, source))
+    grid = np.array([[math.inf, math.inf], [0.0, 0.0]])
+    source = np.array([[1.0, 9.0], [0.0, 0.0]])
+    order = det.rank_entries(grid, source)
     assert [divmod(ix, 2) for ix in order[:2].tolist()] == [(0, 1), (0, 0)]
 
 
@@ -275,7 +259,7 @@ _RANK_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf])
 
 @st.composite
 def rank_grids(draw):
-    n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
     grid = st.lists(
         st.lists(_RANK_VALUES, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows
     )
@@ -285,14 +269,16 @@ def rank_grids(draw):
 @given(rank_grids())
 def test_rank_entries_matches_brute_force(grids):
     scores, source = grids
-    order = det.rank_entries(scores_only(scores, source))
+    order = det.rank_entries(
+        np.array(scores, dtype=float), None if source is None else np.array(source, dtype=float)
+    )
     assert order.tolist() == oracles.bf_rank(scores, source)
     ranks = [ev.average_rank(order, np.array([cell])) for cell in order]
     assert ranks == list(range(1, len(order) + 1))
 
 
 def test_rank_length_covers_matrix():
-    order = det.rank_entries(scores_only(np.zeros((3, 5))))
+    order = det.rank_entries(np.zeros((3, 5)))
     assert len(order) == 15
 
 
@@ -300,37 +286,37 @@ def test_rank_length_covers_matrix():
 
 
 def test_method_registry_ids():
-    rng = np.random.default_rng(5)
-    matrix = as_matrix(rng.uniform(0, 1, size=(6, 8)))
+    values = np.random.default_rng(5).uniform(0, 1, size=(6, 8))
     for method in det.METHOD_IDS:
-        scored = det.score_with_method(matrix, method, seed=0)
-        assert scored.shape == matrix.shape
-        assert scored.locales == matrix.locales
+        scores, params = det.score_with_method(values, method, seed=0)
+        assert scores.shape == values.shape
+        if method.startswith("cl_"):
+            width = int(method.rsplit("_", 1)[1])
+            assert params == {"stat": method[3:6], "w": width // 2, "width": width}
+        elif method not in ("nmf", "rpca"):
+            assert params == {"stat": method[-3:]}
 
 
 def test_method_registry_unknown():
-    matrix = as_matrix(np.zeros((2, 2)))
     with pytest.raises(VrfError, match="unknown detector"):
-        det.score_with_method(matrix, "psychic")
+        det.score_with_method(np.zeros((2, 2)), "psychic")
 
 
 def test_score_shape_preserved():
-    rng = np.random.default_rng(6)
-    matrix = as_matrix(rng.uniform(0, 1, size=(4, 9)))
+    values = np.random.default_rng(6).uniform(0, 1, size=(4, 9))
     for method in ("temporal_iqr", "cl_std_5", "global_iqr", "nmf", "rpca"):
-        scored = det.score_with_method(matrix, method, seed=1)
-        assert scored.scores.shape == (4, 9)
-        assert scored.intervals == matrix.intervals
+        scores, _ = det.score_with_method(values, method, seed=1)
+        assert scores.shape == (4, 9)
 
 
 def test_scores_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(7)
-    matrix = as_matrix(rng.uniform(0, 1, size=(3, 4)))
-    scored = det.cross_locale_scores(matrix, "std", w=1)
+    matrix = as_matrix(np.random.default_rng(7).uniform(0, 1, size=(3, 4)))
+    scores, params = det.score_with_method(matrix.values, "cl_std_3")
+    scored = ScoreMatrix("cl_std_3", scores, matrix.locales, matrix.intervals, params)
     path = tmp_path / "scores.csv"
     det.scores_to_csv(scored, str(path))
     back = det.scores_from_csv(str(path))
-    assert back.method == scored.method
+    assert (back.method, back.params) == (scored.method, scored.params)
     assert back.locales == scored.locales
     assert back.intervals == scored.intervals
     np.testing.assert_array_equal(back.scores, scored.scores)

@@ -1,5 +1,4 @@
 import csv
-import datetime as dt
 import math
 
 import numpy as np
@@ -9,24 +8,8 @@ from hypothesis import given, strategies as st
 import oracles
 import vrf_sentinel.evalharness as ev
 from vrf_sentinel.detectors import global_scores, rank_entries
-from vrf_sentinel.detectors.scoring import ScoreMatrix
 from vrf_sentinel.errors import VrfError
-from vrf_sentinel.modmatrix import MatrixEntryRef, ModificationMatrix, build_intervals
-from vrf_sentinel.records import ChangeType
-
-
-def as_matrix(values):
-    values = np.asarray(values, dtype=float)
-    n_rows, n_cols = values.shape
-    start = dt.date(2019, 1, 3)
-    return ModificationMatrix(
-        change_type=ChangeType.DEACTIVATION,
-        locales=tuple(f"L{i:03d}" for i in range(n_rows)),
-        intervals=build_intervals(start, start + dt.timedelta(days=7 * (n_cols - 1)), 7),
-        values=values,
-        raw_counts=np.zeros_like(values, dtype=np.int64),
-        populations=np.ones_like(values, dtype=np.int64),
-    )
+from vrf_sentinel.modmatrix import MatrixEntryRef
 
 
 def ranking_of(cells):
@@ -40,9 +23,9 @@ def ranking_of(cells):
 
 
 def test_perturb_gamma_zero_is_identity():
-    matrix = as_matrix(np.random.default_rng(0).uniform(0, 1, size=(5, 6)))
-    cells = ev.perturbed_cells(matrix.shape, fraction=0.1, seed=1)
-    assert np.array_equal(ev.perturb(matrix, cells, 0.0).values, matrix.values)
+    values = np.random.default_rng(0).uniform(0, 1, size=(5, 6))
+    cells = ev.perturbed_cells(values.shape, fraction=0.1, seed=1)
+    assert np.array_equal(ev.perturb(values, cells, 0.0), values)
 
 
 def test_perturb_exact_cell_count():
@@ -54,19 +37,22 @@ def test_perturb_exact_cell_count():
 
 
 def test_perturb_deltas_are_exactly_gamma():
-    matrix = as_matrix(np.random.default_rng(3).uniform(0, 1, size=(8, 9)))
-    cells = ev.perturbed_cells(matrix.shape, fraction=0.05, seed=4)
-    diff = ev.perturb(matrix, cells, 2.5).values - matrix.values
+    values = np.random.default_rng(3).uniform(0, 1, size=(8, 9))
+    cells = ev.perturbed_cells(values.shape, fraction=0.05, seed=4)
+    diff = ev.perturb(values, cells, 2.5) - values
     for i in range(8):
         for j in range(9):
             expected = 2.5 if i * 9 + j in cells else 0.0
             assert diff[i, j] == expected
 
 
-def test_perturb_leaves_raw_counts():
-    matrix = as_matrix(np.random.default_rng(5).uniform(0, 1, size=(4, 4)))
-    cells = ev.perturbed_cells(matrix.shape, fraction=0.2, seed=6)
-    assert np.array_equal(ev.perturb(matrix, cells, 1.0).raw_counts, matrix.raw_counts)
+def test_perturb_returns_a_read_only_copy():
+    values = np.random.default_rng(5).uniform(0, 1, size=(4, 4))
+    before = values.copy()
+    cells = ev.perturbed_cells(values.shape, fraction=0.2, seed=6)
+    perturbed = ev.perturb(values, cells, 1.0)
+    assert np.array_equal(values, before)
+    assert not perturbed.flags.writeable
 
 
 def test_perturb_seed_deterministic():
@@ -115,8 +101,7 @@ def test_average_rank_best_case():
 def test_average_rank_worst_case_14751():
     # full-size ranking: truth at the very bottom of 99 * 149 entries
     values = np.arange(99 * 149, dtype=float).reshape(99, 149)[::-1]
-    matrix = as_matrix(values)
-    order = rank_entries(global_scores(matrix, "std"))
+    order = rank_entries(global_scores(values, "std"), values)
     bottom = order[-4:]
     assert ev.average_rank(order, bottom) == 14749.5
 
@@ -150,14 +135,8 @@ def grids_and_cells(draw, values):
 @given(grids_and_cells(_SCORE_VALUES))
 def test_flat_cell_metrics_match_brute_force(case):
     scores, source, cells = case
-    n_rows, n_cols = scores.shape
-    order = rank_entries(ScoreMatrix(
-        method="test",
-        scores=scores,
-        locales=tuple(f"L{i}" for i in range(n_rows)),
-        intervals=as_matrix(np.zeros((1, n_cols))).intervals,
-        source_values=source,
-    ))
+    n_cols = scores.shape[1]
+    order = rank_entries(scores, source)
     truth = {MatrixEntryRef(*divmod(cell, n_cols)) for cell in cells.tolist()}
     for k in range(1, len(order) + 1):
         got = ev.precision_at_k(order, cells, k)
@@ -168,45 +147,42 @@ def test_flat_cell_metrics_match_brute_force(case):
 @given(grids_and_cells(st.floats(0.0, 1e9)), st.floats(0.0, 1e9))
 def test_perturb_adds_gamma_to_exactly_the_listed_cells(case, gamma):
     values, _, cells = case
-    matrix = as_matrix(values)
     want = values.copy()
     for cell in cells.tolist():
         i, j = divmod(cell, values.shape[1])
         want[i, j] += gamma
-    assert ev.perturb(matrix, cells, gamma).values.tobytes() == want.tobytes()
+    assert ev.perturb(values, cells, gamma).tobytes() == want.tobytes()
 
 
 # --- sweeps ------------------------------------------------------------------------
 
 
 def test_sweep_constant_background_reaches_one():
-    matrix = as_matrix(np.full((10, 12), 1.0))
-    result = ev.gamma_sweep(matrix, "global_std", fraction=0.05, k=6, grid_points=5, seed=0)
+    result = ev.gamma_sweep(np.full((10, 12), 1.0), "global_std", fraction=0.05, k=6, grid_points=5, seed=0)
     assert result.precision_at_k[0] <= 0.2  # no signal at gamma=0
     assert all(p == 1.0 for p in result.precision_at_k[1:])
 
 
 def test_sweep_grid_endpoint_is_twenty_times_mean():
     rng = np.random.default_rng(9)
-    matrix = as_matrix(rng.uniform(0, 2, size=(8, 9)))
-    result = ev.gamma_sweep(matrix, "global_std", grid_points=5, k=5, seed=1)
+    values = rng.uniform(0, 2, size=(8, 9))
+    result = ev.gamma_sweep(values, "global_std", grid_points=5, k=5, seed=1)
     assert result.gamma_grid[0] == 0.0
-    assert result.gamma_grid[-1] == pytest.approx(20.0 * matrix.values.mean(), rel=1e-12)
+    assert result.gamma_grid[-1] == pytest.approx(20.0 * values.mean(), rel=1e-12)
 
 
 def test_sweep_reproducible():
     rng = np.random.default_rng(10)
-    matrix = as_matrix(rng.uniform(0, 1, size=(10, 10)))
-    a = ev.gamma_sweep(matrix, "cl_std_3", fraction=0.05, k=5, grid_points=4, seed=3)
-    b = ev.gamma_sweep(matrix, "cl_std_3", fraction=0.05, k=5, grid_points=4, seed=3)
+    values = rng.uniform(0, 1, size=(10, 10))
+    a = ev.gamma_sweep(values, "cl_std_3", fraction=0.05, k=5, grid_points=4, seed=3)
+    b = ev.gamma_sweep(values, "cl_std_3", fraction=0.05, k=5, grid_points=4, seed=3)
     assert a == b
 
 
 def test_sweep_fixed_mask_reuses_cells():
     rng = np.random.default_rng(11)
-    matrix = as_matrix(rng.uniform(0.4, 0.6, size=(12, 12)))
     fixed = ev.gamma_sweep(
-        matrix, "global_std", fraction=0.05, k=7, grid_points=6, seed=4, fixed_mask=True
+        rng.uniform(0.4, 0.6, size=(12, 12)), "global_std", fraction=0.05, k=7, grid_points=6, seed=4, fixed_mask=True
     )
     # monotone difficulty: same mask, growing gamma, global scoring
     precisions = fixed.precision_at_k
@@ -215,21 +191,21 @@ def test_sweep_fixed_mask_reuses_cells():
 
 def test_auc_bounds_and_normalization():
     rng = np.random.default_rng(12)
-    matrix = as_matrix(rng.uniform(0, 1, size=(9, 9)))
+    values = rng.uniform(0, 1, size=(9, 9))
     for method in ("global_std", "temporal_iqr", "cl_std_3"):
-        result = ev.gamma_sweep(matrix, method, fraction=0.05, k=5, grid_points=4, seed=5)
+        result = ev.gamma_sweep(values, method, fraction=0.05, k=5, grid_points=4, seed=5)
         assert 0.0 <= result.auc <= 1.0
 
 
 def test_gamma_zero_precision_matches_fraction():
     """With no signal, mean precision over seeds sits near the fraction."""
     rng = np.random.default_rng(13)
-    matrix = as_matrix(rng.uniform(0, 1, size=(20, 25)))
-    ranked = rank_entries(global_scores(matrix, "std"))
+    values = rng.uniform(0, 1, size=(20, 25))
+    ranked = rank_entries(global_scores(values, "std"), values)
     fraction, k = 0.05, 10
     precisions = []
     for seed in range(100):
-        cells = ev.perturbed_cells(matrix.shape, fraction=fraction, seed=seed)
+        cells = ev.perturbed_cells(values.shape, fraction=fraction, seed=seed)
         precisions.append(ev.precision_at_k(ranked, cells, k))
     mean = float(np.mean(precisions))
     se = float(np.std(precisions)) / math.sqrt(len(precisions))
@@ -271,12 +247,8 @@ def test_average_rank_bounds_property():
     total = n_rows * n_cols
     for _ in range(20):
         values = rng.uniform(0, 1, size=(n_rows, n_cols))
-        order = rank_entries(global_scores(_matrix_for_bounds(values), "std"))
+        order = rank_entries(global_scores(values, "std"), values)
         t = int(rng.integers(1, 6))
         truth = rng.choice(len(order), size=t, replace=False)
         got = ev.average_rank(order, order[truth])
         assert (t + 1) / 2 <= got <= total - (t - 1) / 2
-
-
-def _matrix_for_bounds(values):
-    return as_matrix(values)

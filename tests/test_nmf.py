@@ -1,30 +1,12 @@
-import datetime as dt
-
 import numpy as np
 import pytest
 
 from vrf_sentinel.detectors import rank_entries
 from vrf_sentinel.detectors.nmf import nmf_factorize, nmf_residual_scores
 from vrf_sentinel.errors import VrfError
-from vrf_sentinel.modmatrix import ModificationMatrix, build_intervals
-from vrf_sentinel.records import ChangeType
 
 # objective is mathematically non-increasing; allow only float rounding
 FP_SLACK = 1e-9
-
-
-def as_matrix(values):
-    values = np.asarray(values, dtype=float)
-    n_rows, n_cols = values.shape
-    start = dt.date(2019, 1, 3)
-    return ModificationMatrix(
-        change_type=ChangeType.DEACTIVATION,
-        locales=tuple(f"L{i:03d}" for i in range(n_rows)),
-        intervals=build_intervals(start, start + dt.timedelta(days=7 * (n_cols - 1)), 7),
-        values=values,
-        raw_counts=np.zeros_like(values, dtype=np.int64),
-        populations=np.ones_like(values, dtype=np.int64),
-    )
 
 
 def test_objective_non_increasing_random_matrices():
@@ -60,8 +42,8 @@ def test_spike_on_rank_two_background_is_top_residual():
     v2 = 2.0 + 1.5 * np.cos(np.arange(24))
     values = np.outer(u1, v1) + np.outer(u2, v2)
     values[3, 7] += 5.0
-    scored = nmf_residual_scores(as_matrix(values), k=2, seed=0)
-    order = rank_entries(scored)
+    scored = nmf_residual_scores(values, k=2, seed=0)
+    order = rank_entries(scored.scores, values)
     assert divmod(int(order[0]), 24) == (3, 7)
     assert scored.scores[3, 7] > 2.0
 
@@ -76,8 +58,8 @@ def test_factors_stay_non_negative():
 def test_seed_reproducibility_bit_identical():
     rng = np.random.default_rng(5)
     m = rng.uniform(0, 1, size=(20, 25))
-    a = nmf_residual_scores(as_matrix(m), k=5, seed=42)
-    b = nmf_residual_scores(as_matrix(m), k=5, seed=42)
+    a = nmf_residual_scores(m, k=5, seed=42)
+    b = nmf_residual_scores(m, k=5, seed=42)
     assert np.array_equal(a.scores, b.scores)
 
 
@@ -97,11 +79,11 @@ def test_nonconvergence_returns_best_iterate():
     result = nmf_factorize(m, k=3, seed=0, tol=0.0, max_iter=3)
     assert not result.converged
     assert len(result.objective) == 4  # init + 3 iterations
-    scored = nmf_residual_scores(as_matrix(m), k=3, seed=0, tol=0.0, max_iter=3)
+    scored = nmf_residual_scores(m, k=3, seed=0, tol=0.0, max_iter=3)
     assert scored.params["converged"] is False
 
 
 def test_default_k_recorded_in_params():
     rng = np.random.default_rng(13)
-    scored = nmf_residual_scores(as_matrix(rng.uniform(0, 1, size=(10, 12))), seed=0)
+    scored = nmf_residual_scores(rng.uniform(0, 1, size=(10, 12)), seed=0)
     assert scored.params["k"] == 5

@@ -55,8 +55,9 @@ def test_writers_match_row_by_row_oracles(n_rows, n_cols, constant, data):
         oracles.row_render_heatmap(grid, locales, starts, f"{tmp}/old.svg", title, highlight)
         assert _read(f"{tmp}/new.svg") == _read(f"{tmp}/old.svg")
 
-        det.ranked_to_csv(scored, f"{tmp}/new_ranked.csv")
-        oracles.row_ranked_to_csv(scored, f"{tmp}/old_ranked.csv")
+        order = det.rank_entries(grid, values)
+        det.ranked_to_csv(scored, order, f"{tmp}/new_ranked.csv")
+        oracles.row_ranked_to_csv(scored, order, f"{tmp}/old_ranked.csv")
         assert _read(f"{tmp}/new_ranked.csv") == _read(f"{tmp}/old_ranked.csv")
 
         det.scores_to_csv(scored, f"{tmp}/new_scores.csv")

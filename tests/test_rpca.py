@@ -1,5 +1,3 @@
-import datetime as dt
-
 import numpy as np
 import pytest
 
@@ -7,23 +5,6 @@ import oracles
 from vrf_sentinel.detectors import rank_entries
 from vrf_sentinel.detectors.rpca import _svd_threshold, default_lambda, rpca_decompose, rpca_scores
 from vrf_sentinel.errors import VrfError
-from vrf_sentinel.modmatrix import ModificationMatrix, build_intervals
-from vrf_sentinel.records import ChangeType
-
-
-def as_matrix(values):
-    values = np.asarray(values, dtype=float)
-    values = np.maximum(values, 0.0)
-    n_rows, n_cols = values.shape
-    start = dt.date(2019, 1, 3)
-    return ModificationMatrix(
-        change_type=ChangeType.DEACTIVATION,
-        locales=tuple(f"L{i:03d}" for i in range(n_rows)),
-        intervals=build_intervals(start, start + dt.timedelta(days=7 * (n_cols - 1)), 7),
-        values=values,
-        raw_counts=np.zeros_like(values, dtype=np.int64),
-        populations=np.ones_like(values, dtype=np.int64),
-    )
 
 
 def spike_instance(seed, shape=(60, 80), rank=2, spike_scale=10.0, fraction=0.01):
@@ -93,15 +74,15 @@ def test_single_spike_instance_scores_rank_first():
     low = np.abs(np.outer(rng.uniform(0.5, 1.5, 12), rng.uniform(0.5, 1.5, 15)))
     values = low.copy()
     values[0, 0] += 10.0
-    matrix = as_matrix(values)
-    scored = rpca_scores(matrix, lam=default_lambda(matrix.shape))
-    order = rank_entries(scored)
+    scored = rpca_scores(values, lam=default_lambda(values.shape))
+    order = rank_entries(scored.scores, values)
     assert divmod(int(order[0]), 15) == (0, 0)
     assert scored.params["converged"] is True
 
 
 def test_zero_matrix_scores_tie_by_index():
-    order = rank_entries(rpca_scores(as_matrix(np.zeros((2, 3)))))
+    values = np.zeros((2, 3))
+    order = rank_entries(rpca_scores(values).scores, values)
     assert [divmod(ix, 3) for ix in order[:3].tolist()] == [(0, 0), (0, 1), (0, 2)]
 
 
@@ -109,14 +90,13 @@ def test_pure_low_rank_scores_small():
     rng = np.random.default_rng(23)
     low = np.abs(np.outer(rng.uniform(1, 2, 20), rng.uniform(1, 2, 25)))
     low += np.abs(np.outer(rng.uniform(0, 1, 20), rng.uniform(0, 1, 25)))
-    scored = rpca_scores(as_matrix(low))
+    scored = rpca_scores(low)
     assert np.abs(scored.scores).max() <= 0.05 * low.max()
 
 
 def test_feasibility_reported_in_params():
     low, spikes, _ = spike_instance(3, shape=(30, 35))
-    matrix = as_matrix(np.abs(low + spikes))
-    scored = rpca_scores(matrix)
+    scored = rpca_scores(np.abs(low + spikes))
     assert scored.params["residual"] <= 1e-7
 
 

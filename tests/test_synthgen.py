@@ -294,9 +294,3 @@ def test_generated_ages_in_bounds():
     for rec in first.records.values():
         age = (first.snapshot_date - rec.birth_date).days / 365.25
         assert 16.0 <= age <= 130.0
-
-
-def test_event_label_strings_match_classifier_enum():
-    import vrf_sentinel.groupfeatures as gf
-
-    assert set(sg.EVENT_LABELS) == {label.value for label in gf.EventLabel}

@@ -468,6 +468,20 @@ def test_locale_move_is_address_change_at_posterior_locale():
     assert changes[0].locale == "story"
 
 
+def test_locale_only_move_records_no_change():
+    """A voter whose locale changes while every diffed field stays the same
+    gets no change record: only the census moves them between rows. The
+    patch oracle agrees, as its projection holds no locale."""
+    anterior = snap(D1, make_voter("A1", locale="polk"), make_voter("A2"))
+    posterior = snap(D2, make_voter("A1", locale="story"), make_voter("A2"))
+    assert io.diff_snapshots(anterior, posterior) == []
+    assert (anterior.locale_counts, posterior.locale_counts) == (
+        {"polk": 2}, {"story": 1, "polk": 1}
+    )
+    patched = oracles.apply_changes(anterior, [], D2)
+    assert oracles.diff_projection(patched) == oracles.diff_projection(posterior)
+
+
 def test_diff_deterministic_order():
     anterior = snap(D1, make_voter("A1"), make_voter("A2"), make_voter("A3"))
     posterior = snap(
