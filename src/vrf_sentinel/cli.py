@@ -78,26 +78,42 @@ def _read_record(paths: list[str], schema: vrf_io.SnapshotSchema, changes: str) 
     }
 
 
+def _count(value, least: int = 0) -> int:
+    """A count in diff's manifest: a JSON integer below 2^63, the bound
+    `csv_to_matrix` puts on the counts of a matrix file."""
+    if type(value) is not int or not least <= value < 2**63:
+        raise ValueError(f"counts must be integers from {least} to 2^63 - 1")
+    return value
+
+
 def _diff_output(args: argparse.Namespace) -> tuple[str, dict, dict, dict]:
     """The directory of the `diff` run that wrote `--changes`, and the
     snapshot counts, census and election tally of its manifest, once that
     manifest shows the run read the `--snapshots` files under the
     `--schema` and wrote `--changes` as it now stands."""
     where = os.path.dirname(args.changes) or "."
+    path = os.path.join(where, "manifest.json")
     try:
-        with open(os.path.join(where, "manifest.json"), encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-        counts = {key: manifest["counts"][key] for key in ("snapshots", "rows", "row_issues")}
-        census = {
-            dt.date.fromisoformat(date): dict(voters) for date, voters in manifest["census"].items()
-        }
-        elections = {
-            election_id: (dt.date.fromisoformat(date), bool(primary), int(turnout))
-            for election_id, date, primary, turnout in manifest["calendar"]
-        }
-    except (OSError, ValueError, RecursionError, KeyError, TypeError, AttributeError):
+    except (OSError, ValueError, RecursionError):
         raise DataError(
             f"{where}: no diff manifest beside --changes; run diff over these snapshots"
+        ) from None
+    try:
+        counts = {key: manifest["counts"][key] for key in ("snapshots", "rows", "row_issues")}
+        census = {
+            dt.date.fromisoformat(date): {locale: _count(n) for locale, n in voters.items()}
+            for date, voters in manifest["census"].items()
+        }
+        elections = {}
+        for election_id, date, primary, turnout in manifest["calendar"]:
+            if type(primary) is not bool:
+                raise ValueError("primary flags must be true or false")
+            elections[election_id] = (dt.date.fromisoformat(date), primary, _count(turnout, 1))
+    except (ValueError, RecursionError, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(
+            f"{path}: not a manifest diff wrote ({exc}); rerun diff over these snapshots"
         ) from None
     read = _read_record(_snapshot_paths(args.snapshots), _schema(args.schema), args.changes)
     if {key: manifest.get(key) for key in read} != read:
@@ -147,7 +163,6 @@ def cmd_synth(args: argparse.Namespace) -> dict:
         "pair": synthgen.snapshot_pair_config,
         "small": synthgen.small_scenario_config,
         "labeled": synthgen.labeled_scenario_config,
-        "full": synthgen.full_scenario_config,
     }[args.preset](seed=args.seed)
     snap_dir = os.path.join(outdir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
@@ -230,7 +245,7 @@ def cmd_diff(args: argparse.Namespace) -> dict:
             changes += pair
             later = {}
             for change in pair:
-                if change.change_type == ChangeType.REMOVAL:
+                if change.reference_date == held.snapshot_date:
                     references[change.voter_id] = held.records[change.voter_id]
                 else:
                     later[change.voter_id] = snapshot.records[change.voter_id]
@@ -320,14 +335,16 @@ def cmd_detect(args: argparse.Namespace) -> dict:
 def cmd_evaluate(args: argparse.Namespace) -> dict:
     from . import detectors, evalharness, modmatrix
 
+    methods = [m.strip() for m in args.methods.split(",")] if args.methods else detectors.METHOD_IDS
+    for method in methods:  # every id, before the first sweep
+        detectors.check_method(method)
     matrix = modmatrix.csv_to_matrix(args.matrix)
-    methods = args.methods.split(",") if args.methods else list(detectors.METHOD_IDS)
     # options left unset take the library defaults
     options = {"fraction": args.fraction, "k": args.top_k, "grid_points": args.grid_points}
     options = {name: value for name, value in options.items() if value is not None}
     results = [
         evalharness.gamma_sweep(
-            matrix.values, method.strip(), seed=args.seed, fixed_mask=args.fixed_mask, **options
+            matrix.values, method, seed=args.seed, fixed_mask=args.fixed_mask, **options
         )
         for method in methods
     ]
@@ -517,7 +534,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic scenario")
     p.add_argument(
-        "--preset", choices=("pair", "small", "labeled", "full", "matrix"), default="small"
+        "--preset", choices=("pair", "small", "labeled", "matrix"), default="small"
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -2,8 +2,9 @@
 method registry.
 
 Every detector takes a float grid (locales x intervals) and returns a score
-grid of its shape. `score_with_method` runs one by method id and is the
-only code that reads or names an id. An id is one of
+grid of its shape. `score_with_method` runs one by method id; it and
+`check_method`, which it calls, are the only code that reads or names an
+id. An id is one of
 
     nmf, rpca,
     cl_std_<width>, cl_iqr_<width>   (any odd width, no leading zero),
@@ -43,6 +44,7 @@ __all__ = [
     "RpcaResult",
     "ScoreMatrix",
     "Scored",
+    "check_method",
     "cross_locale_scores",
     "default_lambda",
     "global_scores",
@@ -79,6 +81,22 @@ METHOD_IDS = (
 _POOLED_ID = re.compile(r"(temporal|global)_(std|iqr)|cl_(std|iqr)_(0|[1-9][0-9]{0,8})")
 
 
+def check_method(method: str) -> re.Match | None:
+    """The match of a pooled id's (pool, stat, cross-locale stat, width),
+    or None for nmf and rpca; raises `VrfError` for any other id."""
+    if method in ("nmf", "rpca"):
+        return None
+    match = _POOLED_ID.fullmatch(method)
+    if match is None:
+        raise VrfError(
+            f"unknown detector method {method!r} (known: {', '.join(METHOD_IDS)}, "
+            "or cl_std_<width> and cl_iqr_<width> for any odd width)"
+        )
+    if match[4] is not None and int(match[4]) % 2 != 1:
+        raise VrfError(f"cross-locale window width must be odd, got {match[4]}")
+    return match
+
+
 def score_with_method(
     values: np.ndarray,
     method: str,
@@ -96,20 +114,12 @@ def score_with_method(
         return nmf_residual_scores(values, seed=seed, **overrides)
     if method == "rpca":
         return rpca_scores(values, **overrides)
-    match = _POOLED_ID.fullmatch(method)
-    if match is None:
-        raise VrfError(
-            f"unknown detector method {method!r} (known: {', '.join(METHOD_IDS)}, "
-            "or cl_std_<width> and cl_iqr_<width> for any odd width)"
-        )
-    pool, stat, cl_stat, width = match.groups()
+    pool, stat, cl_stat, width = check_method(method).groups()
     if pool == "temporal":
         return Scored(temporal_scores(values, stat), {"stat": stat})
     if pool == "global":
         return Scored(global_scores(values, stat), {"stat": stat})
     width = int(width)
-    if width % 2 != 1:
-        raise VrfError(f"cross-locale window width must be odd, got {width}")
     w = width // 2
     return Scored(
         cross_locale_scores(values, cl_stat, w), {"stat": cl_stat, "w": w, "width": width}

@@ -239,87 +239,24 @@ def voter_features(
     return np.array(values, dtype=float)
 
 
-def group_features(
-    key: GroupKey,
-    changes: list[ChangeRecord],
-    references: Mapping[tuple[dt.date, str], VoterRecord],
-    change_index: ChangeIndex,
-    calendar: ElectionCalendar,
-    label: EventLabel | None = None,
-) -> GroupFeatureVector:
-    """Column-wise mean feature vector over a group's distinct voters.
-
-    Each voter is resolved in the reference snapshot of their latest change
-    in the group (`ChangeRecord.reference_date`): `references` maps
-    (snapshot date, voter id) to the voter's record there. Unresolvable
-    voters are warned about and excluded. Change-history counts never
-    include the change being summarized.
-    """
-    for change in changes:
-        if change.change_type != key.change_type or change.locale != key.locale:
-            raise DataError(f"change {change.voter_id} does not belong to group {key}")
-        if not key.interval.contains(change.posterior_date):
-            raise DataError(
-                f"change {change.voter_id} posterior {change.posterior_date} outside "
-                f"group interval [{key.interval.start}, {key.interval.end})"
-            )
-    latest: dict[str, ChangeRecord] = {}
-    for change in changes:
-        cur = latest.get(change.voter_id)
-        if cur is None or change.posterior_date > cur.posterior_date:
-            latest[change.voter_id] = change
-
-    rows = []
-    missing = []
-    for voter_id in sorted(latest):
-        change = latest[voter_id]
-        rec = references.get((change.reference_date, voter_id))
-        if rec is None:
-            missing.append(voter_id)
-            continue
-        as_of = change.posterior_date
-        counts = change_index.counts(
-            voter_id, as_of, exclude=(change.change_type, change.posterior_date)
-        )
-        rows.append(voter_features(rec, as_of, counts, calendar))
-    if missing:
-        logger.warning(
-            "group %s/%s/%s: %d voters unresolvable in their reference snapshots: %s",
-            key.locale, key.interval.start, key.change_type.value,
-            len(missing), ", ".join(missing[:10]),
-        )
-    if not rows:
-        raise DataError(f"group {key} has no resolvable voters")
-    stacked = np.vstack(rows)
-    with np.errstate(invalid="ignore"):
-        means = np.nanmean(stacked, axis=0)
-    # all-NaN column (no known birth dates): leave NaN for the scaler
-    return GroupFeatureVector(key=key, n_voters=len(rows), features=means, label=label)
-
-
 # --- standardization ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class FeatureScaler:
     """Per-feature zero-mean unit-variance transform fitted on training
-    groups; NaNs are imputed with the fitted per-feature median first."""
+    groups over `FEATURE_NAMES`; NaNs are imputed with the fitted
+    per-feature median first."""
 
-    feature_names: tuple[str, ...]
     means: np.ndarray
     stds: np.ndarray
     medians: np.ndarray
-    version: str = FEATURE_MANIFEST_VERSION
 
     def apply(self, matrix: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(matrix, dtype=float)).copy()
-        if x.shape[1] != len(self.feature_names):
-            raise DataError(
-                f"feature count {x.shape[1]} != scaler width {len(self.feature_names)}"
-            )
-        for j in range(x.shape[1]):
-            col = x[:, j]
-            col[np.isnan(col)] = self.medians[j]
+        x = np.atleast_2d(np.asarray(matrix, dtype=float))
+        if x.shape[1] != len(FEATURE_NAMES):
+            raise DataError(f"feature count {x.shape[1]} != scaler width {len(FEATURE_NAMES)}")
+        x = np.where(np.isnan(x), self.medians, x)
         out = np.zeros_like(x)
         nonzero = self.stds > 0
         out[:, nonzero] = (x[:, nonzero] - self.means[nonzero]) / self.stds[nonzero]
@@ -328,8 +265,8 @@ class FeatureScaler:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "version": self.version,
-                "feature_names": list(self.feature_names),
+                "version": FEATURE_MANIFEST_VERSION,
+                "feature_names": list(FEATURE_NAMES),
                 "means": [repr(float(v)) for v in self.means],
                 "stds": [repr(float(v)) for v in self.stds],
                 "medians": [repr(float(v)) for v in self.medians],
@@ -350,7 +287,7 @@ class FeatureScaler:
             columns = [np.array([float(v) for v in raw[k]]) for k in ("means", "stds", "medians")]
             if any(len(column) != len(FEATURE_NAMES) for column in columns):
                 raise ValueError("means, stds and medians must match feature_names in length")
-            return cls(FEATURE_NAMES, *columns)
+            return cls(*columns)
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise FileParseError(f"malformed scaler JSON ({exc!r})") from None
 
@@ -366,36 +303,14 @@ def standardize(vectors: list[GroupFeatureVector]) -> tuple[np.ndarray, FeatureS
     x = np.vstack([v.features for v in vectors])
     if x.shape[1] != len(FEATURE_NAMES):
         raise DataError(f"feature width {x.shape[1]} != schema width {len(FEATURE_NAMES)}")
-    medians = np.zeros(x.shape[1])
-    for j in range(x.shape[1]):
-        col = x[:, j]
-        known = col[~np.isnan(col)]
-        medians[j] = float(np.median(known)) if known.size else 0.0
-        col[np.isnan(col)] = medians[j]
-    means = x.mean(axis=0)
-    stds = x.std(axis=0)
-    scaler = FeatureScaler(feature_names=FEATURE_NAMES, means=means, stds=stds, medians=medians)
+    known = [col[~np.isnan(col)] for col in x.T]
+    medians = np.array([float(np.median(col)) if col.size else 0.0 for col in known])
+    x = np.where(np.isnan(x), medians, x)
+    scaler = FeatureScaler(means=x.mean(axis=0), stds=x.std(axis=0), medians=medians)
     return scaler.apply(x), scaler
 
 
-# --- grouping drivers --------------------------------------------------------
-
-
-def group_changes(
-    changes: list[ChangeRecord], interval_days: int
-) -> dict[GroupKey, list[ChangeRecord]]:
-    """Partition changes into (locale, interval, change type) groups over a
-    contiguous interval grid keyed by posterior date, from the earliest."""
-    if not changes:
-        return {}
-    dates = [c.posterior_date for c in changes]
-    intervals = build_intervals(min(dates), max(dates), interval_days)
-    groups: dict[GroupKey, list[ChangeRecord]] = {}
-    for change in changes:
-        interval = intervals[_interval_of(intervals, change.posterior_date)]
-        key = GroupKey(locale=change.locale, interval=interval, change_type=change.change_type)
-        groups.setdefault(key, []).append(change)
-    return groups
+# --- grouping driver ---------------------------------------------------------
 
 
 def compute_group_features(
@@ -406,48 +321,69 @@ def compute_group_features(
     labels: dict[tuple[str, dt.date, ChangeType], EventLabel] | None = None,
     change_types: tuple[ChangeType, ...] | None = None,
 ) -> list[GroupFeatureVector]:
-    """End-to-end driver: group the change stream and compute every group's
-    mean vector, sorted by (locale, interval start, change type).
+    """Group the changes and compute every group's column-wise mean vector
+    over its distinct voters, sorted by (locale, interval start, change type).
 
-    `snapshots` must ascend by date and is read once, keeping only the
-    records that resolve a grouped change (see `group_features`), so each
-    snapshot need hold only those.
+    Groups lie on modmatrix's interval grid, counted from the earliest
+    posterior date of all changes. Each voter is resolved in the snapshot
+    dated the reference date of their latest change in the group
+    (`ChangeRecord.reference_date`), so `snapshots` may come in any order
+    and need hold only those records. Unresolvable voters are warned about
+    and excluded. Change-history counts never include the change being
+    summarized.
     """
+    records: dict[dt.date, Mapping[str, VoterRecord]] = {}
+    for snapshot in snapshots:
+        if snapshot.snapshot_date in records:
+            raise DataError(f"two snapshots dated {snapshot.snapshot_date}")
+        records[snapshot.snapshot_date] = snapshot.records
+    if not changes:
+        return []
+    dates = [c.posterior_date for c in changes]
+    intervals = build_intervals(min(dates), max(dates), interval_days)
+    groups: dict[tuple[str, int, ChangeType], dict[str, ChangeRecord]] = {}
+    for change in changes:
+        if change_types is not None and change.change_type not in change_types:
+            continue
+        key = (change.locale, _interval_of(intervals, change.posterior_date), change.change_type)
+        latest = groups.setdefault(key, {})
+        cur = latest.get(change.voter_id)
+        if cur is None or change.posterior_date > cur.posterior_date:
+            latest[change.voter_id] = change
+
     index = ChangeIndex(changes)
     labels = labels or {}
-    groups = {
-        key: group for key, group in group_changes(changes, interval_days).items()
-        if change_types is None or key.change_type in change_types
-    }
-    pending: dict[dt.date, set[str]] = {}
-    for group in groups.values():
-        for change in group:
-            pending.setdefault(change.reference_date, set()).add(change.voter_id)
-
-    references: dict[tuple[dt.date, str], VoterRecord] = {}
-    previous = None
-    for snapshot in snapshots:
-        if previous is not None and snapshot.snapshot_date <= previous:
-            raise DataError(
-                f"snapshot dated {snapshot.snapshot_date} follows {previous}; "
-                "snapshots must ascend by date"
+    out = []
+    for locale, i, change_type in sorted(groups, key=lambda k: (k[0], k[1], k[2].value)):
+        key = GroupKey(locale, intervals[i], change_type)
+        latest = groups[locale, i, change_type]
+        rows, missing = [], []
+        for voter_id in sorted(latest):
+            change = latest[voter_id]
+            if change.reference_date not in records:
+                raise DataError(
+                    f"no snapshot dated {change.reference_date} to resolve voter {voter_id}"
+                )
+            record = records[change.reference_date].get(voter_id)
+            if record is None:
+                missing.append(voter_id)
+                continue
+            as_of = change.posterior_date
+            counts = index.counts(voter_id, as_of, exclude=(change_type, as_of))
+            rows.append(voter_features(record, as_of, counts, calendar))
+        if missing:
+            logger.warning(
+                "group %s/%s/%s: %d voters unresolvable in their reference snapshots: %s",
+                locale, key.interval.start, change_type.value,
+                len(missing), ", ".join(missing[:10]),
             )
-        previous = snapshot.snapshot_date
-        for voter_id in pending.pop(previous, ()):
-            record = snapshot.records.get(voter_id)
-            if record is not None:
-                references[previous, voter_id] = record
-    if pending:
-        ref = min(pending)
-        raise DataError(f"no snapshot dated {ref} to resolve voter {min(pending[ref])}")
-    out = [
-        group_features(
-            key, group, references, index, calendar,
-            label=labels.get((key.locale, key.interval.start, key.change_type)),
-        )
-        for key, group in groups.items()
-    ]
-    out.sort(key=lambda v: (v.key.locale, v.key.interval.start, v.key.change_type.value))
+        if not rows:
+            raise DataError(f"group {key} has no resolvable voters")
+        with np.errstate(invalid="ignore"):
+            means = np.nanmean(np.vstack(rows), axis=0)
+        # all-NaN column (no known birth dates): leave NaN for the scaler
+        label = labels.get((locale, key.interval.start, change_type))
+        out.append(GroupFeatureVector(key, len(rows), means, label))
     return out
 
 

@@ -780,51 +780,6 @@ def small_scenario_config(seed: int = 0) -> ScenarioConfig:
     )
 
 
-def full_scenario_config(seed: int = 0) -> ScenarioConfig:
-    """Voter-level scenario on the full 99-locale x 149-interval grid.
-
-    Locale populations are kept small so the ~3-year walk, the 150 snapshot
-    files, and their diffs stay inside a few minutes of pure-python work;
-    the matrix-level generator is the right tool when only detector inputs
-    are needed at this scale."""
-    codes = tuple(f"L{i:03d}" for i in range(1, 100))
-    events = []
-    for kind, interval, intensity in (
-        ("inactivity_mailing_response_processing", 36, 30.0),
-        ("systematic_september_maintenance", 66, 25.0),
-        ("inactivity_mailing_response_processing", 88, 30.0),
-        ("ncoa_mailings", 118, 25.0),
-    ):
-        events.append(
-            EventSpec(
-                kind=kind,
-                change_type=ChangeType.DEACTIVATION,
-                locales=(),
-                interval_index=interval,
-                per_1000=intensity,
-                companion_address_fraction=0.25,
-            )
-        )
-    return ScenarioConfig(
-        n_locales=99,
-        population_median=320.0,
-        population_sigma=0.35,
-        n_intervals=149,
-        events=tuple(events),
-        anomalies=(
-            PlantedAnomaly(locale=codes[7], interval_index=23,
-                           change_type=ChangeType.DEACTIVATION, count=25),
-            PlantedAnomaly(locale=codes[31], interval_index=58,
-                           change_type=ChangeType.DEACTIVATION, count=25),
-            PlantedAnomaly(locale=codes[54], interval_index=87,
-                           change_type=ChangeType.DEACTIVATION, count=25),
-            PlantedAnomaly(locale=codes[80], interval_index=112,
-                           change_type=ChangeType.DEACTIVATION, count=25),
-        ),
-        seed=seed,
-    )
-
-
 def labeled_scenario_config(seed: int = 0) -> ScenarioConfig:
     """Scenario whose deactivation cells support the default 99:37:27:21
     label proportions: one statewide mailing event, a 37-locale September

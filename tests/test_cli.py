@@ -1,5 +1,6 @@
+import collections
+import contextlib
 import csv
-import dataclasses
 import datetime as dt
 import gc
 import hashlib
@@ -7,6 +8,8 @@ import io as stdio
 import json
 import logging
 import os
+import pathlib
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -17,7 +20,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import vrf_sentinel
-from vrf_sentinel import cli, gbt, groupfeatures, vrf_io
+from vrf_sentinel import cli, detectors, gbt, groupfeatures, vrf_io
 from vrf_sentinel.errors import FileParseError, VrfError
 from vrf_sentinel.groupfeatures import EventLabel
 from vrf_sentinel.modmatrix import DateInterval
@@ -159,8 +162,12 @@ def test_features_at_twice_the_snapshot_spacing_match_fully_parsed_snapshots(pip
     change in it, which diff's reference files hold."""
     synth = pipeline / "synth"
     changes = vrf_io.csv_to_changes(str(pipeline / "diff" / "changes.csv"))
-    groups = groupfeatures.group_changes(changes, 14)
-    assert any(len({c.reference_date for c in group}) == 2 for group in groups.values())
+    first = min(c.posterior_date for c in changes)
+    references = collections.defaultdict(set)  # (locale, 14-day interval, type) -> dates
+    for c in changes:
+        key = (c.locale, (c.posterior_date - first).days // 14, c.change_type)
+        references[key].add(c.reference_date)
+    assert 2 in map(len, references.values())
     want = fully_parsed_features(pipeline, changes, interval_days=14)
     groupfeatures.features_to_csv(want, str(tmp_path / "want.csv"))
     assert run(
@@ -215,6 +222,87 @@ def test_changes_without_diff_output_beside_exit_3(pipeline, tmp_path, capsys, s
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "no diff manifest beside --changes" in err
+
+
+def step_argv(pipeline, step, diff, out):
+    """`matrix` or `features` over the pipeline's snapshots and the changes in `diff`."""
+    synth = pipeline / "synth"
+    return [
+        step, "--changes", str(diff / "changes.csv"), "--snapshots", str(synth / "snapshots"),
+        "--schema", str(synth / "schema.cfg"), "--change-type", "deactivation", "--out", str(out),
+    ]
+
+
+@pytest.mark.parametrize("count", ["x", [1], 1e30, 10**29, 2.5, -1, True, 2**63])
+@pytest.mark.parametrize("cell", ["census", "turnout"])
+@pytest.mark.parametrize("step", ["matrix", "features"])
+def test_bad_count_in_diff_manifest_exits_3(pipeline, tmp_path, capsys, step, cell, count):
+    """The manifest's digests cover neither the census nor the calendar:
+    each census count and election turnout must be an integer below 2^63."""
+    diff = tmp_path / "diff"
+    shutil.copytree(pipeline / "diff", diff)
+    manifest = json.loads((diff / "manifest.json").read_text())
+    if cell == "census":
+        census = next(iter(manifest["census"].values()))
+        census[next(iter(census))] = count
+    else:
+        manifest["calendar"][0][3] = count
+    (diff / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run(*step_argv(pipeline, step, diff, tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "counts must be integers from" in err
+
+
+# JSON values to put in place of a census count or a calendar cell
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(), st.text(max_size=12),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+
+
+def key_paths(value, path=()):
+    """The path of every key in a JSON object, nested ones included."""
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            yield (*path, key)
+            yield from key_paths(inner, (*path, key))
+
+
+@given(data=st.data())
+def test_edited_diff_manifest_exits_0_or_3(pipeline, data):
+    """One census count or calendar cell replaced, or one key dropped, in
+    the manifest `matrix` and `features` read: either step exits 0, or 3
+    with one line."""
+    original = json.loads((pipeline / "diff" / "manifest.json").read_text())
+    manifest = json.loads(json.dumps(original))
+    edit = data.draw(st.sampled_from(["census", "calendar", "drop"]))
+    if edit == "census":
+        census = manifest["census"][data.draw(st.sampled_from(sorted(manifest["census"])))]
+        census[data.draw(st.sampled_from(sorted(census)))] = data.draw(JSON_VALUES)
+    elif edit == "calendar":
+        election = data.draw(st.sampled_from(manifest["calendar"]))
+        election[data.draw(st.integers(0, 3))] = data.draw(JSON_VALUES)
+    else:
+        *parents, key = data.draw(st.sampled_from(list(key_paths(original))))
+        holder = manifest
+        for parent in parents:
+            holder = holder[parent]
+        del holder[key]
+    step = data.draw(st.sampled_from(["matrix", "features"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        diff = os.path.join(tmp, "diff")
+        shutil.copytree(pipeline / "diff", diff)
+        with open(os.path.join(diff, "manifest.json"), "w") as fh:
+            json.dump(manifest, fh)
+        err = stdio.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(*step_argv(pipeline, step, pathlib.Path(diff), os.path.join(tmp, "out")))
+    assert code in (0, 3)
+    if code == 3:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_features_reads_only_the_reference_files_of_this_diff(pipeline, tmp_path):
@@ -459,6 +547,20 @@ def test_malformed_method_id_exits_3(pipeline, tmp_path, capsys, option, method)
     ) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not any(out.iterdir())
+
+
+def test_evaluate_checks_every_method_id_before_the_first_sweep(pipeline, tmp_path, monkeypatch):
+    def detector(*args, **kwargs):
+        raise AssertionError("a detector ran before every id was checked")
+
+    monkeypatch.setattr(detectors, "rpca_scores", detector)
+    monkeypatch.setattr(detectors, "nmf_residual_scores", detector)
+    out = tmp_path / "out"
+    assert run(
+        "evaluate", "--methods", "rpca,nmf,cl_std_x",
+        "--matrix", str(pipeline / "matrix" / "matrix_deactivation.csv"), "--out", str(out),
+    ) == 3
     assert not any(out.iterdir())
 
 
@@ -759,11 +861,11 @@ def test_rerun_redirects_either_out_spelling(pipeline, tmp_path, spelling):
 
 
 def other_scaler(**changes):
-    """A scaler file fitted on another feature set: `changes` replace fields."""
+    """A scaler file fitted on another feature set: `changes` replace JSON fields."""
     width = len(groupfeatures.FEATURE_NAMES)
     ones, zeros = np.ones(width), np.zeros(width)
-    fitted = groupfeatures.FeatureScaler(groupfeatures.FEATURE_NAMES, zeros, ones, zeros)
-    return dataclasses.replace(fitted, **changes).to_json().encode()
+    fitted = json.loads(groupfeatures.FeatureScaler(zeros, ones, zeros).to_json())
+    return json.dumps({**fitted, **changes}).encode()
 
 
 # case -> (command, file it reads, corruption): a JSON key to drop, bytes
@@ -808,9 +910,7 @@ def test_malformed_artifact_exits_3(pipeline, tmp_path, monkeypatch, capsys, cas
         [groupfeatures.GroupFeatureVector(key, 3, np.zeros(width))], "features.csv"
     )
     gbt.save_model(gbt.GbtModel(gbt.GbtConfig(), ("a", "b"), width), "model.json")
-    scaler = groupfeatures.FeatureScaler(
-        groupfeatures.FEATURE_NAMES, np.zeros(width), np.ones(width), np.zeros(width)
-    )
+    scaler = groupfeatures.FeatureScaler(np.zeros(width), np.ones(width), np.zeros(width))
     (tmp_path / "scaler.json").write_text(scaler.to_json(), encoding="utf-8")
     capsys.readouterr()
 

@@ -1,4 +1,5 @@
 import datetime as dt
+import json
 import math
 import tempfile
 
@@ -191,17 +192,18 @@ def snapshot_of(*voters, date=AS_OF):
     return Snapshot(snapshot_date=date, records={v.voter_id: v for v in voters})
 
 
-def references(*voters, date=AS_OF):
-    """`group_features`' records: each voter in the snapshot dated `date`."""
-    return {(date, v.voter_id): v for v in voters}
+def one_group(changes, *voters):
+    """The weekly group of `changes` that starts at AS_OF, over one
+    snapshot of `voters` per reference date."""
+    snapshots = [snapshot_of(*voters, date=d) for d in {c.reference_date for c in changes}]
+    groups = gf.compute_group_features(changes, snapshots, calendar(), interval_days=7)
+    (got,) = [g for g in groups if g.key == group_key()]
+    return got
 
 
 def test_group_of_one_equals_voter_vector():
     v = voter(status=VoterStatus.INACTIVE)
-    ch = change("V1", ChangeType.DEACTIVATION, AS_OF)
-    got = gf.group_features(
-        group_key(), [ch], references(v), gf.ChangeIndex([ch]), calendar()
-    )
+    got = one_group([change("V1", ChangeType.DEACTIVATION, AS_OF)], v)
     want = gf.voter_features(v, AS_OF, gf.ChangeIndex().counts("V1", AS_OF), calendar())
     np.testing.assert_array_equal(got.features, want)
     assert got.n_voters == 1
@@ -211,68 +213,56 @@ def test_group_mean_of_ages():
     v1 = voter("V1", birth_date=AS_OF - dt.timedelta(days=round(30 * 365.25)))
     v2 = voter("V2", birth_date=AS_OF - dt.timedelta(days=round(50 * 365.25)))
     changes = [change("V1", ChangeType.DEACTIVATION, AS_OF), change("V2", ChangeType.DEACTIVATION, AS_OF)]
-    got = gf.group_features(
-        group_key(), changes, references(v1, v2), gf.ChangeIndex(changes), calendar()
-    )
+    got = one_group(changes, v1, v2)
     assert got.features[IDX["years_old"]] == pytest.approx(40.0, abs=0.01)
 
 
 def test_current_change_always_excluded():
+    """The group's own change is not counted; an older one, in an earlier
+    group, is."""
     v = voter()
     ch = change("V1", ChangeType.DEACTIVATION, AS_OF)
-    older = change("V1", ChangeType.DEACTIVATION, AS_OF - dt.timedelta(days=30))
-    with_current = gf.group_features(
-        group_key(), [ch], references(v), gf.ChangeIndex([older, ch]), calendar()
+    older = change("V1", ChangeType.DEACTIVATION, AS_OF - dt.timedelta(days=28))
+    got = one_group([older, ch], v)
+    without_current = gf.voter_features(
+        v, AS_OF, gf.ChangeIndex([older]).counts("V1", AS_OF), calendar()
     )
-    without_current = gf.group_features(
-        group_key(), [ch], references(v), gf.ChangeIndex([older]), calendar()
-    )
-    np.testing.assert_array_equal(with_current.features, without_current.features)
-    assert with_current.features[IDX["deactivation_changes_all_time"]] == 1.0
+    np.testing.assert_array_equal(got.features, without_current)
+    assert got.features[IDX["deactivation_changes_all_time"]] == 1.0
 
 
 def test_group_permutation_invariance():
     voters = [voter(f"V{i}", birth_date=dt.date(1950 + 2 * i, 1, 1)) for i in range(6)]
     changes = [change(v.voter_id, ChangeType.DEACTIVATION, AS_OF) for v in voters]
-    refs = references(*voters)
-    index = gf.ChangeIndex(changes)
-    a = gf.group_features(group_key(), changes, refs, index, calendar())
-    b = gf.group_features(group_key(), list(reversed(changes)), refs, index, calendar())
+    a = one_group(changes, *voters)
+    b = one_group(list(reversed(changes)), *voters)
     np.testing.assert_array_equal(a.features, b.features)
 
 
 def test_unresolvable_voters_warned_and_excluded(caplog):
-    v = voter("V1")
     changes = [
         change("V1", ChangeType.DEACTIVATION, AS_OF),
         change("GHOST", ChangeType.DEACTIVATION, AS_OF),
     ]
-    got = gf.group_features(
-        group_key(), changes, references(v), gf.ChangeIndex(changes), calendar()
-    )
+    got = one_group(changes, voter("V1"))
     assert got.n_voters == 1
     assert any("GHOST" in r.message for r in caplog.records)
 
 
-def test_wrong_group_membership_rejected():
-    ch = change("V1", ChangeType.NAME, AS_OF)
-    with pytest.raises(DataError):
-        gf.group_features(
-            group_key(ChangeType.DEACTIVATION), [ch], references(voter()),
-            gf.ChangeIndex([]), calendar(),
-        )
-
-
-def test_compute_group_features_needs_ascending_snapshots():
+def test_compute_group_features_takes_snapshots_in_any_order():
     v = voter(vote_history=(vote("2018-general", dt.date(2018, 11, 6)),))
     ch = change("V1", ChangeType.DEACTIVATION, AS_OF)
-    before = snapshot_of(v, date=AS_OF - dt.timedelta(days=7))
+    other = voter(birth_date=dt.date(1990, 1, 1), vote_history=v.vote_history)
+    before = snapshot_of(other, date=AS_OF - dt.timedelta(days=7))  # not the reference
     after = snapshot_of(v)
     calendar = calendar_of(before)
     (got,) = gf.compute_group_features([ch], iter([before, after]), calendar, interval_days=7)
-    assert got.n_voters == 1
-    with pytest.raises(DataError, match="ascend"):
-        gf.compute_group_features([ch], iter([after, before]), calendar, interval_days=7)
+    want = gf.voter_features(v, AS_OF, gf.ChangeIndex().counts("V1", AS_OF), calendar)
+    np.testing.assert_array_equal(got.features, want)
+    (back,) = gf.compute_group_features([ch], iter([after, before]), calendar, interval_days=7)
+    np.testing.assert_array_equal(back.features, got.features)
+    with pytest.raises(DataError, match=f"two snapshots dated {AS_OF}"):
+        gf.compute_group_features([ch], iter([after, before, after]), calendar, interval_days=7)
 
 
 def test_compute_group_features_missing_reference_snapshot():
@@ -301,6 +291,8 @@ def test_each_voter_resolved_in_the_reference_snapshot_of_their_latest_change():
         snapshot_of(v1, voter("V2", birth_date=dt.date(1990, 1, 1), vote_history=history)),
         snapshot_of(v1, v2_later, date=AS_OF + week),
     ]
+    # the precondition: one 14-day interval holds both weeks' changes
+    assert {c.reference_date for c in changes} == {AS_OF, AS_OF + week}
     (got,) = gf.compute_group_features(
         changes, iter(snapshots), calendar_of(snapshots[0]), interval_days=14
     )
@@ -332,7 +324,8 @@ def test_standardize_two_points():
     matrix, scaler = gf.standardize([gfv(a), gfv(b)])
     np.testing.assert_allclose(matrix[0], -1.0)
     np.testing.assert_allclose(matrix[1], 1.0)
-    assert scaler.version == gf.FEATURE_MANIFEST_VERSION
+    raw = json.loads(scaler.to_json())
+    assert (raw["version"], tuple(raw["feature_names"])) == (gf.FEATURE_MANIFEST_VERSION, NAMES)
 
 
 def test_standardize_constant_feature_zero():
