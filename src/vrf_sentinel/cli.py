@@ -6,7 +6,9 @@ runs one `cmd_*` and, when it succeeds, writes the run's one manifest
 `manifest.json` in the `--out` directory, or `<svg>.manifest.json` beside
 the SVG that `heatmap` writes. `rerun` replays a manifest, which must
 reproduce byte-identical data outputs. Each `cmd_*` imports the library
-modules it runs, so `diff`, `ingest` and `--help` load no numpy. Only
+modules it runs, so `diff`, `ingest` and `--help` load no numpy, and
+`evaluate` can pin one BLAS thread before numpy loads and run its sweep on
+a worker process per core. Only
 `diff` parses snapshots: `matrix` and `features` read the census and
 election calendar of its manifest and the reference records it writes
 beside `changes.csv`, once that manifest matches their `--changes`,
@@ -78,6 +80,15 @@ def _read_record(paths: list[str], schema: vrf_io.SnapshotSchema, changes: str) 
     }
 
 
+def _census_sha256(census: dict, calendar: list) -> str:
+    """sha256 of the census and calendar as canonical JSON, which `diff`
+    records so that `matrix` and `features` notice an edited value."""
+    import hashlib
+
+    text = json.dumps([census, calendar], sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _count(value, least: int = 0) -> int:
     """A count in diff's manifest: a JSON integer below 2^63, the bound
     `csv_to_matrix` puts on the counts of a matrix file."""
@@ -115,6 +126,11 @@ def _diff_output(args: argparse.Namespace) -> tuple[str, dict, dict, dict]:
         raise DataError(
             f"{path}: not a manifest diff wrote ({exc}); rerun diff over these snapshots"
         ) from None
+    if manifest.get("census_sha256") != _census_sha256(manifest["census"], manifest["calendar"]):
+        raise DataError(
+            f"{path}: census or calendar differs from what diff recorded; "
+            "rerun diff over these snapshots"
+        )
     read = _read_record(_snapshot_paths(args.snapshots), _schema(args.schema), args.changes)
     if {key: manifest.get(key) for key in read} != read:
         raise DataError(
@@ -268,6 +284,7 @@ def cmd_diff(args: argparse.Namespace) -> dict:
     calendar = [[eid, day.isoformat(), primary, n] for eid, (day, primary, n) in elections.items()]
     return {
         "counts": counts, "census": census, "calendar": calendar,
+        "census_sha256": _census_sha256(census, calendar),
         **_read_record(paths, schema, changes_path),
     }
 
@@ -332,7 +349,26 @@ def cmd_detect(args: argparse.Namespace) -> dict:
     return {"converged": converged, **traces, "output_bytes": sizes}
 
 
+# the BLAS thread pin of evaluate's sweep processes (numpy's wheels link OpenBLAS)
+BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1"}
+
+
+def _sweep_workers() -> tuple[int, dict | None]:
+    """The processes for evaluate's sweep and the BLAS pin they run under:
+    one per usable core, each on one BLAS thread, when numpy is not loaded
+    yet, so that the pin takes effect; otherwise (the CLI called in a
+    process that already loaded numpy) one, this process, at its own
+    threading. Sweep outputs are the same either way."""
+    if "numpy" in sys.modules:
+        return 1, None
+    os.environ.update(BLAS_PIN)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)), BLAS_PIN
+    return os.cpu_count() or 1, BLAS_PIN
+
+
 def cmd_evaluate(args: argparse.Namespace) -> dict:
+    workers, blas_pin = _sweep_workers()  # before numpy loads
     from . import detectors, evalharness, modmatrix
 
     methods = [m.strip() for m in args.methods.split(",")] if args.methods else detectors.METHOD_IDS
@@ -342,12 +378,10 @@ def cmd_evaluate(args: argparse.Namespace) -> dict:
     # options left unset take the library defaults
     options = {"fraction": args.fraction, "k": args.top_k, "grid_points": args.grid_points}
     options = {name: value for name, value in options.items() if value is not None}
-    results = [
-        evalharness.gamma_sweep(
-            matrix.values, method, seed=args.seed, fixed_mask=args.fixed_mask, **options
-        )
-        for method in methods
-    ]
+    results = evalharness.gamma_sweeps(
+        matrix.values, methods, seed=args.seed, fixed_mask=args.fixed_mask, workers=workers,
+        **options,
+    )
     evalharness.sweep_report(results, args.out, change_type=matrix.change_type.value)
     for result in results:
         if result.unconverged:
@@ -358,6 +392,8 @@ def cmd_evaluate(args: argparse.Namespace) -> dict:
     return {
         "unconverged": {result.method: result.unconverged for result in results},
         "iterations": {result.method: result.iterations for result in results},
+        "workers": workers,
+        "blas_pin": blas_pin,
     }
 
 
@@ -652,7 +688,10 @@ def main(argv: list[str] | None = None) -> int:
         start = time.perf_counter()
         extras = args.func(args)
         extras["wall_s"] = time.perf_counter() - start
-        extras["peak_rss_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        extras["peak_rss_mib"] = max(  # this process or its largest child (evaluate's workers)
+            resource.getrusage(who).ru_maxrss
+            for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+        ) / 1024
         _write_manifest(manifest, args.command, argv, **extras)
     except (VrfError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

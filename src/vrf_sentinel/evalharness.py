@@ -10,6 +10,7 @@ average-rank metric used for planted-anomaly studies.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from dataclasses import dataclass
 
@@ -96,43 +97,97 @@ def point_seed(seed: int, grid_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def gamma_sweep(
+@dataclass(frozen=True)
+class _Sweep:
+    """The settings every point of one sweep shares; a point is a (method,
+    grid index) pair."""
+
+    values: np.ndarray
+    gammas: np.ndarray
+    fraction: float
+    k: int
+    seed: int
+    fixed_mask: bool
+
+    def point(self, task: tuple[str, int]) -> tuple[float, int, int]:
+        """Precision at k of one method at one grid point, whether its
+        detector did not converge (0 or 1), and its iterations."""
+        method, index = task
+        mask_seed = point_seed(self.seed, 0 if self.fixed_mask else index)
+        cells = perturbed_cells(self.values.shape, self.fraction, mask_seed)
+        perturbed = perturb(self.values, cells, float(self.gammas[index]))
+        scores, params = score_with_method(perturbed, method, seed=self.seed)
+        precision = precision_at_k(rank_entries(scores, perturbed, k=self.k), cells, self.k)
+        return precision, int(not params.get("converged", True)), int(params.get("iterations", 0))
+
+    def result(self, method: str, points: list[tuple[float, int, int]]) -> SweepResult:
+        precisions, unconverged, iterations = zip(*points)
+        return SweepResult(
+            method=method,
+            gamma_grid=tuple(float(g) for g in self.gammas),
+            precision_at_k=precisions,
+            auc=_normalized_auc(self.gammas, np.asarray(precisions)),
+            unconverged=sum(unconverged),
+            iterations=sum(iterations),
+        )
+
+
+_worker_sweep: _Sweep | None = None  # set once in each pool worker, never in the caller
+
+
+def _start_worker(sweep: _Sweep) -> None:
+    global _worker_sweep
+    _worker_sweep = sweep
+
+
+def _worker_point(task: tuple[str, int]) -> tuple[float, int, int]:
+    return _worker_sweep.point(task)
+
+
+def gamma_sweeps(
     values: np.ndarray,
-    method: str,
+    methods: list[str] | tuple[str, ...],
     fraction: float = DEFAULT_FRACTION,
     k: int = DEFAULT_TOP_K,
     grid_points: int = DEFAULT_GRID_POINTS,
     seed: int = 0,
     fixed_mask: bool = False,
-) -> SweepResult:
-    """Precision-vs-gamma sweep for one method on one values grid.
+    workers: int = 1,
+) -> list[SweepResult]:
+    """Precision-vs-gamma sweeps of each method on one values grid, in
+    method order.
 
     By default each grid point draws a fresh perturbed set from a sub-seed
     of (seed, point index); with fixed_mask the gamma=0 point's set is
-    reused everywhere.
+    reused everywhere. With several `workers` the points run on a fork
+    pool, one task per (method, grid index) in order; the values grid
+    reaches the workers through the fork, and each point's result does not
+    depend on which process ran it. The CLI forks only from a process it
+    pinned to one BLAS thread, so no BLAS thread runs at the fork.
     """
     if grid_points < 2:
         raise VrfError("grid_points must be >= 2")
     gamma_max = GAMMA_SPAN_MULTIPLIER * float(np.mean(values))
-    gammas = np.linspace(0.0, gamma_max, grid_points)
+    sweep = _Sweep(values, np.linspace(0.0, gamma_max, grid_points), fraction, k, seed, fixed_mask)
+    tasks = [(method, index) for method in methods for index in range(grid_points)]
+    workers = min(workers, len(tasks))
+    if workers > 1:
+        fork = multiprocessing.get_context("fork")
+        with fork.Pool(workers, initializer=_start_worker, initargs=(sweep,)) as pool:
+            points = pool.map(_worker_point, tasks, chunksize=1)
+            pool.close()
+            pool.join()
+    else:
+        points = list(map(sweep.point, tasks))
+    return [
+        sweep.result(method, points[n * grid_points:(n + 1) * grid_points])
+        for n, method in enumerate(methods)
+    ]
 
-    precisions, unconverged, iterations = [], 0, 0
-    for idx, gamma in enumerate(gammas):
-        cells = perturbed_cells(values.shape, fraction, point_seed(seed, 0 if fixed_mask else idx))
-        perturbed = perturb(values, cells, float(gamma))
-        scores, params = score_with_method(perturbed, method, seed=seed)
-        precisions.append(precision_at_k(rank_entries(scores, perturbed), cells, k))
-        unconverged += not params.get("converged", True)
-        iterations += params.get("iterations", 0)
 
-    return SweepResult(
-        method=method,
-        gamma_grid=tuple(float(g) for g in gammas),
-        precision_at_k=tuple(precisions),
-        auc=_normalized_auc(gammas, np.asarray(precisions)),
-        unconverged=unconverged,
-        iterations=iterations,
-    )
+def gamma_sweep(values: np.ndarray, method: str, **options) -> SweepResult:
+    """`gamma_sweeps` of one method."""
+    return gamma_sweeps(values, (method,), **options)[0]
 
 
 def sweep_report(

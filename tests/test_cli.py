@@ -237,8 +237,8 @@ def step_argv(pipeline, step, diff, out):
 @pytest.mark.parametrize("cell", ["census", "turnout"])
 @pytest.mark.parametrize("step", ["matrix", "features"])
 def test_bad_count_in_diff_manifest_exits_3(pipeline, tmp_path, capsys, step, cell, count):
-    """The manifest's digests cover neither the census nor the calendar:
-    each census count and election turnout must be an integer below 2^63."""
+    """Each census count and election turnout must be an integer below
+    2^63; that is checked before the census digest."""
     diff = tmp_path / "diff"
     shutil.copytree(pipeline / "diff", diff)
     manifest = json.loads((diff / "manifest.json").read_text())
@@ -253,6 +253,28 @@ def test_bad_count_in_diff_manifest_exits_3(pipeline, tmp_path, capsys, step, ce
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "counts must be integers from" in err
+
+
+@pytest.mark.parametrize("edit", ["census", "turnout", "order"])
+def test_census_or_calendar_edited_after_diff_exits_3(pipeline, tmp_path, capsys, edit):
+    """A census count, a turnout or the election order edited to another
+    valid value no longer matches the census digest diff recorded."""
+    diff = tmp_path / "diff"
+    shutil.copytree(pipeline / "diff", diff)
+    manifest = json.loads((diff / "manifest.json").read_text())
+    if edit == "census":
+        census = next(iter(manifest["census"].values()))
+        census[next(iter(census))] += 1
+    elif edit == "turnout":
+        manifest["calendar"][0][3] += 1
+    else:
+        manifest["calendar"].reverse()
+    (diff / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run(*step_argv(pipeline, "matrix", diff, tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "census or calendar differs" in err
 
 
 # JSON values to put in place of a census count or a calendar cell
@@ -275,7 +297,7 @@ def key_paths(value, path=()):
 def test_edited_diff_manifest_exits_0_or_3(pipeline, data):
     """One census count or calendar cell replaced, or one key dropped, in
     the manifest `matrix` and `features` read: either step exits 0, or 3
-    with one line."""
+    with one line, and 3 whenever the census or calendar changed."""
     original = json.loads((pipeline / "diff" / "manifest.json").read_text())
     manifest = json.loads(json.dumps(original))
     edit = data.draw(st.sampled_from(["census", "calendar", "drop"]))
@@ -303,6 +325,9 @@ def test_edited_diff_manifest_exits_0_or_3(pipeline, data):
     assert code in (0, 3)
     if code == 3:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    covered = ("census", "calendar", "census_sha256")
+    if any(json.dumps(manifest.get(key)) != json.dumps(original[key]) for key in covered):
+        assert code == 3
 
 
 def test_features_reads_only_the_reference_files_of_this_diff(pipeline, tmp_path):
@@ -607,6 +632,58 @@ def test_evaluate_reports_unconverged_sweep_points_once(pipeline, tmp_path, monk
     assert warnings == [f"detector nmf did not converge at {unconverged} of 21 sweep points"]
 
 
+def _cli_env():
+    """The environment for a CLI subprocess that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(vrf_sentinel.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+@pytest.mark.parametrize("fixed_mask", [[], ["--fixed-mask"]], ids=["fresh", "fixed"])
+def test_evaluate_on_a_worker_per_core_matches_one_process(pipeline, tmp_path, fixed_mask):
+    """Run as a command, evaluate pins one BLAS thread and runs a worker
+    per core; in a process that already loaded numpy it runs the same
+    points itself. Both write the same bytes."""
+    argv = [
+        "evaluate", "--matrix", str(pipeline / "matrix" / "matrix_deactivation.csv"),
+        "--grid-points", "6", "--top-k", "5", "--seed", "2", *fixed_mask,
+    ]
+    pooled, serial = tmp_path / "pooled", tmp_path / "serial"
+    done = subprocess.run(
+        [sys.executable, "-m", "vrf_sentinel.cli", *argv, "--out", str(pooled)],
+        capture_output=True, text=True, env=_cli_env(), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert run(*argv, "--out", str(serial)) == 0
+    manifests = [json.loads((out / "manifest.json").read_text()) for out in (pooled, serial)]
+    assert [m["workers"] for m in manifests] == [len(os.sched_getaffinity(0)), 1]
+    assert [m["blas_pin"] for m in manifests] == [cli.BLAS_PIN, None]
+    names = sorted(p.name for p in serial.iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in pooled.iterdir() if p.name != "manifest.json")
+    assert len(names) == 3
+    for name in names:
+        assert (pooled / name).read_bytes() == (serial / name).read_bytes(), name
+
+
+def test_detector_error_in_a_sweep_worker_exits_3(pipeline, tmp_path, monkeypatch, capfd):
+    import multiprocessing
+
+    def failing(*args, **kwargs):
+        raise VrfError("rpca failed in a worker")
+
+    monkeypatch.setattr(detectors, "rpca_scores", failing)
+    monkeypatch.setattr(cli, "_sweep_workers", lambda: (2, None))
+    capfd.readouterr()
+    assert run(
+        "evaluate", "--matrix", str(pipeline / "matrix" / "matrix_deactivation.csv"),
+        "--methods", "global_std,rpca", "--grid-points", "3", "--out", str(tmp_path),
+    ) == 3
+    err = capfd.readouterr().err
+    assert err == "error: rpca failed in a worker\n"
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "sweep_deactivation.csv").exists()
+
+
 def test_heatmap_highlight(pipeline, tmp_path):
     svg = tmp_path / "heat.svg"
     assert run(
@@ -659,9 +736,7 @@ def test_diff_ingest_and_help_load_no_numpy(tmp_path):
     posterior = tmp_path / "snapshot_2019-01-10.csv"
     anterior.write_text(header + "A1,polk,active\nA2,polk,active\n")
     posterior.write_text(header + "A1,polk,inactive\nA3,story,active\n")
-    src = os.path.dirname(os.path.dirname(vrf_sentinel.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = _cli_env()
     for argv in (
         ["--help"],
         ["diff", "--anterior", str(anterior), "--posterior", str(posterior),

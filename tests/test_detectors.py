@@ -277,6 +277,24 @@ def test_rank_entries_matches_brute_force(grids):
     assert ranks == list(range(1, len(order) + 1))
 
 
+@given(rank_grids())
+def test_rank_entries_top_k_matches_brute_force(grids):
+    """With `k`, from 1 to past the cell count, only the first k cells come
+    back, in the full ranking's order."""
+    scores, source = grids
+    full = oracles.bf_rank(scores, source)
+    grid = np.array(scores, dtype=float)
+    source = None if source is None else np.array(source, dtype=float)
+    for k in range(1, len(full) + 2):
+        assert det.rank_entries(grid, source, k=k).tolist() == full[:k]
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_rank_entries_k_below_one_raises(k):
+    with pytest.raises(VrfError, match="at least 1"):
+        det.rank_entries(np.zeros((1, 2)), k=k)
+
+
 def test_rank_length_covers_matrix():
     order = det.rank_entries(np.zeros((3, 5)))
     assert len(order) == 15

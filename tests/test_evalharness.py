@@ -1,5 +1,6 @@
 import csv
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -187,6 +188,18 @@ def test_sweep_fixed_mask_reuses_cells():
     # monotone difficulty: same mask, growing gamma, global scoring
     precisions = fixed.precision_at_k
     assert all(b >= a for a, b in zip(precisions[1:], precisions[2:]))
+
+
+@pytest.mark.parametrize("fixed_mask", [False, True])
+def test_sweeps_on_a_fork_pool_match_one_process_and_leave_no_worker(fixed_mask):
+    values = np.random.default_rng(14).uniform(0, 1, size=(9, 11))
+    methods = ("nmf", "rpca", "cl_std_3", "global_iqr")
+    options = dict(fraction=0.05, k=5, grid_points=4, seed=6, fixed_mask=fixed_mask)
+    serial = ev.gamma_sweeps(values, methods, **options)
+    assert ev.gamma_sweeps(values, methods, workers=3, **options) == serial
+    assert multiprocessing.active_children() == []
+    assert [result.method for result in serial] == list(methods)
+    assert serial[1] == ev.gamma_sweep(values, "rpca", **options)
 
 
 def test_auc_bounds_and_normalization():
