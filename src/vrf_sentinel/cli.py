@@ -8,12 +8,12 @@ the SVG that `heatmap` writes. `rerun` replays a manifest, which must
 reproduce byte-identical data outputs. Each `cmd_*` imports the library
 modules it runs, so `diff`, `ingest` and `--help` load no numpy, and
 `evaluate` can pin one BLAS thread before numpy loads and run its sweep on
-a worker process per core. Only
-`diff` parses snapshots: `matrix` and `features` read the census and
-election calendar of its manifest and the reference records it writes
-beside `changes.csv`, once that manifest matches their `--changes`,
-`--snapshots` files and `--schema`. Exit codes: 0 success, 2 usage
-error, 3 data/config error.
+a worker process per core. Only `diff` parses snapshots: `matrix` and
+`features` read the census and election calendar of its manifest and the
+reference records it writes beside `changes.csv`, once that manifest
+matches their `--changes`, `--snapshots` files and `--schema` and the
+`voters/` files it wrote. Exit codes: 0 success, 2 usage error, 3
+data/config error.
 
 The VRF_SENTINEL_LOG environment variable sets the log level.
 """
@@ -44,8 +44,8 @@ EXIT_DATA = 3
 LABEL_COLUMNS = ("locale", "interval_start", "change_type", "label")
 
 
-def _write_manifest(path: str, command: str, argv: list[str], **extras) -> None:
-    payload = {"command": command, "argv": argv, "package_version": __version__, **extras}
+def _write_json(path: str, payload: dict) -> None:
+    """The JSON files of the CLI: sorted keys, one-space indent, a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -63,21 +63,29 @@ def _snapshot_paths(snapshot_dir: str) -> list[str]:
     return paths
 
 
-def _read_record(paths: list[str], schema: vrf_io.SnapshotSchema, changes: str) -> dict:
-    """What `diff` records of its run, for `matrix` and `features` to
-    check: each snapshot file's name and sha256, the parsed schema and the
-    sha256 of the changes file it wrote."""
-    import hashlib  # loads OpenSSL, ~3.6 MiB of RSS that only these steps need
+def _sha256(path: str) -> str:
+    import hashlib  # loads OpenSSL, ~3.6 MiB of RSS that only the diff steps need
 
-    def digest(path: str) -> str:
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
+
+def _read_record(paths: list[str], schema: vrf_io.SnapshotSchema) -> dict:
+    """What `diff` records of what it read, for `matrix` and `features` to
+    check: each snapshot file's name and sha256, and the parsed schema."""
     return {
-        "inputs": [[os.path.basename(path), digest(path)] for path in paths],
+        "inputs": [[os.path.basename(path), _sha256(path)] for path in paths],
         "schema": json.loads(json.dumps(vars(schema), default=str)),
-        "changes_sha256": digest(changes),
     }
+
+
+def _output_digests(changes: str, dates: list[str]) -> dict[str, str]:
+    """Relative path -> sha256 of each file `diff` wrote beside `changes`:
+    `changes.csv` and the reference records of each census date, the only
+    files of its `voters/` that `features` reads."""
+    where = os.path.dirname(changes) or "."
+    names = [f"voters/snapshot_{date}.csv" for date in dates]
+    return {"changes.csv": _sha256(changes), **{n: _sha256(os.path.join(where, n)) for n in names}}
 
 
 def _census_sha256(census: dict, calendar: list) -> str:
@@ -101,7 +109,8 @@ def _diff_output(args: argparse.Namespace) -> tuple[str, dict, dict, dict]:
     """The directory of the `diff` run that wrote `--changes`, and the
     snapshot counts, census and election tally of its manifest, once that
     manifest shows the run read the `--snapshots` files under the
-    `--schema` and wrote `--changes` as it now stands."""
+    `--schema` and wrote `--changes` and its `voters/` files as they now
+    stand."""
     where = os.path.dirname(args.changes) or "."
     path = os.path.join(where, "manifest.json")
     try:
@@ -131,11 +140,20 @@ def _diff_output(args: argparse.Namespace) -> tuple[str, dict, dict, dict]:
             f"{path}: census or calendar differs from what diff recorded; "
             "rerun diff over these snapshots"
         )
-    read = _read_record(_snapshot_paths(args.snapshots), _schema(args.schema), args.changes)
+    read = _read_record(_snapshot_paths(args.snapshots), _schema(args.schema))
     if {key: manifest.get(key) for key in read} != read:
         raise DataError(
-            f"{where}: diff read other snapshot files or another schema, or wrote other "
-            "changes; rerun diff over these snapshots"
+            f"{where}: diff read other snapshot files or another schema; "
+            "rerun diff over these snapshots"
+        )
+    try:
+        outputs = _output_digests(args.changes, [date.isoformat() for date in sorted(census)])
+    except FileNotFoundError:
+        outputs = None
+    if manifest.get("outputs") != outputs:
+        raise DataError(
+            f"{where}: changes.csv or a voters/ file is missing or differs from what diff "
+            "wrote; rerun diff over these snapshots"
         )
     return where, counts, census, elections
 
@@ -161,18 +179,11 @@ def cmd_synth(args: argparse.Namespace) -> dict:
         config = synthgen.planted_anomaly_matrix_config(seed=args.seed)
         matrix, truth = synthgen.generate_matrix_scenario(config)
         modmatrix.matrix_to_csv(matrix, os.path.join(outdir, f"matrix_{matrix.change_type.value}.csv"))
-        with open(os.path.join(outdir, "matrix_truth.json"), "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "anomaly_cells": [[r.locale_index, r.interval_index] for r in truth.anomaly_refs],
-                    "event_intervals": list(truth.event_intervals),
-                    "background_mean": truth.background_mean,
-                },
-                fh,
-                sort_keys=True,
-                indent=1,
-            )
-            fh.write("\n")
+        _write_json(os.path.join(outdir, "matrix_truth.json"), {
+            "anomaly_cells": [[r.locale_index, r.interval_index] for r in truth.anomaly_refs],
+            "event_intervals": list(truth.event_intervals),
+            "background_mean": truth.background_mean,
+        })
         return {}
 
     config = {
@@ -216,15 +227,12 @@ def cmd_ingest(args: argparse.Namespace) -> dict:
         snapshot_date=dt.date.fromisoformat(args.date) if args.date else None,
         issues=issues,
     )
-    summary = {
+    _write_json(os.path.join(args.out, "ingest_summary.json"), {
         "snapshot_date": snapshot.snapshot_date.isoformat(),
         "records": len(snapshot),
         "locale_counts": dict(sorted(snapshot.locale_counts.items())),
         "row_issues": [[i.line, i.field, i.message] for i in issues],
-    }
-    with open(os.path.join(args.out, "ingest_summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    })
     return {}
 
 
@@ -285,7 +293,8 @@ def cmd_diff(args: argparse.Namespace) -> dict:
     return {
         "counts": counts, "census": census, "calendar": calendar,
         "census_sha256": _census_sha256(census, calendar),
-        **_read_record(paths, schema, changes_path),
+        **_read_record(paths, schema),
+        "outputs": _output_digests(changes_path, list(census)),
     }
 
 
@@ -692,7 +701,9 @@ def main(argv: list[str] | None = None) -> int:
             resource.getrusage(who).ru_maxrss
             for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
         ) / 1024
-        _write_manifest(manifest, args.command, argv, **extras)
+        _write_json(
+            manifest, {"command": args.command, "argv": argv, "package_version": __version__, **extras}
+        )
     except (VrfError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

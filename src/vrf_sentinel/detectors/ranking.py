@@ -42,20 +42,22 @@ def rank_entries(
 
 
 def ranked_to_csv(score_matrix: ScoreMatrix, order: np.ndarray, path: str) -> None:
-    """Write one row per cell in the ranking `order` (`rank_entries`),
-    joining the rows of one grid row's worth of ranks per write."""
+    """Write one row per cell in the ranking `order` (`rank_entries`), one
+    grid row's worth of ranks at a time: each block's cells are split into
+    locale and interval and their scores gathered on their own, so the
+    writer holds no array the size of the grid."""
     starts = [iv.start.isoformat() for iv in score_matrix.intervals]
-    rows, cols = np.divmod(order, len(starts))
-    scores = score_matrix.scores.ravel()[order]
+    scores = score_matrix.scores.ravel()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(csv_line(("rank", "locale", "interval_start", "score")))
         locales = list(map(csv_cell, score_matrix.locales))
         for lo in range(0, len(order), len(starts)):
-            hi = lo + len(starts)
+            block = order[lo:lo + len(starts)]
+            rows, cols = np.divmod(block, len(starts))
             lines = map(",".join, zip(
-                map(str, range(lo + 1, hi + 1)),
-                map(locales.__getitem__, rows[lo:hi].tolist()),
-                map(starts.__getitem__, cols[lo:hi].tolist()),
-                map(float.__repr__, scores[lo:hi].tolist()),
+                map(str, range(lo + 1, lo + len(block) + 1)),
+                map(locales.__getitem__, rows.tolist()),
+                map(starts.__getitem__, cols.tolist()),
+                map(float.__repr__, scores[block].tolist()),
             ))
             fh.write("\n".join(lines) + "\n")

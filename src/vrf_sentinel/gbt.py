@@ -11,6 +11,7 @@ fast and oracle-checkable.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 from dataclasses import dataclass, field
@@ -19,6 +20,8 @@ import numpy as np
 
 from .errors import ModelError, VrfError
 from .groupfeatures import FEATURE_MANIFEST_VERSION
+
+logger = logging.getLogger(__name__)
 
 MODEL_FORMAT_VERSION = 1
 _H_EPS = 1e-12  # hessian sums below this carry no usable curvature
@@ -81,7 +84,6 @@ class GbtModel:
     n_features: int
     trees: list[list[TreeNode]] = field(default_factory=list)  # [round][class]
     train_loss: list[float] = field(default_factory=list)
-    feature_manifest_version: str = FEATURE_MANIFEST_VERSION
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -300,11 +302,7 @@ def split_holdout(
     for i, label in enumerate(labels):
         by_class.setdefault(label, []).append(i)
     if min(len(v) for v in by_class.values()) < 2:
-        import logging
-
-        logging.getLogger(__name__).warning(
-            "a class has a single member; falling back to unstratified split"
-        )
+        logger.warning("a class has a single member; falling back to unstratified split")
         perm = rng.permutation(n)
         return np.sort(perm[target:]), np.sort(perm[:target])
 
@@ -365,7 +363,7 @@ def _node_from_dict(raw: dict) -> TreeNode:
 def save_model(model: GbtModel, path: str) -> None:
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
-        "feature_manifest_version": model.feature_manifest_version,
+        "feature_manifest_version": FEATURE_MANIFEST_VERSION,
         "config": {
             "n_estimators": model.config.n_estimators,
             "max_depth": model.config.max_depth,
@@ -417,7 +415,6 @@ def load_model(path: str) -> GbtModel:
             n_features=int(payload["n_features"]),
             trees=[[_node_from_dict(t) for t in rt] for rt in payload["trees"]],
             train_loss=[float(v) for v in payload["train_loss"]],
-            feature_manifest_version=payload["feature_manifest_version"],
         )
     except (KeyError, TypeError, ValueError, RecursionError) as exc:  # recursion: a deep tree
         raise ModelError(f"{path}: malformed model ({exc!r})") from None

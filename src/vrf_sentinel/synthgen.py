@@ -65,35 +65,25 @@ _STATUSES = (VoterStatus.ACTIVE, VoterStatus.INACTIVE, VoterStatus.PENDING)
 _STATUS_P = (0.88, 0.10, 0.02)
 _NEVER_VOTED_FRACTION = 0.22
 _OLD_REGISTRATION_FRACTION = 0.35
+# a ballot's kind by its draw: provisional below 0.08, absentee below 0.30
+_BALLOT_KINDS = (BallotKind.PROVISIONAL, BallotKind.ABSENTEE, BallotKind.REGULAR)
 
 
 # --- election calendar -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CalendarElection:
-    election_id: str
-    date: dt.date
-    is_primary: bool
-    scale: float  # relative statewide turnout, in (0, 1]
-
-
-def default_election_calendar(first_year: int = 2012, last_year: int = 2018) -> tuple[CalendarElection, ...]:
-    """Generals and primaries in even years, small city races in odd years."""
+def _election_calendar(last_year: int) -> list[tuple[str, dt.date, bool, float]]:
+    """(election id, date, primary, relative statewide turnout in (0, 1]) of
+    the seven years to `last_year`: generals and primaries in even years,
+    small city races in odd years."""
     elections = []
-    for year in range(first_year, last_year + 1):
+    for year in range(last_year - 6, last_year + 1):
         if year % 2 == 0:
-            elections.append(
-                CalendarElection(f"{year}-primary", dt.date(year, 6, 5), True, 0.35)
-            )
-            elections.append(
-                CalendarElection(f"{year}-general", dt.date(year, 11, 3), False, 1.0)
-            )
+            elections.append((f"{year}-primary", dt.date(year, 6, 5), True, 0.35))
+            elections.append((f"{year}-general", dt.date(year, 11, 3), False, 1.0))
         else:
-            elections.append(
-                CalendarElection(f"{year}-city", dt.date(year, 9, 10), False, 0.12)
-            )
-    return tuple(elections)
+            elections.append((f"{year}-city", dt.date(year, 9, 10), False, 0.12))
+    return elections
 
 
 # --- configs -----------------------------------------------------------------
@@ -276,9 +266,17 @@ class _Walk:
             n_intervals=config.n_intervals,
             locales=config.locale_codes(),
         )
-        self.calendar = default_election_calendar(
-            config.start_date.year - 6, config.start_date.year
-        )
+        calendar = _election_calendar(config.start_date.year)
+        # the calendar as arrays: each election's day relative to the start, and its scale
+        self.election_days = np.array([(day - config.start_date).days for _, day, _, _ in calendar])
+        self.turnout_scales = np.array([scale for *_, scale in calendar])
+        # every ballot a voter can cast, by (election, ballot kind, party): the
+        # kinds in `_BALLOT_KINDS` order, and a party ballot only in primaries
+        self.ballots = np.array([
+            [[VoteEvent(election_id, day, kind, party if primary else None) for party in _PARTIES]
+             for kind in _BALLOT_KINDS]
+            for election_id, day, primary, _ in calendar
+        ], dtype=object)
         self.dates = config.snapshot_dates()
         self.records: dict[str, VoterRecord] = {}
         # ids are zero-padded and issued in order, so append keeps each list sorted
@@ -287,8 +285,8 @@ class _Walk:
         self.t = -1  # the interval being walked; -1 before the first
         self.touched: dict[str, set[ChangeType]] = {}  # this interval's types per voter
         self.changed: set[str] = set()  # voters that ever got a field or status change
-        # voter id -> (record, days since its last vote, days registered, age in years)
-        self._bias_inputs: dict[str, tuple[VoterRecord, tuple[int | None, int, float]]] = {}
+        # voter id -> (lapsed, stale, mover), the inputs of `_bias_weight`
+        self.bias_flags: dict[str, tuple[bool, bool, bool]] = {}
 
         draws = self.voter_rng.normal(0.0, 1.0, size=config.n_locales)
         pops = np.round(config.population_median * np.exp(config.population_sigma * draws))
@@ -320,7 +318,8 @@ class _Walk:
         )
 
     def _new_voters(self, locale: str, n: int, as_of: dt.date, established: bool) -> None:
-        """Sample all attribute columns at once, then assemble and add records."""
+        """Sample all attribute columns at once, derive dates, ballots and bias
+        flags as arrays over (voters x elections), then add the records."""
         rng = self.voter_rng
         age_years = rng.uniform(18.5, 94.0, size=n)
         adult_days = np.maximum(60, ((age_years - 18.0) * 365).astype(int))
@@ -344,59 +343,48 @@ class _Walk:
         never = rng.random(n) < _NEVER_VOTED_FRACTION
         propensity = rng.uniform(0.25, 0.95, size=n)
         # per-election participation draws, columns aligned with the calendar
-        turnout = rng.random((n, len(self.calendar)))
-        kind_draw = rng.random((n, len(self.calendar)))
+        turnout = rng.random((n, len(self.election_days)))
+        kind_draw = rng.random((n, len(self.election_days)))
 
-        for i in range(n):
-            birth = as_of - dt.timedelta(days=int(age_years[i] * 365.25))
-            registration = as_of - dt.timedelta(days=int(reg_days[i]))
-            party = _PARTIES[parties[i]]
-            history: tuple[VoteEvent, ...] = ()
-            if not never[i]:
-                events = []
-                for e, election in enumerate(self.calendar):
-                    if election.date <= registration or election.date >= self.config.start_date:
-                        continue
-                    if turnout[i, e] < propensity[i] * election.scale:
-                        if kind_draw[i, e] < 0.08:
-                            kind = BallotKind.PROVISIONAL
-                        elif kind_draw[i, e] < 0.30:
-                            kind = BallotKind.ABSENTEE
-                        else:
-                            kind = BallotKind.REGULAR
-                        events.append(
-                            VoteEvent(
-                                election_id=election.election_id,
-                                election_date=election.date,
-                                kind=kind,
-                                party_ballot=party if election.is_primary else None,
-                            )
-                        )
-                history = tuple(events)
-            self.issued += 1
-            rec = VoterRecord(
-                voter_id=f"V{self.issued:07d}",
-                locale=locale,
-                first_name=_FIRST_NAMES[firsts[i]],
-                middle_name="",
-                last_name=_LAST_NAMES[lasts[i]],
-                address=(
-                    str(int(houses[i])),
-                    f"{_STREETS[streets[i]]} st",
-                    "",
-                    f"{locale} city",
-                    f"5{int(zips[i]):04d}",
-                ),
-                status=_STATUSES[statuses[i]],
-                party=party,
-                gender=_GENDERS[genders[i]],
-                birth_date=birth,
-                registration_date=registration,
-                last_update_date=registration,
-                vote_history=history,
+        # days relative to the scenario start, like `election_days`
+        as_of_day = (as_of - self.config.start_date).days
+        born = as_of_day - (age_years * 365.25).astype(int)
+        registered = as_of_day - reg_days
+        voted = (
+            ~never[:, np.newaxis]
+            & (self.election_days > registered[:, np.newaxis])
+            & (self.election_days < 0)
+            & (turnout < propensity[:, np.newaxis] * self.turnout_scales)
+        )
+        rows, cols = np.nonzero(voted)  # row-major: each voter's ballots in calendar order
+        kinds = np.digitize(kind_draw[rows, cols], (0.08, 0.30))
+        ballots = self.ballots[cols, kinds, parties[rows]].tolist()
+        ends = np.cumsum(voted.sum(axis=1)).tolist()
+        histories = [tuple(ballots[a:b]) for a, b in zip([0, *ends], ends)]
+
+        # bias flags at the scenario start, fixed for good: no change type edits
+        # the vote history, registration or birth date they come from
+        since_vote = np.where(voted, -self.election_days, np.inf).min(axis=1)  # inf: no ballot
+        lapsed = np.isfinite(since_vote) & (since_vote >= 700)  # voted, but not lately
+        stale = np.isinf(since_vote) & (-registered >= 3000)  # never voted, long registered
+        mover = (since_vote < 800) & (-born / 365.25 >= 64)  # aged 64+, voted lately
+
+        start = np.datetime64(self.config.start_date, "D")
+        ids = [f"V{k:07d}" for k in range(self.issued + 1, self.issued + n + 1)]
+        self.issued += n
+        city = f"{locale} city"
+        for vid, first, last, house, street, zip_code, status, party, gender, birth, reg, history in zip(
+            ids, firsts.tolist(), lasts.tolist(), houses.tolist(), streets.tolist(), zips.tolist(),
+            statuses.tolist(), parties.tolist(), genders.tolist(),
+            (start + born).tolist(), (start + registered).tolist(), histories,
+        ):
+            self.records[vid] = VoterRecord(
+                vid, locale, _FIRST_NAMES[first], "", _LAST_NAMES[last],
+                (str(house), f"{_STREETS[street]} st", "", city, f"5{zip_code:04d}"),
+                _STATUSES[status], _PARTIES[party], _GENDERS[gender], birth, reg, reg, history,
             )
-            self.records[rec.voter_id] = rec
-            self.by_locale[locale].append(rec.voter_id)
+        self.by_locale[locale] += ids
+        self.bias_flags.update(zip(ids, zip(lapsed.tolist(), stale.tolist(), mover.tolist())))
 
     def _organic(self) -> None:
         cfg = self.config
@@ -546,43 +534,25 @@ class _Walk:
         if not pool:
             return None
         if not unbiased:
-            weights = np.array([self._bias_weight(records[vid], bias) for vid in pool])
+            weights = np.array([self._bias_weight(vid, bias) for vid in pool])
             total = float(weights.sum())
             if total > 0:
                 return pool[int(rng.choice(len(pool), p=weights / total))]
         return pool[int(rng.integers(len(pool)))]
 
-    def _bias_weight(self, rec: VoterRecord, bias: str) -> float:
-        """Demographic bias profiles making event cohorts separable by kind.
-        A record's inputs are computed once per record object: a replaced
-        record gets them afresh."""
-        entry = self._bias_inputs.get(rec.voter_id)
-        if entry is None or entry[0] is not rec:
-            as_of = self.config.start_date
-            last_vote = max((ev.election_date for ev in rec.vote_history), default=None)
-            entry = self._bias_inputs[rec.voter_id] = (rec, (
-                (as_of - last_vote).days if last_vote else None,
-                (as_of - rec.registration_date).days if rec.registration_date else 0,
-                (as_of - rec.birth_date).days / 365.25 if rec.birth_date else 50.0,
-            ))
-        days_since_vote, reg_days, age_years = entry[1]
-
+    def _bias_weight(self, voter_id: str, bias: str) -> float:
+        """Demographic bias profiles making event cohorts separable by kind."""
+        lapsed, stale, mover = self.bias_flags[voter_id]
         if bias == "inactivity_mailing_response_processing":
-            # lapsed voters: voted before, but not in the last two years
-            if days_since_vote is not None and days_since_vote >= 700:
-                return 1.0
-            return 0.02
-        if bias == "systematic_september_maintenance":
+            favoured = lapsed  # lapsed voters: voted before, but not in the last two years
+        elif bias == "systematic_september_maintenance":
             # stale registrations that never produced a ballot or a change
-            if days_since_vote is None and reg_days >= 3000 and rec.voter_id not in self.changed:
-                return 1.0
-            return 0.02
-        if bias == "ncoa_mailings":
-            # older movers with a live voting habit
-            if age_years >= 64 and days_since_vote is not None and days_since_vote < 800:
-                return 1.0
-            return 0.02
-        return 1.0
+            favoured = stale and voter_id not in self.changed
+        elif bias == "ncoa_mailings":
+            favoured = mover  # older movers with a live voting habit
+        else:
+            return 1.0
+        return 1.0 if favoured else 0.02
 
 # --- labels ------------------------------------------------------------------
 

@@ -17,7 +17,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import vrf_sentinel
 from vrf_sentinel import cli, detectors, gbt, groupfeatures, vrf_io
@@ -343,6 +343,58 @@ def test_features_reads_only_the_reference_files_of_this_diff(pipeline, tmp_path
         "features", "--changes", str(diff / "changes.csv"), *snapshots,
         "--out", str(tmp_path / "features"),
     ) == 0
+
+
+def test_diff_manifest_digests_every_file_diff_wrote(pipeline):
+    """diff's `outputs` maps the path of changes.csv and of each voters/
+    file, one per census date, to its sha256."""
+    diff = pipeline / "diff"
+    manifest = json.loads((diff / "manifest.json").read_text())
+    files = [diff / "changes.csv", *sorted((diff / "voters").glob("*.csv"))]
+    assert len(files) == len(manifest["census"]) + 1
+    assert manifest["outputs"] == {
+        path.relative_to(diff).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in files
+    }
+
+
+@settings(max_examples=30)  # each example hashes the 21 snapshots twice
+@given(data=st.data())
+def test_edited_voters_file_exits_3(pipeline, data):
+    """One voters/ file truncated, with bytes inserted, with one cell
+    replaced, or deleted after `diff`: `matrix` and `features` each exit 3
+    with one line."""
+    names = sorted(path.name for path in (pipeline / "diff" / "voters").glob("*.csv"))
+    name = data.draw(st.sampled_from(names))
+    text = (pipeline / "diff" / "voters" / name).read_bytes()
+    edit = data.draw(st.sampled_from(["truncate", "insert", "cell", "delete"]))
+    if edit == "truncate":
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    elif edit == "insert":
+        at = data.draw(st.integers(0, len(text)))
+        text = text[:at] + data.draw(st.binary(min_size=1, max_size=8)) + text[at:]
+    elif edit == "cell":
+        lines = text.decode().split("\n")
+        number = data.draw(st.integers(0, len(lines) - 2))  # the last line is empty
+        cells = lines[number].split(",")
+        column = data.draw(st.integers(0, len(cells) - 1))
+        cells[column] = data.draw(st.text(max_size=6).filter(lambda cell: cell != cells[column]))
+        lines[number] = ",".join(cells)
+        text = "\n".join(lines).encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        diff = pathlib.Path(tmp) / "diff"
+        shutil.copytree(pipeline / "diff", diff)
+        if edit == "delete":
+            (diff / "voters" / name).unlink()
+        else:
+            (diff / "voters" / name).write_bytes(text)
+        for step in ("matrix", "features"):
+            err = stdio.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run(*step_argv(pipeline, step, diff, pathlib.Path(tmp) / step))
+            assert code == 3
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert "voters/ file is missing or differs" in err.getvalue()
 
 
 def read_counts(outdir):

@@ -165,6 +165,23 @@ def test_cross_locale_peak_memory_per_cell(stat):
     assert peak <= 40 * values.size
 
 
+def test_ranked_to_csv_peak_memory_per_cell(tmp_path):
+    """The ranking is written a grid row's worth of ranks at a time, so above
+    its inputs the writer holds one block's cells and lines, not arrays the
+    size of the grid (24.6 bytes a cell when it split and gathered them all
+    at once)."""
+    matrix = as_matrix(np.random.default_rng(3).random((500, 520)))
+    scored = ScoreMatrix("cl_iqr_5", matrix.values, matrix.locales, matrix.intervals, {})
+    order = det.rank_entries(matrix.values, matrix.values)
+    tracemalloc.start()
+    try:
+        det.ranked_to_csv(scored, order, str(tmp_path / "ranked.csv"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * order.size
+
+
 def test_temporal_row_spike():
     scores = det.temporal_scores(np.array([[0.0, 0.0, 0.0, 10.0, 0.0]]), "std")
     assert scores[0].argmax() == 3

@@ -235,11 +235,9 @@ def test_truncated_file_is_load_error(tmp_path):
 
 
 def test_manifest_version_mismatch_is_explicit(tmp_path):
-    x, y = separable_toy()
-    model = gbt.train(x, y, gbt.GbtConfig(n_estimators=2))
-    model.feature_manifest_version = "gfv999"
-    path = tmp_path / "model.json"
-    gbt.save_model(model, str(path))
+    path, payload = saved_payload(tmp_path)
+    payload["feature_manifest_version"] = "gfv999"
+    path.write_text(json.dumps(payload))
     with pytest.raises(ModelError, match="gfv999"):
         gbt.load_model(str(path))
 

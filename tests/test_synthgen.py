@@ -201,9 +201,29 @@ def test_poisson_calibration_chi_square():
 
 
 @pytest.fixture(scope="module")
-def labeled_truth():
-    _, truth = sg.generate_scenario(sg.labeled_scenario_config(seed=0))
-    return truth
+def labeled_run(tmp_path_factory):
+    """The labeled preset's walk at seed 0: its ground truth, and the voter
+    count and sha256 of its first and last snapshot as `write_snapshot`
+    writes them, by date."""
+    path = str(tmp_path_factory.mktemp("labeled") / "snapshot.csv")
+    digests = {}
+
+    def pin(snapshot):
+        io.write_snapshot(snapshot, path)
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        digests[snapshot.snapshot_date.isoformat()] = (len(snapshot), digest)
+
+    for snapshot, truth in sg.iter_scenario_snapshots(sg.labeled_scenario_config(seed=0)):
+        if not digests:
+            pin(snapshot)
+    pin(snapshot)
+    return truth, digests
+
+
+@pytest.fixture(scope="module")
+def labeled_truth(labeled_run):
+    return labeled_run[0]
 
 
 def test_scenario_labels_default_proportions(labeled_truth):
@@ -223,6 +243,15 @@ def test_labeled_truth_keeps_its_pinned_digest(labeled_truth):
     text = labeled_truth.to_json() + "\n"
     digest = "cbb94ab8dda477f302282f8a351614aeba220bbb6f95fe0da263f721fdb81d0c"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_labeled_snapshots_keep_their_pinned_digests(labeled_run):
+    # the first and last snapshot files of `synth --preset labeled --seed 0`:
+    # every voter of the preset is built, and every change applied, here
+    assert labeled_run[1] == {
+        "2018-06-04": (55_456, "8d95064ed9cdda79ce9460b8af6abd3ef2486f5478eecd101116f6d2c99b9958"),
+        "2018-09-24": (56_420, "5dbc424721582c942815ce92f496e5510dd3ac9f84abaa73a7ff3b3802c74660"),
+    }
 
 
 def test_scenario_labels_take_the_first_cells_of_each_cause(labeled_truth):
