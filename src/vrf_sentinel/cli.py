@@ -30,10 +30,11 @@ import resource
 import sys
 import time
 from collections import Counter
+from collections.abc import Iterator
 
 from . import __version__, vrf_io
 from .errors import DataError, FileParseError, VrfError
-from .records import ChangeType, Snapshot, election_tally
+from .records import ChangeRecord, ChangeType, Snapshot
 
 logger = logging.getLogger(__name__)
 
@@ -67,7 +68,7 @@ def _sha256(path: str) -> str:
     import hashlib  # loads OpenSSL, ~3.6 MiB of RSS that only the diff steps need
 
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def _read_record(paths: list[str], schema: vrf_io.SnapshotSchema) -> dict:
@@ -244,52 +245,48 @@ def cmd_diff(args: argparse.Namespace) -> dict:
     else:
         raise VrfError("diff needs either --snapshots or both --anterior and --posterior")
     schema = _schema(args.schema)
-    memo = vrf_io.LineMemo()  # spans the stream: a line the previous file held is not parsed again
+    stream = vrf_io.SnapshotStream(schema, strict_status=args.strict_status)
     voters = os.path.join(args.out, "voters")
     os.makedirs(voters, exist_ok=True)
-    changes, census = [], {}
-    row_issues: Counter[str] = Counter()
-    # each snapshot's reference records (`ChangeRecord.reference_date`), written
-    # once the pair after it is diffed, so at most two snapshots are held
-    held, references = None, {}
+    census, by_type, row_issues = {}, Counter(), Counter()
 
-    def write_references() -> None:
-        name = f"snapshot_{held.snapshot_date.isoformat()}.csv"
-        vrf_io.write_snapshot(Snapshot(held.snapshot_date, references), os.path.join(voters, name))
+    def write_references(date: dt.date, references: dict) -> None:
+        name = f"snapshot_{date.isoformat()}.csv"
+        vrf_io.write_snapshot(Snapshot(date, references), os.path.join(voters, name))
 
-    for path in paths:
-        issues: list[vrf_io.RowIssue] = []
-        snapshot = vrf_io.parse_snapshot(path, schema, issues=issues, memo=memo)
-        row_issues.update(issue.field for issue in issues)
-        census[snapshot.snapshot_date.isoformat()] = snapshot.locale_counts
-        if held is None:
-            elections = election_tally(snapshot.records.values())
-        else:
-            pair = vrf_io.diff_snapshots(held, snapshot, strict_status=args.strict_status)
-            changes += pair
-            later = {}
-            for change in pair:
-                if change.reference_date == held.snapshot_date:
-                    references[change.voter_id] = held.records[change.voter_id]
-                else:
-                    later[change.voter_id] = snapshot.records[change.voter_id]
-            write_references()
-            references = later
-        held = snapshot
-    write_references()
+    def pairs() -> Iterator[ChangeRecord]:
+        """Each pair's changes in file order. A snapshot's reference records
+        (`ChangeRecord.reference_date`) are written once the pair after it is diffed."""
+        references = {}
+        for path in paths:
+            issues: list[vrf_io.RowIssue] = []
+            anterior, posterior, changes = stream.read(path, issues)
+            row_issues.update(issue.field for issue in issues)
+            census[posterior.snapshot_date.isoformat()] = posterior.locale_counts
+            if anterior is not None:
+                later = {}
+                for change in changes:
+                    if change.reference_date == anterior.snapshot_date:
+                        references[change.voter_id] = anterior.records[change.voter_id]
+                    else:
+                        later[change.voter_id] = posterior.records[change.voter_id]
+                write_references(anterior.snapshot_date, references)
+                references = later
+                by_type.update(change.change_type for change in changes)
+                yield from changes
+        write_references(posterior.snapshot_date, references)
 
     changes_path = os.path.join(args.out, "changes.csv")
-    vrf_io.changes_to_csv(changes, changes_path)
-    by_type = Counter(change.change_type for change in changes)
+    vrf_io.changes_to_csv(pairs(), changes_path)
     counts = {
         "snapshots": len(paths),
         "rows": sum(sum(voters.values()) for voters in census.values()),
         "row_issues": dict(sorted(row_issues.items())),
-        "rows_reused": memo.reused,
+        "rows_reused": stream.rows_reused,
         "changes": {change_type.value: by_type[change_type] for change_type in ChangeType},
     }
     # a list keeps the elections in the order first seen, which `eligible()` follows
-    calendar = [[eid, day.isoformat(), primary, n] for eid, (day, primary, n) in elections.items()]
+    calendar = [[e, d.isoformat(), primary, n] for e, (d, primary, n) in stream.elections.items()]
     return {
         "counts": counts, "census": census, "calendar": calendar,
         "census_sha256": _census_sha256(census, calendar),

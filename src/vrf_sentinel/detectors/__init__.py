@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from ..errors import VrfError
+from ..errors import DataError, VrfError
 from .nmf import DEFAULT_K, NmfResult, nmf_factorize, nmf_residual_scores
 from .ranking import rank_entries, ranked_to_csv
 from .rpca import RpcaResult, default_lambda, rpca_decompose, rpca_scores
@@ -110,17 +110,22 @@ def score_with_method(
     (`lam`, `tol`, `max_iter`); the pooled ids fix their own settings.
     `seed` is used only by nmf; every other detector is deterministic.
     """
-    if method == "nmf":
-        return nmf_residual_scores(values, seed=seed, **overrides)
-    if method == "rpca":
-        return rpca_scores(values, **overrides)
-    pool, stat, cl_stat, width = check_method(method).groups()
-    if pool == "temporal":
-        return Scored(temporal_scores(values, stat), {"stat": stat})
-    if pool == "global":
-        return Scored(global_scores(values, stat), {"stat": stat})
-    width = int(width)
-    w = width // 2
-    return Scored(
-        cross_locale_scores(values, cl_stat, w), {"stat": cl_stat, "w": w, "width": width}
-    )
+    # an overflow warns no one: a NaN it leaves is refused below, and ±inf ranks
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "nmf":
+            scored = nmf_residual_scores(values, seed=seed, **overrides)
+        elif method == "rpca":
+            scored = rpca_scores(values, **overrides)
+        else:
+            pool, stat, cl_stat, width = check_method(method).groups()
+            if pool == "temporal":
+                scored = Scored(temporal_scores(values, stat), {"stat": stat})
+            elif pool == "global":
+                scored = Scored(global_scores(values, stat), {"stat": stat})
+            else:
+                w = int(width) // 2
+                params = {"stat": cl_stat, "w": w, "width": int(width)}
+                scored = Scored(cross_locale_scores(values, cl_stat, w), params)
+    if np.isnan(scored.scores).any():  # a NaN has no place in a ranking
+        raise DataError(f"detector {method} scored NaN on this matrix, so it cannot rank it")
+    return scored

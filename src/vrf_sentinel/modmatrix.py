@@ -299,8 +299,9 @@ def csv_to_matrix(path: str) -> ModificationMatrix:
         change_type = ChangeType(type_token)
     except ValueError:
         raise FileParseError(f"{path}: unknown change type {type_token!r} in the corner") from None
-    if np.any(values < 0):
-        raise FileParseError(f"{path}: negative values in matrix body")
+    # below 1e150 the squares a pooled detector sums stay finite
+    if not np.all((values >= 0) & (values < 1e150)):
+        raise FileParseError(f"{path}: matrix values must lie in [0, 1e150)")
     # finite whole numbers within int64 only, so the cast is exact and silent
     for counts in (raw, pops):
         if not np.all((np.abs(counts) < 2.0**63) & (np.floor(counts) == counts)):

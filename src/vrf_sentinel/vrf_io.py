@@ -10,7 +10,7 @@ import os
 import re
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from operator import attrgetter, itemgetter
 
 from .errors import FileParseError, IntegrityError, SchemaError, VrfError
@@ -25,6 +25,7 @@ from .records import (
     VoteEvent,
     VoterRecord,
     VoterStatus,
+    election_tally,
     normalize_text,
 )
 
@@ -123,15 +124,12 @@ class RowIssue:
 
 def _memo_date(text: str, memo: dict[str, dt.date]) -> dt.date:
     """ISO date of a stripped cell; parsed dates are remembered in `memo`."""
-    try:
-        return memo[text]
-    except KeyError:
-        pass
-    try:
-        date = dt.date.fromisoformat(text)
-    except ValueError:
-        raise ValueError(f"bad date {text!r}") from None
-    memo[text] = date
+    date = memo.get(text)
+    if date is None:
+        try:
+            date = memo[text] = dt.date.fromisoformat(text)
+        except ValueError:
+            raise ValueError(f"bad date {text!r}") from None
     return date
 
 
@@ -144,12 +142,7 @@ def _vote_event(token: str, dates: dict[str, dt.date]) -> VoteEvent:
         kind = BallotKind(kind_text)
     except ValueError:
         raise ValueError(f"unknown ballot kind {kind_text!r}") from None
-    return VoteEvent(
-        election_id=election_id,
-        election_date=_memo_date(date_text, dates),
-        kind=kind,
-        party_ballot=party or None,
-    )
+    return VoteEvent(election_id, _memo_date(date_text, dates), kind, party or None)
 
 
 def _memo_history(
@@ -164,10 +157,9 @@ def _memo_history(
     (same elections), so decoded histories and events are remembered in
     `memo` and `events`; VoteEvent is immutable and safe to share.
     """
-    try:
-        return memo[cell]
-    except KeyError:
-        pass
+    decoded = memo.get(cell)
+    if decoded is not None:
+        return decoded
     history = []
     for token in cell.split(";") if cell else ():
         event = events.get(token)
@@ -223,34 +215,47 @@ def format_vote_history(history: tuple[VoteEvent, ...]) -> str:
     )
 
 
-@dataclass
-class LineMemo:
-    """The valid one-line rows of the last file a snapshot stream parsed.
+_STATUSES = {s.value: s for s in VoterStatus}
 
-    `rows` maps a raw line to `(record, line)`: its parse under `scope`,
-    that file's header and schema, and the line itself, so that a line two
-    files share is held once. `parse_snapshot` reuses an entry for a
-    byte-identical line of the next file, then replaces `rows` with that
-    file's own, so the memo never outgrows one file. `reused` counts the
-    lines served from it so far.
+
+class _Rows:
+    """The records of an open snapshot file, whose header it reads and checks.
+
+    `record(line, lineno, issues)` parses the record that starts at `line`,
+    or appends its row's issue to `issues` and returns None. csv reads it
+    through this object: `line`, then, for a record that goes on past it (a
+    quoted field spanning lines, or one the file ends inside), further lines
+    of the file, noting that in `pulled`.
     """
 
-    scope: tuple | None = None
-    rows: dict[str, tuple[VoterRecord, str]] = field(default_factory=dict)
-    reused: int = 0
-
-
-class _LineFeed:
-    """Source of csv.reader: the line the parse loop hands it, then, for a
-    record that goes on past it (a quoted field spanning lines, or one the
-    file ends inside), further lines of the file, noting that in `pulled`."""
-
-    def __init__(self, lines: Iterator[str]) -> None:
-        self.lines = lines
+    def __init__(self, path: str, schema: SnapshotSchema, fh: Iterator[str]) -> None:
+        self.path, self.lines = path, fh
         self.line: str | None = None
         self.pulled = False
+        reader = csv.reader(self, delimiter=schema.delimiter)
+        self.dialect = reader.dialect
+        try:
+            header = next(reader, None) or []
+        except csv.Error as exc:
+            raise FileParseError(f"{path}:1: {exc}") from None
+        for logical in REQUIRED_FIELDS:
+            if schema.columns[logical] not in header:
+                raise SchemaError(
+                    f"{path}: missing required column {schema.columns[logical]!r} "
+                    f"(logical field {logical!r})"
+                )
+        # under another header or schema an identical line holds other fields
+        self.scope = (tuple(header), schema)
+        position = {name: i for i, name in enumerate(header)}
+        # every logical field in one getter; unmapped fields read index -1,
+        # the "" appended to each row
+        self.fields = itemgetter(*(position.get(schema.columns.get(f), -1) for f in LOGICAL_FIELDS))
+        self.pad = [""] * len(header)
+        self.dates: dict[str, dt.date] = {}
+        self.histories: dict[str, tuple[VoteEvent, ...]] = {}
+        self.events: dict[str, VoteEvent] = {}
 
-    def __iter__(self) -> _LineFeed:
+    def __iter__(self) -> _Rows:
         return self
 
     def __next__(self) -> str:
@@ -261,147 +266,169 @@ class _LineFeed:
         self.line = None
         return line
 
+    def record(self, line: str, lineno: int, issues: list[RowIssue]) -> VoterRecord | None:
+        self.line, self.pulled = line, False
+        try:  # csv yields a record for any line; a reader per record keeps `self` out of a cycle
+            row = next(csv.reader(self, self.dialect))
+        except csv.Error as exc:  # e.g. a stray quote running past the field limit
+            raise FileParseError(f"{self.path}:{lineno}: {exc}") from None
+        if len(row) < len(self.pad):
+            row += self.pad[len(row):]
+        row.append("")
+        (voter_id, locale, status_text, first, middle, last, house, street, unit,
+         city, zip_code, party, gender, birth, registered, updated,
+         history) = map(str.strip, self.fields(row))
+        if not voter_id:
+            issues.append(RowIssue(lineno, "voter_id", "empty voter_id"))
+            return None
+        if not locale:
+            issues.append(RowIssue(lineno, "locale", "empty locale"))
+            return None
+        status = _STATUSES.get(status_text.casefold())
+        if status is None:
+            issues.append(RowIssue(lineno, "status", f"unknown status {status_text!r}"))
+            return None
+        dates = self.dates
+        try:
+            birth_date = _memo_date(birth, dates) if birth else None
+            registration_date = _memo_date(registered, dates) if registered else None
+            last_update_date = _memo_date(updated, dates) if updated else None
+            vote_history = _memo_history(history, self.histories, self.events, dates)
+        except ValueError as exc:
+            issues.append(RowIssue(lineno, "-", f"{self.path}:{lineno}: {exc}"))
+            return None
+        # positional, in field order: keywords cost a third more here
+        return VoterRecord(
+            voter_id, locale, first, middle, last,
+            (house, street, unit, city, zip_code), status, party, gender,
+            birth_date, registration_date, last_update_date, vote_history,
+        )
+
 
 def parse_snapshot(
     path: str,
     schema: SnapshotSchema,
     snapshot_date: dt.date | None = None,
     issues: list[RowIssue] | None = None,
-    memo: LineMemo | None = None,
 ) -> Snapshot:
-    """Parse a delimited snapshot file into a Snapshot.
+    """Parse a delimited snapshot file into a Snapshot: the first read of a
+    `SnapshotStream`, keeping its records.
 
     Every row is validated. Rows whose fields cannot be parsed are appended
     to `issues` (and summarized in one warning) rather than silently
     dropped; their line numbers count records, the header being 1.
     Duplicate voter ids among the valid rows abort with an IntegrityError
     naming the offenders.
-
-    A `memo` shared along a stream of files lets a line byte-identical to a
-    valid one-line row of the previous file take that row's record instead
-    of being split and validated again, when both files have the same
-    header and schema (otherwise the memo starts empty). A reused row still
-    counts in `locale_counts` and in duplicate detection. Malformed rows
-    and rows spanning lines are never reused.
     """
-    date = snapshot_date or schema.snapshot_date or _date_from_filename(path)
-    if issues is None:
-        issues = []
-    if memo is None:
-        memo = LineMemo()
-    first_issue = len(issues)
-    records: dict[str, VoterRecord] = {}
-    counts: dict[str, int] = {}
-    duplicates: list[str] = []
-    status_map = {s.value: s for s in VoterStatus}
-    dates: dict[str, dt.date] = {}
-    histories: dict[str, tuple[VoteEvent, ...]] = {}
-    events: dict[str, VoteEvent] = {}
-    parsed: dict[str, tuple[VoterRecord, str]] = {}
-    reused = 0
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            feed = _LineFeed(fh)
-            reader = csv.reader(feed, delimiter=schema.delimiter)
-            try:
-                header = next(reader, None) or []
-            except csv.Error as exc:
-                raise FileParseError(f"{path}:1: {exc}") from None
-            for logical in REQUIRED_FIELDS:
-                if schema.columns[logical] not in header:
-                    raise SchemaError(
-                        f"{path}: missing required column {schema.columns[logical]!r} "
-                        f"(logical field {logical!r})"
-                    )
-            # under another header or schema an identical line holds other fields
-            scope = (tuple(header), schema)
-            previous = memo.rows if memo.scope == scope else {}
-            position = {name: i for i, name in enumerate(header)}
-            # every logical field in one getter; unmapped fields read index -1,
-            # the "" appended to each row
-            fields = itemgetter(*(position.get(schema.columns.get(f), -1) for f in LOGICAL_FIELDS))
-            width = len(header)
-            pad = [""] * width
+    if snapshot_date:
+        schema = replace(schema, snapshot_date=snapshot_date)
+    return SnapshotStream(schema).read(path, [] if issues is None else issues, keep=True)[1]
 
-            # one iteration per record: the feed pulls the further lines of a
-            # record that spans several
-            for lineno, line in enumerate(fh, start=2):
-                entry = previous.get(line)
-                if entry is not None:
-                    # `line` becomes the previous file's copy: one copy stays alive
-                    record, line = entry
-                    voter_id, locale = record.voter_id, record.locale
-                    parsed[line] = entry
-                    reused += 1
+
+class SnapshotStream:
+    """Snapshot files read in turn, each diffed against the one before,
+    holding lines, not records.
+
+    Of the last file read it holds a map from each valid one-line row's
+    text to its voter id, the records of its valid rows that span lines,
+    its voter ids and its census. A byte-identical line of the next file
+    under the same header and schema is found in that map and builds no
+    record (`rows_reused` counts them). Every other line is parsed at its
+    own record number, so each row issue keeps its line and message. The
+    lines of the last file left over were removed: they are parsed under
+    that file's header and schema. Only the voters on removed and added
+    lines can differ, so only they are diffed, and the census and voter
+    ids are updated from them alone. After an error the stream is spent.
+    """
+
+    def __init__(self, schema: SnapshotSchema, strict_status: bool = False) -> None:
+        self.schema, self.strict_status = schema, strict_status
+        # of the last file: its rows, date, census, line map and rows spanning lines, voter ids
+        self.rows: _Rows | None = None
+        self.date: dt.date | None = None
+        self.census: dict[str, int] = {}
+        self.lines: dict[str, str] = {}
+        self.spanning: dict[str, VoterRecord] = {}
+        self.ids: set[str] = set()
+        self.elections: dict[str, tuple[dt.date, bool, int]] = {}
+        self.rows_reused = 0
+
+    def read(
+        self, path: str, issues: list[RowIssue], keep: bool = False
+    ) -> tuple[Snapshot | None, Snapshot, list[ChangeRecord]]:
+        """Read the next file, appending its row issues to `issues`. Returns
+        the records of the voters on the lines it removed, as of the last
+        file (None for the first file); those on the lines it added, with
+        its whole census; and `diff_snapshots` of the two, equal to that of
+        the whole files. Unless `keep` is set, the first file's records are
+        tallied into `elections` (as `election_tally` does) and dropped."""
+        date = self.schema.snapshot_date or _date_from_filename(path)
+        first_issue = len(issues)
+        # this file's census, line map and rows spanning lines; the ids its parsed rows add
+        census, lines, spanning, seen, duplicates = dict(self.census), {}, {}, set(), []
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = _Rows(path, self.schema, fh)
+                held = self.lines if self.rows and self.rows.scope == rows.scope else {}
+                before = len(held)
+
+                def records() -> Iterator[VoterRecord]:
+                    """The valid rows not held from the last file, each voter id's first."""
+                    for lineno, line in enumerate(fh, start=2):
+                        voter_id = held.pop(line, None)
+                        if voter_id is not None:
+                            lines[line] = voter_id
+                            continue
+                        record = rows.record(line, lineno, issues)
+                        if record is None:
+                            continue
+                        if record.voter_id in seen:
+                            duplicates.append(record.voter_id)
+                            continue
+                        seen.add(record.voter_id)
+                        census[record.locale] = census.get(record.locale, 0) + 1
+                        if rows.pulled:
+                            spanning[record.voter_id] = record
+                        else:
+                            lines[line] = record.voter_id
+                        yield record
+
+                if self.rows is None and not keep:
+                    self.elections, added = election_tally(records()), {}
                 else:
-                    feed.line, feed.pulled = line, False
-                    try:  # csv yields a record for any line it is handed
-                        row = next(reader)
-                    except csv.Error as exc:  # e.g. a stray quote running past the field limit
-                        raise FileParseError(f"{path}:{lineno}: {exc}") from None
-                    if len(row) < width:
-                        row += pad[len(row):]
-                    row.append("")
-                    (voter_id, locale, status_text, first, middle, last, house, street, unit,
-                     city, zip_code, party, gender, birth, registered, updated,
-                     history) = map(str.strip, fields(row))
-                    if not voter_id:
-                        issues.append(RowIssue(lineno, "voter_id", "empty voter_id"))
-                        continue
-                    if not locale:
-                        issues.append(RowIssue(lineno, "locale", "empty locale"))
-                        continue
-                    status = status_map.get(status_text.casefold())
-                    if status is None:
-                        issues.append(RowIssue(lineno, "status", f"unknown status {status_text!r}"))
-                        continue
-                    try:
-                        birth_date = _memo_date(birth, dates) if birth else None
-                        registration_date = _memo_date(registered, dates) if registered else None
-                        last_update_date = _memo_date(updated, dates) if updated else None
-                        vote_history = _memo_history(history, histories, events, dates)
-                    except ValueError as exc:
-                        issues.append(RowIssue(lineno, "-", f"{path}:{lineno}: {exc}"))
-                        continue
-                    # positional, in field order: keywords cost a third more here
-                    record = VoterRecord(
-                        voter_id, locale, first, middle, last,
-                        (house, street, unit, city, zip_code), status, party, gender,
-                        birth_date, registration_date, last_update_date, vote_history,
-                    )
-                    if not feed.pulled:  # the record ended with its own line
-                        parsed[line] = (record, line)
-                if voter_id in records:
-                    duplicates.append(voter_id)
-                    continue
-                counts[locale] = counts.get(locale, 0) + 1
-                records[voter_id] = record
-    except UnicodeDecodeError as exc:
-        raise FileParseError(f"{path}: not utf-8 text ({exc})") from None
-
-    memo.scope, memo.rows = scope, parsed
-    memo.reused += reused
-    if duplicates:
-        raise IntegrityError(
-            f"{path}: duplicate voter_id values: {', '.join(sorted(set(duplicates)))}"
-        )
-    _log_issues(path, issues[first_issue:])
-    return Snapshot(snapshot_date=date, records=records, locale_counts=counts)
-
-
-def _log_issues(path: str, issues: list[RowIssue]) -> None:
-    """One warning for a file's dropped rows: counts by field and the first
-    few line numbers; the `issues` list keeps every row."""
-    if not issues:
-        return
-    by_field = Counter(issue.field for issue in issues)
-    logger.warning(
-        "%s: dropped %d malformed rows (%s); first at lines %s",
-        path,
-        len(issues),
-        ", ".join(f"{field} {n}" for field, n in by_field.items()),
-        ", ".join(str(issue.line) for issue in issues[:5]),
-    )
+                    added = {record.voter_id: record for record in records()}
+        except UnicodeDecodeError as exc:
+            raise FileParseError(f"{path}: not utf-8 text ({exc})") from None
+        self.rows_reused += before - len(held)
+        # the last file's rows spanning lines, and its lines left over, were removed
+        removed = self.spanning
+        for line, voter_id in self.lines.items():  # valid one-line rows: no issue, no pull
+            removed[voter_id] = self.rows.record(line, 0, issues)
+        duplicates += [v for v in seen if v in self.ids and v not in removed]
+        if duplicates:
+            raise IntegrityError(
+                f"{path}: duplicate voter_id values: {', '.join(sorted(set(duplicates)))}"
+            )
+        mine = issues[first_issue:]
+        if mine:  # one warning for the file's dropped rows; `issues` keeps each
+            fields = Counter(issue.field for issue in mine).items()
+            logger.warning("%s: dropped %d malformed rows (%s); first at lines %s", path, len(mine),
+                           ", ".join(f"{field} {n}" for field, n in fields),
+                           ", ".join(str(issue.line) for issue in mine[:5]))
+        for record in removed.values():
+            census[record.locale] -= 1
+            if not census[record.locale]:
+                del census[record.locale]
+        self.ids.difference_update(removed)
+        self.ids.update(seen)
+        posterior = Snapshot(date, added, census)
+        anterior, changes = None, []
+        if self.rows is not None:
+            anterior = Snapshot(self.date, removed, {})
+            changes = diff_snapshots(anterior, posterior, self.strict_status)
+        self.rows, self.lines, self.spanning, self.census, self.date = (
+            rows, lines, spanning, census, date)
+        return anterior, posterior, changes
 
 
 def _date_from_filename(path: str) -> dt.date:
@@ -559,7 +586,7 @@ CHANGE_CSV_COLUMNS = (
 )
 
 
-def changes_to_csv(changes: list[ChangeRecord], path: str) -> None:
+def changes_to_csv(changes: Iterable[ChangeRecord], path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(csv_line(CHANGE_CSV_COLUMNS))
         fh.writelines(

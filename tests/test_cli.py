@@ -7,6 +7,7 @@ import hashlib
 import io as stdio
 import json
 import logging
+import math
 import os
 import pathlib
 import shutil
@@ -16,6 +17,7 @@ import tempfile
 import weakref
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -62,8 +64,8 @@ def test_synth_writes_expected_artifacts(pipeline):
 
 @pytest.mark.parametrize("step", ["diff", "matrix", "features"])
 def test_steps_hold_at_most_two_snapshots(pipeline, tmp_path, monkeypatch, step):
-    """diff parses the 21 input snapshots, features the 21 reference files
-    diff wrote, and matrix nothing; each holds at most two at a time."""
+    """features parses the 21 reference files diff wrote, one at a time;
+    diff (which holds lines, not records) and matrix parse no whole file."""
     parse = vrf_io.parse_snapshot
     parsed, alive = [], []
     most_alive = 0
@@ -89,7 +91,7 @@ def test_steps_hold_at_most_two_snapshots(pipeline, tmp_path, monkeypatch, step)
         step, "--snapshots", str(synth / "snapshots"), "--schema", str(synth / "schema.cfg"),
         *extra, "--out", str(tmp_path),
     ) == 0
-    read = {"diff": synth / "snapshots", "features": pipeline / "diff" / "voters"}.get(step)
+    read = {"features": pipeline / "diff" / "voters"}.get(step)
     assert parsed == ([str(read)] * 21 if read else [])
     assert most_alive <= 2
 
@@ -443,6 +445,54 @@ def test_diff_manifest_counts_row_issues_by_field(tmp_path):
         "row_issues": {"locale": 2, "status": 1, "voter_id": 1},
         "changes": {ct.value: 0 for ct in ChangeType},
     }
+
+
+def test_diff_reports_an_unchanged_malformed_row_in_each_file_at_its_line(tmp_path, caplog):
+    snapshots = tmp_path / "snapshots"
+    snapshots.mkdir()
+    header, bad = "voter_id,locale,status\n", "A9,polk,retired\n"
+    (snapshots / "snapshot_2019-01-03.csv").write_text(header + "A1,polk,active\n" + bad)
+    # two lines inserted above the unchanged bad row
+    (snapshots / "snapshot_2019-01-10.csv").write_text(
+        header + "A2,story,active\nA3,story,active\nA1,polk,active\n" + bad
+    )
+    with caplog.at_level(logging.WARNING, logger="vrf_sentinel.vrf_io"):
+        assert run("diff", "--snapshots", str(snapshots), "--out", str(tmp_path / "diff")) == 0
+    first, second = (record.getMessage() for record in caplog.records)
+    assert first.endswith("snapshot_2019-01-03.csv: dropped 1 malformed rows (status 1); "
+                          "first at lines 3")
+    assert second.endswith("snapshot_2019-01-10.csv: dropped 1 malformed rows (status 1); "
+                           "first at lines 5")
+    assert read_counts(tmp_path / "diff")["row_issues"] == {"status": 2}
+
+
+def test_diff_memory_stays_flat_in_the_number_of_snapshots(pipeline, tmp_path):
+    """diff's tracemalloc peak over 12 snapshots stays within 10% of its
+    peak over 6. The files alternate between the first and the last
+    snapshot of the walk, so each pair holds every change of the walk:
+    a diff that kept each pair's changes to the end would grow with them."""
+    import tracemalloc
+
+    synth = pipeline / "synth"
+    first, *_, last = sorted((synth / "snapshots").glob("snapshot_*.csv"))
+    start = dt.date.fromisoformat(first.stem.removeprefix("snapshot_"))
+
+    def peak(count):
+        snapshots = tmp_path / f"snapshots_{count}"
+        snapshots.mkdir()
+        for k in range(count):
+            name = f"snapshot_{start + dt.timedelta(weeks=k)}.csv"
+            shutil.copy((first, last)[k % 2], snapshots / name)
+        tracemalloc.start()
+        try:
+            assert run("diff", "--snapshots", str(snapshots), "--schema",
+                       str(synth / "schema.cfg"), "--out", str(tmp_path / f"diff_{count}")) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    single, twice = peak(6), peak(12)
+    assert twice <= 1.1 * single, (single, twice)
 
 
 def test_predictions_csv_quotes_locale_text(tmp_path):
@@ -1228,6 +1278,89 @@ PINNED_DIGESTS = {
     "synth/snapshots/snapshot_2018-10-15.csv": "a700ec0a2d532f7d8078242f472b4a65b74c1b9020cdc5ecb0f39f1a0223268a",
     "synth/snapshots/snapshot_2018-10-22.csv": "d3493b9056a8473c26564e1bc6cb7d79dbcd05ebec5428e17888d57b16955c27",
 }
+
+
+# cell magnitudes from subnormal to the float maximum, most of them far
+# outside any rate of changes per day per 1000 voters
+EXTREME_VALUES = st.one_of(
+    st.floats(0.0, 1e-300), st.floats(0.0, 1e160), st.floats(1e100, 1.7976931348623157e308)
+)
+POOLED_ORACLES = {
+    "temporal_std": lambda v: oracles.bf_temporal(v, "std"),
+    "temporal_iqr": lambda v: oracles.bf_temporal(v, "iqr"),
+    "cl_std": lambda v: oracles.bf_cross_locale(v, "std", 2),
+    "cl_iqr": lambda v: oracles.bf_cross_locale(v, "iqr", 2),
+    "global_std": lambda v: oracles.bf_global(v, "std"),
+    "global_iqr": lambda v: oracles.bf_global(v, "iqr"),
+}
+
+
+@settings(max_examples=40)
+@given(
+    method=st.sampled_from(["nmf", "rpca", *POOLED_ORACLES]),
+    cells=st.dictionaries(st.tuples(st.integers(0, 11), st.integers(0, 19)), EXTREME_VALUES,
+                          min_size=1, max_size=3),
+)
+def test_extreme_matrix_values_rank_as_the_oracle_or_exit_3(pipeline, method, cells):
+    """A few value cells of the matrix set to extreme magnitudes: detect
+    exits 0 with a top cell the brute-force oracle scores highest (for nmf
+    and rpca, which have none, the highest of its own NaN-free scores), or
+    3 with one line; so does evaluate, with precisions in [0, 1]."""
+    from vrf_sentinel import modmatrix
+
+    lines = (pipeline / "matrix" / "matrix_deactivation.csv").read_text().splitlines(True)
+    for (i, j), value in cells.items():  # the values block is lines 1-12
+        row = lines[1 + i].rstrip("\n").split(",")
+        row[1 + j] = repr(value)
+        lines[1 + i] = ",".join(row) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        matrix = os.path.join(tmp, "matrix_deactivation.csv")
+        pathlib.Path(matrix).write_text("".join(lines))
+        for step in ("detect", "evaluate"):
+            option = ["--method", method] if step == "detect" else ["--methods", method]
+            if step == "evaluate" and method in ("cl_std", "cl_iqr"):
+                option = ["--methods", f"{method}_5", "--grid-points", "3"]
+            elif step == "evaluate":
+                option += ["--grid-points", "3"]
+            out, err = os.path.join(tmp, step), stdio.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run(step, "--matrix", matrix, *option, "--out", out)
+            assert code in (0, 3)
+            if code == 3:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+                assert max(cells.values()) >= 1e150 or "NaN" in err.getvalue()
+                continue
+            if step == "evaluate":
+                with open(os.path.join(out, "sweep_deactivation.csv"), newline="") as fh:
+                    assert all(0 <= float(p) <= 1 for _, _, p in list(csv.reader(fh))[1:])
+                continue
+            grid = modmatrix.csv_to_matrix(matrix)
+            name = f"{method}_5" if method in ("cl_std", "cl_iqr") else method
+            with open(os.path.join(out, f"ranked_{name}.csv"), newline="") as fh:
+                _, (_, locale, start, _), *_ = csv.reader(fh)
+            top = (grid.locales.index(locale),
+                   [iv.start.isoformat() for iv in grid.intervals].index(start))
+            values = grid.values.tolist()
+            if method in POOLED_ORACLES:
+                scores = POOLED_ORACLES[method](values)
+            else:
+                scores = detectors.scores_from_csv(os.path.join(out, f"scores_{name}.csv"))
+                scores = scores.scores.tolist()
+                assert not np.isnan(scores).any()
+            best = divmod(oracles.bf_rank(scores, values)[0], len(values[0]))
+            assert top == best or math.isclose(scores[top[0]][top[1]], scores[best[0]][best[1]],
+                                               rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("step", ["detect", "evaluate"])
+def test_nan_score_grid_exits_3_naming_the_method(pipeline, tmp_path, monkeypatch, capsys, step):
+    monkeypatch.setattr(detectors, "global_scores", lambda values, stat: np.full(values.shape, np.nan))
+    option = ["--method"] if step == "detect" else ["--grid-points", "3", "--methods"]
+    assert run(step, "--matrix", str(pipeline / "matrix" / "matrix_deactivation.csv"),
+               *option, "global_std", "--out", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: detector global_std scored NaN") and err.count("\n") == 1
+    assert os.listdir(tmp_path / "out") == []
 
 
 def test_chain_artifacts_keep_their_pinned_digests(tmp_path):

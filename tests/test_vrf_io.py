@@ -8,7 +8,7 @@ import pathlib
 import tempfile
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import oracles
 import vrf_sentinel.synthgen as sg
@@ -685,7 +685,7 @@ def test_case_and_whitespace_edits_have_no_changes(voters, data):
     assert io.diff_snapshots(snap(D1, *voters), snap(D2, *edited)) == []
 
 
-# --- line reuse along a stream -------------------------------------------------
+# --- diffing a stream of files ------------------------------------------------
 
 
 def write_named(tmp_path, name, text):
@@ -694,54 +694,70 @@ def write_named(tmp_path, name, text):
     return str(path)
 
 
-def parse_stream(paths, schema):
-    """Each file parsed through one shared memo, as the CLI streams do, and
-    each parsed alone; both as (records, locale_counts, issues) or the
-    IntegrityError text."""
-    memo = io.LineMemo()
-
-    def outcome(path, memo):
-        issues = []
+def read_stream(paths, schema):
+    """The files read through one SnapshotStream, as `diff` reads them,
+    each checked against the file parsed alone and diffed against the one
+    before: census, row issues (line, field, message), IntegrityError text
+    and changes, and the stream's records are the whole files' records.
+    Returns the stream and what each read returned, up to the first error."""
+    stream, reads, last = io.SnapshotStream(schema), [], None
+    for path in paths:
+        issues, streamed_issues = [], []
         try:
-            snapshot = io.parse_snapshot(path, schema, issues=issues, memo=memo)
+            whole = io.parse_snapshot(path, schema, issues=issues)
         except IntegrityError as exc:
-            return str(exc)
-        return snapshot.records, snapshot.locale_counts, issues
+            whole = str(exc)
+        try:
+            anterior, posterior, changes = stream.read(path, streamed_issues)
+        except IntegrityError as exc:
+            assert (str(exc), streamed_issues) == (whole, issues)
+            break
+        assert streamed_issues == issues
+        assert posterior.locale_counts == whole.locale_counts
+        assert changes == (io.diff_snapshots(last, whole) if last is not None else [])
+        assert all(whole.records[v] == record for v, record in posterior.records.items())
+        if last is not None:
+            assert all(last.records[v] == record for v, record in anterior.records.items())
+        reads.append((anterior, posterior, changes))
+        last = whole
+    return stream, reads
 
-    streamed = [outcome(p, memo) for p in paths]
-    alone = [outcome(p, None) for p in paths]
-    return streamed, alone, memo
 
-
-def test_reordered_header_drops_the_memo(tmp_path):
+def test_reordered_header_counts_every_line_removed(tmp_path):
     line = "A1,polk,active,ada,barnes,democrat\n"
     first = write_named(tmp_path, "snapshot_2019-01-03.csv",
                         "voter_id,locale,status,first_name,last_name,party\n" + line)
     # the same line under swapped voter_id and locale columns
     second = write_named(tmp_path, "snapshot_2019-01-10.csv",
                          "locale,voter_id,status,first_name,last_name,party\n" + line)
-    streamed, alone, memo = parse_stream([first, second], simple_schema())
-    assert streamed == alone
-    records, counts, _ = streamed[1]
-    assert set(records) == {"polk"} and counts == {"A1": 1}
-    assert memo.reused == 0
+    stream, reads = read_stream([first, second], simple_schema())
+    anterior, posterior, changes = reads[1]
+    assert set(anterior.records) == {"A1"} and set(posterior.records) == {"polk"}
+    assert posterior.locale_counts == {"A1": 1}
+    assert [c.change_type for c in changes] == [ChangeType.REMOVAL, ChangeType.REGISTRATION]
+    assert stream.rows_reused == 0
 
 
 def test_identical_lines_are_reused(tmp_path):
+    """A line the previous file held is not parsed again: it counts in
+    `rows_reused` and builds no record; only a changed line is parsed."""
     rows = ["A1,polk,active,ada,barnes,democrat\n", "A2,story,inactive,bea,calder,\n"]
-    paths = [write_snapshot_file(tmp_path, rows, name=f"snapshot_2019-01-0{d}.csv")
-             for d in (3, 4)]
-    streamed, alone, memo = parse_stream(paths, simple_schema())
-    assert streamed == alone
-    assert memo.reused == 2
-    # the second file's records are the first file's objects
-    assert all(streamed[1][0][k] is streamed[0][0][k] for k in ("A1", "A2"))
+    edited = [rows[0], "A2,story,active,bea,calder,\n"]
+    paths = [write_snapshot_file(tmp_path, r, name=f"snapshot_2019-01-0{d}.csv")
+             for d, r in ((3, rows), (4, rows), (5, edited))]
+    stream, reads = read_stream(paths, simple_schema())
+    (_, first, _), (_, second, same), (_, third, changes) = reads
+    assert first.records == {} and second.records == {} and same == []
+    assert set(third.records) == {"A2"} and second.locale_counts == {"polk": 1, "story": 1}
+    assert [c.change_type for c in changes] == [ChangeType.ACTIVATION]
+    assert stream.rows_reused == 3
 
 
 STREAM_COLUMNS = ("voter_id", "locale", "status", "birth_date", "vote_history")
 STREAM_SCHEMA = io.SnapshotSchema(columns={c: c for c in STREAM_COLUMNS})
 # Raw lines in STREAM_COLUMNS order; a header permutation gives them other
-# meanings. Some span two lines, some open a quote that runs on.
+# meanings. Some span two lines, some open a quote that runs on, one ends
+# in a bare carriage return.
 STREAM_LINES = (
     "A1,polk,active,1970-01-02,e1|2018-11-06|regular|\n",
     "A1,story,inactive,,\n",
@@ -760,6 +776,7 @@ STREAM_LINES = (
     ",polk,active,,\n",
     "Ä12,pölk,Active,,\n",
     "A13,story,active,1980-05-06,e2|2018-06-05|mail|\n",
+    "A15,story,active,,\r",
 )
 
 
@@ -770,11 +787,11 @@ def test_record_the_file_ends_inside_is_not_reused(tmp_path):
     first = write_named(tmp_path, "snapshot_2019-01-03.csv", header + line)
     # ... but runs on into the next line of the second
     second = write_named(tmp_path, "snapshot_2019-01-10.csv", header + line + 'A15",story,active,,\n')
-    streamed, alone, memo = parse_stream([first, second], STREAM_SCHEMA)
-    assert streamed == alone
-    records, _, _ = streamed[1]
-    assert set(records) == {"A14"} and records["A14"].vote_history[0].party_ballot == "A15"
-    assert memo.reused == 0
+    stream, reads = read_stream([first, second], STREAM_SCHEMA)
+    _, posterior, _ = reads[1]
+    assert set(posterior.records) == {"A14"}
+    assert posterior.records["A14"].vote_history[0].party_ballot == "A15"
+    assert stream.rows_reused == 0
 
 
 @st.composite
@@ -800,9 +817,11 @@ def stream_files(draw):
 
 
 @given(stream_files())
+# a voter removed, then registered again: no duplicate of its old id
+@example(["voter_id,locale,status\nA1,polk,active\n", "voter_id,locale,status\n",
+          "voter_id,locale,status\nA1,story,active\n"])
 def test_stream_parse_matches_parsing_each_file_alone(files):
     with tempfile.TemporaryDirectory() as tmp:
         paths = [write_named(pathlib.Path(tmp), f"snapshot_2019-01-0{k + 1}.csv", text)
                  for k, text in enumerate(files)]
-        streamed, alone, _ = parse_stream(paths, STREAM_SCHEMA)
-    assert streamed == alone
+        read_stream(paths, STREAM_SCHEMA)
