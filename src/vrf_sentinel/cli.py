@@ -67,8 +67,11 @@ def _snapshot_paths(snapshot_dir: str) -> list[str]:
 def _sha256(path: str) -> str:
     import hashlib  # loads OpenSSL, ~3.6 MiB of RSS that only the diff steps need
 
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.file_digest(fh, "sha256").hexdigest()
+        for block in iter(lambda: fh.read(1 << 18), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _read_record(paths: list[str], schema: vrf_io.SnapshotSchema) -> dict:
@@ -245,7 +248,7 @@ def cmd_diff(args: argparse.Namespace) -> dict:
     else:
         raise VrfError("diff needs either --snapshots or both --anterior and --posterior")
     schema = _schema(args.schema)
-    stream = vrf_io.SnapshotStream(schema, strict_status=args.strict_status)
+    stream = vrf_io.SnapshotStream(schema)
     voters = os.path.join(args.out, "voters")
     os.makedirs(voters, exist_ok=True)
     census, by_type, row_issues = {}, Counter(), Counter()
@@ -260,10 +263,11 @@ def cmd_diff(args: argparse.Namespace) -> dict:
         references = {}
         for path in paths:
             issues: list[vrf_io.RowIssue] = []
-            anterior, posterior, changes = stream.read(path, issues)
+            anterior, posterior = stream.read(path, issues)
             row_issues.update(issue.field for issue in issues)
             census[posterior.snapshot_date.isoformat()] = posterior.locale_counts
             if anterior is not None:
+                changes = vrf_io.diff_snapshots(anterior, posterior, args.strict_status)
                 later = {}
                 for change in changes:
                     if change.reference_date == anterior.snapshot_date:
@@ -274,7 +278,8 @@ def cmd_diff(args: argparse.Namespace) -> dict:
                 references = later
                 by_type.update(change.change_type for change in changes)
                 yield from changes
-        write_references(posterior.snapshot_date, references)
+            del anterior, posterior  # the next read must not hold this pair's records too
+        write_references(stream.date, references)
 
     changes_path = os.path.join(args.out, "changes.csv")
     vrf_io.changes_to_csv(pairs(), changes_path)

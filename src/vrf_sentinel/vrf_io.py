@@ -124,12 +124,15 @@ class RowIssue:
 
 def _memo_date(text: str, memo: dict[str, dt.date]) -> dt.date:
     """ISO date of a stripped cell; parsed dates are remembered in `memo`."""
-    date = memo.get(text)
-    if date is None:
-        try:
-            date = memo[text] = dt.date.fromisoformat(text)
-        except ValueError:
-            raise ValueError(f"bad date {text!r}") from None
+    try:
+        return memo[text]
+    except KeyError:
+        pass
+    try:
+        date = dt.date.fromisoformat(text)
+    except ValueError:
+        raise ValueError(f"bad date {text!r}") from None
+    memo[text] = date
     return date
 
 
@@ -142,7 +145,12 @@ def _vote_event(token: str, dates: dict[str, dt.date]) -> VoteEvent:
         kind = BallotKind(kind_text)
     except ValueError:
         raise ValueError(f"unknown ballot kind {kind_text!r}") from None
-    return VoteEvent(election_id, _memo_date(date_text, dates), kind, party or None)
+    return VoteEvent(
+        election_id=election_id,
+        election_date=_memo_date(date_text, dates),
+        kind=kind,
+        party_ballot=party or None,
+    )
 
 
 def _memo_history(
@@ -157,9 +165,10 @@ def _memo_history(
     (same elections), so decoded histories and events are remembered in
     `memo` and `events`; VoteEvent is immutable and safe to share.
     """
-    decoded = memo.get(cell)
-    if decoded is not None:
-        return decoded
+    try:
+        return memo[cell]
+    except KeyError:
+        pass
     history = []
     for token in cell.split(";") if cell else ():
         event = events.get(token)
@@ -220,13 +229,11 @@ _STATUSES = {s.value: s for s in VoterStatus}
 
 class _Rows:
     """The records of an open snapshot file, whose header it reads and checks.
-
     `record(line, lineno, issues)` parses the record that starts at `line`,
     or appends its row's issue to `issues` and returns None. csv reads it
     through this object: `line`, then, for a record that goes on past it (a
     quoted field spanning lines, or one the file ends inside), further lines
-    of the file, noting that in `pulled`.
-    """
+    of the file, noting that in `pulled`."""
 
     def __init__(self, path: str, schema: SnapshotSchema, fh: Iterator[str]) -> None:
         self.path, self.lines = path, fh
@@ -326,42 +333,37 @@ def parse_snapshot(
 
 
 class SnapshotStream:
-    """Snapshot files read in turn, each diffed against the one before,
-    holding lines, not records.
-
-    Of the last file read it holds a map from each valid one-line row's
-    text to its voter id, the records of its valid rows that span lines,
-    its voter ids and its census. A byte-identical line of the next file
-    under the same header and schema is found in that map and builds no
-    record (`rows_reused` counts them). Every other line is parsed at its
-    own record number, so each row issue keeps its line and message. The
-    lines of the last file left over were removed: they are parsed under
-    that file's header and schema. Only the voters on removed and added
-    lines can differ, so only they are diffed, and the census and voter
-    ids are updated from them alone. After an error the stream is spent.
+    """Snapshot files read in turn, each against the one before, holding
+    lines, not records. A byte-identical line of the next file under the
+    same header and schema is found in a map of the last file's valid
+    one-line rows and builds no record (`rows_reused` counts them); every
+    other line is parsed at its own record number. The lines left over
+    were removed. Only the voters on removed and added lines can differ,
+    so the census and voter ids are updated from them alone. After an
+    error the stream is spent.
     """
 
-    def __init__(self, schema: SnapshotSchema, strict_status: bool = False) -> None:
-        self.schema, self.strict_status = schema, strict_status
-        # of the last file: its rows, date, census, line map and rows spanning lines, voter ids
+    def __init__(self, schema: SnapshotSchema) -> None:
+        self.schema = schema
+        # of the last file: rows, date, census, line map, records spanning lines, records parsed
         self.rows: _Rows | None = None
         self.date: dt.date | None = None
         self.census: dict[str, int] = {}
         self.lines: dict[str, str] = {}
         self.spanning: dict[str, VoterRecord] = {}
+        self.added: dict[str, VoterRecord] = {}
         self.ids: set[str] = set()
         self.elections: dict[str, tuple[dt.date, bool, int]] = {}
         self.rows_reused = 0
 
     def read(
         self, path: str, issues: list[RowIssue], keep: bool = False
-    ) -> tuple[Snapshot | None, Snapshot, list[ChangeRecord]]:
+    ) -> tuple[Snapshot | None, Snapshot]:
         """Read the next file, appending its row issues to `issues`. Returns
-        the records of the voters on the lines it removed, as of the last
-        file (None for the first file); those on the lines it added, with
-        its whole census; and `diff_snapshots` of the two, equal to that of
-        the whole files. Unless `keep` is set, the first file's records are
-        tallied into `elections` (as `election_tally` does) and dropped."""
+        the records on the lines it removed (None for the first file) and
+        on those it added, with its census: `diff_snapshots` of the two is
+        that of the whole files. Unless `keep` is set, the first file's
+        records are tallied into `elections` and dropped."""
         date = self.schema.snapshot_date or _date_from_filename(path)
         first_issue = len(issues)
         # this file's census, line map and rows spanning lines; the ids its parsed rows add
@@ -389,7 +391,7 @@ class SnapshotStream:
                         census[record.locale] = census.get(record.locale, 0) + 1
                         if rows.pulled:
                             spanning[record.voter_id] = record
-                        else:
+                        elif not keep:
                             lines[line] = record.voter_id
                         yield record
 
@@ -403,32 +405,25 @@ class SnapshotStream:
         # the last file's rows spanning lines, and its lines left over, were removed
         removed = self.spanning
         for line, voter_id in self.lines.items():  # valid one-line rows: no issue, no pull
-            removed[voter_id] = self.rows.record(line, 0, issues)
+            removed[voter_id] = self.added.get(voter_id) or self.rows.record(line, 0, issues)
         duplicates += [v for v in seen if v in self.ids and v not in removed]
         if duplicates:
-            raise IntegrityError(
-                f"{path}: duplicate voter_id values: {', '.join(sorted(set(duplicates)))}"
-            )
+            offenders = ", ".join(sorted(set(duplicates)))
+            raise IntegrityError(f"{path}: duplicate voter_id values: {offenders}")
         mine = issues[first_issue:]
         if mine:  # one warning for the file's dropped rows; `issues` keeps each
-            fields = Counter(issue.field for issue in mine).items()
+            fields = ", ".join(f"{f} {n}" for f, n in Counter(i.field for i in mine).items())
             logger.warning("%s: dropped %d malformed rows (%s); first at lines %s", path, len(mine),
-                           ", ".join(f"{field} {n}" for field, n in fields),
-                           ", ".join(str(issue.line) for issue in mine[:5]))
+                           fields, ", ".join(str(issue.line) for issue in mine[:5]))
         for record in removed.values():
             census[record.locale] -= 1
-            if not census[record.locale]:
-                del census[record.locale]
+        census = {locale: n for locale, n in census.items() if n}
         self.ids.difference_update(removed)
         self.ids.update(seen)
-        posterior = Snapshot(date, added, census)
-        anterior, changes = None, []
-        if self.rows is not None:
-            anterior = Snapshot(self.date, removed, {})
-            changes = diff_snapshots(anterior, posterior, self.strict_status)
-        self.rows, self.lines, self.spanning, self.census, self.date = (
-            rows, lines, spanning, census, date)
-        return anterior, posterior, changes
+        anterior = Snapshot(self.date, removed, {}) if self.rows else None
+        self.rows, self.lines, self.spanning, self.added, self.census, self.date = (
+            rows, lines, spanning, added, census, date)
+        return anterior, Snapshot(date, added, census)
 
 
 def _date_from_filename(path: str) -> dt.date:

@@ -708,10 +708,11 @@ def read_stream(paths, schema):
         except IntegrityError as exc:
             whole = str(exc)
         try:
-            anterior, posterior, changes = stream.read(path, streamed_issues)
+            anterior, posterior = stream.read(path, streamed_issues)
         except IntegrityError as exc:
             assert (str(exc), streamed_issues) == (whole, issues)
             break
+        changes = io.diff_snapshots(anterior, posterior) if anterior is not None else []
         assert streamed_issues == issues
         assert posterior.locale_counts == whole.locale_counts
         assert changes == (io.diff_snapshots(last, whole) if last is not None else [])
@@ -751,6 +752,26 @@ def test_identical_lines_are_reused(tmp_path):
     assert set(third.records) == {"A2"} and second.locale_counts == {"polk": 1, "story": 1}
     assert [c.change_type for c in changes] == [ChangeType.ACTIVATION]
     assert stream.rows_reused == 3
+
+
+def test_a_line_parsed_after_the_first_file_is_not_parsed_again(tmp_path, monkeypatch):
+    """When every line changes (here the columns are reordered in every
+    other file), a line parsed as added is not parsed again as removed;
+    only the first file's lines, whose records are dropped, are."""
+    calls = []
+    record = io._Rows.record
+    monkeypatch.setattr(io._Rows, "record", lambda *a: calls.append(a[2]) or record(*a))
+    header = "voter_id,locale,status,first_name,last_name,party\n"
+    rows = ["A1,polk,active,ada,barnes,democrat\n", "A2,story,inactive,bea,calder,\n"]
+    swapped = ["polk,A1,active,ada,barnes,democrat\n", "story,A2,inactive,bea,calder,\n"]
+    texts = [header + "".join(rows), "locale,voter_id" + header[15:] + "".join(swapped)] * 2
+    paths = [write_named(tmp_path, f"snapshot_2019-01-0{d}.csv", t) for d, t in enumerate(texts, 3)]
+    stream = io.SnapshotStream(simple_schema())
+    for path in paths:
+        anterior, posterior = stream.read(path, [])
+        assert anterior is None or io.diff_snapshots(anterior, posterior) == []
+    # each file's 2 lines as added, and the first file's again as removed
+    assert len(calls) == 2 * 4 + 2 and stream.rows_reused == 0
 
 
 STREAM_COLUMNS = ("voter_id", "locale", "status", "birth_date", "vote_history")
