@@ -228,7 +228,7 @@ def cmd_ingest(args: argparse.Namespace) -> dict:
     snapshot = vrf_io.parse_snapshot(
         args.snapshot,
         _schema(args.schema),
-        snapshot_date=dt.date.fromisoformat(args.date) if args.date else None,
+        snapshot_date=args.date,
         issues=issues,
     )
     _write_json(os.path.join(args.out, "ingest_summary.json"), {
@@ -390,8 +390,7 @@ def cmd_evaluate(args: argparse.Namespace) -> dict:
     options = {"fraction": args.fraction, "k": args.top_k, "grid_points": args.grid_points}
     options = {name: value for name, value in options.items() if value is not None}
     results = evalharness.gamma_sweeps(
-        matrix.values, methods, seed=args.seed, fixed_mask=args.fixed_mask, workers=workers,
-        **options,
+        matrix.values, methods, seed=args.seed, workers=workers, **options
     )
     evalharness.sweep_report(results, args.out, change_type=matrix.change_type.value)
     for result in results:
@@ -590,7 +589,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse and validate one snapshot file")
     p.add_argument("--snapshot", required=True)
     p.add_argument("--schema")
-    p.add_argument("--date")
+    p.add_argument("--date", type=dt.date.fromisoformat)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ingest)
 
@@ -632,7 +631,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fraction", type=float)
     p.add_argument("--top-k", type=int)
     p.add_argument("--grid-points", type=int)
-    p.add_argument("--fixed-mask", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)

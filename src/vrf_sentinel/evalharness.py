@@ -107,14 +107,12 @@ class _Sweep:
     fraction: float
     k: int
     seed: int
-    fixed_mask: bool
 
     def point(self, task: tuple[str, int]) -> tuple[float, int, int]:
         """Precision at k of one method at one grid point, whether its
         detector did not converge (0 or 1), and its iterations."""
         method, index = task
-        mask_seed = point_seed(self.seed, 0 if self.fixed_mask else index)
-        cells = perturbed_cells(self.values.shape, self.fraction, mask_seed)
+        cells = perturbed_cells(self.values.shape, self.fraction, point_seed(self.seed, index))
         perturbed = perturb(self.values, cells, float(self.gammas[index]))
         scores, params = score_with_method(perturbed, method, seed=self.seed)
         precision = precision_at_k(rank_entries(scores, perturbed, k=self.k), cells, self.k)
@@ -151,15 +149,13 @@ def gamma_sweeps(
     k: int = DEFAULT_TOP_K,
     grid_points: int = DEFAULT_GRID_POINTS,
     seed: int = 0,
-    fixed_mask: bool = False,
     workers: int = 1,
 ) -> list[SweepResult]:
     """Precision-vs-gamma sweeps of each method on one values grid, in
     method order.
 
-    By default each grid point draws a fresh perturbed set from a sub-seed
-    of (seed, point index); with fixed_mask the gamma=0 point's set is
-    reused everywhere. With several `workers` the points run on a fork
+    Each grid point draws a fresh perturbed set from a sub-seed of (seed,
+    point index). With several `workers` the points run on a fork
     pool, one task per (method, grid index) in order; the values grid
     reaches the workers through the fork, and each point's result does not
     depend on which process ran it. The CLI forks only from a process it
@@ -168,7 +164,7 @@ def gamma_sweeps(
     if grid_points < 2:
         raise VrfError("grid_points must be >= 2")
     gamma_max = GAMMA_SPAN_MULTIPLIER * float(np.mean(values))
-    sweep = _Sweep(values, np.linspace(0.0, gamma_max, grid_points), fraction, k, seed, fixed_mask)
+    sweep = _Sweep(values, np.linspace(0.0, gamma_max, grid_points), fraction, k, seed)
     tasks = [(method, index) for method in methods for index in range(grid_points)]
     workers = min(workers, len(tasks))
     if workers > 1:

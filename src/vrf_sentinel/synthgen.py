@@ -202,16 +202,32 @@ class GroundTruth:
 # --- scenario walk -----------------------------------------------------------
 
 _STATUS_TYPES = (ChangeType.DEACTIVATION, ChangeType.ACTIVATION)
-_ENDS = {ChangeType.REGISTRATION, ChangeType.REMOVAL}
+_BIT = {ct: 1 << i for i, ct in enumerate(ChangeType)}  # a type's bit in a voter's `touched` byte
+_ENDS = _BIT[ChangeType.REGISTRATION] | _BIT[ChangeType.REMOVAL]  # a voter's first and last change
 # The types a voter already got this interval that rule out one more change of
-# each type, so the stream matches the diff semantics: one record per (voter,
-# type), one status change per voter, and a registration or removal combines
-# with nothing else.
+# each type, as bits, so the stream matches the diff semantics: one record per
+# (voter, type), one status change per voter, and a registration or removal
+# combines with nothing else.
 _BLOCKED_BY = {
-    **{ct: _ENDS | {ct} for ct in ChangeType},
-    **dict.fromkeys(_STATUS_TYPES, _ENDS.union(_STATUS_TYPES)),
-    ChangeType.REMOVAL: set(ChangeType),
+    **{ct: _ENDS | _BIT[ct] for ct in ChangeType},
+    **dict.fromkeys(_STATUS_TYPES, _ENDS | sum(_BIT[ct] for ct in _STATUS_TYPES)),
+    ChangeType.REMOVAL: sum(_BIT.values()),
 }
+# a voter's flag bits: three bias flags fixed at creation, and whether the voter
+# ever got a field or status change
+_LAPSED, _STALE, _MOVER, _CHANGED = 1, 2, 4, 8
+# Bias profiles making event cohorts separable by kind: a biased kind's (flag
+# bits, wanted value). Its favoured voters weigh 1.0 in a pick, the rest 0.02.
+_FAVOURED = {
+    "inactivity_mailing_response_processing": (_LAPSED, _LAPSED),  # voted, but not in 2 years
+    "systematic_september_maintenance": (_STALE | _CHANGED, _STALE),  # no ballot or change ever
+    "ncoa_mailings": (_MOVER, _MOVER),  # older movers with a live voting habit
+}
+
+
+def _voter_id(num: int) -> str:
+    """Voter number `num`'s id: ids are zero-padded and issued in order from V0000001."""
+    return f"V{num + 1:07d}"
 
 
 def generate_scenario(config: ScenarioConfig) -> tuple[list[Snapshot], GroundTruth]:
@@ -279,14 +295,12 @@ class _Walk:
         ], dtype=object)
         self.dates = config.snapshot_dates()
         self.records: dict[str, VoterRecord] = {}
-        # ids are zero-padded and issued in order, so append keeps each list sorted
-        self.by_locale: dict[str, list[str]] = {code: [] for code in config.locale_codes()}
-        self.issued = 0
+        # each locale's voter numbers; numbers are issued in order, so they stay sorted
+        self.by_locale = {code: np.empty(0, dtype=np.int64) for code in config.locale_codes()}
         self.t = -1  # the interval being walked; -1 before the first
-        self.touched: dict[str, set[ChangeType]] = {}  # this interval's types per voter
-        self.changed: set[str] = set()  # voters that ever got a field or status change
-        # voter id -> (lapsed, stale, mover), the inputs of `_bias_weight`
-        self.bias_flags: dict[str, tuple[bool, bool, bool]] = {}
+        # one byte per voter number: its `_STATUSES` index, this interval's
+        # change type bits, and its flag bits
+        self.status, self.touched, self.flags = bytearray(), bytearray(), bytearray()
 
         draws = self.voter_rng.normal(0.0, 1.0, size=config.n_locales)
         pops = np.round(config.population_median * np.exp(config.population_sigma * draws))
@@ -303,7 +317,7 @@ class _Walk:
 
         yield self._snapshot(), self.truth
         for self.t in range(self.config.n_intervals):
-            self.touched = {}
+            self.touched = bytearray(len(self.touched))
             self._organic()
             for event in events.get(self.t, ()):
                 self._event(event)
@@ -312,7 +326,7 @@ class _Walk:
             yield self._snapshot(), self.truth
 
     def _snapshot(self) -> Snapshot:
-        counts = {locale: len(ids) for locale, ids in self.by_locale.items() if ids}
+        counts = {locale: len(nums) for locale, nums in self.by_locale.items() if len(nums)}
         return Snapshot(
             snapshot_date=self.dates[self.t + 1], records=dict(self.records), locale_counts=counts
         )
@@ -370,8 +384,8 @@ class _Walk:
         mover = (since_vote < 800) & (-born / 365.25 >= 64)  # aged 64+, voted lately
 
         start = np.datetime64(self.config.start_date, "D")
-        ids = [f"V{k:07d}" for k in range(self.issued + 1, self.issued + n + 1)]
-        self.issued += n
+        nums = np.arange(len(self.status), len(self.status) + n)
+        ids = [_voter_id(num) for num in nums.tolist()]
         city = f"{locale} city"
         for vid, first, last, house, street, zip_code, status, party, gender, birth, reg, history in zip(
             ids, firsts.tolist(), lasts.tolist(), houses.tolist(), streets.tolist(), zips.tolist(),
@@ -383,8 +397,10 @@ class _Walk:
                 (str(house), f"{_STREETS[street]} st", "", city, f"5{zip_code:04d}"),
                 _STATUSES[status], _PARTIES[party], _GENDERS[gender], birth, reg, reg, history,
             )
-        self.by_locale[locale] += ids
-        self.bias_flags.update(zip(ids, zip(lapsed.tolist(), stale.tolist(), mover.tolist())))
+        self.by_locale[locale] = np.append(self.by_locale[locale], nums)
+        self.status += bytes(statuses.astype(np.uint8))
+        self.touched += bytes(n)
+        self.flags += bytes((lapsed * _LAPSED | stale * _STALE | mover * _MOVER).astype(np.uint8))
 
     def _organic(self) -> None:
         cfg = self.config
@@ -406,17 +422,17 @@ class _Walk:
                 count = int(self.rng.integers(3, 16))  # small clusters by definition
             applied = 0
             for _ in range(count):
-                voter_id = self._change(locale, event.change_type, event.kind, bias=event.kind)
-                if voter_id is None:
+                num = self._change(locale, event.change_type, event.kind, bias=event.kind)
+                if num is None:
                     continue
                 applied += 1
                 if (
                     event.companion_address_fraction > 0
                     and self.rng.random() < event.companion_address_fraction
-                    and self._free(voter_id, ChangeType.ADDRESS)
+                    and not self.touched[num] & _BLOCKED_BY[ChangeType.ADDRESS]
                 ):
-                    self._mutate(voter_id, ChangeType.ADDRESS)
-                    self._record(voter_id, locale, ChangeType.ADDRESS, event.kind)
+                    self._mutate(num, ChangeType.ADDRESS)
+                    self._record(num, locale, ChangeType.ADDRESS, event.kind)
             if applied == 0:
                 raise ConfigError(
                     f"event {event.kind} at interval {self.t} found no eligible voters in {locale}"
@@ -435,38 +451,42 @@ class _Walk:
 
     def _change(
         self, locale: str, change_type: ChangeType, cause: str, bias: str | None = None
-    ) -> str | None:
-        """Apply one change of the given type; returns the voter id or None if
-        no eligible voter exists."""
+    ) -> int | None:
+        """Apply one change of the given type; returns the voter number or None
+        if no eligible voter exists."""
         if change_type == ChangeType.REGISTRATION:
             self._new_voters(locale, 1, self.dates[self.t + 1], established=False)
-            voter_id = self.by_locale[locale][-1]
+            num = len(self.status) - 1
             self.truth.inserted_voters += 1
         elif change_type == ChangeType.REMOVAL:
-            voter_id = self._pick(locale, change_type)
-            if voter_id is None:
+            num = self._pick(locale, change_type)
+            if num is None:
                 return None
-            del self.records[voter_id]
-            self.by_locale[locale].remove(voter_id)
+            del self.records[_voter_id(num)]
+            nums = self.by_locale[locale]
+            self.by_locale[locale] = nums[nums != num]
             self.truth.removed_voters += 1
         elif change_type in _STATUS_TYPES:
             old, new = VoterStatus.ACTIVE, VoterStatus.INACTIVE
             if change_type == ChangeType.ACTIVATION:
                 old, new = new, old
-            voter_id = self._pick(locale, change_type, old, bias)
-            if voter_id is None:
+            num = self._pick(locale, change_type, old, bias)
+            if num is None:
                 return None
+            voter_id = _voter_id(num)
             self.records[voter_id] = replace(self.records[voter_id], status=new)
+            self.status[num] = _STATUSES.index(new)
         else:
-            voter_id = self._pick(locale, change_type, bias=bias)
-            if voter_id is None:
+            num = self._pick(locale, change_type, bias=bias)
+            if num is None:
                 return None
-            self._mutate(voter_id, change_type)
-        self._record(voter_id, locale, change_type, cause)
-        return voter_id
+            self._mutate(num, change_type)
+        self._record(num, locale, change_type, cause)
+        return num
 
-    def _mutate(self, voter_id: str, change_type: ChangeType) -> None:
+    def _mutate(self, num: int, change_type: ChangeType) -> None:
         """Give a voter a new address, last name or party."""
+        voter_id = _voter_id(num)
         rng, rec = self.rng, self.records[voter_id]
         if change_type == ChangeType.ADDRESS:
             addr = list(rec.address)
@@ -488,22 +508,17 @@ class _Walk:
             rec = replace(rec, party=choices[rng.integers(len(choices))])
         self.records[voter_id] = rec
 
-    def _record(self, voter_id: str, locale: str, change_type: ChangeType, cause: str) -> None:
-        self.touched.setdefault(voter_id, set()).add(change_type)
-        if change_type not in _ENDS:
-            self.changed.add(voter_id)
+    def _record(self, num: int, locale: str, change_type: ChangeType, cause: str) -> None:
+        self.touched[num] |= _BIT[change_type]
+        if not _BIT[change_type] & _ENDS:
+            self.flags[num] |= _CHANGED
         truth = self.truth
-        truth.changes.append(TruthChange(self.t, voter_id, locale, change_type, cause))
+        truth.changes.append(TruthChange(self.t, _voter_id(num), locale, change_type, cause))
         if cause != ORGANIC_CAUSE:
             cell = (locale, self.t, change_type.value)
             # anomaly marks win over event marks when both touch a cell
             if truth.cell_causes.get(cell) != ANOMALY_CAUSE:
                 truth.cell_causes[cell] = cause
-
-    def _free(self, voter_id: str, change_type: ChangeType) -> bool:
-        """Whether the voter may still get a change of this type this interval."""
-        types = self.touched.get(voter_id)
-        return types is None or not types & _BLOCKED_BY[change_type]
 
     def _pick(
         self,
@@ -511,48 +526,31 @@ class _Walk:
         change_type: ChangeType,
         status: VoterStatus | None = None,
         bias: str | None = None,
-    ) -> str | None:
-        """A voter of the locale, with `status` if given, who may still get
-        this change type, weighted by `bias`; None if there is none."""
-        ids, records, rng = self.by_locale[locale], self.records, self.rng
-        if not ids:
+    ) -> int | None:
+        """The number of a voter of the locale, with `status` if given, who may
+        still get this change type, weighted by `bias`; None if there is none."""
+        nums, rng = self.by_locale[locale], self.rng
+        if not len(nums):
             return None
-
-        def eligible(vid: str) -> bool:
-            if status is not None and records[vid].status != status:
-                return False
-            return self._free(vid, change_type)
-
-        unbiased = bias is None or bias == "other"
-        if unbiased:
-            # unbiased picks dominate; try rejection sampling before scanning
+        eligible = np.frombuffer(self.touched, np.uint8)[nums] & _BLOCKED_BY[change_type] == 0
+        if status is not None:
+            eligible &= np.frombuffer(self.status, np.uint8)[nums] == _STATUSES.index(status)
+        favoured = _FAVOURED.get(bias)
+        if favoured is None:
+            # unbiased picks dominate; try rejection sampling before taking the pool
             for _ in range(40):
-                vid = ids[int(rng.integers(len(ids)))]
-                if eligible(vid):
-                    return vid
-        pool = [vid for vid in ids if eligible(vid)]
-        if not pool:
+                i = int(rng.integers(len(nums)))
+                if eligible[i]:
+                    return int(nums[i])
+        pool = nums[eligible]
+        if not len(pool):
             return None
-        if not unbiased:
-            weights = np.array([self._bias_weight(vid, bias) for vid in pool])
-            total = float(weights.sum())
-            if total > 0:
-                return pool[int(rng.choice(len(pool), p=weights / total))]
-        return pool[int(rng.integers(len(pool)))]
+        if favoured is None:
+            return int(pool[rng.integers(len(pool))])
+        bits, want = favoured
+        weights = np.where(np.frombuffer(self.flags, np.uint8)[pool] & bits == want, 1.0, 0.02)
+        return int(pool[rng.choice(len(pool), p=weights / weights.sum())])
 
-    def _bias_weight(self, voter_id: str, bias: str) -> float:
-        """Demographic bias profiles making event cohorts separable by kind."""
-        lapsed, stale, mover = self.bias_flags[voter_id]
-        if bias == "inactivity_mailing_response_processing":
-            favoured = lapsed  # lapsed voters: voted before, but not in the last two years
-        elif bias == "systematic_september_maintenance":
-            # stale registrations that never produced a ballot or a change
-            favoured = stale and voter_id not in self.changed
-        elif bias == "ncoa_mailings":
-            favoured = mover  # older movers with a live voting habit
-        else:
-            return 1.0
-        return 1.0 if favoured else 0.02
 
 # --- labels ------------------------------------------------------------------
 

@@ -433,7 +433,7 @@ def _date_from_filename(path: str) -> dt.date:
         raise SchemaError(
             f"{path}: snapshot date not given and no ISO date found in filename"
         )
-    return dt.date.fromisoformat(match.group(1))
+    return _parse_date(match.group(1), path)
 
 
 def _snapshot_row(rec: VoterRecord) -> tuple[str, ...]:

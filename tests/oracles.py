@@ -6,7 +6,8 @@ exception: the library's former numpy loops (per feature in
 `loop_best_split`, per pool in the statistic scorers), kept as the exact
 references for their batched replacements, and the `row_*` writers, the
 library's former row-by-row detect-output writers, and `whole_read_grid`,
-the grid reader that held the whole file as text. The patch oracle
+the grid reader that held the whole file as text, and `pick_voter`, the
+scenario walk's former per-voter pick. The patch oracle
 (`apply_changes`, `diff_projection`) and the ground-truth and snapshot
 helpers below serve only the tests, so they live here and not in the
 package.
@@ -17,7 +18,7 @@ import datetime as dt
 import io
 import math
 import re
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from xml.sax.saxutils import escape as xml_escape
 
 import numpy as np
@@ -323,6 +324,74 @@ def diff_projection(snapshot):
         )
         for vid, rec in snapshot.records.items()
     }
+
+
+# --- former per-voter scenario pick -------------------------------------------------
+# The scenario walk's voter pick before it read per-voter arrays: eligibility
+# and bias weight decided one voter at a time. Kept as the exact reference for
+# `synthgen._Walk._pick`, which must return the same voter from the same draws.
+
+_ENDS = {ChangeType.REGISTRATION, ChangeType.REMOVAL}
+_STATUS_TYPES = {ChangeType.DEACTIVATION, ChangeType.ACTIVATION}
+# the types a voter already got this interval that rule out one more of each type
+PICK_BLOCKED_BY = {
+    **{ct: _ENDS | {ct} for ct in ChangeType},
+    **dict.fromkeys(_STATUS_TYPES, _ENDS | _STATUS_TYPES),
+    ChangeType.REMOVAL: set(ChangeType),
+}
+
+
+@dataclass(frozen=True)
+class PickVoter:
+    status: VoterStatus
+    touched: frozenset  # the change types the voter got this interval
+    lapsed: bool
+    stale: bool
+    mover: bool
+    changed: bool  # ever got a field or status change
+
+
+def bias_weight(voter, bias):
+    """A voter's weight in a pick biased toward an event kind's profile."""
+    if bias == "inactivity_mailing_response_processing":
+        favoured = voter.lapsed
+    elif bias == "systematic_september_maintenance":
+        favoured = voter.stale and not voter.changed
+    elif bias == "ncoa_mailings":
+        favoured = voter.mover
+    else:
+        return 1.0
+    return 1.0 if favoured else 0.02
+
+
+def pick_voter(rng, ids, voters, change_type, status=None, bias=None):
+    """The id of a voter among `ids` (`voters` maps each to its PickVoter)
+    with `status` if given, who may still get this change type, weighted by
+    `bias`; None if there is none."""
+    if not ids:
+        return None
+
+    def eligible(vid):
+        voter = voters[vid]
+        if status is not None and voter.status != status:
+            return False
+        return not voter.touched & PICK_BLOCKED_BY[change_type]
+
+    unbiased = bias is None or bias == "other"
+    if unbiased:
+        for _ in range(40):
+            vid = ids[int(rng.integers(len(ids)))]
+            if eligible(vid):
+                return vid
+    pool = [vid for vid in ids if eligible(vid)]
+    if not pool:
+        return None
+    if not unbiased:
+        weights = np.array([bias_weight(voters[vid], bias) for vid in pool])
+        total = float(weights.sum())
+        if total > 0:
+            return pool[int(rng.choice(len(pool), p=weights / total))]
+    return pool[int(rng.integers(len(pool)))]
 
 
 # --- former row-by-row writers --------------------------------------------------------

@@ -741,14 +741,13 @@ def _cli_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
-@pytest.mark.parametrize("fixed_mask", [[], ["--fixed-mask"]], ids=["fresh", "fixed"])
-def test_evaluate_on_a_worker_per_core_matches_one_process(pipeline, tmp_path, fixed_mask):
+def test_evaluate_on_a_worker_per_core_matches_one_process(pipeline, tmp_path):
     """Run as a command, evaluate pins one BLAS thread and runs a worker
     per core; in a process that already loaded numpy it runs the same
     points itself. Both write the same bytes."""
     argv = [
         "evaluate", "--matrix", str(pipeline / "matrix" / "matrix_deactivation.csv"),
-        "--grid-points", "6", "--top-k", "5", "--seed", "2", *fixed_mask,
+        "--grid-points", "6", "--top-k", "5", "--seed", "2",
     ]
     pooled, serial = tmp_path / "pooled", tmp_path / "serial"
     done = subprocess.run(
@@ -1120,6 +1119,66 @@ def test_malformed_artifact_exits_3(pipeline, tmp_path, monkeypatch, capsys, cas
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.fixture(scope="module")
+def other_run(pipeline, tmp_path_factory):
+    """The files of another run, by name: the pipeline's changes, snapshots
+    and schema, a detect run's score and ranked CSVs, a features run's group
+    features, and a model and scaler as `train` writes them."""
+    root, synth = tmp_path_factory.mktemp("other"), pipeline / "synth"
+    files = {
+        "changes": pipeline / "diff" / "changes.csv",
+        "snapshots": synth / "snapshots",
+        "schema": synth / "schema.cfg",
+        "scores": root / "scores_global_std.csv",
+        "ranked": root / "ranked_global_std.csv",
+        "features": root / "group_features.csv",
+        "model": root / "model.json",
+        "scaler": root / "scaler.json",
+    }
+    assert run(
+        "detect", "--matrix", str(pipeline / "matrix" / "matrix_deactivation.csv"),
+        "--method", "global_std", "--out", str(root),
+    ) == 0
+    assert run(
+        "features", "--changes", str(files["changes"]), "--snapshots", str(files["snapshots"]),
+        "--schema", str(files["schema"]), "--out", str(root),
+    ) == 0
+    width = len(groupfeatures.FEATURE_NAMES)
+    gbt.save_model(gbt.GbtModel(gbt.GbtConfig(), ("a", "b"), width), str(files["model"]))
+    scaler = groupfeatures.FeatureScaler(np.zeros(width), np.ones(width), np.zeros(width))
+    files["scaler"].write_text(scaler.to_json(), encoding="utf-8")
+    return {name: str(path) for name, path in files.items()}
+
+
+# case -> argv with another run's file (in braces) where the subcommand wants its own
+SWAPPED = {
+    "scores-as-matrix": ["detect", "--matrix", "{scores}"],
+    "ranked-as-matrix": ["detect", "--matrix", "{ranked}"],
+    "features-as-matrix": ["evaluate", "--matrix", "{features}"],
+    "scaler-as-model": ["predict", "--model", "{scaler}", "--scaler", "{scaler}", "--features", "{features}"],
+    "model-as-scaler": ["predict", "--model", "{model}", "--scaler", "{model}", "--features", "{features}"],
+    "changes-as-features": ["train", "--features", "{changes}"],
+    "changes-as-labels": [
+        "features", "--changes", "{changes}", "--snapshots", "{snapshots}", "--schema", "{schema}",
+        "--labels", "{changes}",
+    ],
+    "features-as-changes": [
+        "matrix", "--changes", "{features}", "--snapshots", "{snapshots}", "--schema", "{schema}",
+        "--change-type", "deactivation",
+    ],
+    "scaler-as-manifest": ["rerun", "--manifest", "{scaler}"],
+}
+
+
+@pytest.mark.parametrize("case", list(SWAPPED))
+def test_another_runs_file_swapped_in_exits_3(other_run, tmp_path, capsys, case):
+    capsys.readouterr()
+    argv = [arg.format(**other_run) for arg in SWAPPED[case]]
+    assert run(*argv, "--out", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_snapshot_stray_quote_exits_3(tmp_path, capsys):
     """An unmatched quote makes csv read on past its field limit; the parse
     names the record it starts in."""
@@ -1437,6 +1496,40 @@ def test_snapshot_dates_come_from_file_names_not_directories(tmp_path):
     ) == 0
     summary = json.loads((tmp_path / "ingest" / "ingest_summary.json").read_text())
     assert summary["snapshot_date"] == "2019-01-10"
+
+
+def test_ingest_bad_date_option_exits_2(tmp_path, capsys):
+    path = tmp_path / "snapshot_2019-01-03.csv"
+    path.write_text("voter_id,locale,status\nA1,polk,active\n")
+    with pytest.raises(SystemExit) as exc:
+        run("ingest", "--snapshot", str(path), "--date", "2019-13-01", "--out", str(tmp_path / "out"))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith("argument --date: invalid fromisoformat value: '2019-13-01'")
+    assert err.count("error:") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["ingest", "diff"])
+def test_bad_date_in_snapshot_file_name_exits_3(tmp_path, capsys, command):
+    snapshots = tmp_path / "snapshots"
+    snapshots.mkdir()
+    header = "voter_id,locale,status\n"
+    (snapshots / "snapshot_2018-12-11.csv").write_text(header + "A1,polk,active\n")
+    bad = snapshots / "snapshot_2018-13-11.csv"
+    bad.write_text(header + "A1,polk,inactive\n")
+    argv = ["--snapshot", str(bad)] if command == "ingest" else ["--snapshots", str(snapshots)]
+    assert run(command, *argv, "--out", str(tmp_path / "out")) == 3
+    assert capsys.readouterr().err == f"error: {bad}: bad date '2018-13-11'\n"
+
+
+def test_evaluate_fixed_mask_is_not_an_option(pipeline, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(
+            "evaluate", "--matrix", str(pipeline / "matrix" / "matrix_deactivation.csv"),
+            "--fixed-mask", "--out", str(tmp_path / "out"),
+        )
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith("unrecognized arguments: --fixed-mask")
 
 
 def test_ingest_summary(pipeline, tmp_path):

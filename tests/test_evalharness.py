@@ -180,21 +180,10 @@ def test_sweep_reproducible():
     assert a == b
 
 
-def test_sweep_fixed_mask_reuses_cells():
-    rng = np.random.default_rng(11)
-    fixed = ev.gamma_sweep(
-        rng.uniform(0.4, 0.6, size=(12, 12)), "global_std", fraction=0.05, k=7, grid_points=6, seed=4, fixed_mask=True
-    )
-    # monotone difficulty: same mask, growing gamma, global scoring
-    precisions = fixed.precision_at_k
-    assert all(b >= a for a, b in zip(precisions[1:], precisions[2:]))
-
-
-@pytest.mark.parametrize("fixed_mask", [False, True])
-def test_sweeps_on_a_fork_pool_match_one_process_and_leave_no_worker(fixed_mask):
+def test_sweeps_on_a_fork_pool_match_one_process_and_leave_no_worker():
     values = np.random.default_rng(14).uniform(0, 1, size=(9, 11))
     methods = ("nmf", "rpca", "cl_std_3", "global_iqr")
-    options = dict(fraction=0.05, k=5, grid_points=4, seed=6, fixed_mask=fixed_mask)
+    options = dict(fraction=0.05, k=5, grid_points=4, seed=6)
     serial = ev.gamma_sweeps(values, methods, **options)
     assert ev.gamma_sweeps(values, methods, workers=3, **options) == serial
     assert multiprocessing.active_children() == []

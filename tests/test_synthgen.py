@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 import oracles
 import vrf_sentinel.synthgen as sg
@@ -11,7 +12,7 @@ from vrf_sentinel import cli
 import vrf_sentinel.vrf_io as io
 from vrf_sentinel.errors import ConfigError
 from vrf_sentinel.modmatrix import build_matrix
-from vrf_sentinel.records import ChangeType
+from vrf_sentinel.records import ChangeType, VoterStatus
 
 
 def tiny_config(**kwargs):
@@ -195,6 +196,44 @@ def test_poisson_calibration_chi_square():
     dof = int(keep.sum()) - 1
     p_value = float(scipy.stats.chi2.sf(stat, dof))
     assert p_value > 0.001
+
+
+PICK_VOTER = st.builds(
+    oracles.PickVoter,
+    status=st.sampled_from(sg._STATUSES),
+    touched=st.frozensets(st.sampled_from(list(ChangeType))),
+    lapsed=st.booleans(), stale=st.booleans(), mover=st.booleans(), changed=st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pick_returns_the_per_voter_oracles_voter(data):
+    """On a tiny walk's locale with random statuses, touched types and flags,
+    `_pick` returns the voter the per-voter rule picks from an identically
+    seeded rng, and leaves that rng in the same state."""
+    walk = sg._Walk(tiny_config(n_locales=1, population_median=50.0, population_sigma=0.0))
+    nums = walk.by_locale["L001"]
+    voters = data.draw(st.lists(PICK_VOTER, max_size=len(nums)))
+    nums = walk.by_locale["L001"] = nums[:len(voters)]
+    for num, voter in zip(nums.tolist(), voters):
+        walk.status[num] = sg._STATUSES.index(voter.status)
+        walk.touched[num] = sum(sg._BIT[ct] for ct in voter.touched)
+        walk.flags[num] = (
+            voter.lapsed * sg._LAPSED | voter.stale * sg._STALE
+            | voter.mover * sg._MOVER | voter.changed * sg._CHANGED
+        )
+    ids = [sg._voter_id(num) for num in nums.tolist()]
+    by_id = dict(zip(ids, voters))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    for change_type in ChangeType:
+        for status in (None, *VoterStatus):
+            for bias in (None, *sg.EVENT_LABELS):
+                walk.rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                num = walk._pick("L001", change_type, status, bias)
+                expected = oracles.pick_voter(rng, ids, by_id, change_type, status, bias)
+                assert (None if num is None else sg._voter_id(num)) == expected
+                assert walk.rng.bit_generator.state == rng.bit_generator.state
 
 
 # --- labels ------------------------------------------------------------------------
