@@ -114,16 +114,18 @@ def _diff_output(args: argparse.Namespace) -> tuple[str, dict, dict, dict]:
     snapshot counts, census and election tally of its manifest, once that
     manifest shows the run read the `--snapshots` files under the
     `--schema` and wrote `--changes` and its `voters/` files as they now
-    stand."""
+    stand. Each error names `--changes`."""
     where = os.path.dirname(args.changes) or "."
     path = os.path.join(where, "manifest.json")
+
+    def stale(reason: str) -> DataError:
+        return DataError(f"{args.changes}: {reason}; rerun diff over these snapshots")
+
     try:
         with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
     except (OSError, ValueError, RecursionError):
-        raise DataError(
-            f"{where}: no diff manifest beside --changes; run diff over these snapshots"
-        ) from None
+        raise stale("no diff manifest beside --changes") from None
     try:
         counts = {key: manifest["counts"][key] for key in ("snapshots", "rows", "row_issues")}
         census = {
@@ -136,29 +138,18 @@ def _diff_output(args: argparse.Namespace) -> tuple[str, dict, dict, dict]:
                 raise ValueError("primary flags must be true or false")
             elections[election_id] = (dt.date.fromisoformat(date), primary, _count(turnout, 1))
     except (ValueError, RecursionError, KeyError, TypeError, AttributeError) as exc:
-        raise DataError(
-            f"{path}: not a manifest diff wrote ({exc}); rerun diff over these snapshots"
-        ) from None
+        raise stale(f"{path} is not a manifest diff wrote ({exc})") from None
     if manifest.get("census_sha256") != _census_sha256(manifest["census"], manifest["calendar"]):
-        raise DataError(
-            f"{path}: census or calendar differs from what diff recorded; "
-            "rerun diff over these snapshots"
-        )
+        raise stale(f"census or calendar differs from what diff recorded in {path}")
     read = _read_record(_snapshot_paths(args.snapshots), _schema(args.schema))
     if {key: manifest.get(key) for key in read} != read:
-        raise DataError(
-            f"{where}: diff read other snapshot files or another schema; "
-            "rerun diff over these snapshots"
-        )
+        raise stale("diff read other snapshot files or another schema")
     try:
         outputs = _output_digests(args.changes, [date.isoformat() for date in sorted(census)])
     except FileNotFoundError:
         outputs = None
     if manifest.get("outputs") != outputs:
-        raise DataError(
-            f"{where}: changes.csv or a voters/ file is missing or differs from what diff "
-            "wrote; rerun diff over these snapshots"
-        )
+        raise stale("changes.csv or a voters/ file is missing or differs from what diff wrote")
     return where, counts, census, elections
 
 
@@ -225,12 +216,7 @@ def cmd_synth(args: argparse.Namespace) -> dict:
 
 def cmd_ingest(args: argparse.Namespace) -> dict:
     issues: list[vrf_io.RowIssue] = []
-    snapshot = vrf_io.parse_snapshot(
-        args.snapshot,
-        _schema(args.schema),
-        snapshot_date=args.date,
-        issues=issues,
-    )
+    snapshot = vrf_io.parse_snapshot(args.snapshot, _schema(args.schema), issues)
     _write_json(os.path.join(args.out, "ingest_summary.json"), {
         "snapshot_date": snapshot.snapshot_date.isoformat(),
         "records": len(snapshot),
@@ -241,12 +227,7 @@ def cmd_ingest(args: argparse.Namespace) -> dict:
 
 
 def cmd_diff(args: argparse.Namespace) -> dict:
-    if args.snapshots:
-        paths = _snapshot_paths(args.snapshots)
-    elif args.anterior and args.posterior:
-        paths = [args.anterior, args.posterior]
-    else:
-        raise VrfError("diff needs either --snapshots or both --anterior and --posterior")
+    paths = _snapshot_paths(args.snapshots)
     schema = _schema(args.schema)
     stream = vrf_io.SnapshotStream(schema)
     voters = os.path.join(args.out, "voters")
@@ -267,7 +248,7 @@ def cmd_diff(args: argparse.Namespace) -> dict:
             row_issues.update(issue.field for issue in issues)
             census[posterior.snapshot_date.isoformat()] = posterior.locale_counts
             if anterior is not None:
-                changes = vrf_io.diff_snapshots(anterior, posterior, args.strict_status)
+                changes = vrf_io.diff_snapshots(anterior, posterior)
                 later = {}
                 for change in changes:
                     if change.reference_date == anterior.snapshot_date:
@@ -496,7 +477,7 @@ def cmd_predict(args: argparse.Namespace) -> dict:
         raise VrfError(f"--threshold must lie in [0, 1], got {args.threshold!r}")
     model = gbt.load_model(args.model)
     with open(args.scaler, encoding="utf-8") as fh:
-        scaler = groupfeatures.FeatureScaler.from_json(fh.read())
+        scaler = groupfeatures.FeatureScaler.from_json(fh.read(), args.scaler)
     vectors = groupfeatures.features_from_csv(args.features)
     if not vectors:
         raise DataError(f"{args.features}: no feature rows to predict")
@@ -511,7 +492,7 @@ def cmd_predict(args: argparse.Namespace) -> dict:
             top = int(row.argmax())
             explained = "yes" if row[top] >= args.threshold else "no"
             fh.write(vrf_io.csv_line((
-                v.key.locale, v.key.interval.start.isoformat(), v.key.change_type.value,
+                v.key.locale, v.key.interval_start.isoformat(), v.key.change_type.value,
                 *[repr(float(p)) for p in row], model.classes[top], explained,
             )))
     return {}
@@ -589,16 +570,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse and validate one snapshot file")
     p.add_argument("--snapshot", required=True)
     p.add_argument("--schema")
-    p.add_argument("--date", type=dt.date.fromisoformat)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("diff", help="diff snapshots into change records")
-    p.add_argument("--anterior")
-    p.add_argument("--posterior")
-    p.add_argument("--snapshots", help="directory of snapshot_*.csv to diff in sequence")
+    p.add_argument("--snapshots", required=True, help="directory of snapshot_*.csv to diff")
     p.add_argument("--schema")
-    p.add_argument("--strict-status", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_diff)
 

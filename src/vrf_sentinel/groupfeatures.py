@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, FileParseError, VrfError
-from .modmatrix import DateInterval, _interval_of, build_intervals
+from .modmatrix import _interval_of, build_intervals
 from .records import (
     BallotKind, ChangeRecord, ChangeType, EventLabel, Snapshot, VoterRecord, normalize_text,
 )
@@ -62,7 +62,7 @@ FEATURE_CSV_COLUMNS = (
 @dataclass(frozen=True)
 class GroupKey:
     locale: str
-    interval: DateInterval
+    interval_start: dt.date
     change_type: ChangeType
 
 
@@ -275,21 +275,23 @@ class FeatureScaler:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "FeatureScaler":
+    def from_json(cls, text: str, path: str) -> "FeatureScaler":
+        """The scaler `to_json` wrote as `text`, read from `path`."""
         try:
             raw = json.loads(text)
             version = raw["version"]
             if tuple(raw["feature_names"]) != FEATURE_NAMES or version != FEATURE_MANIFEST_VERSION:
                 raise FileParseError(
-                    f"scaler fitted on another feature set (version {version!r}); predict needs "
-                    f"version {FEATURE_MANIFEST_VERSION!r} and its feature names in order"
+                    f"{path}: scaler fitted on another feature set (version {version!r}); "
+                    f"predict needs version {FEATURE_MANIFEST_VERSION!r} and its feature names "
+                    "in order"
                 )
             columns = [np.array([float(v) for v in raw[k]]) for k in ("means", "stds", "medians")]
             if any(len(column) != len(FEATURE_NAMES) for column in columns):
                 raise ValueError("means, stds and medians must match feature_names in length")
             return cls(*columns)
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise FileParseError(f"malformed scaler JSON ({exc!r})") from None
+            raise FileParseError(f"{path}: malformed scaler JSON ({exc!r})") from None
 
 
 def standardize(vectors: list[GroupFeatureVector]) -> tuple[np.ndarray, FeatureScaler]:
@@ -355,7 +357,7 @@ def compute_group_features(
     labels = labels or {}
     out = []
     for locale, i, change_type in sorted(groups, key=lambda k: (k[0], k[1], k[2].value)):
-        key = GroupKey(locale, intervals[i], change_type)
+        key = GroupKey(locale, intervals[i].start, change_type)
         latest = groups[locale, i, change_type]
         rows, missing = [], []
         for voter_id in sorted(latest):
@@ -374,7 +376,7 @@ def compute_group_features(
         if missing:
             logger.warning(
                 "group %s/%s/%s: %d voters unresolvable in their reference snapshots: %s",
-                locale, key.interval.start, change_type.value,
+                locale, key.interval_start, change_type.value,
                 len(missing), ", ".join(missing[:10]),
             )
         if not rows:
@@ -382,24 +384,23 @@ def compute_group_features(
         with np.errstate(invalid="ignore"):
             means = np.nanmean(np.vstack(rows), axis=0)
         # all-NaN column (no known birth dates): leave NaN for the scaler
-        label = labels.get((locale, key.interval.start, change_type))
+        label = labels.get((locale, key.interval_start, change_type))
         out.append(GroupFeatureVector(key, len(rows), means, label))
     return out
 
 
-# --- CSV + manifest ----------------------------------------------------------
+# --- CSV ---------------------------------------------------------------------
 
 
 def features_to_csv(vectors: list[GroupFeatureVector], path: str) -> None:
-    interval_days = {v.key.interval.days for v in vectors}
-    if len(interval_days) > 1:
-        raise DataError("mixed interval widths in one feature file")
+    """The vectors as a CSV whose header, `FEATURE_CSV_COLUMNS`, states the
+    feature order."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(csv_line(FEATURE_CSV_COLUMNS))
         fh.writelines(
             csv_line((
                 v.key.locale,
-                v.key.interval.start.isoformat(),
+                v.key.interval_start.isoformat(),
                 v.key.change_type.value,
                 str(v.n_voters),
                 *[repr(float(x)) for x in v.features],
@@ -407,45 +408,15 @@ def features_to_csv(vectors: list[GroupFeatureVector], path: str) -> None:
             ))
             for v in vectors
         )
-    manifest = {
-        "version": FEATURE_MANIFEST_VERSION,
-        "features": list(FEATURE_NAMES),
-        "interval_days": (interval_days.pop() if interval_days else 7),
-    }
-    with open(_manifest_path(path), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def _manifest_path(csv_path: str) -> str:
-    return csv_path + ".manifest.json"
 
 
 def features_from_csv(path: str) -> list[GroupFeatureVector]:
-    try:
-        with open(_manifest_path(path), encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        version, features = manifest["version"], tuple(manifest["features"])
-        interval_days = int(manifest["interval_days"])
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise FileParseError(f"{path}: malformed feature manifest ({exc!r})") from None
-    if version != FEATURE_MANIFEST_VERSION:
-        raise FileParseError(
-            f"{path}: feature manifest version {version!r} != "
-            f"expected {FEATURE_MANIFEST_VERSION!r}"
-        )
-    if features != FEATURE_NAMES:
-        raise FileParseError(f"{path}: manifest feature order differs from schema")
-
+    """The vectors `features_to_csv` wrote; `read_table` rejects any other
+    header, and so any other feature order."""
     out = []
     for number, row in read_table(path, FEATURE_CSV_COLUMNS):
         try:
-            start = dt.date.fromisoformat(row[1])
-            key = GroupKey(
-                locale=row[0],
-                interval=DateInterval(start, start + dt.timedelta(days=interval_days)),
-                change_type=ChangeType(row[2]),
-            )
+            key = GroupKey(row[0], dt.date.fromisoformat(row[1]), ChangeType(row[2]))
             out.append(
                 GroupFeatureVector(
                     key=key,

@@ -170,10 +170,12 @@ def build_matrix(
             f"no population for occupied cell (locale {locales[i]!r}, "
             f"interval {intervals[j].start.isoformat()})"
         )
-    for i, j in np.argwhere(empty & known):
+    zeroed = np.argwhere(empty & known)
+    if zeroed.size:  # one warning per matrix, naming the first cell
+        i, j = zeroed[0]
         logger.warning(
-            "locale %s has population %d at %s; cell zeroed",
-            locales[i], pops[i, j], intervals[j].start,
+            "%d cells zeroed where a counted locale has population 0 or less; first %s at %s",
+            len(zeroed), locales[i], intervals[j].start,
         )
     pops[empty] = 1  # raw is 0 there, so the value is 0
     days = np.array([iv.days for iv in intervals], dtype=float)

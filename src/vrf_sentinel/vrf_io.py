@@ -10,7 +10,7 @@ import os
 import re
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 
 from .errors import FileParseError, IntegrityError, SchemaError, VrfError
@@ -61,7 +61,6 @@ class SnapshotSchema:
 
     columns: dict[str, str]
     delimiter: str = ","
-    snapshot_date: dt.date | None = None
 
     def __post_init__(self) -> None:
         missing = [f for f in REQUIRED_FIELDS if f not in self.columns]
@@ -74,22 +73,19 @@ class SnapshotSchema:
             raise SchemaError(f"schema delimiter must be one character, got {self.delimiter!r}")
 
 
-def identity_schema(snapshot_date: dt.date | None = None) -> SnapshotSchema:
+def identity_schema() -> SnapshotSchema:
     """Schema where every column is named after its logical field."""
-    return SnapshotSchema(
-        columns={f: f for f in LOGICAL_FIELDS}, snapshot_date=snapshot_date
-    )
+    return SnapshotSchema(columns={f: f for f in LOGICAL_FIELDS})
 
 
 def load_schema(path: str) -> SnapshotSchema:
     """Read a key-value schema config (one `logical = column` pair per line).
 
-    Lines starting with '#' are comments. Special keys: `delimiter` and
-    `snapshot_date` (ISO-8601).
+    Lines starting with '#' are comments. The one special key is
+    `delimiter`; a snapshot's date comes from its file name.
     """
     columns: dict[str, str] = {}
     delimiter = ","
-    snapshot_date = None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -101,11 +97,9 @@ def load_schema(path: str) -> SnapshotSchema:
             key, value = key.strip(), value.strip()
             if key == "delimiter":
                 delimiter = value
-            elif key == "snapshot_date":
-                snapshot_date = _parse_date(value, f"{path}:{lineno}")
             else:
                 columns[key] = value
-    return SnapshotSchema(columns=columns, delimiter=delimiter, snapshot_date=snapshot_date)
+    return SnapshotSchema(columns=columns, delimiter=delimiter)
 
 
 def _parse_date(text: str, where: str) -> dt.date:
@@ -313,13 +307,11 @@ class _Rows:
 
 
 def parse_snapshot(
-    path: str,
-    schema: SnapshotSchema,
-    snapshot_date: dt.date | None = None,
-    issues: list[RowIssue] | None = None,
+    path: str, schema: SnapshotSchema, issues: list[RowIssue] | None = None
 ) -> Snapshot:
     """Parse a delimited snapshot file into a Snapshot: the first read of a
-    `SnapshotStream`, keeping its records.
+    `SnapshotStream`, keeping its records. Its date is the first ISO date in
+    the file's name.
 
     Every row is validated. Rows whose fields cannot be parsed are appended
     to `issues` (and summarized in one warning) rather than silently
@@ -327,8 +319,6 @@ def parse_snapshot(
     Duplicate voter ids among the valid rows abort with an IntegrityError
     naming the offenders.
     """
-    if snapshot_date:
-        schema = replace(schema, snapshot_date=snapshot_date)
     return SnapshotStream(schema).read(path, [] if issues is None else issues, keep=True)[1]
 
 
@@ -364,7 +354,7 @@ class SnapshotStream:
         on those it added, with its census: `diff_snapshots` of the two is
         that of the whole files. Unless `keep` is set, the first file's
         records are tallied into `elections` and dropped."""
-        date = self.schema.snapshot_date or _date_from_filename(path)
+        date = _date_from_filename(path)
         first_issue = len(issues)
         # this file's census, line map and rows spanning lines; the ids its parsed rows add
         census, lines, spanning, seen, duplicates = dict(self.census), {}, {}, set(), []
@@ -430,9 +420,7 @@ def _date_from_filename(path: str) -> dt.date:
     """The first ISO date in the file's name; its directories' names do not count."""
     match = _DATE_IN_NAME.search(os.path.basename(path))
     if not match:
-        raise SchemaError(
-            f"{path}: snapshot date not given and no ISO date found in filename"
-        )
+        raise SchemaError(f"{path}: no ISO date found in the file name")
     return _parse_date(match.group(1), path)
 
 
@@ -481,13 +469,11 @@ def write_snapshot(snapshot: Snapshot, path: str) -> None:
 
 # --- diffing ---------------------------------------------------------------
 
+# pending is operationally "not yet active"; transitions out of it are
+# classified like their destination.
 _STATUS_TRANSITIONS = {
     (VoterStatus.ACTIVE, VoterStatus.INACTIVE): ChangeType.DEACTIVATION,
     (VoterStatus.INACTIVE, VoterStatus.ACTIVE): ChangeType.ACTIVATION,
-}
-# pending is operationally "not yet active"; transitions out of it are
-# classified like their destination unless strict mode is on.
-_EXTENDED_TRANSITIONS = {
     (VoterStatus.PENDING, VoterStatus.ACTIVE): ChangeType.ACTIVATION,
     (VoterStatus.PENDING, VoterStatus.INACTIVE): ChangeType.DEACTIVATION,
 }
@@ -507,11 +493,7 @@ _REGISTRATION_GROUPS = (
 _FIELD_GROUPS = tuple(group for group in _REGISTRATION_GROUPS if group[0] is not None)
 
 
-def diff_snapshots(
-    anterior: Snapshot,
-    posterior: Snapshot,
-    strict_status: bool = False,
-) -> list[ChangeRecord]:
+def diff_snapshots(anterior: Snapshot, posterior: Snapshot) -> list[ChangeRecord]:
     """Compute typed change records between two temporally adjacent snapshots.
 
     A voter may emit several records of different types in one diff. Output
@@ -526,10 +508,6 @@ def diff_snapshots(
             f"anterior snapshot date {anterior.snapshot_date} must precede "
             f"posterior {posterior.snapshot_date}"
         )
-    transitions = dict(_STATUS_TRANSITIONS)
-    if not strict_status:
-        transitions.update(_EXTENDED_TRANSITIONS)
-
     changes: list[ChangeRecord] = []
 
     def record(voter_id: str, locale: str, change_type: ChangeType,
@@ -560,7 +538,7 @@ def diff_snapshots(
             )
             if deltas:
                 record(voter_id, new.locale, change_type, deltas)
-        status_change = transitions.get((old.status, new.status))
+        status_change = _STATUS_TRANSITIONS.get((old.status, new.status))
         if status_change is not None:
             record(voter_id, new.locale, status_change,
                    (FieldDelta("status", old.status.value, new.status.value),))

@@ -1,3 +1,4 @@
+import argparse
 import collections
 import contextlib
 import csv
@@ -25,7 +26,6 @@ import vrf_sentinel
 from vrf_sentinel import cli, detectors, gbt, groupfeatures, vrf_io
 from vrf_sentinel.errors import FileParseError, VrfError
 from vrf_sentinel.groupfeatures import EventLabel
-from vrf_sentinel.modmatrix import DateInterval
 from vrf_sentinel.records import ChangeRecord, ChangeType, FieldDelta, election_tally
 
 
@@ -98,16 +98,20 @@ def test_steps_hold_at_most_two_snapshots(pipeline, tmp_path, monkeypatch, step)
 
 def test_diff_pair_matches_sequence_rows(pipeline, tmp_path):
     synth = pipeline / "synth"
+    pair = tmp_path / "snapshots"
+    pair.mkdir()
     anterior, posterior = sorted((synth / "snapshots").glob("snapshot_*.csv"))[:2]
+    for path in (anterior, posterior):
+        shutil.copy(path, pair / path.name)
     assert run(
-        "diff", "--anterior", str(anterior), "--posterior", str(posterior),
-        "--schema", str(synth / "schema.cfg"), "--out", str(tmp_path),
+        "diff", "--snapshots", str(pair),
+        "--schema", str(synth / "schema.cfg"), "--out", str(tmp_path / "diff"),
     ) == 0
     with open(pipeline / "diff" / "changes.csv", newline="") as fh:
         header, *rows = csv.reader(fh)
     date = anterior.stem.removeprefix("snapshot_")
     want = [header] + [r for r in rows if r[header.index("anterior_date")] == date]
-    with open(tmp_path / "changes.csv", newline="") as fh:
+    with open(tmp_path / "diff" / "changes.csv", newline="") as fh:
         assert list(csv.reader(fh)) == want
     assert len(want) > 1
 
@@ -496,11 +500,10 @@ def test_diff_memory_stays_flat_in_the_number_of_snapshots(pipeline, tmp_path):
 
 
 def test_predictions_csv_quotes_locale_text(tmp_path):
-    locales = ['Polk, "IA"', "Story\nCounty", "Ames"]
-    interval = DateInterval(dt.date(2019, 1, 3), dt.date(2019, 1, 10))
+    locales, start = ['Polk, "IA"', "Story\nCounty", "Ames"], dt.date(2019, 1, 3)
     vectors = [
         groupfeatures.GroupFeatureVector(
-            key=groupfeatures.GroupKey(locales[i % 3], interval, ChangeType.DEACTIVATION),
+            key=groupfeatures.GroupKey(locales[i % 3], start, ChangeType.DEACTIVATION),
             n_voters=3,
             features=np.full(len(groupfeatures.FEATURE_NAMES), float(i % 2)),
             label=(EventLabel.OTHER, EventLabel.NCOA_MAILINGS)[i % 2],
@@ -833,15 +836,16 @@ except SystemExit as exc:
 
 def test_diff_ingest_and_help_load_no_numpy(tmp_path):
     header = "voter_id,locale,status\n"
-    anterior = tmp_path / "snapshot_2019-01-03.csv"
-    posterior = tmp_path / "snapshot_2019-01-10.csv"
+    snapshots = tmp_path / "snapshots"
+    snapshots.mkdir()
+    anterior = snapshots / "snapshot_2019-01-03.csv"
+    posterior = snapshots / "snapshot_2019-01-10.csv"
     anterior.write_text(header + "A1,polk,active\nA2,polk,active\n")
     posterior.write_text(header + "A1,polk,inactive\nA3,story,active\n")
     env = _cli_env()
     for argv in (
         ["--help"],
-        ["diff", "--anterior", str(anterior), "--posterior", str(posterior),
-         "--out", str(tmp_path / "diff")],
+        ["diff", "--snapshots", str(snapshots), "--out", str(tmp_path / "diff")],
         ["ingest", "--snapshot", str(anterior), "--out", str(tmp_path / "ingest")],
     ):
         done = subprocess.run(
@@ -923,19 +927,6 @@ def test_unknown_change_type_exits_3(pipeline, tmp_path):
         "--change-type", "upgrade", "--out", str(tmp_path),
     )
     assert code == 3
-
-
-def test_matrix_rejects_repeated_snapshot_date(pipeline, tmp_path, capsys):
-    synth = pipeline / "synth"
-    schema = tmp_path / "schema.cfg"
-    schema.write_text((synth / "schema.cfg").read_text() + "snapshot_date = 2018-06-04\n")
-    assert run(
-        "matrix", "--changes", str(pipeline / "diff" / "changes.csv"),
-        "--snapshots", str(synth / "snapshots"), "--schema", str(schema),
-        "--change-type", "deactivation", "--out", str(tmp_path / "matrix"),
-    ) == 3
-    # diff read these files under the schema without the date: they must be diffed again
-    assert "rerun diff over these snapshots" in capsys.readouterr().err
 
 
 LABEL_HEADER = "locale,interval_start,change_type,label\n"
@@ -1053,7 +1044,6 @@ MALFORMED = {
     "matrix-date": ("detect", "matrix.csv", (0, 1, "notadate")),
     "features-cell": ("train", "features.csv", (1, 4, "abc")),
     "features-not-utf8": ("train", "features.csv", b"\xff\xfe not utf-8\n"),
-    "features-manifest": ("train", "features.csv.manifest.json", "features"),
     "features-header-only": (
         "predict", "features.csv", (",".join(groupfeatures.FEATURE_CSV_COLUMNS) + "\n").encode()
     ),
@@ -1061,7 +1051,6 @@ MALFORMED = {
     "model-config": ("predict", "model.json", "config"),
     "scaler-means": ("predict", "scaler.json", "means"),
     "scores-params-deep": ("heatmap", "scores.csv", DEEP_JSON),
-    "features-manifest-deep": ("train", "features.csv.manifest.json", DEEP_JSON),
     "model-deep": ("predict", "model.json", DEEP_JSON),
     "scaler-deep": ("predict", "scaler.json", DEEP_JSON),
     "scaler-reordered": (
@@ -1079,9 +1068,7 @@ def test_malformed_artifact_exits_3(pipeline, tmp_path, monkeypatch, capsys, cas
     assert run("detect", "--matrix", "matrix.csv", "--method", "global_std", "--out", ".") == 0
     os.rename("scores_global_std.csv", "scores.csv")
     width = len(groupfeatures.FEATURE_NAMES)
-    key = groupfeatures.GroupKey(
-        "L1", DateInterval(dt.date(2019, 1, 3), dt.date(2019, 1, 10)), ChangeType.DEACTIVATION
-    )
+    key = groupfeatures.GroupKey("L1", dt.date(2019, 1, 3), ChangeType.DEACTIVATION)
     groupfeatures.features_to_csv(
         [groupfeatures.GroupFeatureVector(key, 3, np.zeros(width))], "features.csv"
     )
@@ -1150,7 +1137,8 @@ def other_run(pipeline, tmp_path_factory):
     return {name: str(path) for name, path in files.items()}
 
 
-# case -> argv with another run's file (in braces) where the subcommand wants its own
+# case -> argv with another run's file (in braces) where the subcommand wants its own;
+# the case is named "<file swapped in>-as-<slot>"
 SWAPPED = {
     "scores-as-matrix": ["detect", "--matrix", "{scores}"],
     "ranked-as-matrix": ["detect", "--matrix", "{ranked}"],
@@ -1177,6 +1165,7 @@ def test_another_runs_file_swapped_in_exits_3(other_run, tmp_path, capsys, case)
     assert run(*argv, "--out", str(tmp_path / "out")) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert other_run[case.split("-as-")[0]] in err
 
 
 def test_snapshot_stray_quote_exits_3(tmp_path, capsys):
@@ -1200,8 +1189,7 @@ def test_schema_delimiter_not_one_character_exits_3(tmp_path, capsys, command, d
         f"voter_id = voter_id\nlocale = locale\nstatus = status\ndelimiter = {delimiter}\n"
     )
     inputs = {
-        "ingest": ["--snapshot", str(snapshot)],
-        "diff": ["--anterior", str(snapshot), "--posterior", str(snapshot)],
+        "ingest": ["--snapshot", str(snapshot)], "diff": ["--snapshots", str(tmp_path)],
     }[command]
     assert run(command, *inputs, "--schema", str(schema), "--out", str(tmp_path / "out")) == 3
     err = capsys.readouterr().err
@@ -1222,15 +1210,15 @@ def _write_changes(path):
 
 def _write_features(path):
     width = len(groupfeatures.FEATURE_NAMES)
-    interval = DateInterval(dt.date(2019, 1, 3), dt.date(2019, 1, 10))
+    start = dt.date(2019, 1, 3)
     groupfeatures.features_to_csv(
         [
             groupfeatures.GroupFeatureVector(
-                groupfeatures.GroupKey("Polk é", interval, ChangeType.DEACTIVATION),
+                groupfeatures.GroupKey("Polk é", start, ChangeType.DEACTIVATION),
                 3, np.linspace(0.0, 1.0, width), EventLabel.OTHER,
             ),
             groupfeatures.GroupFeatureVector(
-                groupfeatures.GroupKey("Story", interval, ChangeType.DEACTIVATION),
+                groupfeatures.GroupKey("Story", start, ChangeType.DEACTIVATION),
                 1, np.zeros(width),
             ),
         ],
@@ -1312,7 +1300,6 @@ PINNED_DIGESTS = {
     "diff/voters/snapshot_2018-10-15.csv": "98150b8b05738a6a2307af7b1438c9026f4c8cbe6aac5dd29ea74d038d004d06",
     "diff/voters/snapshot_2018-10-22.csv": "47ee223f221be0d487b55f5c2fdee75edd3b4f6b776f7d668dfde31fbe3e5131",
     "features/group_features.csv": "b09771ed7d13ea8610c8f87692da2a02ab2a84c8c1c0a5e6798d969a85569a15",
-    "features/group_features.csv.manifest.json": "2ba2c7907ee8348b5d51ea1213c694b9b5ae0b8edf25c6063982a74fae93cd04",
     "matrix/matrix_deactivation.csv": "70bac59350131c9120c86b0606f5430846a8f0ede920dc40ac8a8e7f3c97057e",
     "synth/groundtruth.json": "48552aa90e576e7add1dbd37516c6fc491b00ed790fb7becdf458eabdcb079d1",
     "synth/snapshots/snapshot_2018-06-04.csv": "f0bb515e46a14461e5c88b08c63b88da90b79f8e0dd89639653c026da4d1bc77",
@@ -1498,17 +1485,6 @@ def test_snapshot_dates_come_from_file_names_not_directories(tmp_path):
     assert summary["snapshot_date"] == "2019-01-10"
 
 
-def test_ingest_bad_date_option_exits_2(tmp_path, capsys):
-    path = tmp_path / "snapshot_2019-01-03.csv"
-    path.write_text("voter_id,locale,status\nA1,polk,active\n")
-    with pytest.raises(SystemExit) as exc:
-        run("ingest", "--snapshot", str(path), "--date", "2019-13-01", "--out", str(tmp_path / "out"))
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.splitlines()[-1].endswith("argument --date: invalid fromisoformat value: '2019-13-01'")
-    assert err.count("error:") == 1 and "Traceback" not in err
-
-
 @pytest.mark.parametrize("command", ["ingest", "diff"])
 def test_bad_date_in_snapshot_file_name_exits_3(tmp_path, capsys, command):
     snapshots = tmp_path / "snapshots"
@@ -1520,6 +1496,104 @@ def test_bad_date_in_snapshot_file_name_exits_3(tmp_path, capsys, command):
     argv = ["--snapshot", str(bad)] if command == "ingest" else ["--snapshots", str(snapshots)]
     assert run(command, *argv, "--out", str(tmp_path / "out")) == 3
     assert capsys.readouterr().err == f"error: {bad}: bad date '2018-13-11'\n"
+
+
+# case -> (argv before --out, exit code, the end of its one error line). A
+# snapshot's date is the first ISO date in its file name, diff reads one
+# directory, and every pending transition is classified: no option or
+# schema key states any of these a second way.
+REMOVED_INPUTS = {
+    "diff-anterior-posterior": (
+        ["diff", "--anterior", "{first}", "--posterior", "{second}"], 2,
+        "the following arguments are required: --snapshots",
+    ),
+    "diff-strict-status": (
+        ["diff", "--snapshots", "{snapshots}", "--strict-status"], 2,
+        "unrecognized arguments: --strict-status",
+    ),
+    "ingest-date": (
+        ["ingest", "--snapshot", "{first}", "--date", "2019-01-03"], 2,
+        "unrecognized arguments: --date 2019-01-03",
+    ),
+    "ingest-schema-snapshot-date": (
+        ["ingest", "--snapshot", "{first}", "--schema", "{dated_schema}"], 3,
+        "schema maps unknown logical fields: snapshot_date",
+    ),
+    "diff-schema-snapshot-date": (
+        ["diff", "--snapshots", "{snapshots}", "--schema", "{dated_schema}"], 3,
+        "schema maps unknown logical fields: snapshot_date",
+    ),
+    "matrix-schema-snapshot-date": (
+        ["matrix", "--changes", "{changes}", "--snapshots", "{snapshots}",
+         "--schema", "{dated_schema}", "--change-type", "deactivation"], 3,
+        "schema maps unknown logical fields: snapshot_date",
+    ),
+    "ingest-undated-name": (
+        ["ingest", "--snapshot", "{undated}"], 3, "{undated}: no ISO date found in the file name",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REMOVED_INPUTS))
+def test_removed_inputs_exit_cleanly(pipeline, tmp_path, capsys, case):
+    synth = pipeline / "synth"
+    first, second = sorted((synth / "snapshots").glob("snapshot_*.csv"))[:2]
+    dated_schema = tmp_path / "schema.cfg"
+    dated_schema.write_text((synth / "schema.cfg").read_text() + "snapshot_date = 2018-06-04\n")
+    undated = tmp_path / "snapshot_latest.csv"
+    shutil.copy(first, undated)
+    paths = {
+        "first": first, "second": second, "snapshots": synth / "snapshots",
+        "changes": pipeline / "diff" / "changes.csv", "dated_schema": dated_schema,
+        "undated": undated,
+    }
+    argv, code, message = REMOVED_INPUTS[case]
+    argv = [arg.format(**paths) for arg in [*argv, "--out", str(tmp_path / "out")]]
+    capsys.readouterr()
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+    else:
+        assert run(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and "Traceback" not in err
+    assert err.splitlines()[-1].endswith(message.format(**paths))
+    assert err.startswith("usage: " if code == 2 else "error: ")
+
+
+# subcommand -> its option strings beside -h/--help: a new option edits this table
+CLI_OPTIONS = {
+    "synth": {"--preset", "--seed", "--out"},
+    "ingest": {"--snapshot", "--schema", "--out"},
+    "diff": {"--snapshots", "--schema", "--out"},
+    "matrix": {"--changes", "--snapshots", "--schema", "--change-type", "--interval-days", "--out"},
+    "detect": {"--matrix", "--method", "--k", "--window", "--lambda", "--seed", "--out"},
+    "evaluate": {
+        "--matrix", "--methods", "--fraction", "--top-k", "--grid-points", "--seed", "--out",
+    },
+    "features": {
+        "--changes", "--snapshots", "--schema", "--labels", "--change-type", "--interval-days",
+        "--out",
+    },
+    "train": {
+        "--features", "--holdout", "--n-estimators", "--max-depth", "--learning-rate", "--seed",
+        "--out",
+    },
+    "predict": {"--model", "--scaler", "--features", "--threshold", "--out"},
+    "heatmap": {"--matrix", "--scores", "--highlight", "--out"},
+    "rerun": {"--manifest", "--out"},
+}
+
+
+def test_cli_options_are_the_documented_set():
+    parser = cli._build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {s for action in sub._actions for s in action.option_strings} - {"-h", "--help"}
+        for name, sub in subcommands.choices.items()
+    }
+    assert options == CLI_OPTIONS
 
 
 def test_evaluate_fixed_mask_is_not_an_option(pipeline, tmp_path, capsys):

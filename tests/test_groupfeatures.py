@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import vrf_sentinel.groupfeatures as gf
-from vrf_sentinel.errors import DataError, FileParseError
-from vrf_sentinel.modmatrix import DateInterval
+from vrf_sentinel.errors import DataError
 from vrf_sentinel.records import (
     BallotKind,
     ChangeRecord,
@@ -181,11 +180,7 @@ def test_change_index_future_changes_ignored():
 
 
 def group_key(change_type=ChangeType.DEACTIVATION):
-    return gf.GroupKey(
-        locale="polk",
-        interval=DateInterval(AS_OF, AS_OF + dt.timedelta(days=7)),
-        change_type=change_type,
-    )
+    return gf.GroupKey(locale="polk", interval_start=AS_OF, change_type=change_type)
 
 
 def snapshot_of(*voters, date=AS_OF):
@@ -357,7 +352,7 @@ def test_scaler_json_round_trip():
     rng = np.random.default_rng(1)
     rows = [rng.normal(size=len(NAMES)) for _ in range(4)]
     _, scaler = gf.standardize([gfv(r, n=i) for i, r in enumerate(rows)])
-    back = gf.FeatureScaler.from_json(scaler.to_json())
+    back = gf.FeatureScaler.from_json(scaler.to_json(), "scaler.json")
     x = rng.normal(size=(3, len(NAMES)))
     np.testing.assert_array_equal(back.apply(x), scaler.apply(x))
 
@@ -371,11 +366,7 @@ def test_features_csv_round_trip(tmp_path):
     for i in range(5):
         vectors.append(
             gf.GroupFeatureVector(
-                key=gf.GroupKey(
-                    locale=f"L{i:03d}",
-                    interval=DateInterval(AS_OF, AS_OF + dt.timedelta(days=7)),
-                    change_type=ChangeType.DEACTIVATION,
-                ),
+                key=gf.GroupKey(f"L{i:03d}", AS_OF, ChangeType.DEACTIVATION),
                 n_voters=5 + i,
                 features=rng.normal(size=len(NAMES)),
                 label=gf.EventLabel.NCOA_MAILINGS if i % 2 else None,
@@ -400,8 +391,7 @@ CSV_TEXT = st.text(st.sampled_from(list('ab ,;|"\'\n\r\tÄé漢')), max_size=6)
 def test_features_csv_round_trip_any_locale_text(groups):
     vectors = [
         gf.GroupFeatureVector(
-            key=gf.GroupKey(locale, DateInterval(AS_OF, AS_OF + dt.timedelta(days=7)),
-                            ChangeType.DEACTIVATION),
+            key=gf.GroupKey(locale, AS_OF, ChangeType.DEACTIVATION),
             n_voters=i + 1,
             features=np.full(len(NAMES), i / 3),
             label=label,
@@ -417,17 +407,3 @@ def test_features_csv_round_trip_any_locale_text(groups):
     for a, b in zip(vectors, back):
         np.testing.assert_array_equal(a.features, b.features)
 
-
-def test_features_csv_manifest_version_checked(tmp_path):
-    vectors = [
-        gf.GroupFeatureVector(
-            key=group_key(), n_voters=3, features=np.zeros(len(NAMES))
-        )
-    ]
-    path = tmp_path / "features.csv"
-    gf.features_to_csv(vectors, str(path))
-    manifest_path = str(path) + ".manifest.json"
-    text = open(manifest_path).read().replace(gf.FEATURE_MANIFEST_VERSION, "gfv999")
-    open(manifest_path, "w").write(text)
-    with pytest.raises(FileParseError, match="version"):
-        gf.features_from_csv(str(path))

@@ -174,6 +174,17 @@ def test_zero_count_warns_once_and_zeroes_cell(caplog):
     assert "population 0" in caplog.records[0].getMessage()
 
 
+def test_zero_population_cells_warn_once_per_matrix(caplog):
+    changes = [change("V1", "a", day_offset=0), change("V2", "a", day_offset=20)]
+    matrix = mm.build_matrix(changes, ChangeType.ADDRESS, 7, {D0: {"a": 1000, "b": 0, "c": 0}})
+    assert matrix.shape == (3, 3)
+    assert (matrix.values[1:] == 0.0).all()
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    message = caplog.records[0].getMessage()
+    assert message.startswith("6 cells zeroed") and "population 0" in message
+    assert message.endswith(f"first b at {D0}")
+
+
 # --- CSV round trip -------------------------------------------------------------
 
 

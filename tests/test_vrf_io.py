@@ -257,12 +257,13 @@ def test_bad_rows_logged_as_one_warning(tmp_path, caplog):
 
 def test_load_schema_file(tmp_path):
     cfg = tmp_path / "schema.cfg"
-    cfg.write_text(
-        "# comment\nvoter_id = id\nlocale = county\nstatus = st\nsnapshot_date = 2020-05-01\n"
-    )
+    cfg.write_text("# comment\nvoter_id = id\nlocale = county\nstatus = st\ndelimiter = ;\n")
     schema = io.load_schema(str(cfg))
-    assert schema.columns["locale"] == "county"
-    assert schema.snapshot_date == dt.date(2020, 5, 1)
+    assert schema == io.SnapshotSchema({"voter_id": "id", "locale": "county", "status": "st"}, ";")
+    # a snapshot's date comes from its file name alone
+    cfg.write_text("voter_id = id\nlocale = county\nstatus = st\nsnapshot_date = 2020-05-01\n")
+    with pytest.raises(SchemaError, match="unknown logical fields: snapshot_date"):
+        io.load_schema(str(cfg))
 
 
 def test_snapshot_write_parse_round_trip(tmp_path):
@@ -299,8 +300,8 @@ def test_stream_writes_match_each_snapshot_written_alone(tmp_path, monkeypatch):
     streamed = []
     for k, snapshot in enumerate(snapshots):
         formatted.clear()
-        io.write_snapshot(snapshot, str(tmp_path / f"stream_{k}.csv"))
-        streamed.append((tmp_path / f"stream_{k}.csv").read_bytes())
+        io.write_snapshot(snapshot, str(tmp_path / f"stream_{k}_{D1}.csv"))
+        streamed.append((tmp_path / f"stream_{k}_{D1}.csv").read_bytes())
         # only the records the write before did not hold are formatted
         before = snapshots[k - 1].records.values() if k else ()
         held = {id(rec) for rec in before}
@@ -308,8 +309,8 @@ def test_stream_writes_match_each_snapshot_written_alone(tmp_path, monkeypatch):
     assert {id(r) for r in formatted} == {id(records[same]), id(records[changed])}
     for k, snapshot in enumerate(snapshots):
         assert streamed[k] == write_alone(snapshot, str(tmp_path / f"alone_{k}.csv"))
-    parsed = io.parse_snapshot(str(tmp_path / f"stream_{len(snapshots) - 1}.csv"),
-                               io.identity_schema(), snapshot_date=D1)
+    parsed = io.parse_snapshot(str(tmp_path / f"stream_{len(snapshots) - 1}_{D1}.csv"),
+                               io.identity_schema())
     assert parsed.records == records
 
 
@@ -443,12 +444,13 @@ def test_party_and_name_changes():
 
 
 def test_pending_transitions_extended_vs_strict():
+    """Pending is classified like its destination; no strict mode leaves it out."""
     before = make_voter("A1", status=VoterStatus.PENDING)
-    after = make_voter("A1", status=VoterStatus.ACTIVE)
-    extended = io.diff_snapshots(snap(D1, before), snap(D2, after))
-    assert [c.change_type for c in extended] == [ChangeType.ACTIVATION]
-    strict = io.diff_snapshots(snap(D1, before), snap(D2, after), strict_status=True)
-    assert strict == []
+    for status, change_type in ((VoterStatus.ACTIVE, ChangeType.ACTIVATION),
+                                (VoterStatus.INACTIVE, ChangeType.DEACTIVATION)):
+        after = make_voter("A1", status=status)
+        changes = io.diff_snapshots(snap(D1, before), snap(D2, after))
+        assert [c.change_type for c in changes] == [change_type]
 
 
 def test_date_order_precondition():
