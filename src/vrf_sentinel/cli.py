@@ -389,13 +389,16 @@ def cmd_evaluate(args: argparse.Namespace) -> dict:
 
 
 def _read_labels(path: str) -> dict:
-    """(locale, interval start, change type) -> `groupfeatures.EventLabel`."""
+    """(locale, interval start, change type) -> `groupfeatures.EventLabel`,
+    one row per key."""
     from .groupfeatures import EventLabel
 
     labels = {}
     for number, (locale, start, change_type, label) in vrf_io.read_table(path, LABEL_COLUMNS):
         try:
             key = (locale, dt.date.fromisoformat(start), _change_type(change_type))
+            if key in labels:
+                raise ValueError(f"a second label for {locale}, {start}, {change_type}")
             labels[key] = EventLabel(label)
         except ValueError as exc:
             raise FileParseError(f"{path}:{number}: {exc}") from None
@@ -405,7 +408,7 @@ def _read_labels(path: str) -> dict:
 def cmd_features(args: argparse.Namespace) -> dict:
     from . import groupfeatures
 
-    labels = _read_labels(args.labels) if args.labels else None
+    labels = _read_labels(args.labels) if args.labels else {}
     change_types = (_change_type(args.change_type),) if args.change_type else None
     where, counts, census, elections = _diff_output(args)
     references = (  # diff's reference-record files, one per census date
@@ -424,7 +427,9 @@ def cmd_features(args: argparse.Namespace) -> dict:
         change_types=change_types,
     )
     groupfeatures.features_to_csv(vectors, os.path.join(args.out, "group_features.csv"))
-    return {"counts": counts}
+    matched = sum(v.label is not None for v in vectors)
+    label_counts = {"read": len(labels), "matched": matched, "unmatched": len(labels) - matched}
+    return {"counts": {**counts, "labels": label_counts}}
 
 
 def cmd_train(args: argparse.Namespace) -> dict:

@@ -181,11 +181,6 @@ def gamma_sweeps(
     ]
 
 
-def gamma_sweep(values: np.ndarray, method: str, **options) -> SweepResult:
-    """`gamma_sweeps` of one method."""
-    return gamma_sweeps(values, (method,), **options)[0]
-
-
 def sweep_report(
     results: list[SweepResult],
     outdir: str,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, FileParseError, VrfError
-from .modmatrix import _interval_of, build_intervals
+from .modmatrix import change_grid
 from .records import (
     BallotKind, ChangeRecord, ChangeType, EventLabel, Snapshot, VoterRecord, normalize_text,
 )
@@ -326,9 +326,9 @@ def compute_group_features(
     """Group the changes and compute every group's column-wise mean vector
     over its distinct voters, sorted by (locale, interval start, change type).
 
-    Groups lie on modmatrix's interval grid, counted from the earliest
-    posterior date of all changes. Each voter is resolved in the snapshot
-    dated the reference date of their latest change in the group
+    Groups lie on `modmatrix.change_grid` of all `changes`, as matrix
+    cells do. Each voter is resolved in the snapshot dated the reference
+    date of their latest change in the group
     (`ChangeRecord.reference_date`), so `snapshots` may come in any order
     and need hold only those records. Unresolvable voters are warned about
     and excluded. Change-history counts never include the change being
@@ -341,13 +341,12 @@ def compute_group_features(
         records[snapshot.snapshot_date] = snapshot.records
     if not changes:
         return []
-    dates = [c.posterior_date for c in changes]
-    intervals = build_intervals(min(dates), max(dates), interval_days)
+    intervals, columns = change_grid(changes, interval_days)
     groups: dict[tuple[str, int, ChangeType], dict[str, ChangeRecord]] = {}
-    for change in changes:
+    for change, j in zip(changes, columns):
         if change_types is not None and change.change_type not in change_types:
             continue
-        key = (change.locale, _interval_of(intervals, change.posterior_date), change.change_type)
+        key = (change.locale, j, change.change_type)
         latest = groups.setdefault(key, {})
         cur = latest.get(change.voter_id)
         if cur is None or change.posterior_date > cur.posterior_date:
@@ -381,9 +380,9 @@ def compute_group_features(
             )
         if not rows:
             raise DataError(f"group {key} has no resolvable voters")
-        with np.errstate(invalid="ignore"):
-            means = np.nanmean(np.vstack(rows), axis=0)
-        # all-NaN column (no known birth dates): leave NaN for the scaler
+        x = np.vstack(rows)  # np.nanmean's sum / count, without its all-NaN warning
+        with np.errstate(invalid="ignore"):  # such a column (no birth date) stays NaN
+            means = np.nansum(x, axis=0) / (~np.isnan(x)).sum(axis=0)
         label = labels.get((locale, key.interval_start, change_type))
         out.append(GroupFeatureVector(key, len(rows), means, label))
     return out

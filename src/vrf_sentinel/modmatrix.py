@@ -16,7 +16,6 @@ row of text at a time, so a read costs memory in proportion to its grids.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import datetime as dt
 import logging
@@ -24,7 +23,6 @@ from array import array
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import groupby
-from operator import attrgetter
 from typing import TextIO
 
 import numpy as np
@@ -63,9 +61,6 @@ class DateInterval:
     def days(self) -> int:
         return (self.end - self.start).days
 
-    def contains(self, date: dt.date) -> bool:
-        return self.start <= date < self.end
-
 
 @dataclass(frozen=True)
 class ModificationMatrix:
@@ -95,6 +90,8 @@ class ModificationMatrix:
         for a, b in zip(self.intervals, self.intervals[1:]):
             if a.end != b.start:
                 raise VrfError("intervals must be contiguous and ascending")
+            if b.days != a.days:
+                raise VrfError("intervals must share one width")
         self.values.setflags(write=False)
         self.raw_counts.setflags(write=False)
         self.populations.setflags(write=False)
@@ -117,6 +114,19 @@ def build_intervals(start: dt.date, end: dt.date, interval_days: int) -> tuple[D
     return tuple(intervals)
 
 
+def change_grid(
+    changes: list[ChangeRecord], interval_days: int
+) -> tuple[tuple[DateInterval, ...], list[int]]:
+    """The interval grid of matrix cells and change groups, and each
+    change's column on it: `interval_days`-wide intervals from the earliest
+    posterior date of `changes`, over every change type, to the latest; a
+    change's column is `(posterior_date - start).days // interval_days`."""
+    dates = [c.posterior_date for c in changes]
+    start = min(dates)
+    intervals = build_intervals(start, max(dates), interval_days)
+    return intervals, [(d - start).days // interval_days for d in dates]
+
+
 def build_matrix(
     changes: list[ChangeRecord],
     change_type: ChangeType,
@@ -125,10 +135,10 @@ def build_matrix(
 ) -> ModificationMatrix:
     """Aggregate matching change records into a normalized matrix.
 
-    Each matching record increments exactly one cell, keyed by its
-    posterior_date and locale. The interval grid covers the posterior dates
-    seen; the locales are every locale counted in any census or changed
-    (so zero-change locales still get rows).
+    Each matching record increments exactly one cell: its locale's row and
+    its column on `change_grid` of all `changes`. The locales are every
+    locale counted in any census or changed (so zero-change locales still
+    get rows).
 
     `populations` maps each census (snapshot) date to its registered-voter
     count per locale. An interval takes its counts from the latest census
@@ -140,15 +150,15 @@ def build_matrix(
     matching = [c for c in changes if c.change_type == change_type]
     if not matching:
         raise DataError(f"no {change_type.value} changes")
-    dates = [c.posterior_date for c in matching]
-    intervals = build_intervals(min(dates), max(dates), interval_days)
+    intervals, columns = change_grid(changes, interval_days)
     locales = sorted(set().union(*populations.values()) | {c.locale for c in matching})
     row = {loc: i for i, loc in enumerate(locales)}
     n_rows, n_cols = len(locales), len(intervals)
 
-    raw = np.zeros((n_rows, n_cols), dtype=np.int64)
-    for change in matching:
-        raw[row[change.locale], _interval_of(intervals, change.posterior_date)] += 1
+    cells = [
+        row[c.locale] * n_cols + j for c, j in zip(changes, columns) if c.change_type == change_type
+    ]
+    raw = np.bincount(cells, minlength=n_rows * n_cols).reshape(n_rows, n_cols)
 
     census = sorted(populations)
     # per interval, the latest census strictly before its start, else the earliest
@@ -178,29 +188,21 @@ def build_matrix(
             len(zeroed), locales[i], intervals[j].start,
         )
     pops[empty] = 1  # raw is 0 there, so the value is 0
-    days = np.array([iv.days for iv in intervals], dtype=float)
 
     return ModificationMatrix(
         change_type=change_type,
         locales=tuple(locales),
         intervals=intervals,
-        values=normalized_values(raw, pops, days),
+        values=normalized_values(raw, pops, interval_days),
         raw_counts=raw,
         populations=pops,
     )
 
 
-def _interval_of(intervals: tuple[DateInterval, ...], date: dt.date) -> int:
-    """Index of the interval containing `date` in a contiguous ascending grid."""
-    j = bisect.bisect_right(intervals, date, key=attrgetter("start")) - 1
-    if j < 0 or not intervals[j].contains(date):
-        raise DataError(f"date {date} outside matrix span")
-    return j
-
-
-def normalized_values(raw: np.ndarray, populations: np.ndarray, interval_days: np.ndarray) -> np.ndarray:
-    """Apply the per-day per-1000-voter normalization to a count grid."""
-    return raw / interval_days[np.newaxis, :] / (populations / 1000.0)
+def normalized_values(raw: np.ndarray, populations: np.ndarray, interval_days: int) -> np.ndarray:
+    """Apply the per-day per-1000-voter normalization to a count grid whose
+    intervals are all `interval_days` wide."""
+    return raw / interval_days / (populations / 1000.0)
 
 
 # --- grid CSV codec -------------------------------------------------------------
@@ -316,9 +318,8 @@ def csv_to_matrix(path: str) -> ModificationMatrix:
 
     # Where the serialized value matches the normalization formula at the
     # written precision, restore the exact recomputed value, a row at a time.
-    days = np.array([iv.days for iv in intervals], dtype=float)
     for row, counts, voters in zip(values, raw, pops):
-        exact = normalized_values(counts, voters, days)[0]
+        exact = normalized_values(counts, voters, intervals[0].days)
         rounded = np.array(list(map(float, map(FLOAT_FORMAT.__mod__, exact.tolist()))))
         np.copyto(row, exact, where=row == rounded)
 

@@ -658,8 +658,7 @@ def generate_matrix_scenario(
     raw = count_rng.poisson(lam).astype(np.int64)
 
     pop_grid = np.repeat(pops[:, np.newaxis], config.n_intervals, axis=1)
-    days = np.full(config.n_intervals, float(config.interval_days))
-    background_mean = float(np.mean(normalized_values(raw, pop_grid, days)))
+    background_mean = float(np.mean(normalized_values(raw, pop_grid, config.interval_days)))
 
     anomaly_refs = []
     for i, j in config.anomaly_cells:
@@ -668,7 +667,7 @@ def generate_matrix_scenario(
         raw[i, j] += extra
         anomaly_refs.append(MatrixEntryRef(i, j))
 
-    values = normalized_values(raw, pop_grid, days)
+    values = normalized_values(raw, pop_grid, config.interval_days)
     intervals = build_intervals(
         config.start_date,
         config.start_date + dt.timedelta(days=(config.n_intervals - 1) * config.interval_days),

@@ -93,9 +93,9 @@ def test_criterion_4_gamma_sweep_protocol():
     matrix, _ = sg.generate_matrix_scenario(sg.MatrixScenarioConfig(seed=11))
     results = {}
     for method in det.METHOD_IDS:
-        results[method] = ev.gamma_sweep(
-            matrix.values, method, fraction=0.01, k=20, grid_points=21, seed=5
-        )
+        results[method] = ev.gamma_sweeps(
+            matrix.values, (method,), fraction=0.01, k=20, grid_points=21, seed=5
+        )[0]
     elapsed = time.monotonic() - start
 
     aucs_in_bounds = all(0.0 <= r.auc <= 1.0 for r in results.values())

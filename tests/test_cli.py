@@ -15,6 +15,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 import weakref
 
 import numpy as np
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vrf_sentinel
-from vrf_sentinel import cli, detectors, gbt, groupfeatures, vrf_io
+from vrf_sentinel import cli, detectors, gbt, groupfeatures, modmatrix, vrf_io
 from vrf_sentinel.errors import FileParseError, VrfError
 from vrf_sentinel.groupfeatures import EventLabel
 from vrf_sentinel.records import ChangeRecord, ChangeType, FieldDelta, election_tally
@@ -940,9 +941,11 @@ def test_labels_skip_blank_lines(tmp_path):
     }
 
 
-@pytest.mark.parametrize(
-    "row", ["L1,2019-01-03,deactivation\n", "L1,2019-01-03,deactivation,psychic\n"]
-)
+@pytest.mark.parametrize("row", [
+    "L1,2019-01-03,deactivation\n",
+    "L1,2019-01-03,deactivation,psychic\n",
+    "L1,2019-01-03,deactivation,other\nL1,2019-01-03,deactivation,ncoa_mailings\n",
+])
 def test_bad_label_rows_exit_3(pipeline, tmp_path, monkeypatch, row):
     path = tmp_path / "labels.csv"
     path.write_text(LABEL_HEADER + row)
@@ -1617,3 +1620,163 @@ def test_ingest_summary(pipeline, tmp_path):
     summary = json.load(open(out / "ingest_summary.json"))
     assert summary["records"] > 0
     assert summary["row_issues"] == []
+
+
+def test_matrix_and_features_share_one_grid_when_a_type_starts_later(tmp_path):
+    """Four weekly snapshots: an address change in the first diff, then a
+    deactivation in each of the next two. At 14-day intervals both steps
+    start the grid at the earliest change of any type, 2019-01-10, so the
+    matrix columns are the feature groups' interval starts."""
+    snapshots = tmp_path / "snapshots"
+    snapshots.mkdir()
+    header = "voter_id,locale,status,street_name,vote_history\n"
+    streets = {"A1": "main", "A2": "oak", "A3": "elm"}
+    inactive = {"2019-01-03": (), "2019-01-10": (), "2019-01-17": ("A2",), "2019-01-24": ("A2", "A3")}
+    for date, gone in inactive.items():
+        rows = [
+            f"{voter},polk,{'inactive' if voter in gone else 'active'},"
+            f"{'high' if voter == 'A1' and date > '2019-01-03' else street},"
+            "G18|2018-11-06|regular|\n"
+            for voter, street in streets.items()
+        ]
+        (snapshots / f"snapshot_{date}.csv").write_text(header + "".join(rows))
+    diff = tmp_path / "diff"
+    assert run("diff", "--snapshots", str(snapshots), "--out", str(diff)) == 0
+    inputs = ["--changes", str(diff / "changes.csv"), "--snapshots", str(snapshots),
+              "--change-type", "deactivation", "--interval-days", "14"]
+    assert run("matrix", *inputs, "--out", str(tmp_path / "matrix")) == 0
+    assert run("features", *inputs, "--out", str(tmp_path / "features")) == 0
+    matrix = modmatrix.csv_to_matrix(str(tmp_path / "matrix" / "matrix_deactivation.csv"))
+    starts = [dt.date(2019, 1, 10), dt.date(2019, 1, 24)]
+    assert [iv.start for iv in matrix.intervals] == starts
+    assert matrix.raw_counts.tolist() == [[1, 1]]
+    groups = groupfeatures.features_from_csv(str(tmp_path / "features" / "group_features.csv"))
+    assert [(v.key.interval_start, v.n_voters) for v in groups] == [(starts[0], 1), (starts[1], 1)]
+
+
+def test_features_without_birth_dates_warn_nothing(pipeline, tmp_path, capsys):
+    """A schema that maps no birth_date leaves every group's years_old NaN
+    (flagged missing) and prints nothing."""
+    synth = pipeline / "synth"
+    schema = tmp_path / "schema.cfg"
+    lines = (synth / "schema.cfg").read_text().splitlines(keepends=True)
+    schema.write_text("".join(line for line in lines if not line.startswith("birth_date")))
+    inputs = ["--snapshots", str(synth / "snapshots"), "--schema", str(schema)]
+    assert run("diff", *inputs, "--out", str(tmp_path / "diff")) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(
+            "features", "--changes", str(tmp_path / "diff" / "changes.csv"), *inputs,
+            "--out", str(tmp_path / "features"),
+        ) == 0
+    assert capsys.readouterr().err == ""
+    groups = groupfeatures.features_from_csv(str(tmp_path / "features" / "group_features.csv"))
+    years_old, missing = (groupfeatures.FEATURE_NAMES.index(n) for n in ("years_old", "years_old_missing"))
+    assert groups and all(math.isnan(v.features[years_old]) for v in groups)
+    assert all(v.features[missing] == 1.0 for v in groups)
+
+
+@pytest.fixture(scope="module")
+def pipeline_groups(pipeline, tmp_path_factory):
+    """The (locale, interval start, change type) keys of the pipeline's groups."""
+    out = tmp_path_factory.mktemp("groups")
+    synth = pipeline / "synth"
+    assert run(
+        "features", "--changes", str(pipeline / "diff" / "changes.csv"),
+        "--snapshots", str(synth / "snapshots"), "--schema", str(synth / "schema.cfg"),
+        "--out", str(out),
+    ) == 0
+    return [
+        (v.key.locale, v.key.interval_start.isoformat(), v.key.change_type.value)
+        for v in groupfeatures.features_from_csv(str(out / "group_features.csv"))
+    ]
+
+
+def test_features_manifest_counts_labels_matched_and_not(pipeline, pipeline_groups, tmp_path):
+    """A label whose group exists is matched; one whose locale, interval
+    start or change type names no group is counted, not silently dropped."""
+    locale, start, change_type = pipeline_groups[0]
+    absent = next(ct.value for ct in ChangeType if (locale, start, ct.value) not in pipeline_groups)
+    rows = [
+        [locale, start, change_type, "other"],
+        ["nowhere", start, change_type, "other"],
+        [locale, "1999-01-01", change_type, "other"],
+        [locale, start, absent, "ncoa_mailings"],
+    ]
+    labels = tmp_path / "labels.csv"
+    labels.write_text("".join(map(vrf_io.csv_line, [cli.LABEL_COLUMNS, *rows])))
+    synth = pipeline / "synth"
+    assert run(
+        "features", "--changes", str(pipeline / "diff" / "changes.csv"),
+        "--snapshots", str(synth / "snapshots"), "--schema", str(synth / "schema.cfg"),
+        "--labels", str(labels), "--out", str(tmp_path / "features"),
+    ) == 0
+    assert read_counts(tmp_path / "features")["labels"] == {"read": 4, "matched": 1, "unmatched": 3}
+
+
+@pytest.fixture(scope="module")
+def other_diff(pipeline, tmp_path_factory):
+    """Another diff: of the pipeline's first six snapshots only."""
+    root = tmp_path_factory.mktemp("other_diff")
+    (root / "snapshots").mkdir()
+    synth = pipeline / "synth"
+    for path in sorted((synth / "snapshots").glob("snapshot_*.csv"))[:6]:
+        shutil.copy(path, root / "snapshots")
+    assert run(
+        "diff", "--snapshots", str(root / "snapshots"), "--schema", str(synth / "schema.cfg"),
+        "--out", str(root / "diff"),
+    ) == 0
+    return root / "diff"
+
+
+LABEL_TEXT = st.one_of(st.text(max_size=8), st.sampled_from(["L01", "L02", "2019-01-03", ""]))
+
+
+@given(data=st.data())
+def test_features_with_foreign_labels_or_diff_files_exits_0_or_3(
+    pipeline, pipeline_groups, other_diff, data,
+):
+    """`features` given label rows of groups that may not exist, or a
+    voters/ file or manifest.json of another diff in place of its own,
+    exits 0 (with the label counts in its manifest) or 3, with at most
+    one line on stderr and no traceback."""
+    case = data.draw(st.sampled_from(["labels", "voters", "manifest"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        diff = pathlib.Path(tmp) / "diff"
+        shutil.copytree(pipeline / "diff", diff)
+        extra, rows = [], []
+        if case == "labels":
+            key = st.one_of(
+                st.sampled_from(pipeline_groups),
+                st.tuples(
+                    LABEL_TEXT, st.one_of(st.dates().map(dt.date.isoformat), LABEL_TEXT),
+                    st.one_of(st.sampled_from([ct.value for ct in ChangeType]), LABEL_TEXT),
+                ),
+            )
+            label = st.sampled_from([label.value for label in EventLabel])
+            rows = data.draw(st.lists(st.tuples(key, label).map(lambda r: [*r[0], r[1]]), max_size=6))
+            (diff / "labels.csv").write_text(
+                "".join(map(vrf_io.csv_line, [cli.LABEL_COLUMNS, *rows])), encoding="utf-8"
+            )
+            extra = ["--labels", str(diff / "labels.csv")]
+        elif case == "voters":
+            name = data.draw(st.sampled_from(sorted(p.name for p in (diff / "voters").iterdir())))
+            other = data.draw(st.sampled_from(sorted((other_diff / "voters").iterdir())))
+            shutil.copy(other, diff / "voters" / name)
+        else:
+            shutil.copy(other_diff / "manifest.json", diff / "manifest.json")
+        argv = [*step_argv(pipeline, "features", diff, pathlib.Path(tmp) / "out"), *extra]
+        err = stdio.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(*argv)
+        assert code in (0, 3)
+        assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+        if code == 3:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            return
+        assert case != "manifest"
+        matched = sum(tuple(row[:3]) in pipeline_groups and row[2] == "deactivation" for row in rows)
+        assert read_counts(pathlib.Path(tmp) / "out")["labels"] == {
+            "read": len(rows), "matched": matched, "unmatched": len(rows) - matched,
+        }

@@ -159,7 +159,9 @@ def test_perturb_adds_gamma_to_exactly_the_listed_cells(case, gamma):
 
 
 def test_sweep_constant_background_reaches_one():
-    result = ev.gamma_sweep(np.full((10, 12), 1.0), "global_std", fraction=0.05, k=6, grid_points=5, seed=0)
+    result = ev.gamma_sweeps(
+        np.full((10, 12), 1.0), ("global_std",), fraction=0.05, k=6, grid_points=5, seed=0
+    )[0]
     assert result.precision_at_k[0] <= 0.2  # no signal at gamma=0
     assert all(p == 1.0 for p in result.precision_at_k[1:])
 
@@ -167,7 +169,7 @@ def test_sweep_constant_background_reaches_one():
 def test_sweep_grid_endpoint_is_twenty_times_mean():
     rng = np.random.default_rng(9)
     values = rng.uniform(0, 2, size=(8, 9))
-    result = ev.gamma_sweep(values, "global_std", grid_points=5, k=5, seed=1)
+    result = ev.gamma_sweeps(values, ("global_std",), grid_points=5, k=5, seed=1)[0]
     assert result.gamma_grid[0] == 0.0
     assert result.gamma_grid[-1] == pytest.approx(20.0 * values.mean(), rel=1e-12)
 
@@ -175,8 +177,8 @@ def test_sweep_grid_endpoint_is_twenty_times_mean():
 def test_sweep_reproducible():
     rng = np.random.default_rng(10)
     values = rng.uniform(0, 1, size=(10, 10))
-    a = ev.gamma_sweep(values, "cl_std_3", fraction=0.05, k=5, grid_points=4, seed=3)
-    b = ev.gamma_sweep(values, "cl_std_3", fraction=0.05, k=5, grid_points=4, seed=3)
+    a = ev.gamma_sweeps(values, ("cl_std_3",), fraction=0.05, k=5, grid_points=4, seed=3)[0]
+    b = ev.gamma_sweeps(values, ("cl_std_3",), fraction=0.05, k=5, grid_points=4, seed=3)[0]
     assert a == b
 
 
@@ -188,14 +190,14 @@ def test_sweeps_on_a_fork_pool_match_one_process_and_leave_no_worker():
     assert ev.gamma_sweeps(values, methods, workers=3, **options) == serial
     assert multiprocessing.active_children() == []
     assert [result.method for result in serial] == list(methods)
-    assert serial[1] == ev.gamma_sweep(values, "rpca", **options)
+    assert serial[1] == ev.gamma_sweeps(values, ("rpca",), **options)[0]
 
 
 def test_auc_bounds_and_normalization():
     rng = np.random.default_rng(12)
     values = rng.uniform(0, 1, size=(9, 9))
     for method in ("global_std", "temporal_iqr", "cl_std_3"):
-        result = ev.gamma_sweep(values, method, fraction=0.05, k=5, grid_points=4, seed=5)
+        result = ev.gamma_sweeps(values, (method,), fraction=0.05, k=5, grid_points=4, seed=5)[0]
         assert 0.0 <= result.auc <= 1.0
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import vrf_sentinel.groupfeatures as gf
+import vrf_sentinel.modmatrix as mm
 from vrf_sentinel.errors import DataError
 from vrf_sentinel.records import (
     BallotKind,
@@ -407,3 +408,46 @@ def test_features_csv_round_trip_any_locale_text(groups):
     for a, b in zip(vectors, back):
         np.testing.assert_array_equal(a.features, b.features)
 
+
+# (locale, change type, posterior day offset, voter number) of one change
+CHANGE_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(["linn", "polk", "story"]), st.sampled_from(list(ChangeType)),
+        st.integers(1, 60), st.integers(0, 5),
+    ),
+    min_size=1, max_size=25,
+)
+
+
+@given(rows=CHANGE_ROWS, interval_days=st.integers(1, 21))
+def test_matrix_cells_and_change_groups_share_one_grid(rows, interval_days):
+    """For every change type, the nonzero cells of `build_matrix`, as
+    (locale, interval start), are the keys of the groups
+    `compute_group_features` forms for that type alone, whichever types
+    hold the earliest and the latest change."""
+    changes = [
+        ChangeRecord(
+            f"V{n}", locale, change_type,
+            AS_OF + dt.timedelta(days=day - 1), AS_OF + dt.timedelta(days=day),
+        )
+        for locale, change_type, day, n in rows
+    ]
+    snapshots = [
+        Snapshot(date, {f"V{n}": voter(f"V{n}") for n in range(6)})
+        for date in {c.reference_date for c in changes}
+    ]
+    populations = {AS_OF: {"linn": 900, "polk": 1000, "story": 1100}}
+    for change_type in ChangeType:
+        groups = gf.compute_group_features(
+            changes, snapshots, calendar(), interval_days, change_types=(change_type,)
+        )
+        keys = {(v.key.locale, v.key.interval_start) for v in groups}
+        if not any(c.change_type == change_type for c in changes):
+            assert keys == set()
+            continue
+        matrix = mm.build_matrix(changes, change_type, interval_days, populations)
+        cells = {
+            (matrix.locales[i], matrix.intervals[j].start)
+            for i, j in np.argwhere(matrix.raw_counts > 0)
+        }
+        assert cells == keys

@@ -123,8 +123,7 @@ def test_values_invariant_recomputable():
     matrix = mm.build_matrix(
         changes, ChangeType.ADDRESS, 7, {D0: {"a": 1200, "b": 800}}
     )
-    days = np.array([iv.days for iv in matrix.intervals], dtype=float)
-    recomputed = mm.normalized_values(matrix.raw_counts, matrix.populations, days)
+    recomputed = mm.normalized_values(matrix.raw_counts, matrix.populations, 7)
     assert np.array_equal(matrix.values, recomputed)
 
 
@@ -282,7 +281,7 @@ def test_grid_reader_returns_grid_or_raises_vrf_error(kind, locales, n_intervals
         if kind == "matrix":
             raw = np.array([[data.draw(st.integers(0, 1000)) for _ in intervals] for _ in locales])
             pops = raw + data.draw(st.integers(1, 10**6))
-            values = mm.normalized_values(raw, pops, np.full(n_intervals, 7.0))
+            values = mm.normalized_values(raw, pops, 7)
             matrix = mm.ModificationMatrix(
                 ChangeType.ADDRESS, tuple(locales), intervals, values, raw, pops
             )
@@ -378,7 +377,7 @@ def test_csv_to_matrix_peak_memory_per_cell(tmp_path):
     intervals = mm.build_intervals(D0, D0 + dt.timedelta(days=7 * 149), 7)
     matrix = mm.ModificationMatrix(
         ChangeType.ADDRESS, tuple(f"L{i:03d}" for i in range(400)), intervals,
-        mm.normalized_values(raw, pops, np.full(150, 7.0)), raw, pops,
+        mm.normalized_values(raw, pops, 7), raw, pops,
     )
     path = str(tmp_path / "matrix.csv")
     mm.matrix_to_csv(matrix, path)
@@ -416,6 +415,18 @@ def test_empty_matrix_rejected():
             values=np.zeros((0, 1)),
             raw_counts=np.zeros((0, 1), dtype=np.int64),
             populations=np.ones((0, 1), dtype=np.int64),
+        )
+
+
+@pytest.mark.parametrize("start, end, fault", [(8, 15, "contiguous"), (7, 21, "one width")])
+def test_intervals_must_be_contiguous_and_of_one_width(start, end, fault):
+    """A second interval after [D0, D0 + 7 days) must start at its end and be 7 days wide."""
+    second = mm.DateInterval(*(D0 + dt.timedelta(days=d) for d in (start, end)))
+    intervals = (mm.DateInterval(D0, D0 + dt.timedelta(days=7)), second)
+    with pytest.raises(VrfError, match=fault):
+        mm.ModificationMatrix(
+            ChangeType.ADDRESS, ("a",), intervals, np.zeros((1, 2)),
+            np.zeros((1, 2), dtype=np.int64), np.ones((1, 2), dtype=np.int64),
         )
 
 
