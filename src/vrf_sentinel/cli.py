@@ -39,7 +39,6 @@ from .records import ChangeRecord, ChangeType, Snapshot
 logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 
 LABEL_COLUMNS = ("locale", "interval_start", "change_type", "label")
@@ -318,9 +317,7 @@ def cmd_detect(args: argparse.Namespace) -> dict:
         if args.window < 0:
             raise VrfError(f"--window must be >= 0, got {args.window}")
         method = f"{method}_{2 * args.window + 1}"
-    scores, params = detectors.score_with_method(
-        matrix.values, method, seed=args.seed, **overrides
-    )
+    scores, params = detectors.score_with_method(matrix.values, method, **overrides)
     scored = detectors.ScoreMatrix(method, scores, matrix.locales, matrix.intervals, params)
     names = (f"scores_{method}.csv", f"ranked_{method}.csv", f"scores_{method}.svg")
     scores_path, ranked_path, svg_path = (os.path.join(args.out, name) for name in names)
@@ -445,8 +442,6 @@ def cmd_train(args: argparse.Namespace) -> dict:
         n_estimators=args.n_estimators,
         max_depth=args.max_depth,
         learning_rate=args.learning_rate,
-        holdout_fraction=args.holdout,
-        seed=args.seed,
     )
     train_idx, holdout_idx = gbt.split_holdout(labels, fraction=args.holdout, seed=args.seed)
     model = gbt.train(matrix[train_idx], [labels[i] for i in train_idx], config)
@@ -603,7 +598,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--window", type=int, default=2, help="cross-locale half-width w")
     p.add_argument("--lambda", dest="lambda_", type=float)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_detect)
 

@@ -100,7 +100,6 @@ def check_method(method: str) -> re.Match | None:
 def score_with_method(
     values: np.ndarray,
     method: str,
-    seed: int = 0,
     **overrides: Any,
 ) -> Scored:
     """Score a grid with the detector a method id names, returning the
@@ -108,12 +107,12 @@ def score_with_method(
 
     Overrides are forwarded to nmf (`k`, `tol`, `max_iter`) and rpca
     (`lam`, `tol`, `max_iter`); the pooled ids fix their own settings.
-    `seed` is used only by nmf; every other detector is deterministic.
+    Every detector is deterministic: one grid always gets the same scores.
     """
     # an overflow warns no one: a NaN it leaves is refused below, and ±inf ranks
     with np.errstate(over="ignore", invalid="ignore"):
         if method == "nmf":
-            scored = nmf_residual_scores(values, seed=seed, **overrides)
+            scored = nmf_residual_scores(values, **overrides)
         elif method == "rpca":
             scored = rpca_scores(values, **overrides)
         else:

@@ -36,13 +36,15 @@ class NmfResult:
         return self.row_factors @ self.col_factors.T
 
 
-def _nndsvd_init(m: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def _nndsvd_init(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic SVD-based non-negative init; zero entries are filled
-    with the matrix mean so no coordinate starts locked at zero."""
+    with the matrix mean so no coordinate starts locked at zero. If the SVD
+    fails, both factors start from one fixed uniform draw instead."""
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError:
-        logger.warning("SVD failed during init; falling back to seeded uniform")
+        logger.warning("SVD failed during init; falling back to a fixed uniform draw")
+        rng = np.random.default_rng(0)
         scale = np.sqrt(max(m.mean(), _EPS) / k)
         return (
             rng.uniform(0.0, 1.0, size=(m.shape[0], k)) * scale,
@@ -73,10 +75,19 @@ def _nndsvd_init(m: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.nd
     return p, q
 
 
+def _update_columns(f: np.ndarray, gram: np.ndarray, cross: np.ndarray) -> None:
+    """One HALS half-sweep in place: solve each column of `f` exactly, with
+    a non-negativity clip, given the fixed factor's `gram` and `cross`."""
+    for t in range(f.shape[1]):
+        denom = gram[t, t]
+        if denom <= _EPS:
+            continue
+        f[:, t] = np.maximum(0.0, f[:, t] + (cross[:, t] - f @ gram[:, t]) / denom)
+
+
 def nmf_factorize(
     values: np.ndarray,
     k: int,
-    seed: int = 0,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> NmfResult:
@@ -93,8 +104,7 @@ def nmf_factorize(
     if k < 1 or k > min(m.shape):
         raise VrfError(f"k must be in [1, {min(m.shape)}], got {k}")
 
-    rng = np.random.default_rng(seed)
-    p, q = _nndsvd_init(m, k, rng)
+    p, q = _nndsvd_init(m, k)
 
     def objective() -> float:
         diff = m - p @ q.T
@@ -103,22 +113,10 @@ def nmf_factorize(
     history = [objective()]
     converged = False
     for _ in range(max_iter):
-        # Update columns of p (q fixed): gram and cross products are exact
-        # for the whole half-sweep because they only involve q.
-        gram_q = q.T @ q
-        cross_q = m @ q
-        for t in range(k):
-            denom = gram_q[t, t]
-            if denom <= _EPS:
-                continue
-            p[:, t] = np.maximum(0.0, p[:, t] + (cross_q[:, t] - p @ gram_q[:, t]) / denom)
-        gram_p = p.T @ p
-        cross_p = m.T @ p
-        for t in range(k):
-            denom = gram_p[t, t]
-            if denom <= _EPS:
-                continue
-            q[:, t] = np.maximum(0.0, q[:, t] + (cross_p[:, t] - q @ gram_p[:, t]) / denom)
+        # the gram and cross products only involve the fixed factor, so
+        # they are exact for the whole half-sweep
+        _update_columns(p, q.T @ q, m @ q)
+        _update_columns(q, p.T @ p, m.T @ p)
 
         history.append(objective())
         prev, curr = history[-2], history[-1]
@@ -132,7 +130,6 @@ def nmf_factorize(
 def nmf_residual_scores(
     values: np.ndarray,
     k: int = DEFAULT_K,
-    seed: int = 0,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> Scored:
@@ -141,10 +138,9 @@ def nmf_residual_scores(
     if k > min(values.shape):
         logger.warning("k=%d exceeds min(shape)=%d; clamping", k, min(values.shape))
         k = min(values.shape)
-    result = nmf_factorize(values, k=k, seed=seed, tol=tol, max_iter=max_iter)
+    result = nmf_factorize(values, k=k, tol=tol, max_iter=max_iter)
     return Scored(values - result.reconstruction(), {
         "k": k,
-        "seed": seed,
         "tol": tol,
         "max_iter": max_iter,
         "converged": result.converged,

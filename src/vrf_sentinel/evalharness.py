@@ -114,7 +114,7 @@ class _Sweep:
         method, index = task
         cells = perturbed_cells(self.values.shape, self.fraction, point_seed(self.seed, index))
         perturbed = perturb(self.values, cells, float(self.gammas[index]))
-        scores, params = score_with_method(perturbed, method, seed=self.seed)
+        scores, params = score_with_method(perturbed, method)
         precision = precision_at_k(rank_entries(scores, perturbed, k=self.k), cells, self.k)
         return precision, int(not params.get("converged", True)), int(params.get("iterations", 0))
 

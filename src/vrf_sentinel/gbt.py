@@ -32,8 +32,6 @@ class GbtConfig:
     n_estimators: int = 50
     max_depth: int = 3
     learning_rate: float = 0.3
-    holdout_fraction: float = 0.2
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_estimators < 1:
@@ -42,8 +40,6 @@ class GbtConfig:
             raise VrfError("max_depth must be >= 1")
         if not 0 < self.learning_rate <= 1:
             raise VrfError("learning_rate must be in (0, 1]")
-        if not 0 < self.holdout_fraction < 1:
-            raise VrfError("holdout_fraction must be in (0, 1)")
 
 
 @dataclass
@@ -368,8 +364,6 @@ def save_model(model: GbtModel, path: str) -> None:
             "n_estimators": model.config.n_estimators,
             "max_depth": model.config.max_depth,
             "learning_rate": model.config.learning_rate,
-            "holdout_fraction": model.config.holdout_fraction,
-            "seed": model.config.seed,
         },
         "classes": list(model.classes),
         "n_features": model.n_features,
@@ -408,8 +402,6 @@ def load_model(path: str) -> GbtModel:
                 n_estimators=cfg["n_estimators"],
                 max_depth=cfg["max_depth"],
                 learning_rate=cfg["learning_rate"],
-                holdout_fraction=cfg["holdout_fraction"],
-                seed=cfg["seed"],
             ),
             classes=tuple(payload["classes"]),
             n_features=int(payload["n_features"]),

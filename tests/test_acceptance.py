@@ -76,7 +76,7 @@ def test_criterion_3_planted_anomaly_study():
     )
     ranks = {}
     for method in ("nmf", "cl_std_3", "rpca", "global_std"):
-        scores, _ = det.score_with_method(matrix.values, method, seed=0)
+        scores, _ = det.score_with_method(matrix.values, method)
         ranks[method] = ev.average_rank(det.rank_entries(scores, matrix.values), truth_cells)
     elapsed = time.monotonic() - start
     ok = (
@@ -134,25 +134,25 @@ def test_criterion_5_nmf_properties():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         m = rng.uniform(0.0, 1.0, size=(30, 40))
-        obj = nmf_factorize(m, k=4, seed=seed, tol=1e-12, max_iter=60).objective
+        obj = nmf_factorize(m, k=4, tol=1e-12, max_iter=60).objective
         for prev, curr in zip(obj, obj[1:]):
             if curr > prev + fp_slack * (1.0 + obj[0]):
                 monotone = False
 
     rng = np.random.default_rng(7)
     rank1 = np.outer(rng.uniform(0.5, 2.0, 30), rng.uniform(0.5, 2.0, 40))
-    res = nmf_factorize(rank1, k=1, seed=0)
+    res = nmf_factorize(rank1, k=1)
     exact = float(np.abs(rank1 - res.reconstruction()).max())
 
     m = np.abs(np.random.default_rng(3).normal(size=(30, 40)))
-    a = nmf_factorize(m, k=5, seed=9)
-    b = nmf_factorize(m, k=5, seed=9)
+    a = nmf_factorize(m, k=5)
+    b = nmf_factorize(m, k=5)
     deterministic = np.array_equal(a.reconstruction(), b.reconstruction())
 
     ok = monotone and exact <= 1e-6 and deterministic
     _report(
         5,
-        "factorization: monotone objective, rank-1 exact, seed-reproducible",
+        "factorization: monotone objective, rank-1 exact, reproducible",
         ok,
         f"rank1 resid={exact:.2e}",
     )
@@ -258,7 +258,7 @@ def test_criterion_8_classifier_task():
     model = gbt.train(
         matrix[train_idx],
         [labels[i] for i in train_idx],
-        gbt.GbtConfig(n_estimators=50, max_depth=3, learning_rate=0.3, seed=0),
+        gbt.GbtConfig(n_estimators=50, max_depth=3, learning_rate=0.3),
     )
     report = gbt.evaluate(model, matrix[hold_idx], [labels[i] for i in hold_idx])
 
@@ -352,7 +352,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     detect = base / "detect"
     assert cli.main([
         "detect", "--matrix", str(matrix / "matrix_deactivation.csv"),
-        "--method", "nmf", "--k", "5", "--seed", "2", "--out", str(detect),
+        "--method", "nmf", "--k", "5", "--out", str(detect),
     ]) == 0
     evaluate = base / "evaluate"
     assert cli.main([

@@ -546,11 +546,11 @@ def test_detect_records_params(pipeline):
         "detect", "--matrix", str(pipeline / "matrix" / "matrix_deactivation.csv"),
         "--method", "nmf", "--k", "5", "--out", str(out),
     ) == 0
-    header = json.loads(open(out / "scores_nmf.csv").readline())
+    header = json.loads((out / "scores_nmf.csv").read_text().splitlines()[0])
     assert header["params"]["k"] == 5
     assert (out / "ranked_nmf.csv").exists()
     assert (out / "scores_nmf.svg").exists()
-    manifest = json.loads(open(out / "manifest.json").read())
+    manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["converged"] is True
     assert manifest["iterations"] == header["params"]["iterations"] > 0
     assert "residual" not in manifest
@@ -560,8 +560,8 @@ def test_detect_records_params(pipeline):
         "detect", "--matrix", str(pipeline / "matrix" / "matrix_deactivation.csv"),
         "--method", "rpca", "--out", str(out),
     ) == 0
-    params = json.loads(open(out / "scores_rpca.csv").readline())["params"]
-    manifest = json.loads(open(out / "manifest.json").read())
+    params = json.loads((out / "scores_rpca.csv").read_text().splitlines()[0])["params"]
+    manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["converged"] is True
     assert manifest["iterations"] == params["iterations"] > 0
     assert manifest["residual"] == params["residual"] <= params["tol"]
@@ -583,9 +583,7 @@ def test_detect_rejects_a_lambda_not_positive_and_finite(pipeline, tmp_path, cap
     ["synth", "--preset", "pair"],
     ["evaluate", "--matrix", "{matrix}", "--methods", "global_std"],
     ["train", "--features", "{features}"],
-    ["detect", "--matrix", "{matrix}", "--method", "nmf"],
-    ["detect", "--matrix", "{matrix}", "--method", "rpca"],
-], ids=["synth", "evaluate", "train", "detect-nmf", "detect-rpca"])
+], ids=["synth", "evaluate", "train"])
 def test_negative_seed_exits_3(pipeline, tmp_path, capsys, argv):
     paths = {
         "matrix": str(pipeline / "matrix" / "matrix_deactivation.csv"),
@@ -660,8 +658,8 @@ def test_detect_finds_planted_anomaly(pipeline):
         "detect", "--matrix", str(pipeline / "matrix" / "matrix_deactivation.csv"),
         "--method", "cl_std", "--window", "1", "--out", str(out),
     ) == 0
-    top = open(out / "ranked_cl_std_3.csv").readlines()[1].strip().split(",")
-    truth = json.load(open(pipeline / "synth" / "groundtruth.json"))
+    top = (out / "ranked_cl_std_3.csv").read_text().splitlines()[1].split(",")
+    truth = json.loads((pipeline / "synth" / "groundtruth.json").read_text())
     planted = [c for c in truth["cell_causes"] if c[3] == "anomaly"]
     assert [top[1], top[2]] in [[loc, _interval_start(truth, idx)] for loc, idx, _, _ in planted]
 
@@ -1452,7 +1450,7 @@ def test_labeled_pipeline_train_predict(tmp_path):
     ) == 0
     assert (train / "model.json").exists()
     metrics = dict(
-        line.strip().split(",") for line in open(train / "eval_metrics.csv").readlines()[1:]
+        line.split(",") for line in (train / "eval_metrics.csv").read_text().splitlines()[1:]
     )
     assert float(metrics["accuracy"]) >= 0.8
     predict = tmp_path / "predict"
@@ -1462,9 +1460,9 @@ def test_labeled_pipeline_train_predict(tmp_path):
         "--features", str(feats / "group_features.csv"),
         "--threshold", "0.95", "--out", str(predict),
     ) == 0
-    lines = open(predict / "predictions.csv").readlines()
+    lines = (predict / "predictions.csv").read_text().splitlines()
     assert lines[0].startswith("locale,interval_start,change_type,p_")
-    n_groups = len(open(feats / "group_features.csv").readlines()) - 1
+    n_groups = len((feats / "group_features.csv").read_text().splitlines()) - 1
     assert len(lines) == 1 + n_groups  # every group scored, labeled or not
     assert n_groups >= 184
 
@@ -1476,7 +1474,7 @@ def test_snapshot_dates_come_from_file_names_not_directories(tmp_path):
     (snapshots / "snapshot_2019-01-03.csv").write_text(header + "A1,polk,active\n")
     (snapshots / "snapshot_2019-01-10.csv").write_text(header + "A1,polk,inactive\n")
     assert run("diff", "--snapshots", str(snapshots), "--out", str(tmp_path / "diff")) == 0
-    rows = list(csv.DictReader(open(tmp_path / "diff" / "changes.csv")))
+    rows = list(csv.DictReader((tmp_path / "diff" / "changes.csv").read_text().splitlines()))
     assert [(r["anterior_date"], r["posterior_date"]) for r in rows] == [
         ("2019-01-03", "2019-01-10")
     ]
@@ -1571,7 +1569,7 @@ CLI_OPTIONS = {
     "ingest": {"--snapshot", "--schema", "--out"},
     "diff": {"--snapshots", "--schema", "--out"},
     "matrix": {"--changes", "--snapshots", "--schema", "--change-type", "--interval-days", "--out"},
-    "detect": {"--matrix", "--method", "--k", "--window", "--lambda", "--seed", "--out"},
+    "detect": {"--matrix", "--method", "--k", "--window", "--lambda", "--out"},
     "evaluate": {
         "--matrix", "--methods", "--fraction", "--top-k", "--grid-points", "--seed", "--out",
     },
@@ -1617,7 +1615,7 @@ def test_ingest_summary(pipeline, tmp_path):
         "ingest", "--snapshot", str(snapshot),
         "--schema", str(synth / "schema.cfg"), "--out", str(out),
     ) == 0
-    summary = json.load(open(out / "ingest_summary.json"))
+    summary = json.loads((out / "ingest_summary.json").read_text())
     assert summary["records"] > 0
     assert summary["row_issues"] == []
 

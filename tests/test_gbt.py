@@ -83,8 +83,8 @@ def test_row_permutation_gives_identical_model(tmp_path):
     x, y = separable_toy(seed=5)
     rng = np.random.default_rng(11)
     perm = rng.permutation(len(y))
-    m1 = gbt.train(x, y, gbt.GbtConfig(n_estimators=10, seed=0))
-    m2 = gbt.train(x[perm], [y[i] for i in perm], gbt.GbtConfig(n_estimators=10, seed=0))
+    m1 = gbt.train(x, y, gbt.GbtConfig(n_estimators=10))
+    m2 = gbt.train(x[perm], [y[i] for i in perm], gbt.GbtConfig(n_estimators=10))
     p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
     gbt.save_model(m1, str(p1))
     gbt.save_model(m2, str(p2))
@@ -248,6 +248,17 @@ def saved_payload(tmp_path):
     path = tmp_path / "model.json"
     gbt.save_model(gbt.train(x, y, gbt.GbtConfig(n_estimators=2)), str(path))
     return path, json.loads(path.read_text())
+
+
+def test_model_file_with_the_old_holdout_and_seed_keys_loads(tmp_path):
+    path, payload = saved_payload(tmp_path)
+    assert sorted(payload["config"]) == ["learning_rate", "max_depth", "n_estimators"]
+    old = tmp_path / "old_model.json"
+    payload["config"].update(holdout_fraction=0.2, seed=0)
+    old.write_text(json.dumps(payload))
+    x, _ = separable_toy(seed=41)
+    want = gbt.predict_proba(gbt.load_model(str(path)), x)
+    assert np.array_equal(gbt.predict_proba(gbt.load_model(str(old)), x), want)
 
 
 def test_model_with_fewer_than_two_classes_is_load_error(tmp_path):

@@ -3,6 +3,7 @@ import datetime as dt
 import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,7 +232,7 @@ def test_matrix_csv_round_trip_any_locale_text(locales, n_intervals):
         mm.matrix_to_csv(matrix, first)
         back = mm.csv_to_matrix(first)
         mm.matrix_to_csv(back, second)
-        assert open(first, "rb").read() == open(second, "rb").read()
+        assert Path(first).read_bytes() == Path(second).read_bytes()
     assert back.locales == matrix.locales
     assert np.array_equal(back.raw_counts, matrix.raw_counts)
     assert np.array_equal(back.populations, matrix.populations)
