@@ -21,8 +21,10 @@ The VRF_SENTINEL_LOG environment variable sets the log level.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime as dt
 import glob
+import io
 import json
 import logging
 import os
@@ -235,7 +237,7 @@ def cmd_diff(args: argparse.Namespace) -> dict:
 
     def write_references(date: dt.date, references: dict) -> None:
         name = f"snapshot_{date.isoformat()}.csv"
-        vrf_io.write_snapshot(Snapshot(date, references), os.path.join(voters, name))
+        vrf_io.write_snapshot(Snapshot(date, references, {}), os.path.join(voters, name))
 
     def pairs() -> Iterator[ChangeRecord]:
         """Each pair's changes in file order. A snapshot's reference records
@@ -525,27 +527,35 @@ def cmd_heatmap(args: argparse.Namespace) -> dict:
     return {"output_bytes": {os.path.basename(args.out): os.path.getsize(args.out)}}
 
 
-def _replayed_argv(manifest_path: str, out: str | None) -> list[str]:
-    """A manifest's argv, with its `--out` value replaced by `out` if given."""
+def _replayed(manifest_path: str, out: str | None) -> tuple[list[str], argparse.Namespace]:
+    """A manifest's argv, its `--out` value replaced by `out` if given, and its parse."""
     with open(manifest_path, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
         except (ValueError, RecursionError) as exc:
             raise DataError(f"{manifest_path}: not a JSON manifest ({exc})") from None
-    stored = manifest.get("argv") if isinstance(manifest, dict) else None
-    if not isinstance(stored, list) or not all(isinstance(t, str) for t in stored):
-        raise DataError(f"{manifest_path}: manifest needs an argv list of strings")
-    if stored[:1] == ["rerun"]:
+    argv = manifest.get("argv") if isinstance(manifest, dict) else None
+    if not isinstance(argv, list) or not all(isinstance(t, str) and "\0" not in t for t in argv):
+        raise DataError(f"{manifest_path}: manifest needs an argv list of strings without NUL")
+    if argv[:1] == ["rerun"]:
         raise DataError(f"{manifest_path}: a manifest cannot replay another rerun")
-    if not out:
-        return stored
-    kept, tokens = [], iter(stored)
-    for token in tokens:  # drop the stored --out, spelled "--out x" or "--out=x"
-        if token == "--out":
-            next(tokens, None)
-        elif not token.startswith("--out="):
-            kept.append(token)
-    return kept + ["--out", out]
+    if out:
+        kept, tokens = [], iter(argv)
+        for token in tokens:  # drop the stored --out, spelled "--out x" or "--out=x"
+            if token == "--out":
+                next(tokens, None)
+            elif not token.startswith("--out="):
+                kept.append(token)
+        argv = kept + ["--out", out]
+    printed = io.StringIO()
+    try:  # argparse prints its usage, help or version, then exits; a replay prints none
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+            return argv, _build_parser().parse_args(argv)
+    except SystemExit:
+        reason = " ".join(printed.getvalue().partition("error: ")[2].split())  # on one line
+        raise DataError(
+            f"{manifest_path}: the CLI cannot run its argv: {reason or 'it runs no subcommand'}"
+        ) from None
 
 
 # --- argument parsing ------------------------------------------------------------
@@ -649,7 +659,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rerun", help="replay a run manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--out", help="redirect outputs to a different directory")
+    p.add_argument("--out", help="another output directory, or for a heatmap another SVG")
     return parser
 
 
@@ -661,10 +671,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = _build_parser().parse_args(argv)
     try:
+        if args.command == "rerun":
+            argv, args = _replayed(args.manifest, args.out)
         if getattr(args, "seed", 0) < 0:
             raise VrfError(f"--seed must be >= 0, got {args.seed!r}")
-        if args.command == "rerun":
-            return main(_replayed_argv(args.manifest, args.out))
         if args.command == "heatmap":  # --out names the SVG; its manifest sits beside it
             outdir, manifest = os.path.dirname(args.out) or ".", f"{args.out}.manifest.json"
         else:
@@ -680,7 +690,7 @@ def main(argv: list[str] | None = None) -> int:
         _write_json(
             manifest, {"command": args.command, "argv": argv, "package_version": __version__, **extras}
         )
-    except (VrfError, OSError, UnicodeDecodeError) as exc:
+    except (VrfError, OSError, UnicodeError) as exc:  # a file not UTF-8, or a path no name holds
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK

@@ -12,6 +12,7 @@ id. An id is one of
     global_std, global_iqr
 
 and `METHOD_IDS` lists the ten that the evaluation harness runs by default.
+The package hands on only the names that the rest of the program reads.
 """
 
 from __future__ import annotations
@@ -22,45 +23,18 @@ from typing import Any
 import numpy as np
 
 from ..errors import DataError, VrfError
-from .nmf import DEFAULT_K, NmfResult, nmf_factorize, nmf_residual_scores
+from .nmf import nmf_residual_scores
 from .ranking import rank_entries, ranked_to_csv
-from .rpca import RpcaResult, default_lambda, rpca_decompose, rpca_scores
+from .rpca import rpca_scores
 from .scoring import (
     Scored,
     ScoreMatrix,
     cross_locale_scores,
     global_scores,
-    iqr_score,
     scores_from_csv,
     scores_to_csv,
     temporal_scores,
-    zscore,
 )
-
-__all__ = [
-    "DEFAULT_K",
-    "METHOD_IDS",
-    "NmfResult",
-    "RpcaResult",
-    "ScoreMatrix",
-    "Scored",
-    "check_method",
-    "cross_locale_scores",
-    "default_lambda",
-    "global_scores",
-    "iqr_score",
-    "nmf_factorize",
-    "nmf_residual_scores",
-    "rank_entries",
-    "ranked_to_csv",
-    "rpca_decompose",
-    "rpca_scores",
-    "score_with_method",
-    "scores_from_csv",
-    "scores_to_csv",
-    "temporal_scores",
-    "zscore",
-]
 
 METHOD_IDS = (
     "nmf",

@@ -57,10 +57,6 @@ class ScoreMatrix:
             raise VrfError(f"score grid shape {self.scores.shape} != labels {expected}")
         self.scores.setflags(write=False)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.scores.shape
-
 
 class Scored(NamedTuple):
     """A score grid and the params its score file records (nmf and rpca

@@ -4,8 +4,7 @@ Perturbs a small random fraction of matrix entries by a positive amount
 gamma, asks each detector to rank all entries, and measures the precision
 of the top k against the perturbed set. Sweeping gamma from 0 to 20x the
 matrix mean and integrating precision over the sweep (normalized to [0,1])
-summarizes each method with a single AUC figure. Also provides the
-average-rank metric used for planted-anomaly studies.
+summarizes each method with a single AUC figure.
 """
 
 from __future__ import annotations
@@ -58,16 +57,6 @@ def precision_at_k(order: np.ndarray, cells: np.ndarray, k: int) -> float:
     if k > len(order):
         raise VrfError(f"k={k} exceeds ranking length {len(order)}")
     return int(np.count_nonzero(np.isin(order[:k], cells))) / k
-
-
-def average_rank(order: np.ndarray, cells: np.ndarray) -> float:
-    """Mean 1-based rank in the ranking `order` of the distinct flat `cells`."""
-    if len(cells) == 0:
-        raise VrfError("truth set must be non-empty")
-    ranks = np.flatnonzero(np.isin(order, cells)) + 1
-    if len(ranks) != len(cells):
-        raise VrfError("truth cells must be distinct cells of the ranked grid")
-    return int(ranks.sum()) / len(cells)
 
 
 @dataclass(frozen=True)

@@ -67,11 +67,6 @@ class TreeNode:
             out[~mask] = self.right.predict_many(x[~mask])
         return out
 
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
-
 
 @dataclass
 class GbtModel:

@@ -102,20 +102,13 @@ class Snapshot:
 
     `records` holds its voters, each keyed by its own `voter_id` (the
     parser and the generator both key them so; it is not checked again
-    here). `locale_counts` counts every valid row of the file; when not
-    supplied (a snapshot built in memory) it is derived from `records`.
+    here). `locale_counts` counts every valid row of the file, or is empty
+    where no census is read from the snapshot.
     """
 
     snapshot_date: dt.date
     records: dict[str, VoterRecord]
-    locale_counts: dict[str, int] | None = None
-
-    def __post_init__(self) -> None:
-        if self.locale_counts is None:
-            counts: dict[str, int] = {}
-            for rec in self.records.values():
-                counts[rec.locale] = counts.get(rec.locale, 0) + 1
-            object.__setattr__(self, "locale_counts", counts)
+    locale_counts: dict[str, int]
 
     def __len__(self) -> int:
         return len(self.records)

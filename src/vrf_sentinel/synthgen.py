@@ -88,6 +88,10 @@ def _election_calendar(last_year: int) -> list[tuple[str, dt.date, bool, float]]
 
 # --- configs -----------------------------------------------------------------
 
+# every scenario, snapshot-level or matrix-level, is weekly from one Monday
+INTERVAL_DAYS = 7
+START_DATE = dt.date(2018, 6, 4)
+
 
 @dataclass(frozen=True)
 class EventSpec:
@@ -120,8 +124,6 @@ class ScenarioConfig:
     population_median: float = 10_000.0
     population_sigma: float = 0.5
     n_intervals: int = 149
-    interval_days: int = 7
-    start_date: dt.date = dt.date(2018, 6, 4)
     # organic background, changes per-day per-1000 voters by type
     base_rates: dict[ChangeType, float] = field(
         default_factory=lambda: {
@@ -143,8 +145,7 @@ class ScenarioConfig:
 
     def snapshot_dates(self) -> tuple[dt.date, ...]:
         return tuple(
-            self.start_date + dt.timedelta(days=i * self.interval_days)
-            for i in range(self.n_intervals + 1)
+            START_DATE + dt.timedelta(days=i * INTERVAL_DAYS) for i in range(self.n_intervals + 1)
         )
 
 
@@ -170,9 +171,6 @@ class GroundTruth:
     cell_causes: dict[tuple[str, int, str], str] = field(default_factory=dict)
     inserted_voters: int = 0
     removed_voters: int = 0
-
-    def anomaly_cells(self) -> set[tuple[str, int, str]]:
-        return {cell for cell, cause in self.cell_causes.items() if cause == ANOMALY_CAUSE}
 
     def interval(self, index: int) -> DateInterval:
         start = self.start_date + dt.timedelta(days=(index + 1) * self.interval_days)
@@ -230,12 +228,6 @@ def _voter_id(num: int) -> str:
     return f"V{num + 1:07d}"
 
 
-def generate_scenario(config: ScenarioConfig) -> tuple[list[Snapshot], GroundTruth]:
-    """Materialize the full snapshot sequence plus ground truth."""
-    pairs = list(iter_scenario_snapshots(config))
-    return [snapshot for snapshot, _ in pairs], pairs[-1][1]
-
-
 def iter_scenario_snapshots(config: ScenarioConfig):
     """Yield (snapshot, truth) pairs one interval at a time.
 
@@ -277,14 +269,14 @@ class _Walk:
         self.rng = np.random.default_rng(change_seq)
         self.truth = GroundTruth(
             config_seed=config.seed,
-            start_date=config.start_date,
-            interval_days=config.interval_days,
+            start_date=START_DATE,
+            interval_days=INTERVAL_DAYS,
             n_intervals=config.n_intervals,
             locales=config.locale_codes(),
         )
-        calendar = _election_calendar(config.start_date.year)
+        calendar = _election_calendar(START_DATE.year)
         # the calendar as arrays: each election's day relative to the start, and its scale
-        self.election_days = np.array([(day - config.start_date).days for _, day, _, _ in calendar])
+        self.election_days = np.array([(day - START_DATE).days for _, day, _, _ in calendar])
         self.turnout_scales = np.array([scale for *_, scale in calendar])
         # every ballot a voter can cast, by (election, ballot kind, party): the
         # kinds in `_BALLOT_KINDS` order, and a party ballot only in primaries
@@ -305,7 +297,7 @@ class _Walk:
         draws = self.voter_rng.normal(0.0, 1.0, size=config.n_locales)
         pops = np.round(config.population_median * np.exp(config.population_sigma * draws))
         for code, pop in zip(config.locale_codes(), pops):
-            self._new_voters(code, int(max(50, pop)), config.start_date, established=True)
+            self._new_voters(code, int(max(50, pop)), START_DATE, established=True)
 
     def __iter__(self):
         events: dict[int, list[EventSpec]] = {}
@@ -361,7 +353,7 @@ class _Walk:
         kind_draw = rng.random((n, len(self.election_days)))
 
         # days relative to the scenario start, like `election_days`
-        as_of_day = (as_of - self.config.start_date).days
+        as_of_day = (as_of - START_DATE).days
         born = as_of_day - (age_years * 365.25).astype(int)
         registered = as_of_day - reg_days
         voted = (
@@ -383,7 +375,7 @@ class _Walk:
         stale = np.isinf(since_vote) & (-registered >= 3000)  # never voted, long registered
         mover = (since_vote < 800) & (-born / 365.25 >= 64)  # aged 64+, voted lately
 
-        start = np.datetime64(self.config.start_date, "D")
+        start = np.datetime64(START_DATE, "D")
         nums = np.arange(len(self.status), len(self.status) + n)
         ids = [_voter_id(num) for num in nums.tolist()]
         city = f"{locale} city"
@@ -410,7 +402,7 @@ class _Walk:
                 rate = cfg.base_rates.get(change_type, 0.0)
                 if rate <= 0.0 or pop == 0:
                     continue
-                count = int(self.rng.poisson(rate * cfg.interval_days * pop / 1000.0))
+                count = int(self.rng.poisson(rate * INTERVAL_DAYS * pop / 1000.0))
                 for _ in range(count):
                     self._change(locale, change_type, ORGANIC_CAUSE)
 
@@ -588,16 +580,13 @@ _ANOMALY_MULTIPLIER = 10.0  # times the organic background mean value
 
 @dataclass(frozen=True)
 class MatrixScenarioConfig:
-    """Direct cell-level sampling of one change type's modification matrix
+    """Direct cell-level sampling of a deactivation modification matrix
     over a low-rank background: smooth locale levels and seasonality plus a
     handful of statewide event columns, Poisson-sampled counts, and planted
     anomaly cells."""
 
     n_locales: int = 99
     n_intervals: int = 149
-    interval_days: int = 7
-    start_date: dt.date = dt.date(2018, 6, 4)
-    change_type: ChangeType = ChangeType.DEACTIVATION
     population_median: float = 10_000.0
     population_sigma: float = 0.5
     base_rate: float = 0.18
@@ -654,27 +643,27 @@ def generate_matrix_scenario(
     for e, (j, intensity) in enumerate(zip(config.event_intervals, config.event_intensities)):
         rates[:, j] += config.base_rate * intensity * profiles[e]
 
-    lam = rates * config.interval_days * pops[:, np.newaxis] / 1000.0
+    lam = rates * INTERVAL_DAYS * pops[:, np.newaxis] / 1000.0
     raw = count_rng.poisson(lam).astype(np.int64)
 
     pop_grid = np.repeat(pops[:, np.newaxis], config.n_intervals, axis=1)
-    background_mean = float(np.mean(normalized_values(raw, pop_grid, config.interval_days)))
+    background_mean = float(np.mean(normalized_values(raw, pop_grid, INTERVAL_DAYS)))
 
     anomaly_refs = []
     for i, j in config.anomaly_cells:
         extra_value = _ANOMALY_MULTIPLIER * background_mean
-        extra = max(1, int(round(extra_value * config.interval_days * pops[i] / 1000.0)))
+        extra = max(1, int(round(extra_value * INTERVAL_DAYS * pops[i] / 1000.0)))
         raw[i, j] += extra
         anomaly_refs.append(MatrixEntryRef(i, j))
 
-    values = normalized_values(raw, pop_grid, config.interval_days)
+    values = normalized_values(raw, pop_grid, INTERVAL_DAYS)
     intervals = build_intervals(
-        config.start_date,
-        config.start_date + dt.timedelta(days=(config.n_intervals - 1) * config.interval_days),
-        config.interval_days,
+        START_DATE,
+        START_DATE + dt.timedelta(days=(config.n_intervals - 1) * INTERVAL_DAYS),
+        INTERVAL_DAYS,
     )
     matrix = ModificationMatrix(
-        change_type=config.change_type,
+        change_type=ChangeType.DEACTIVATION,
         locales=tuple(f"L{i:03d}" for i in range(1, config.n_locales + 1)),
         intervals=intervals,
         values=values,

@@ -26,6 +26,7 @@ import numpy as np
 from vrf_sentinel.errors import DataError, FileParseError
 from vrf_sentinel.modmatrix import DateInterval, MatrixEntryRef
 from vrf_sentinel.records import ADDRESS_FIELDS, ChangeType, Snapshot, VoterRecord, VoterStatus
+from vrf_sentinel.synthgen import iter_scenario_snapshots
 
 
 def bf_mean(pool):
@@ -249,6 +250,12 @@ def bf_average_rank(order, n_cols, truth):
 # --- snapshots and ground truth ----------------------------------------------------
 
 
+def scenario(config):
+    """A scenario's snapshots, in date order, and its complete ground truth."""
+    pairs = list(iter_scenario_snapshots(config))
+    return [snapshot for snapshot, _ in pairs], pairs[-1][1]
+
+
 def with_date(snapshot, date):
     """Copy of a snapshot carrying a different capture date."""
     return replace(snapshot, snapshot_date=date)
@@ -306,7 +313,7 @@ def apply_changes(anterior, changes, posterior_date):
                 raise DataError(f"unexpected delta field {delta.field!r}")
         updates["address"] = tuple(address)
         records[change.voter_id] = replace(rec, **updates)
-    return Snapshot(snapshot_date=posterior_date, records=records)
+    return Snapshot(snapshot_date=posterior_date, records=records, locale_counts={})
 
 
 def diff_projection(snapshot):

@@ -32,7 +32,7 @@ def _report(number: int, description: str, ok: bool, detail: str = "") -> None:
 def test_criterion_1_diff_patch_oracle():
     start = time.monotonic()
     for seed in range(50):
-        snapshots, truth = sg.generate_scenario(sg.snapshot_pair_config(seed=seed))
+        snapshots, truth = oracles.scenario(sg.snapshot_pair_config(seed=seed))
         anterior, posterior = snapshots
         assert len(anterior) >= 10_000, f"seed {seed}: only {len(anterior)} voters"
         changes = io.diff_snapshots(anterior, posterior)
@@ -58,8 +58,8 @@ def test_criterion_2_ranking_arithmetic():
     order = det.rank_entries(det.global_scores(values, "std"), values)
     top4 = order[:4]
     bottom4 = order[-4:]
-    best = ev.average_rank(order, top4)
-    worst = ev.average_rank(order, bottom4)
+    best = (np.flatnonzero(np.isin(order, top4)) + 1).mean()
+    worst = (np.flatnonzero(np.isin(order, bottom4)) + 1).mean()
     _report(
         2,
         "average rank exactly 2.5 (best) and 14749.5 (worst) of 14751",
@@ -71,13 +71,11 @@ def test_criterion_2_ranking_arithmetic():
 def test_criterion_3_planted_anomaly_study():
     start = time.monotonic()
     matrix, truth = sg.generate_matrix_scenario(sg.planted_anomaly_matrix_config(seed=0))
-    truth_cells = np.array(
-        [r.locale_index * matrix.shape[1] + r.interval_index for r in truth.anomaly_refs]
-    )
     ranks = {}
     for method in ("nmf", "cl_std_3", "rpca", "global_std"):
         scores, _ = det.score_with_method(matrix.values, method)
-        ranks[method] = ev.average_rank(det.rank_entries(scores, matrix.values), truth_cells)
+        order = det.rank_entries(scores, matrix.values)
+        ranks[method] = oracles.bf_average_rank(order, matrix.shape[1], truth.anomaly_refs)
     elapsed = time.monotonic() - start
     ok = (
         all(ranks[m] <= 50.0 for m in ("nmf", "cl_std_3", "rpca"))
@@ -223,7 +221,7 @@ def test_criterion_7_statistic_oracles():
 def test_criterion_8_classifier_task():
     start = time.monotonic()
     config = sg.labeled_scenario_config(seed=0)
-    snapshots, truth = sg.generate_scenario(config)
+    snapshots, truth = oracles.scenario(config)
     changes = []
     for anterior, posterior in zip(snapshots, snapshots[1:]):
         changes.extend(io.diff_snapshots(anterior, posterior))
@@ -244,7 +242,7 @@ def test_criterion_8_classifier_task():
         changes,
         snapshots,
         gf.ElectionCalendar(election_tally(snapshots[0].records.values())),
-        interval_days=config.interval_days,
+        interval_days=truth.interval_days,
         labels=labels_map,
         change_types=(ChangeType.DEACTIVATION,),
     )

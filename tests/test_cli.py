@@ -999,8 +999,14 @@ DEEP_JSON = b"[" * 100_000 + b"]" * 100_000 + b"\n"
         json.dumps({"argv": 5}),
         json.dumps({"argv": ["rerun", "--manifest", "SELF"]}),
         DEEP_JSON.decode(),
+        # an option the CLI has since dropped
+        json.dumps({"argv": ["detect", "--matrix", "m.csv", "--seed", "0", "--out", "o"]}),
+        json.dumps({"argv": ["heatmap", "--help"]}),
+        # a token no command line can hold
+        json.dumps({"argv": ["heatmap", "--matrix", "m\0.csv", "--out", "o.svg"]}),
     ],
-    ids=["not-json", "no-argv", "argv-not-strings", "stored-rerun", "deep"],
+    ids=["not-json", "no-argv", "argv-not-strings", "stored-rerun", "deep", "dropped-option",
+         "help", "nul"],
 )
 def test_rerun_bad_manifest_exits_3(tmp_path, capsys, content):
     manifest = tmp_path / "manifest.json"
@@ -1026,6 +1032,48 @@ def test_rerun_redirects_either_out_spelling(pipeline, tmp_path, spelling):
     assert names == sorted(p.name for p in replay.iterdir() if p.name != "manifest.json")
     for name in names:
         assert (replay / name).read_bytes() == (first / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def heatmap_argv(pipeline, tmp_path_factory):
+    """The argv of a real heatmap manifest, over the small preset's matrix."""
+    svg = tmp_path_factory.mktemp("heatmap") / "first.svg"
+    assert run("heatmap", "--matrix", str(pipeline / "matrix" / "matrix_deactivation.csv"),
+               "--out", str(svg)) == 0
+    return json.loads(pathlib.Path(f"{svg}.manifest.json").read_text())["argv"]
+
+
+@settings(max_examples=800)  # about 9 s on a 2-core machine
+@given(data=st.data())
+def test_rerun_of_an_edited_argv_exits_0_or_3(heatmap_argv, data):
+    """A heatmap manifest whose argv lost, repeated or swapped a token, or
+    gained an option: `rerun` exits 0, or 3 with one `error:` line, and
+    never prints argparse's usage or help."""
+    argv = list(heatmap_argv)
+    i = data.draw(st.integers(0, len(argv) - 1))
+    edit = data.draw(st.sampled_from(["drop", "duplicate", "replace", "append"]))
+    if edit == "drop":
+        del argv[i]
+    elif edit == "duplicate":
+        argv.insert(i, argv[i])
+    elif edit == "replace":
+        argv[i] = data.draw(st.one_of(
+            st.sampled_from([*heatmap_argv, "--scores", "--highlight", "0,0", "-h", "--version"]),
+            st.text(st.characters(exclude_categories=()), max_size=8),  # NUL and surrogates too
+        ))
+    else:  # an option no subcommand has, or a prefix of one that does
+        argv.append(data.draw(st.from_regex(r"--[a-z][a-z-]{0,11}", fullmatch=True)))
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = os.path.join(tmp, "manifest.json")
+        with open(manifest, "w", encoding="utf-8") as fh:
+            json.dump({"argv": argv}, fh)
+        out, err = stdio.StringIO(), stdio.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run("rerun", "--manifest", manifest, "--out", os.path.join(tmp, "replay.svg"))
+    assert code in (0, 3)
+    assert out.getvalue() == ""
+    if code == 3:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def other_scaler(**changes):

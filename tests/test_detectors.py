@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 import oracles
 import vrf_sentinel.detectors as det
-import vrf_sentinel.evalharness as ev
 from vrf_sentinel.detectors import scoring
 from vrf_sentinel.detectors.scoring import ScoreMatrix
 from vrf_sentinel.errors import VrfError
@@ -39,31 +38,31 @@ def test_zscore_hand_value():
     sample = [1.0, 2.0, 3.0]
     mu = np.mean(sample)
     sigma = np.std(sample)
-    assert det.zscore(3.0, mu, sigma) == pytest.approx(1.224745, abs=1e-6)
+    assert scoring.zscore(3.0, mu, sigma) == pytest.approx(1.224745, abs=1e-6)
 
 
 def test_zscore_at_mean_is_zero():
-    assert det.zscore(2.0, 2.0, 0.5) == 0.0
+    assert scoring.zscore(2.0, 2.0, 0.5) == 0.0
 
 
 def test_zscore_zero_variance_sentinels():
-    assert det.zscore(2.0, 2.0, 0.0) == 0.0
-    assert det.zscore(7.0, 2.0, 0.0) == math.inf
-    assert det.zscore(1.0, 2.0, 0.0) == 0.0
+    assert scoring.zscore(2.0, 2.0, 0.0) == 0.0
+    assert scoring.zscore(7.0, 2.0, 0.0) == math.inf
+    assert scoring.zscore(1.0, 2.0, 0.0) == 0.0
 
 
 def test_iqr_score_hand_value():
     # sample [1..5]: Q1=2, Q3=4 under linear interpolation
-    assert det.iqr_score(5.0, 2.0, 4.0) == pytest.approx(0.5, abs=1e-12)
+    assert scoring.iqr_score(5.0, 2.0, 4.0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_iqr_score_at_q3_is_zero():
-    assert det.iqr_score(4.0, 2.0, 4.0) == 0.0
+    assert scoring.iqr_score(4.0, 2.0, 4.0) == 0.0
 
 
 def test_iqr_score_zero_spread_sentinel():
-    assert det.iqr_score(7.0, 2.0, 2.0) == math.inf
-    assert det.iqr_score(2.0, 2.0, 2.0) == 0.0
+    assert scoring.iqr_score(7.0, 2.0, 2.0) == math.inf
+    assert scoring.iqr_score(2.0, 2.0, 2.0) == 0.0
 
 
 def test_zscore_location_scale_invariance():
@@ -71,15 +70,15 @@ def test_zscore_location_scale_invariance():
     for _ in range(20):
         pool = rng.normal(size=12)
         x = float(rng.normal())
-        base = det.zscore(x, float(pool.mean()), float(pool.std()))
+        base = scoring.zscore(x, float(pool.mean()), float(pool.std()))
         for c in (2.5, -1.0, 100.0):
             shifted = pool + c
-            assert det.zscore(
+            assert scoring.zscore(
                 x + c, float(shifted.mean()), float(shifted.std())
             ) == pytest.approx(base, abs=1e-9)
         for c in (2.0, 7.5):
             scaled = pool * c
-            assert det.zscore(
+            assert scoring.zscore(
                 x * c, float(scaled.mean()), float(scaled.std())
             ) == pytest.approx(base, abs=1e-9)
 
@@ -290,7 +289,7 @@ def test_rank_entries_matches_brute_force(grids):
         np.array(scores, dtype=float), None if source is None else np.array(source, dtype=float)
     )
     assert order.tolist() == oracles.bf_rank(scores, source)
-    ranks = [ev.average_rank(order, np.array([cell])) for cell in order]
+    ranks = [(np.flatnonzero(order == cell) + 1).mean() for cell in order]
     assert ranks == list(range(1, len(order) + 1))
 
 

@@ -185,7 +185,7 @@ def group_key(change_type=ChangeType.DEACTIVATION):
 
 
 def snapshot_of(*voters, date=AS_OF):
-    return Snapshot(snapshot_date=date, records={v.voter_id: v for v in voters})
+    return Snapshot(snapshot_date=date, records={v.voter_id: v for v in voters}, locale_counts={})
 
 
 def one_group(changes, *voters):
@@ -433,7 +433,7 @@ def test_matrix_cells_and_change_groups_share_one_grid(rows, interval_days):
         for locale, change_type, day, n in rows
     ]
     snapshots = [
-        Snapshot(date, {f"V{n}": voter(f"V{n}") for n in range(6)})
+        Snapshot(date, {f"V{n}": voter(f"V{n}") for n in range(6)}, {})
         for date in {c.reference_date for c in changes}
     ]
     populations = {AS_OF: {"linn": 900, "polk": 1000, "story": 1100}}

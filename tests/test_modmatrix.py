@@ -132,7 +132,7 @@ def test_snapshot_populations_use_anterior_count():
     import vrf_sentinel.synthgen as sg
 
     config = sg.snapshot_pair_config(seed=3, n_voters=300)
-    (s0, s1), _ = sg.generate_scenario(config)
+    (s0, s1), _ = oracles.scenario(config)
     populations = {s.snapshot_date: s.locale_counts for s in (s0, s1)}
     locale = s0.records[next(iter(s0.records))].locale
     # interval starting at the posterior date should use the anterior tally

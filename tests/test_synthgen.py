@@ -29,7 +29,7 @@ def tiny_config(**kwargs):
 
 def test_determinism_byte_identical(tmp_path):
     for run in ("a", "b"):
-        snapshots, truth = sg.generate_scenario(tiny_config(seed=9))
+        snapshots, truth = oracles.scenario(tiny_config(seed=9))
         outdir = tmp_path / run
         outdir.mkdir()
         for snap in snapshots:
@@ -67,7 +67,7 @@ def test_synth_files_keep_their_pinned_digests(tmp_path, preset, seed):
 
 def test_zero_rates_identical_snapshots():
     config = tiny_config(base_rates={ct: 0.0 for ct in ChangeType})
-    snapshots, truth = sg.generate_scenario(config)
+    snapshots, truth = oracles.scenario(config)
     assert not truth.changes
     for a, b in zip(snapshots, snapshots[1:]):
         assert a.records == b.records
@@ -75,7 +75,7 @@ def test_zero_rates_identical_snapshots():
 
 def test_diffs_match_truth_every_interval():
     config = tiny_config(seed=4, n_intervals=6)
-    snapshots, truth = sg.generate_scenario(config)
+    snapshots, truth = oracles.scenario(config)
     for t, (a, b) in enumerate(zip(snapshots, snapshots[1:])):
         got = {(c.voter_id, c.change_type.value) for c in io.diff_snapshots(a, b)}
         assert got == oracles.changes_for_interval(truth, t)
@@ -91,7 +91,7 @@ def test_planted_anomaly_count_oracle():
                               change_type=ChangeType.DEACTIVATION, count=50),
         ),
     )
-    snapshots, truth = sg.generate_scenario(config)
+    snapshots, truth = oracles.scenario(config)
     changes = io.diff_snapshots(snapshots[2], snapshots[3])
     planted = [
         c for c in changes
@@ -103,12 +103,12 @@ def test_planted_anomaly_count_oracle():
     }
     assert len(anomaly_ids) == 50
     assert anomaly_ids <= {c.voter_id for c in planted}
-    assert ("L005", 2, "deactivation") in truth.anomaly_cells()
+    assert truth.cell_causes.get(("L005", 2, "deactivation")) == sg.ANOMALY_CAUSE
 
 
 def test_conservation_of_insertions_and_removals():
     config = tiny_config(seed=12, n_intervals=5)
-    snapshots, truth = sg.generate_scenario(config)
+    snapshots, truth = oracles.scenario(config)
     changes = []
     for a, b in zip(snapshots, snapshots[1:]):
         changes.extend(io.diff_snapshots(a, b))
@@ -118,7 +118,7 @@ def test_conservation_of_insertions_and_removals():
 
 
 def test_snapshot_locale_counts_equal_a_recount_of_records():
-    snapshots, truth = sg.generate_scenario(tiny_config(seed=12, n_intervals=5))
+    snapshots, truth = oracles.scenario(tiny_config(seed=12, n_intervals=5))
     assert truth.inserted_voters and truth.removed_voters
     for snapshot in snapshots:
         recount = collections.Counter(rec.locale for rec in snapshot.records.values())
@@ -141,7 +141,7 @@ def test_statewide_event_dominates_top_singular_direction():
             ),
         ),
     )
-    snapshots, _ = sg.generate_scenario(config)
+    snapshots, _ = oracles.scenario(config)
     changes = []
     for a, b in zip(snapshots, snapshots[1:]):
         changes.extend(io.diff_snapshots(a, b))
@@ -166,7 +166,7 @@ def test_infeasible_event_locale_rejected():
         )
     )
     with pytest.raises(ConfigError, match="L999"):
-        sg.generate_scenario(config)
+        oracles.scenario(config)
 
 
 def test_poisson_calibration_chi_square():
@@ -347,7 +347,7 @@ def test_matrix_anomalies_land_where_configured():
 
 
 def test_vote_history_dates_precede_snapshots():
-    snapshots, _ = sg.generate_scenario(tiny_config(seed=17))
+    snapshots, _ = oracles.scenario(tiny_config(seed=17))
     first = snapshots[0]
     for rec in first.records.values():
         for ev in rec.vote_history:
@@ -357,7 +357,7 @@ def test_vote_history_dates_precede_snapshots():
 def test_generated_ages_in_bounds():
     import datetime as dt
 
-    snapshots, _ = sg.generate_scenario(tiny_config(seed=18))
+    snapshots, _ = oracles.scenario(tiny_config(seed=18))
     first = snapshots[0]
     for rec in first.records.values():
         age = (first.snapshot_date - rec.birth_date).days / 365.25
