@@ -305,10 +305,30 @@ def cmd_matrix(args: argparse.Namespace) -> dict:
     return {"counts": {**counts, "cells": matrix.values.size}}
 
 
+def _peak_rss_mib() -> float:
+    """The peak RSS so far of this process or of its largest child (evaluate's workers)."""
+    selves = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    return max(resource.getrusage(who).ru_maxrss for who in selves) / 1024
+
+
 def cmd_detect(args: argparse.Namespace) -> dict:
     from . import detectors, modmatrix, plots
 
+    stages = []  # each stage's wall time and the peak RSS after it, in run order
+    clock = time.perf_counter()
+
+    def stage(name: str) -> None:
+        nonlocal clock
+        now = time.perf_counter()
+        stages.append({"stage": name, "wall_s": now - clock, "peak_rss_mib": _peak_rss_mib()})
+        clock = now
+
     matrix = modmatrix.csv_to_matrix(args.matrix)
+    # scoring reads the values grid alone: the count grids go before it
+    values, locales, intervals = matrix.values, matrix.locales, matrix.intervals
+    change_type = matrix.change_type.value
+    del matrix
+    stage("read")
     overrides = {}
     if args.method == "nmf" and args.k is not None:
         overrides["k"] = args.k
@@ -319,25 +339,33 @@ def cmd_detect(args: argparse.Namespace) -> dict:
         if args.window < 0:
             raise VrfError(f"--window must be >= 0, got {args.window}")
         method = f"{method}_{2 * args.window + 1}"
-    scores, params = detectors.score_with_method(matrix.values, method, **overrides)
-    scored = detectors.ScoreMatrix(method, scores, matrix.locales, matrix.intervals, params)
+    scores, params = detectors.score_with_method(values, method, **overrides)
+    stage("score")
+    order = detectors.rank_entries(scores, values)
+    del values
+    stage("rank")
+    scored = detectors.ScoreMatrix(method, scores, locales, intervals, params)
     names = (f"scores_{method}.csv", f"ranked_{method}.csv", f"scores_{method}.svg")
     scores_path, ranked_path, svg_path = (os.path.join(args.out, name) for name in names)
     detectors.scores_to_csv(scored, scores_path)
-    detectors.ranked_to_csv(scored, detectors.rank_entries(scores, matrix.values), ranked_path)
+    stage("write_scores")
+    detectors.ranked_to_csv(scored, order, ranked_path)
+    del order
+    stage("write_ranked")
     plots.render_heatmap(
         scores,
-        matrix.locales,
-        [iv.start.isoformat() for iv in matrix.intervals],
+        locales,
+        [iv.start.isoformat() for iv in intervals],
         svg_path,
-        title=f"{method} scores ({matrix.change_type.value})",
+        title=f"{method} scores ({change_type})",
     )
+    stage("heatmap")
     converged = bool(params.get("converged", True))
     if not converged:
         logger.warning("detector %s did not converge; see params in scores CSV", method)
     traces = {k: v for k, v in params.items() if k in ("iterations", "residual")}
     sizes = {name: os.path.getsize(os.path.join(args.out, name)) for name in names}
-    return {"converged": converged, **traces, "output_bytes": sizes}
+    return {"converged": converged, **traces, "output_bytes": sizes, "stages": stages}
 
 
 # the BLAS thread pin of evaluate's sweep processes (numpy's wheels link OpenBLAS)
@@ -683,10 +711,7 @@ def main(argv: list[str] | None = None) -> int:
         start = time.perf_counter()
         extras = args.func(args)
         extras["wall_s"] = time.perf_counter() - start
-        extras["peak_rss_mib"] = max(  # this process or its largest child (evaluate's workers)
-            resource.getrusage(who).ru_maxrss
-            for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
-        ) / 1024
+        extras["peak_rss_mib"] = _peak_rss_mib()
         _write_json(
             manifest, {"command": args.command, "argv": argv, "package_version": __version__, **extras}
         )

@@ -35,8 +35,14 @@ def default_lambda(shape: tuple[int, int]) -> float:
     return 1.0 / np.sqrt(max(shape))
 
 
-def _soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
-    return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
+def _soft_threshold(x: np.ndarray, tau: float, spare: np.ndarray) -> np.ndarray:
+    """x shrunk toward 0 by tau, sign(x) * max(|x| - tau, 0), written over x;
+    `spare`, a dead grid of x's shape, holds the signs."""
+    sign = np.sign(x, out=spare)
+    np.abs(x, out=x)
+    x -= tau
+    np.maximum(x, 0.0, out=x)
+    return np.multiply(sign, x, out=x)
 
 
 def _svd_threshold(x: np.ndarray, tau: float) -> np.ndarray:
@@ -48,7 +54,9 @@ def _svd_threshold(x: np.ndarray, tau: float) -> np.ndarray:
     s = np.sqrt(np.maximum(eigvals, 0.0))
     keep = s > tau
     u, s = u[:, keep], s[keep]
-    return (u * ((s - tau) / s)) @ (u.T @ x)
+    projected = u.T @ x
+    u *= (s - tau) / s  # u is a copy of the kept columns, scaled in place
+    return u @ projected
 
 
 @dataclass(frozen=True)
@@ -88,12 +96,24 @@ def rpca_decompose(
     converged = False
     iterations = 0
     residual = 1.0
+    # Each step writes into a grid that is dead by then, so only m, dual and
+    # the thresholding input are alive through the SVT, and at most m, dual,
+    # low, sparse and gap around it.
     for iterations in range(1, max_iter + 1):
-        low = _svd_threshold(m - sparse + dual / mu, step)
-        sparse = _soft_threshold(m - low + dual / mu, lam * step)
-        gap = m - low - sparse
-        dual = dual + mu * gap
+        x = np.subtract(m, sparse, out=sparse)  # m - sparse + dual / mu
+        x += np.divide(dual, mu, out=low)
+        del low, sparse
+        low = _svd_threshold(x, step)
+        gap = np.divide(dual, mu)
+        sparse = np.subtract(m, low, out=x)  # m - low + dual / mu
+        sparse += gap
+        sparse = _soft_threshold(sparse, lam * step, spare=gap)
+        np.subtract(m, low, out=gap)
+        gap -= sparse
         residual = float(np.linalg.norm(gap, "fro")) / m_fro
+        gap *= mu
+        dual += gap  # dual + mu * gap
+        del gap
         if residual <= tol:
             converged = True
             break

@@ -282,6 +282,15 @@ def read_grid(
     return name, intervals, tuple(locales), [np.frombuffer(c).reshape(shape) for _, c in blocks]
 
 
+def _formatted(row: np.ndarray) -> tuple[list[str], list[int]]:
+    """A float row at FLOAT_FORMAT as (texts, index): each distinct value,
+    by its bits (so 0.0 and -0.0 stay apart), is formatted once, and cell j
+    reads texts[index[j]]. A matrix row holds few distinct values, since a
+    census fixes the population and counts are small integers."""
+    distinct, index = np.unique(row.view(np.int64), return_inverse=True)
+    return list(map(FLOAT_FORMAT.__mod__, distinct.view(float).tolist())), index.tolist()
+
+
 def matrix_to_csv(matrix: ModificationMatrix, path: str) -> None:
     """Write the values, raw_counts and populations blocks, corner
     `<change_type>:<interval_days>`."""
@@ -289,7 +298,7 @@ def matrix_to_csv(matrix: ModificationMatrix, path: str) -> None:
         write_grid(
             fh, matrix.change_type.value, matrix.intervals, matrix.locales,
             [
-                (map(FLOAT_FORMAT.__mod__, row.tolist()) for row in matrix.values),
+                (map(texts.__getitem__, index) for texts, index in map(_formatted, matrix.values)),
                 (map(str, row.tolist()) for row in matrix.raw_counts),
                 (map(str, row.tolist()) for row in matrix.populations),
             ],
@@ -312,6 +321,8 @@ def csv_to_matrix(path: str) -> ModificationMatrix:
             raise FileParseError(f"{path}: raw_counts/populations must be integers below 2^63")
     raw = raw.astype(np.int64)  # one block at a time: each float block is freed
     pops = pops.astype(np.int64)
+    if np.any(raw < 0):
+        raise FileParseError(f"{path}: raw_counts must be >= 0")
     # the rule ModificationMatrix applies, checked before the division below
     if np.any(pops < 1):
         raise FileParseError(f"{path}: populations must be >= 1")
@@ -320,7 +331,8 @@ def csv_to_matrix(path: str) -> ModificationMatrix:
     # written precision, restore the exact recomputed value, a row at a time.
     for row, counts, voters in zip(values, raw, pops):
         exact = normalized_values(counts, voters, intervals[0].days)
-        rounded = np.array(list(map(float, map(FLOAT_FORMAT.__mod__, exact.tolist()))))
+        texts, index = _formatted(exact)
+        rounded = np.array(list(map(float, texts)))[index]
         np.copyto(row, exact, where=row == rounded)
 
     return ModificationMatrix(

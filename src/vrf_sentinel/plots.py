@@ -4,8 +4,9 @@ SVG keeps the artifacts diffable and timestamp-free, so reruns are
 byte-identical. Titles, row labels and method names are XML-escaped, and
 characters XML cannot hold (most C0 controls) become U+FFFD, so any locale
 text gives a well-formed file; plain text keeps its bytes. A
-heatmap colours the whole grid in one numpy pass and is written a grid
-row at a time, so the file is never held in memory whole.
+heatmap is coloured and written a grid row at a time, each cell's fill
+text looked up by its colour code, so beside its input it holds the finite
+cells that set its scale and one row's arrays and text, never the file.
 """
 
 from __future__ import annotations
@@ -52,6 +53,29 @@ def _text(text: str) -> str:
     return text.translate(_XML_TEXT)
 
 
+def _row_codes(row: np.ndarray, lo: float, span: float) -> np.ndarray:
+    """The colour code of each cell of a grid row whose finite cells span
+    [lo, lo + span]: its place on the ramp, the ramp's middle when span is 0,
+    and an out-of-ramp colour for ±inf."""
+    if span > 0:
+        # a cell far from lo overflows to inf, and inf / inf is nan: the ramp clamps both
+        with np.errstate(over="ignore", invalid="ignore"):
+            codes = _ramp((row - lo) / span)
+    else:
+        codes = _ramp(np.full(row.shape, 0.5))
+    codes[np.isinf(row)] = 0xFF00FF
+    return codes
+
+
+class _Fills(dict):
+    """Colour code -> the fill text that ends a cell's rect line, made on
+    first use."""
+
+    def __missing__(self, code: int) -> str:
+        self[code] = fill = f'#{code:06x}"/>\n'
+        return fill
+
+
 def render_heatmap(
     grid: np.ndarray,
     row_labels: Iterable[str],
@@ -82,16 +106,7 @@ def render_heatmap(
     hi = float(finite.max()) if finite.size else 0.0
     span = hi - lo
 
-    if span > 0:
-        # a cell far from lo overflows to inf, and inf / inf is nan: the ramp clamps both
-        with np.errstate(over="ignore", invalid="ignore"):
-            codes = _ramp((grid - lo) / span)
-    else:
-        codes = _ramp(np.full(grid.shape, 0.5))
-    codes[np.isinf(grid)] = 0xFF00FF
-    distinct, inverse = np.unique(codes, return_inverse=True)
-    fills = np.array([f'#{code:06x}"/>\n' for code in distinct.tolist()], dtype=object)
-    fills = fills[inverse.reshape(grid.shape)]
+    fills = _Fills()
     # one rect line per cell: x prefix, then y and size, then fill
     cells: list[str] = [""] * (3 * n_cols)
     cells[0::3] = [f'<rect x="{_LEFT_GUTTER + j * _CELL}" y="' for j in range(n_cols)]
@@ -114,7 +129,7 @@ def render_heatmap(
                     f'font-family="monospace">{_text(rows[i])}</text>\n'
                 )
             cells[1::3] = [f'{y}" width="{_CELL}" height="{_CELL}" fill="'] * n_cols
-            cells[2::3] = fills[i].tolist()
+            cells[2::3] = map(fills.__getitem__, _row_codes(grid[i], lo, span).tolist())
             fh.write("".join(cells))
         for i, j in highlight:
             fh.write(

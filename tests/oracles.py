@@ -6,8 +6,10 @@ exception: the library's former numpy loops (per feature in
 `loop_best_split`, per pool in the statistic scorers), kept as the exact
 references for their batched replacements, and the `row_*` writers, the
 library's former row-by-row detect-output writers, and `whole_read_grid`,
-the grid reader that held the whole file as text, and `pick_voter`, the
-scenario walk's former per-voter pick. The patch oracle
+the grid reader that held the whole file as text, `cell_restore`, the
+matrix reader's former per-cell restore of formula values,
+`loop_rpca_decompose`, the RPCA loop as it was written one expression a
+step, and `pick_voter`, the scenario walk's former per-voter pick. The patch oracle
 (`apply_changes`, `diff_projection`) and the ground-truth and snapshot
 helpers below serve only the tests, so they live here and not in the
 package.
@@ -24,7 +26,8 @@ from xml.sax.saxutils import escape as xml_escape
 import numpy as np
 
 from vrf_sentinel.errors import DataError, FileParseError
-from vrf_sentinel.modmatrix import DateInterval, MatrixEntryRef
+from vrf_sentinel.detectors.rpca import default_lambda
+from vrf_sentinel.modmatrix import FLOAT_FORMAT, DateInterval, MatrixEntryRef, normalized_values
 from vrf_sentinel.records import ADDRESS_FIELDS, ChangeType, Snapshot, VoterRecord, VoterStatus
 from vrf_sentinel.synthgen import iter_scenario_snapshots
 
@@ -150,6 +153,47 @@ def svd_threshold(x, tau):
     s = np.maximum(s - tau, 0.0)
     keep = s > 0
     return (u[:, keep] * s[keep]) @ vt[keep, :]
+
+
+def _expression_svd_threshold(x, tau):
+    if x.shape[0] > x.shape[1]:
+        return _expression_svd_threshold(x.T, tau).T
+    eigvals, u = np.linalg.eigh(x @ x.T)
+    s = np.sqrt(np.maximum(eigvals, 0.0))
+    keep = s > tau
+    u, s = u[:, keep], s[keep]
+    return (u * ((s - tau) / s)) @ (u.T @ x)
+
+
+def loop_rpca_decompose(values, lam=None, tol=1e-7, max_iter=1000):
+    """`rpca.rpca_decompose` as it was written, each step one expression
+    that allocates its result: the bit-for-bit reference of the loop that
+    writes into dead grids. Returns (low, sparse, converged, iterations,
+    residual)."""
+    m = np.asarray(values, dtype=float)
+    lam = default_lambda(m.shape) if lam is None else lam
+    m_fro = float(np.linalg.norm(m, "fro"))
+    if m_fro == 0.0:
+        return np.zeros_like(m), np.zeros_like(m), True, 0, 0.0
+    spectral = float(np.linalg.svd(m, compute_uv=False)[0])
+    step = 0.8 * spectral
+    mu = 1.0 / step
+    dual = m / max(spectral, float(np.max(np.abs(m))) / lam)
+    low, sparse = np.zeros_like(m), np.zeros_like(m)
+    converged, iterations, residual = False, 0, 1.0
+    for iterations in range(1, max_iter + 1):
+        low = _expression_svd_threshold(m - sparse + dual / mu, step)
+        x = m - low + dual / mu
+        sparse = np.sign(x) * np.maximum(np.abs(x) - lam * step, 0.0)
+        gap = m - low - sparse
+        dual = dual + mu * gap
+        residual = float(np.linalg.norm(gap, "fro")) / m_fro
+        if residual <= tol:
+            converged = True
+            break
+        step /= 1.6
+        mu *= 1.6
+    return low, sparse, converged, iterations, residual
 
 
 def bf_rank(scores, source=None):
@@ -563,3 +607,18 @@ def whole_read_grid(fh, path, n_blocks):
             except ValueError as exc:
                 raise FileParseError(f"{path}: block {b} row {i}: {exc}") from None
     return name, intervals, tuple(locales), grids
+
+
+# --- former per-cell matrix restore ----------------------------------------------------
+
+
+def cell_restore(values, raw, pops, days):
+    """The values grid `modmatrix.csv_to_matrix` returns for these read
+    blocks, as it restored them a cell at a time: where a cell equals the
+    normalization formula's value written at FLOAT_FORMAT, that exact value."""
+    exact = normalized_values(raw, pops, days)
+    restored = values.copy()
+    for cell in np.ndindex(values.shape):
+        if values[cell] == float(FLOAT_FORMAT % exact[cell]):
+            restored[cell] = exact[cell]
+    return restored

@@ -637,10 +637,27 @@ def test_detect_manifest_records_wall_time_and_peak_rss(pipeline, tmp_path):
     for out in (first, replay):
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["wall_s"] > 0 and manifest["peak_rss_mib"] > 0
+        stages = manifest["stages"]
+        assert [s["stage"] for s in stages] == [
+            "read", "score", "rank", "write_scores", "write_ranked", "heatmap",
+        ]
+        assert all(set(s) == {"stage", "wall_s", "peak_rss_mib"} and s["wall_s"] >= 0
+                   for s in stages)
+        peaks = [s["peak_rss_mib"] for s in stages]
+        assert 0 < peaks[0] and peaks == sorted(peaks) and peaks[-1] <= manifest["peak_rss_mib"]
     names = sorted(p.name for p in first.iterdir() if p.name != "manifest.json")
     assert len(names) == 3
     for name in names:
         assert (replay / name).read_bytes() == (first / name).read_bytes()
+
+
+def test_rpca_matches_the_expression_loop_on_the_small_preset(pipeline):
+    values = modmatrix.csv_to_matrix(str(pipeline / "matrix" / "matrix_deactivation.csv")).values
+    got = detectors.rpca.rpca_decompose(values)
+    low, sparse, converged, iterations, residual = oracles.loop_rpca_decompose(values)
+    assert got.low_rank.view(np.int64).tolist() == low.view(np.int64).tolist()
+    assert got.sparse.view(np.int64).tolist() == sparse.view(np.int64).tolist()
+    assert (got.iterations, got.residual, got.converged) == (iterations, residual, converged)
 
 
 def test_detect_window_method_naming(pipeline):
@@ -1375,6 +1392,39 @@ PINNED_DIGESTS = {
 }
 
 
+# sha256 of the data artifacts of `synth --preset matrix --seed 0` and of the
+# pooled detectors' `detect` outputs on its matrix; they call no LAPACK, so
+# their bytes hold across builds.
+PINNED_DETECT_DIGESTS = {
+    "synth/matrix_deactivation.csv": "61ab7f14ae08d1effb037f0b55cb9a475fc272c6aeda501c4c4a321d8cefc3b2",
+    "cl_iqr/ranked_cl_iqr_5.csv": "f56982eed578d7e00f124c89c214caceaafa3223029bb13ac779023cd1043621",
+    "cl_iqr/scores_cl_iqr_5.csv": "8229b158d5faaf3ae336656d76628afc0cfa18cd71013f3b3d58ede36d0891a6",
+    "cl_iqr/scores_cl_iqr_5.svg": "916e2c4fc65624f616df2aec71fcdf9487bf9e2c1a7cd773f3c503a96b509d09",
+    "global_std/ranked_global_std.csv": "d6f447314900a1e8e11e63618a0d726aa0f2f348d73ab3a0976b7e6b8be97215",
+    "global_std/scores_global_std.csv": "84008d3c61c52831d8299cd44725cfc184930308aa87b4b0fb21ea6b9ba9f378",
+    "global_std/scores_global_std.svg": "f865b3795c5954523dac64efdc60553aea3ebf62d0c8cca722d59dcdb22b9e5a",
+}
+
+
+def test_pooled_detect_outputs_keep_their_pinned_digests(tmp_path):
+    matrix = str(tmp_path / "synth" / "matrix_deactivation.csv")
+    assert run("synth", "--preset", "matrix", "--seed", "0", "--out", str(tmp_path / "synth")) == 0
+    assert run("detect", "--matrix", matrix, "--method", "cl_iqr", "--window", "2",
+               "--out", str(tmp_path / "cl_iqr")) == 0
+    assert run("detect", "--matrix", matrix, "--method", "global_std",
+               "--out", str(tmp_path / "global_std")) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in PINNED_DETECT_DIGESTS
+    }
+    assert digests == PINNED_DETECT_DIGESTS
+    for folder in ("cl_iqr", "global_std"):  # and no data file beyond the pinned ones
+        written = {f"{folder}/{p.name}" for p in (tmp_path / folder).iterdir()}
+        assert written - {f"{folder}/manifest.json"} == {
+            name for name in PINNED_DETECT_DIGESTS if name.startswith(folder)
+        }
+
+
 # cell magnitudes from subnormal to the float maximum, most of them far
 # outside any rate of changes per day per 1000 voters
 EXTREME_VALUES = st.one_of(
@@ -1826,3 +1876,58 @@ def test_features_with_foreign_labels_or_diff_files_exits_0_or_3(
         assert read_counts(pathlib.Path(tmp) / "out")["labels"] == {
             "read": len(rows), "matched": matched, "unmatched": len(rows) - matched,
         }
+
+
+# text a hand edit may leave in a cell: anything UTF-8 holds, but NUL
+CELL_TEXT = st.text(st.characters(codec="utf-8", exclude_characters="\0"), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_detect_and_heatmap_of_an_edited_matrix_exit_0_or_3(pipeline, data):
+    """One edit to the matrix CSV: a values cell set to a float, to text or
+    to its formula value at another precision; a count or population set to
+    a negative, zero, fractional or 2^63 value; or a row dropped or
+    repeated. `detect` and `heatmap --matrix` exit 0, with one ranked row
+    per cell, or 3 with one `error:` line and no traceback."""
+    with open(pipeline / "matrix" / "matrix_deactivation.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    n_locales, n_cols = rows.index([]) - 1, len(rows[0]) - 1
+    days = int(rows[0][0].rsplit(":", 1)[1])
+    case = data.draw(st.sampled_from(["value", "count", "row"]))
+    if case == "row":
+        at = data.draw(st.integers(0, len(rows) - 1))
+        rows[at:at + 1] = [] if data.draw(st.booleans()) else [rows[at]] * 2
+    else:
+        i, j = data.draw(st.integers(0, n_locales - 1)), data.draw(st.integers(1, n_cols))
+        if case == "value":
+            count, voters = int(rows[2 + n_locales][j]), int(rows[3 + 2 * n_locales][j])
+            formula = count / days / (voters / 1000.0)
+            rows[1 + i][j] = data.draw(st.one_of(
+                st.floats().map(repr), CELL_TEXT,
+                st.integers(1, 17).map(lambda digits: f"%.{digits}g" % formula),
+            ))
+        else:
+            block = data.draw(st.sampled_from([1, 2]))  # raw_counts, populations
+            edit = data.draw(st.sampled_from(["-3", "0", "2.5", "0.5", str(2**63)]))
+            rows[1 + i + block * (n_locales + 1)][j] = edit
+    with tempfile.TemporaryDirectory() as tmp:
+        matrix = os.path.join(tmp, "matrix_deactivation.csv")
+        with open(matrix, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        for step in ("detect", "heatmap"):
+            out = os.path.join(tmp, step) if step == "detect" else os.path.join(tmp, "h.svg")
+            option = ["--method", "global_iqr"] if step == "detect" else []
+            err = stdio.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run(step, "--matrix", matrix, *option, "--out", out)
+            assert code in (0, 3)
+            if code == 3:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+                assert "Traceback" not in err.getvalue()
+                continue
+            assert case != "count" or (block, edit) == (1, "0")  # the one valid count edit
+            if step == "detect":
+                with open(os.path.join(out, "ranked_global_iqr.csv"), newline="") as fh:
+                    ranked = list(csv.reader(fh))[1:]
+                assert len(ranked) == len({tuple(r[1:3]) for r in ranked}) == n_locales * n_cols

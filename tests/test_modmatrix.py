@@ -392,6 +392,62 @@ def test_csv_to_matrix_peak_memory_per_cell(tmp_path):
     assert peak <= 48 * raw.size
 
 
+@st.composite
+def written_matrices(draw):
+    """A matrix CSV's three blocks as text: small counts and one population
+    per locale (so a row repeats few values), values written at
+    FLOAT_FORMAT, and some value cells edited by hand: a signed zero, the
+    formula value of another cell, a float off the formula, or the formula
+    value at full precision."""
+    rows, cols, days = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 14))
+    raw = np.array(draw(st.lists(
+        st.lists(st.integers(0, 3) | st.integers(0, 2**62), min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows,
+    )))
+    pops = np.repeat([[draw(st.integers(1, 10**6))] for _ in range(rows)], cols, axis=1)
+    exact = mm.normalized_values(raw, pops, days)
+    texts = [[mm.FLOAT_FORMAT % v for v in row] for row in exact.tolist()]
+    formula = exact.ravel().tolist()
+    edit = st.one_of(
+        st.sampled_from(["-0", "0", "0.0", "-0.0"]),
+        st.floats(0, 1e12).map(repr),
+        st.sampled_from([mm.FLOAT_FORMAT % v for v in formula] + [repr(v) for v in formula]),
+    )
+    for _ in range(draw(st.integers(0, rows * cols))):
+        texts[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(edit)
+    intervals = mm.build_intervals(D0, D0 + dt.timedelta(days=days * (cols - 1)), days)
+    return intervals, [texts, raw.astype(str).tolist(), pops.astype(str).tolist()]
+
+
+@settings(max_examples=150)
+@given(written_matrices())
+def test_restore_and_write_match_the_per_cell_oracles(written):
+    """Formatting each distinct value of a row once restores and writes the
+    bits that formatting each cell did: on repeated values, on 0.0 beside
+    -0.0, and on cells edited off the formula."""
+    intervals, blocks = written
+    locales = tuple(f"L{i}" for i in range(len(blocks[0])))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/matrix.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            mm.write_grid(fh, "address", intervals, locales, blocks)
+        matrix = mm.csv_to_matrix(path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            _, _, _, (values, raw, pops) = mm.read_grid(fh, path, 3)
+        want = oracles.cell_restore(values, raw.astype(np.int64), pops.astype(np.int64),
+                                    intervals[0].days)
+        assert matrix.values.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+        mm.matrix_to_csv(matrix, f"{tmp}/new.csv")
+        with open(f"{tmp}/old.csv", "w", newline="", encoding="utf-8") as fh:
+            oracles.row_write_grid(fh, "address", intervals, locales, [
+                [[mm.FLOAT_FORMAT % v for v in row] for row in matrix.values.tolist()],
+                matrix.raw_counts.astype(str).tolist(), blocks[2],
+            ])
+        with open(f"{tmp}/new.csv", "rb") as new, open(f"{tmp}/old.csv", "rb") as old:
+            assert new.read() == old.read()
+
+
 def test_matrix_csv_byte_identical(tmp_path):
     matrix = build_example_matrix()
     p1, p2 = tmp_path / "m1.csv", tmp_path / "m2.csv"

@@ -4,6 +4,7 @@ the heatmap SVG are byte-identical to the former row-by-row writers kept in
 
 import datetime as dt
 import tempfile
+import tracemalloc
 from types import SimpleNamespace
 from xml.dom import minidom
 
@@ -75,6 +76,23 @@ def test_writers_match_row_by_row_oracles(n_rows, n_cols, constant, data):
         # the score file's first line is its JSON params line
         assert _read(f"{tmp}/new_scores.csv").split(b"\n", 1)[1] == _read(f"{tmp}/old_scores.csv")
         assert _read(f"{tmp}/new_matrix.csv") == _read(f"{tmp}/old_matrix.csv")
+
+
+def test_render_heatmap_peak_memory_per_cell(tmp_path):
+    """The heatmap is coloured a row at a time, so above its input it holds
+    the finite cells it takes the scale from and one row's arrays and text:
+    9 bytes a cell at 500 x 520, where a whole-grid colouring held 57."""
+    grid = np.random.default_rng(3).random((500, 520))
+    grid[7, 8] = np.inf
+    locales = [f"L{i:03d}" for i in range(500)]
+    starts = [f"c{j}" for j in range(520)]
+    tracemalloc.start()
+    try:
+        plots.render_heatmap(grid, locales, starts, str(tmp_path / "h.svg"), "t", {(1, 2)})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * grid.size
 
 
 # Any text XML 1.0 can carry: no control characters but tab, newline and

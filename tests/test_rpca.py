@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from vrf_sentinel.detectors import rank_entries
@@ -118,3 +121,57 @@ def test_decomposition_deterministic():
     b = rpca_decompose(low + spikes)
     assert np.array_equal(a.sparse, b.sparse)
     assert np.array_equal(a.low_rank, b.low_rank)
+
+
+def assert_matches_expression_loop(values, **options):
+    """rpca_decompose gives the bits, iterations, residual and convergence
+    of the loop written one expression a step (`oracles`)."""
+    got = rpca_decompose(values, **options)
+    low, sparse, converged, iterations, residual = oracles.loop_rpca_decompose(values, **options)
+    assert got.low_rank.view(np.int64).tolist() == low.view(np.int64).tolist()
+    assert got.sparse.view(np.int64).tolist() == sparse.view(np.int64).tolist()
+    assert (got.iterations, got.residual, got.converged) == (iterations, residual, converged)
+
+
+@st.composite
+def rpca_grids(draw):
+    """Wide and tall grids, some with zero rows, some constant."""
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["cells", "zero_rows", "constant"]))
+    if kind == "constant":
+        return np.full((rows, cols), draw(st.floats(0, 1e3)))
+    cells = st.floats(0, 1e3) | st.integers(0, 40).map(float)
+    grid = np.array(draw(st.lists(cells, min_size=rows * cols, max_size=rows * cols)))
+    grid = grid.reshape(rows, cols)
+    if kind == "zero_rows":
+        grid[draw(st.lists(st.integers(0, rows - 1), max_size=rows))] = 0.0
+    return grid
+
+
+@settings(max_examples=60)
+@given(rpca_grids(), st.sampled_from([{}, {"max_iter": 3}, {"tol": 1e-3}]))
+def test_decomposition_matches_the_expression_loop(values, options):
+    assert_matches_expression_loop(values, **options)
+
+
+def test_decomposition_matches_the_expression_loop_on_spike_instances():
+    for shape in ((60, 80), (80, 60)):  # wide and tall thresholding branches
+        low, spikes, _ = spike_instance(2, shape=shape)
+        assert_matches_expression_loop(np.abs(low + spikes))
+
+
+def test_decompose_peak_memory_per_cell():
+    """Each step writes into a grid that is dead by then, so above its input
+    the loop holds the dual and at most three more grids, and through the
+    SVT only the dual, the SVT's input and the SVT's own arrays: 34 bytes a
+    cell over 20 iterations at 500 x 520, where a new array for each step
+    held 64."""
+    values = np.random.default_rng(3).random((500, 520))
+    tracemalloc.start()
+    try:
+        result = rpca_decompose(values, max_iter=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.iterations == 20
+    assert peak <= 48 * values.size
