@@ -32,7 +32,7 @@ import resource
 import sys
 import time
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from . import __version__, vrf_io
 from .errors import DataError, FileParseError, VrfError
@@ -103,10 +103,11 @@ def _census_sha256(census: dict, calendar: list) -> str:
 
 
 def _count(value, least: int = 0) -> int:
-    """A count in diff's manifest: a JSON integer below 2^63, the bound
-    `csv_to_matrix` puts on the counts of a matrix file."""
-    if type(value) is not int or not least <= value < 2**63:
-        raise ValueError(f"counts must be integers from {least} to 2^63 - 1")
+    """A count in diff's manifest: a JSON integer below 2^53, the bound
+    `csv_to_matrix` puts on the counts of a matrix file, which reads them
+    as floats."""
+    if type(value) is not int or not least <= value < 2**53:
+        raise ValueError(f"counts must be integers from {least} to 2^53 - 1")
     return value
 
 
@@ -152,6 +153,32 @@ def _diff_output(args: argparse.Namespace) -> tuple[str, dict, dict, dict]:
     if manifest.get("outputs") != outputs:
         raise stale("changes.csv or a voters/ file is missing or differs from what diff wrote")
     return where, counts, census, elections
+
+
+def _peak_rss_mib() -> float:
+    """The peak RSS so far of this process or of its largest child (evaluate's workers)."""
+    selves = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    return max(resource.getrusage(who).ru_maxrss for who in selves) / 1024
+
+
+class _Stages(list):
+    """A manifest's `stages`: each stage's wall time and the peak RSS after
+    it, in run order. `end(name)` closes the stage begun when the last one
+    ended, or when this list was made."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._clock = time.perf_counter()
+
+    def end(self, name: str) -> None:
+        now = time.perf_counter()
+        self.append({"stage": name, "wall_s": now - self._clock, "peak_rss_mib": _peak_rss_mib()})
+        self._clock = now
+
+    def after(self, items: Iterable, name: str) -> Iterator:
+        """`items`, ending stage `name` once the last is taken."""
+        yield from items
+        self.end(name)
 
 
 def _change_type(token: str) -> ChangeType:
@@ -285,16 +312,19 @@ def cmd_diff(args: argparse.Namespace) -> dict:
 def cmd_matrix(args: argparse.Namespace) -> dict:
     from . import modmatrix
 
+    stages = _Stages()
     change_type = _change_type(args.change_type)
     _, counts, census, _ = _diff_output(args)
+    stages.end("check")
     matrix = modmatrix.build_matrix(
-        vrf_io.csv_to_changes(args.changes),
+        stages.after(vrf_io.csv_to_changes(args.changes), "read_changes"),
         change_type,
         interval_days=args.interval_days,
         populations=census,
     )
-    modmatrix.matrix_to_csv(matrix, os.path.join(args.out, f"matrix_{change_type.value}.csv"))
     spectrum = modmatrix.top_singular_values(matrix, min(20, min(matrix.shape)))
+    stages.end("compute")
+    modmatrix.matrix_to_csv(matrix, os.path.join(args.out, f"matrix_{change_type.value}.csv"))
     with open(
         os.path.join(args.out, f"singular_values_{change_type.value}.csv"),
         "w", encoding="utf-8",
@@ -302,33 +332,20 @@ def cmd_matrix(args: argparse.Namespace) -> dict:
         fh.write("rank,singular_value\n")
         for rank, value in enumerate(spectrum, start=1):
             fh.write(f"{rank},{value!r}\n")
-    return {"counts": {**counts, "cells": matrix.values.size}}
-
-
-def _peak_rss_mib() -> float:
-    """The peak RSS so far of this process or of its largest child (evaluate's workers)."""
-    selves = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
-    return max(resource.getrusage(who).ru_maxrss for who in selves) / 1024
+    stages.end("write")
+    return {"counts": {**counts, "cells": matrix.values.size}, "stages": stages}
 
 
 def cmd_detect(args: argparse.Namespace) -> dict:
     from . import detectors, modmatrix, plots
 
-    stages = []  # each stage's wall time and the peak RSS after it, in run order
-    clock = time.perf_counter()
-
-    def stage(name: str) -> None:
-        nonlocal clock
-        now = time.perf_counter()
-        stages.append({"stage": name, "wall_s": now - clock, "peak_rss_mib": _peak_rss_mib()})
-        clock = now
-
+    stages = _Stages()
     matrix = modmatrix.csv_to_matrix(args.matrix)
     # scoring reads the values grid alone: the count grids go before it
     values, locales, intervals = matrix.values, matrix.locales, matrix.intervals
     change_type = matrix.change_type.value
     del matrix
-    stage("read")
+    stages.end("read")
     overrides = {}
     if args.method == "nmf" and args.k is not None:
         overrides["k"] = args.k
@@ -340,18 +357,18 @@ def cmd_detect(args: argparse.Namespace) -> dict:
             raise VrfError(f"--window must be >= 0, got {args.window}")
         method = f"{method}_{2 * args.window + 1}"
     scores, params = detectors.score_with_method(values, method, **overrides)
-    stage("score")
+    stages.end("score")
     order = detectors.rank_entries(scores, values)
     del values
-    stage("rank")
+    stages.end("rank")
     scored = detectors.ScoreMatrix(method, scores, locales, intervals, params)
     names = (f"scores_{method}.csv", f"ranked_{method}.csv", f"scores_{method}.svg")
     scores_path, ranked_path, svg_path = (os.path.join(args.out, name) for name in names)
     detectors.scores_to_csv(scored, scores_path)
-    stage("write_scores")
+    stages.end("write_scores")
     detectors.ranked_to_csv(scored, order, ranked_path)
     del order
-    stage("write_ranked")
+    stages.end("write_ranked")
     plots.render_heatmap(
         scores,
         locales,
@@ -359,7 +376,7 @@ def cmd_detect(args: argparse.Namespace) -> dict:
         svg_path,
         title=f"{method} scores ({change_type})",
     )
-    stage("heatmap")
+    stages.end("heatmap")
     converged = bool(params.get("converged", True))
     if not converged:
         logger.warning("detector %s did not converge; see params in scores CSV", method)
@@ -435,9 +452,11 @@ def _read_labels(path: str) -> dict:
 def cmd_features(args: argparse.Namespace) -> dict:
     from . import groupfeatures
 
+    stages = _Stages()
     labels = _read_labels(args.labels) if args.labels else {}
     change_types = (_change_type(args.change_type),) if args.change_type else None
     where, counts, census, elections = _diff_output(args)
+    stages.end("check")
     references = (  # diff's reference-record files, one per census date
         vrf_io.parse_snapshot(
             os.path.join(where, "voters", f"snapshot_{date.isoformat()}.csv"),
@@ -445,18 +464,21 @@ def cmd_features(args: argparse.Namespace) -> dict:
         )
         for date in sorted(census)
     )
+    # the references are read one at a time, each with its voters' rows computed
     vectors = groupfeatures.compute_group_features(
-        vrf_io.csv_to_changes(args.changes),
-        references,
+        stages.after(vrf_io.csv_to_changes(args.changes), "read_changes"),
+        stages.after(references, "read_references"),
         groupfeatures.ElectionCalendar(elections),
         interval_days=args.interval_days,
         labels=labels,
         change_types=change_types,
     )
+    stages.end("compute")
     groupfeatures.features_to_csv(vectors, os.path.join(args.out, "group_features.csv"))
+    stages.end("write")
     matched = sum(v.label is not None for v in vectors)
     label_counts = {"read": len(labels), "matched": matched, "unmatched": len(labels) - matched}
-    return {"counts": {**counts, "labels": label_counts}}
+    return {"counts": {**counts, "labels": label_counts}, "stages": stages}
 
 
 def cmd_train(args: argparse.Namespace) -> dict:

@@ -202,9 +202,12 @@ def raw_scores(model: GbtModel, features: np.ndarray) -> np.ndarray:
             f"feature vector has {x.shape[1]} entries, model expects {model.n_features}"
         )
     scores = np.zeros((x.shape[0], len(model.classes)))
-    for round_trees in model.trees:
-        for k, tree in enumerate(round_trees):
-            scores[:, k] += tree.predict_many(x)
+    with np.errstate(over="ignore"):  # refused below
+        for round_trees in model.trees:
+            for k, tree in enumerate(round_trees):
+                scores[:, k] += tree.predict_many(x)
+    if not np.isfinite(scores).all():
+        raise ModelError("class scores overflow: the leaf weights sum beyond the float range")
     return scores
 
 
@@ -403,8 +406,13 @@ def load_model(path: str) -> GbtModel:
             trees=[[_node_from_dict(t) for t in rt] for rt in payload["trees"]],
             train_loss=[float(v) for v in payload["train_loss"]],
         )
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # recursion: a deep tree
+    # recursion: a deep tree; overflow: an infinite n_features or split feature
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ModelError(f"{path}: malformed model ({exc!r})") from None
+    if not isinstance(payload["classes"], list) or not all(
+        isinstance(name, str) for name in model.classes
+    ):
+        raise ModelError(f"{path}: classes must be a list of names")
     if len(model.classes) < 2:
         raise ModelError(f"{path}: a model needs at least 2 classes, has {len(model.classes)}")
     if any(len(round_trees) != len(model.classes) for round_trees in model.trees):
@@ -412,6 +420,8 @@ def load_model(path: str) -> GbtModel:
     nodes = [tree for round_trees in model.trees for tree in round_trees]
     while nodes:
         node = nodes.pop()
+        if not (math.isfinite(node.weight) and math.isfinite(node.threshold)):
+            raise ModelError(f"{path}: leaf weights and split thresholds must be finite")
         if not node.is_leaf:
             if not 0 <= node.feature < model.n_features:
                 raise ModelError(

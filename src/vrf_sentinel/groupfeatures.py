@@ -16,8 +16,10 @@ import datetime as dt
 import json
 import logging
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -107,17 +109,19 @@ class ElectionCalendar:
 
 
 class ChangeIndex:
-    """Historical change store: per-voter (change_type, posterior_date) log."""
+    """Historical change store: per-voter (change_type, posterior_date) log.
+    Each distinct pair is stored once and shared by every voter's log."""
 
-    def __init__(self, changes: list[ChangeRecord] = ()):  # type: ignore[assignment]
+    def __init__(self, changes: Iterable[ChangeRecord] = ()):
         self._by_voter: dict[str, list[tuple[ChangeType, dt.date]]] = {}
+        self._events: dict[tuple[ChangeType, dt.date], tuple[ChangeType, dt.date]] = {}
         for change in changes:
             self.add(change)
 
     def add(self, change: ChangeRecord) -> None:
-        self._by_voter.setdefault(change.voter_id, []).append(
-            (change.change_type, change.posterior_date)
-        )
+        event = (change.change_type, change.posterior_date)
+        event = self._events.setdefault(event, event)
+        self._by_voter.setdefault(change.voter_id, []).append(event)
 
     def counts(
         self,
@@ -259,7 +263,11 @@ class FeatureScaler:
         x = np.where(np.isnan(x), self.medians, x)
         out = np.zeros_like(x)
         nonzero = self.stds > 0
-        out[:, nonzero] = (x[:, nonzero] - self.means[nonzero]) / self.stds[nonzero]
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            out[:, nonzero] = (x[:, nonzero] - self.means[nonzero]) / self.stds[nonzero]
+        overflowed = np.flatnonzero(~np.isfinite(out).all(axis=0))
+        if overflowed.size:
+            raise DataError(f"feature {FEATURE_NAMES[overflowed[0]]} overflows when standardized")
         return out
 
     def to_json(self) -> str:
@@ -289,8 +297,12 @@ class FeatureScaler:
             columns = [np.array([float(v) for v in raw[k]]) for k in ("means", "stds", "medians")]
             if any(len(column) != len(FEATURE_NAMES) for column in columns):
                 raise ValueError("means, stds and medians must match feature_names in length")
+            if not all(np.isfinite(column).all() for column in columns):
+                raise FileParseError(f"{path}: scaler means, stds and medians must be finite")
+            if np.any(columns[1] < 0):
+                raise FileParseError(f"{path}: scaler stds must be >= 0")
             return cls(*columns)
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise FileParseError(f"{path}: malformed scaler JSON ({exc!r})") from None
 
 
@@ -306,9 +318,13 @@ def standardize(vectors: list[GroupFeatureVector]) -> tuple[np.ndarray, FeatureS
     if x.shape[1] != len(FEATURE_NAMES):
         raise DataError(f"feature width {x.shape[1]} != schema width {len(FEATURE_NAMES)}")
     known = [col[~np.isnan(col)] for col in x.T]
-    medians = np.array([float(np.median(col)) if col.size else 0.0 for col in known])
-    x = np.where(np.isnan(x), medians, x)
-    scaler = FeatureScaler(means=x.mean(axis=0), stds=x.std(axis=0), medians=medians)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        medians = np.array([float(np.median(col)) if col.size else 0.0 for col in known])
+        x = np.where(np.isnan(x), medians, x)
+        scaler = FeatureScaler(means=x.mean(axis=0), stds=x.std(axis=0), medians=medians)
+    unfit = np.flatnonzero(~np.isfinite([scaler.means, scaler.stds, medians]).all(axis=0))
+    if unfit.size:
+        raise DataError(f"feature {FEATURE_NAMES[unfit[0]]} overflows when standardized")
     return scaler.apply(x), scaler
 
 
@@ -316,7 +332,7 @@ def standardize(vectors: list[GroupFeatureVector]) -> tuple[np.ndarray, FeatureS
 
 
 def compute_group_features(
-    changes: list[ChangeRecord],
+    changes: Iterable[ChangeRecord],
     snapshots: Iterable[Snapshot],
     calendar: ElectionCalendar,
     interval_days: int,
@@ -329,62 +345,82 @@ def compute_group_features(
     Groups lie on `modmatrix.change_grid` of all `changes`, as matrix
     cells do. Each voter is resolved in the snapshot dated the reference
     date of their latest change in the group
-    (`ChangeRecord.reference_date`), so `snapshots` may come in any order
-    and need hold only those records. Unresolvable voters are warned about
+    (`ChangeRecord.reference_date`). Unresolvable voters are warned about
     and excluded. Change-history counts never include the change being
     summarized.
-    """
-    records: dict[dt.date, Mapping[str, VoterRecord]] = {}
-    for snapshot in snapshots:
-        if snapshot.snapshot_date in records:
-            raise DataError(f"two snapshots dated {snapshot.snapshot_date}")
-        records[snapshot.snapshot_date] = snapshot.records
-    if not changes:
-        return []
-    intervals, columns = change_grid(changes, interval_days)
-    groups: dict[tuple[str, int, ChangeType], dict[str, ChangeRecord]] = {}
-    for change, j in zip(changes, columns):
-        if change_types is not None and change.change_type not in change_types:
-            continue
-        key = (change.locale, j, change.change_type)
-        latest = groups.setdefault(key, {})
-        cur = latest.get(change.voter_id)
-        if cur is None or change.posterior_date > cur.posterior_date:
-            latest[change.voter_id] = change
 
-    index = ChangeIndex(changes)
+    `changes` is read once, keeping each voter's change history and, per
+    group and voter, the posterior and reference dates of the latest
+    change. `snapshots` may then come in any order and need hold only the
+    reference records; each is dropped once its voters' rows are computed,
+    so one snapshot's records are held at a time.
+    """
+    index, posterior = ChangeIndex(), set()
+    # (locale, type, posterior date) -> voter -> reference date of the first
+    # such change; a group's latest change has the latest of these dates
+    latest: dict[tuple[str, ChangeType, dt.date], dict[str, dt.date]] = {}
+    for change in changes:
+        index.add(change)
+        posterior.add(change.posterior_date)
+        if change_types is None or change.change_type in change_types:
+            key = (change.locale, change.change_type, change.posterior_date)
+            latest.setdefault(key, {}).setdefault(change.voter_id, change.reference_date)
+    intervals, column_of = change_grid(posterior, interval_days) if posterior else ((), {})
+    groups: dict[tuple[str, int, ChangeType], dict[str, tuple[dt.date, dt.date]]] = {}
+    for (locale, change_type, date), voters in sorted(latest.items(), key=lambda kv: kv[0][2]):
+        group = groups.setdefault((locale, column_of[date], change_type), {})
+        group.update((voter_id, (date, reference)) for voter_id, reference in voters.items())
+    del latest
+    # (group, voter, as-of date, reference date) in output order, and the
+    # members each reference date resolves
+    members, by_reference = [], {}
+    for key in sorted(groups, key=lambda k: (k[0], k[1], k[2].value)):
+        for voter_id, (as_of, reference) in sorted(groups.pop(key).items()):
+            by_reference.setdefault(reference, []).append(len(members))
+            members.append((key, voter_id, as_of, reference))
+
+    rows = np.empty((len(members), len(FEATURE_NAMES)))
+    resolved = np.zeros(len(members), dtype=bool)
+    seen = set()
+    for snapshot in snapshots:
+        if snapshot.snapshot_date in seen:
+            raise DataError(f"two snapshots dated {snapshot.snapshot_date}")
+        seen.add(snapshot.snapshot_date)
+        for n in by_reference.get(snapshot.snapshot_date, ()):
+            (_, _, change_type), voter_id, as_of, _ = members[n]
+            record = snapshot.records.get(voter_id)
+            if record is not None:
+                counts = index.counts(voter_id, as_of, exclude=(change_type, as_of))
+                rows[n] = voter_features(record, as_of, counts, calendar)
+                resolved[n] = True
+        del snapshot  # the next snapshot is read without this one's records
+
     labels = labels or {}
-    out = []
-    for locale, i, change_type in sorted(groups, key=lambda k: (k[0], k[1], k[2].value)):
+    out, stop = [], 0
+    for (locale, i, change_type), group in groupby(members, key=itemgetter(0)):
         key = GroupKey(locale, intervals[i].start, change_type)
-        latest = groups[locale, i, change_type]
-        rows, missing = [], []
-        for voter_id in sorted(latest):
-            change = latest[voter_id]
-            if change.reference_date not in records:
-                raise DataError(
-                    f"no snapshot dated {change.reference_date} to resolve voter {voter_id}"
-                )
-            record = records[change.reference_date].get(voter_id)
-            if record is None:
+        voters = [(voter_id, reference) for _, voter_id, _, reference in group]
+        start, stop = stop, stop + len(voters)
+        missing = []
+        for (voter_id, reference), found in zip(voters, resolved[start:stop]):
+            if reference not in seen:
+                raise DataError(f"no snapshot dated {reference} to resolve voter {voter_id}")
+            if not found:
                 missing.append(voter_id)
-                continue
-            as_of = change.posterior_date
-            counts = index.counts(voter_id, as_of, exclude=(change_type, as_of))
-            rows.append(voter_features(record, as_of, counts, calendar))
         if missing:
             logger.warning(
                 "group %s/%s/%s: %d voters unresolvable in their reference snapshots: %s",
                 locale, key.interval_start, change_type.value,
                 len(missing), ", ".join(missing[:10]),
             )
-        if not rows:
+        x = rows[start:stop][resolved[start:stop]]
+        if not len(x):
             raise DataError(f"group {key} has no resolvable voters")
-        x = np.vstack(rows)  # np.nanmean's sum / count, without its all-NaN warning
+        # np.nanmean's sum / count, without its all-NaN warning
         with np.errstate(invalid="ignore"):  # such a column (no birth date) stays NaN
             means = np.nansum(x, axis=0) / (~np.isnan(x)).sum(axis=0)
         label = labels.get((locale, key.interval_start, change_type))
-        out.append(GroupFeatureVector(key, len(rows), means, label))
+        out.append(GroupFeatureVector(key, len(x), means, label))
     return out
 
 
@@ -416,11 +452,14 @@ def features_from_csv(path: str) -> list[GroupFeatureVector]:
     for number, row in read_table(path, FEATURE_CSV_COLUMNS):
         try:
             key = GroupKey(row[0], dt.date.fromisoformat(row[1]), ChangeType(row[2]))
+            features = np.array([float(x) for x in row[4 : 4 + len(FEATURE_NAMES)]])
+            if np.isinf(features).any():  # a group mean, or NaN where it has no value
+                raise ValueError("features must be finite or nan")
             out.append(
                 GroupFeatureVector(
                     key=key,
                     n_voters=int(row[3]),
-                    features=np.array([float(x) for x in row[4 : 4 + len(FEATURE_NAMES)]]),
+                    features=features,
                     label=EventLabel(row[-1]) if row[-1] else None,
                 )
             )

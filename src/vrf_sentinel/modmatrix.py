@@ -20,7 +20,8 @@ import csv
 import datetime as dt
 import logging
 from array import array
-from collections.abc import Iterable, Mapping
+from collections import Counter
+from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass
 from itertools import groupby
 from typing import TextIO
@@ -115,20 +116,19 @@ def build_intervals(start: dt.date, end: dt.date, interval_days: int) -> tuple[D
 
 
 def change_grid(
-    changes: list[ChangeRecord], interval_days: int
-) -> tuple[tuple[DateInterval, ...], list[int]]:
-    """The interval grid of matrix cells and change groups, and each
-    change's column on it: `interval_days`-wide intervals from the earliest
-    posterior date of `changes`, over every change type, to the latest; a
-    change's column is `(posterior_date - start).days // interval_days`."""
-    dates = [c.posterior_date for c in changes]
+    dates: Collection[dt.date], interval_days: int
+) -> tuple[tuple[DateInterval, ...], dict[dt.date, int]]:
+    """The interval grid of matrix cells and change groups, and the column
+    of each of `dates`, the posterior dates of a change set over every
+    change type: `interval_days`-wide intervals from the earliest date to
+    the latest; a date's column is `(date - start).days // interval_days`."""
     start = min(dates)
-    intervals = build_intervals(start, max(dates), interval_days)
-    return intervals, [(d - start).days // interval_days for d in dates]
+    columns = {d: (d - start).days // interval_days for d in dates}
+    return build_intervals(start, max(dates), interval_days), columns
 
 
 def build_matrix(
-    changes: list[ChangeRecord],
+    changes: Iterable[ChangeRecord],
     change_type: ChangeType,
     interval_days: int,
     populations: Mapping[dt.date, Mapping[str, int]],
@@ -136,29 +136,33 @@ def build_matrix(
     """Aggregate matching change records into a normalized matrix.
 
     Each matching record increments exactly one cell: its locale's row and
-    its column on `change_grid` of all `changes`. The locales are every
-    locale counted in any census or changed (so zero-change locales still
-    get rows).
+    its posterior date's column on `change_grid` of all `changes`. The
+    locales are every locale counted in any census or changed (so
+    zero-change locales still get rows). `changes` is read once, into a
+    count per (locale, posterior date) of the matching records and the
+    posterior dates of all, so memory grows with the cells, not the changes.
 
     `populations` maps each census (snapshot) date to its registered-voter
     count per locale. An interval takes its counts from the latest census
     strictly before its start (the count before the interval's changes
     occurred), or from the earliest census when none precedes it.
     """
+    counts: Counter[tuple[str, dt.date]] = Counter()
+    posterior = set()
+    for change in changes:
+        posterior.add(change.posterior_date)
+        if change.change_type == change_type:
+            counts[change.locale, change.posterior_date] += 1
     if not populations:
         raise DataError("need at least one census for populations")
-    matching = [c for c in changes if c.change_type == change_type]
-    if not matching:
+    if not counts:
         raise DataError(f"no {change_type.value} changes")
-    intervals, columns = change_grid(changes, interval_days)
-    locales = sorted(set().union(*populations.values()) | {c.locale for c in matching})
+    intervals, column_of = change_grid(posterior, interval_days)
+    locales = sorted(set().union(*populations.values()) | {locale for locale, _ in counts})
     row = {loc: i for i, loc in enumerate(locales)}
-    n_rows, n_cols = len(locales), len(intervals)
-
-    cells = [
-        row[c.locale] * n_cols + j for c, j in zip(changes, columns) if c.change_type == change_type
-    ]
-    raw = np.bincount(cells, minlength=n_rows * n_cols).reshape(n_rows, n_cols)
+    raw = np.zeros((len(locales), len(intervals)), dtype=np.int64)
+    for (locale, date), n in counts.items():
+        raw[row[locale], column_of[date]] += n
 
     census = sorted(populations)
     # per interval, the latest census strictly before its start, else the earliest
@@ -315,10 +319,12 @@ def csv_to_matrix(path: str) -> ModificationMatrix:
     # below 1e150 the squares a pooled detector sums stay finite
     if not np.all((values >= 0) & (values < 1e150)):
         raise FileParseError(f"{path}: matrix values must lie in [0, 1e150)")
-    # finite whole numbers within int64 only, so the cast is exact and silent
+    # whole numbers below 2^53 only: the float the cell was read as holds
+    # them exactly (a larger count, such as 2^53 + 1, was rounded), and the
+    # int64 cast is exact and silent
     for counts in (raw, pops):
-        if not np.all((np.abs(counts) < 2.0**63) & (np.floor(counts) == counts)):
-            raise FileParseError(f"{path}: raw_counts/populations must be integers below 2^63")
+        if not np.all((np.abs(counts) < 2.0**53) & (np.floor(counts) == counts)):
+            raise FileParseError(f"{path}: raw_counts/populations must be integers below 2^53")
     raw = raw.astype(np.int64)  # one block at a time: each float block is freed
     pops = pops.astype(np.int64)
     if np.any(raw < 0):

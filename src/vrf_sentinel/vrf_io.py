@@ -575,23 +575,36 @@ def changes_to_csv(changes: Iterable[ChangeRecord], path: str) -> None:
         )
 
 
-def csv_to_changes(path: str) -> list[ChangeRecord]:
-    changes = []
-    for number, row in read_table(path, CHANGE_CSV_COLUMNS):
-        voter_id, locale, type_token, ante, post, deltas_json = row
-        where = f"{path}:{number}"
-        try:
-            change_type = ChangeType(type_token)
-        except ValueError:
-            raise FileParseError(f"{where}: unknown change_type token {type_token!r}") from None
-        try:
-            deltas = tuple(FieldDelta(*d) for d in json.loads(deltas_json))
-        except (ValueError, TypeError, RecursionError) as exc:
-            raise FileParseError(f"{where}: bad field_deltas: {exc}") from None
-        changes.append(
-            ChangeRecord(
-                voter_id, locale, change_type, _parse_date(ante, where),
-                _parse_date(post, where), deltas,
+class _ChangeFile:
+    """The records of a `changes.csv`, read afresh on each pass over them."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __iter__(self) -> Iterator[ChangeRecord]:
+        path, dates = self.path, {}  # each distinct date cell is parsed once
+        for number, row in read_table(path, CHANGE_CSV_COLUMNS):
+            voter_id, locale, type_token, ante, post, deltas_json = row
+            where = f"{path}:{number}"
+            try:
+                change_type = ChangeType(type_token)
+            except ValueError:
+                raise FileParseError(f"{where}: unknown change_type token {type_token!r}") from None
+            try:
+                deltas = tuple(FieldDelta(*d) for d in json.loads(deltas_json))
+            except (ValueError, TypeError, RecursionError) as exc:
+                raise FileParseError(f"{where}: bad field_deltas: {exc}") from None
+            yield ChangeRecord(
+                voter_id, locale, change_type,
+                dates.get(ante) or dates.setdefault(ante, _parse_date(ante, where)),
+                dates.get(post) or dates.setdefault(post, _parse_date(post, where)),
+                deltas,
             )
-        )
-    return changes
+
+
+def csv_to_changes(path: str) -> Iterable[ChangeRecord]:
+    """The change records of a `changes.csv`, read as they are iterated:
+    each pass reads and checks the file again and yields one `ChangeRecord`
+    per row, so a reader keeps only the fields it takes of each. A row's
+    cells, dates and `field_deltas` JSON are checked as it is read."""
+    return _ChangeFile(path)

@@ -2,6 +2,7 @@ import argparse
 import collections
 import contextlib
 import csv
+import dataclasses
 import datetime as dt
 import gc
 import hashlib
@@ -240,12 +241,12 @@ def step_argv(pipeline, step, diff, out):
     ]
 
 
-@pytest.mark.parametrize("count", ["x", [1], 1e30, 10**29, 2.5, -1, True, 2**63])
+@pytest.mark.parametrize("count", ["x", [1], 1e30, 10**29, 2.5, -1, True, 2**63, 2**53])
 @pytest.mark.parametrize("cell", ["census", "turnout"])
 @pytest.mark.parametrize("step", ["matrix", "features"])
 def test_bad_count_in_diff_manifest_exits_3(pipeline, tmp_path, capsys, step, cell, count):
     """Each census count and election turnout must be an integer below
-    2^63; that is checked before the census digest."""
+    2^53; that is checked before the census digest."""
     diff = tmp_path / "diff"
     shutil.copytree(pipeline / "diff", diff)
     manifest = json.loads((diff / "manifest.json").read_text())
@@ -498,6 +499,119 @@ def test_diff_memory_stays_flat_in_the_number_of_snapshots(pipeline, tmp_path):
 
     single, twice = peak(6), peak(12)
     assert twice <= 1.1 * single, (single, twice)
+
+
+@pytest.fixture(scope="module")
+def alternating_diffs(pipeline, tmp_path_factory):
+    """count -> (snapshots, diff) for 6 and 12 weekly snapshot files that
+    alternate between the walk's first and last snapshot, dated from the
+    last one's date on, so that no voter registers after a file's date.
+    Each pair holds every change of the walk: the 12 files' diff holds
+    about twice the changes of the 6 files' diff."""
+    root, synth = tmp_path_factory.mktemp("alternating"), pipeline / "synth"
+    first, *_, last = sorted((synth / "snapshots").glob("snapshot_*.csv"))
+    start = dt.date.fromisoformat(last.stem.removeprefix("snapshot_"))
+    diffs = {}
+    for count in (6, 12):
+        snapshots = root / f"snapshots_{count}"
+        snapshots.mkdir()
+        for k in range(count):
+            shutil.copy((first, last)[k % 2], snapshots / f"snapshot_{start + dt.timedelta(weeks=k)}.csv")
+        diff = root / f"diff_{count}"
+        assert run("diff", "--snapshots", str(snapshots), "--schema", str(synth / "schema.cfg"),
+                   "--out", str(diff)) == 0
+        diffs[count] = snapshots, diff
+    return diffs
+
+
+def traced_peak(*argv):
+    """The tracemalloc peak, in bytes, of one CLI run that must exit 0."""
+    import tracemalloc
+
+    gc.collect()  # garbage of earlier runs is not this run's
+    tracemalloc.start()
+    try:
+        assert run(*argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def alternating_step_peak(pipeline, alternating_diffs, tmp_path, step, count, *extra):
+    snapshots, diff = alternating_diffs[count]
+    return traced_peak(
+        step, "--changes", str(diff / "changes.csv"), "--snapshots", str(snapshots),
+        "--schema", str(pipeline / "synth" / "schema.cfg"), *extra,
+        "--out", str(tmp_path / f"{step}_{count}"),
+    )
+
+
+def test_matrix_memory_stays_flat_in_the_number_of_snapshots(pipeline, alternating_diffs, tmp_path):
+    """matrix's tracemalloc peak over the 12-file diff stays within 10% of
+    its peak over the 6-file one: it keeps a count per cell and the dates
+    it has seen, not the change list."""
+    single, twice = (
+        alternating_step_peak(pipeline, alternating_diffs, tmp_path, "matrix", count,
+                              "--change-type", "deactivation")
+        for count in (6, 12)
+    )
+    assert twice <= 1.1 * single, (single, twice)
+
+
+# what features may hold per change read: its voter's (type, date) history
+# entry, about 50 bytes, and for a change of the type asked for its (group,
+# voter) dates and feature row of 36 floats (holding the change records, with
+# their field deltas, and every reference file at once cost about 1,570)
+FEATURES_BYTES_PER_CHANGE = 250
+
+
+def test_features_memory_grows_at_most_250_bytes_per_change(
+    pipeline, alternating_diffs, tmp_path,
+):
+    """features' tracemalloc peak over the 12-file diff exceeds its peak over
+    the 6-file one by at most FEATURES_BYTES_PER_CHANGE for each change the
+    12 files add."""
+    changes = {
+        count: len(list(vrf_io.csv_to_changes(str(diff / "changes.csv"))))
+        for count, (_, diff) in alternating_diffs.items()
+    }
+    single, twice = (
+        alternating_step_peak(pipeline, alternating_diffs, tmp_path, "features", count,
+                              "--change-type", "deactivation")
+        for count in (6, 12)
+    )
+    assert changes[12] > 1.9 * changes[6]
+    assert twice - single <= FEATURES_BYTES_PER_CHANGE * (changes[12] - changes[6]), (
+        single, twice, changes,
+    )
+
+
+def test_features_holds_one_reference_file_at_a_time(pipeline, tmp_path, monkeypatch):
+    """Each time features reads one of diff's 21 reference files, no record
+    map of an earlier one is alive: it computes the rows of the voters a
+    file resolves, then drops the file."""
+    parse = vrf_io.parse_snapshot
+    alive, alive_at_read = [], []
+
+    class Records(dict):
+        """A record map a weak reference can follow."""
+
+    def tracked(path, *args, **kwargs):
+        gc.collect()
+        alive_at_read.append(sum(ref() is not None for ref in alive))
+        snapshot = parse(path, *args, **kwargs)
+        records = Records(snapshot.records)
+        alive.append(weakref.ref(records))
+        return dataclasses.replace(snapshot, records=records)
+
+    monkeypatch.setattr(vrf_io, "parse_snapshot", tracked)
+    synth = pipeline / "synth"
+    assert run(
+        "features", "--changes", str(pipeline / "diff" / "changes.csv"),
+        "--snapshots", str(synth / "snapshots"), "--schema", str(synth / "schema.cfg"),
+        "--out", str(tmp_path),
+    ) == 0
+    assert alive_at_read == [0] * 21
 
 
 def test_predictions_csv_quotes_locale_text(tmp_path):
@@ -1173,6 +1287,137 @@ def test_malformed_artifact_exits_3(pipeline, tmp_path, monkeypatch, capsys, cas
 
 
 @pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A group_features.csv of 16 labeled groups and 2 unlabeled ones, some
+    without a birth date, and the model.json and scaler.json `train` fits
+    on it."""
+    root = tmp_path_factory.mktemp("trained")
+    rng = np.random.default_rng(0)
+    names = groupfeatures.FEATURE_NAMES
+    vectors = []
+    for i in range(18):
+        features = rng.normal(size=len(names)) + i % 2
+        if i % 5 == 0:
+            features[names.index("years_old")] = math.nan
+        vectors.append(groupfeatures.GroupFeatureVector(
+            groupfeatures.GroupKey(f"L{i:02d}", dt.date(2019, 1, 3), ChangeType.DEACTIVATION),
+            3, features, (EventLabel.OTHER, EventLabel.NCOA_MAILINGS)[i % 2] if i < 16 else None,
+        ))
+    groupfeatures.features_to_csv(vectors, str(root / "group_features.csv"))
+    assert run(
+        "train", "--features", str(root / "group_features.csv"), "--n-estimators", "5",
+        "--out", str(root),
+    ) == 0
+    return root
+
+
+def predict_argv(model, scaler, features, out):
+    return [
+        "predict", "--model", str(model), "--scaler", str(scaler), "--features", str(features),
+        "--out", str(out),
+    ]
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"means": "nan"}, "scaler means, stds and medians must be finite"),
+    ({"stds": "-1.0"}, "scaler stds must be >= 0"),
+    ({"means": "1e308", "stds": "0.5"}, "feature years_old overflows when standardized"),
+])
+def test_scaler_predict_cannot_apply_exits_3(trained, tmp_path, capsys, edit, message):
+    """A scaler with a NaN mean, a negative std, or a mean so far from the
+    features that standardizing overflows: `predict` exits 3 with one
+    line, where it once exited 0 with a constant class, a silently zeroed
+    feature or a numpy warning."""
+    scaler = json.loads((trained / "scaler.json").read_text())
+    column = groupfeatures.FEATURE_NAMES.index("years_old")
+    for key, value in edit.items():
+        scaler[key][column] = value
+    path = tmp_path / "scaler.json"
+    path.write_text(json.dumps(scaler))
+    capsys.readouterr()
+    argv = predict_argv(trained / "model.json", path, trained / "group_features.csv", tmp_path)
+    assert run(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{message}\n") and err.count("\n") == 1
+
+
+def json_paths(value, path=()):
+    """The path of every value inside a JSON document, in dicts and lists."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(
+        value, list) else ()
+    for key, inner in items:
+        yield (*path, key)
+        yield from json_paths(inner, (*path, key))
+
+
+# numbers a hand edit or another program may leave in a model or scaler
+EDGE_NUMBERS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, -0.0, 2**63, 2**1100]),
+    st.integers(-(2**70), 2**70),
+)
+
+
+@settings(max_examples=300)  # about 4 s on a 2-core machine
+@given(data=st.data())
+def test_train_and_predict_of_edited_inputs_exit_0_or_3(trained, data):
+    """One edit to group_features.csv (a cell set to a number or text, or a
+    row dropped or repeated), to model.json or to scaler.json (a value
+    anywhere replaced or dropped): `train` on such features and `predict`
+    each exit 0 with nothing on stderr, or 3 with one `error:` line, and
+    never raise."""
+    target = data.draw(st.sampled_from(["features", "model", "scaler"]))
+    files = {name: trained / name for name in ("group_features.csv", "model.json", "scaler.json")}
+    with tempfile.TemporaryDirectory() as tmp:
+        if target == "features":
+            with open(files["group_features.csv"], newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            at = data.draw(st.integers(1, len(rows) - 1))
+            edit = data.draw(st.sampled_from(["cell", "drop", "repeat"]))
+            if edit == "cell":
+                rows[at][data.draw(st.integers(0, len(rows[at]) - 1))] = data.draw(st.one_of(
+                    EDGE_NUMBERS.map(repr), CELL_TEXT,
+                    st.sampled_from([label.value for label in EventLabel]),
+                ))
+            else:
+                rows[at:at + 1] = [] if edit == "drop" else [rows[at]] * 2
+            files["group_features.csv"] = pathlib.Path(tmp, "group_features.csv")
+            with open(files["group_features.csv"], "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(rows)
+        else:
+            name = f"{target}.json"
+            document = json.loads(files[name].read_text())
+            *parents, key = data.draw(st.sampled_from(list(json_paths(document))))
+            holder = document
+            for parent in parents:
+                holder = holder[parent]
+            if data.draw(st.booleans()):
+                del holder[key]
+            else:  # mostly a value of the same kind: a scaler writes its numbers as text
+                alike = {int: EDGE_NUMBERS, float: EDGE_NUMBERS, str: EDGE_NUMBERS.map(repr)}
+                holder[key] = data.draw(st.one_of(
+                    alike.get(type(holder[key]), JSON_VALUES), JSON_VALUES, st.just(holder[key])
+                ))
+            files[name] = pathlib.Path(tmp, name)
+            files[name].write_text(json.dumps(document))
+        steps = [predict_argv(
+            files["model.json"], files["scaler.json"], files["group_features.csv"], f"{tmp}/p"
+        )]
+        if target == "features":
+            steps.append(["train", "--features", str(files["group_features.csv"]),
+                          "--n-estimators", "5", "--out", f"{tmp}/t"])
+        for argv in steps:
+            err = stdio.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run(*argv)
+            assert code in (0, 3)
+            if code == 0:
+                assert err.getvalue() == ""
+            else:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+@pytest.fixture(scope="module")
 def other_run(pipeline, tmp_path_factory):
     """The files of another run, by name: the pipeline's changes, snapshots
     and schema, a detect run's score and ranked CSVs, a features run's group
@@ -1301,7 +1546,7 @@ def _write_labels(path):
 
 # table name -> (its writer, its reader)
 TABLES = {
-    "changes": (_write_changes, vrf_io.csv_to_changes),
+    "changes": (_write_changes, lambda path: list(vrf_io.csv_to_changes(path))),
     "features": (_write_features, groupfeatures.features_from_csv),
     "labels": (_write_labels, cli._read_labels),
 }
@@ -1876,6 +2121,25 @@ def test_features_with_foreign_labels_or_diff_files_exits_0_or_3(
         assert read_counts(pathlib.Path(tmp) / "out")["labels"] == {
             "read": len(rows), "matched": matched, "unmatched": len(rows) - matched,
         }
+
+
+@pytest.mark.parametrize("block", [1, 2])  # raw_counts, populations
+@pytest.mark.parametrize("step", ["detect", "heatmap"])
+def test_matrix_count_a_float_cannot_hold_exits_3(pipeline, tmp_path, capsys, step, block):
+    """A raw count or population of 2^53 + 1, which reads as the float 2^53,
+    exits 3 with one line, where it was once rounded and written back."""
+    with open(pipeline / "matrix" / "matrix_deactivation.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    n_locales = rows.index([]) - 1
+    rows[1 + block * (n_locales + 1)][1] = str(2**53 + 1)
+    matrix = tmp_path / "matrix_deactivation.csv"
+    with open(matrix, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    out = tmp_path / ("h.svg" if step == "heatmap" else "detect")
+    capsys.readouterr()
+    assert run(step, "--matrix", str(matrix), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {matrix}: raw_counts/populations must be integers below 2^53\n"
 
 
 # text a hand edit may leave in a cell: anything UTF-8 holds, but NUL

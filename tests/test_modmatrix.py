@@ -424,13 +424,18 @@ def written_matrices(draw):
 def test_restore_and_write_match_the_per_cell_oracles(written):
     """Formatting each distinct value of a row once restores and writes the
     bits that formatting each cell did: on repeated values, on 0.0 beside
-    -0.0, and on cells edited off the formula."""
+    -0.0, and on cells edited off the formula. A raw count of 2^53 or more,
+    which the float it is read as may round, is refused."""
     intervals, blocks = written
     locales = tuple(f"L{i}" for i in range(len(blocks[0])))
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/matrix.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             mm.write_grid(fh, "address", intervals, locales, blocks)
+        if max(int(count) for row in blocks[1] for count in row) >= 2**53:
+            with pytest.raises(FileParseError, match=r"integers below 2\^53"):
+                mm.csv_to_matrix(path)
+            return
         matrix = mm.csv_to_matrix(path)
         with open(path, newline="", encoding="utf-8") as fh:
             _, _, _, (values, raw, pops) = mm.read_grid(fh, path, 3)
@@ -502,7 +507,7 @@ def test_csv_negative_value_rejected(tmp_path):
 
 @pytest.mark.parametrize("cell", ["inf", "nan", "1e19", "2.5"])
 def test_csv_counts_must_be_int64_whole_numbers(tmp_path, cell):
-    """A population that is not a whole number below 2^63 is a parse error,
+    """A population that is not a whole number below 2^53 is a parse error,
     raised before the int64 cast could warn."""
     matrix = build_example_matrix()
     path = tmp_path / "matrix.csv"

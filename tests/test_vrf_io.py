@@ -569,14 +569,26 @@ def test_changes_csv_round_trip(tmp_path):
     assert len(changes) == 6
     path = tmp_path / "changes.csv"
     io.changes_to_csv(changes, str(path))
-    assert io.csv_to_changes(str(path)) == changes
+    assert list(io.csv_to_changes(str(path))) == changes
+
+
+def test_changes_csv_read_on_each_pass(tmp_path):
+    """`csv_to_changes` reads nothing when called: each pass over its
+    result reads the file as it then stands, one record at a time."""
+    path = tmp_path / "changes.csv"
+    changes = io.csv_to_changes(str(path))
+    first = [ChangeRecord("A1", "polk", ChangeType.NAME, D1, D2, (FieldDelta("last_name", "a", "b"),))]
+    io.changes_to_csv(first, str(path))
+    assert list(changes) == list(changes) == first
+    io.changes_to_csv(first * 2, str(path))
+    assert list(changes) == first * 2
 
 
 def test_changes_csv_empty_round_trip(tmp_path):
     path = tmp_path / "changes.csv"
     io.changes_to_csv([], str(path))
     assert path.read_text().strip() == ",".join(io.CHANGE_CSV_COLUMNS)
-    assert io.csv_to_changes(str(path)) == []
+    assert list(io.csv_to_changes(str(path))) == []
 
 
 def test_changes_csv_unknown_type(tmp_path):
@@ -586,7 +598,7 @@ def test_changes_csv_unknown_type(tmp_path):
         + "\nA1,polk,upgrade,2019-01-03,2019-01-10,[]\n"
     )
     with pytest.raises(FileParseError, match="upgrade"):
-        io.csv_to_changes(str(path))
+        list(io.csv_to_changes(str(path)))
 
 
 def test_changes_csv_deeply_nested_deltas(tmp_path):
@@ -596,7 +608,7 @@ def test_changes_csv_deeply_nested_deltas(tmp_path):
         ",".join(io.CHANGE_CSV_COLUMNS) + f"\nA1,polk,address,2019-01-03,2019-01-10,{nested}\n"
     )
     with pytest.raises(FileParseError, match="field_deltas"):
-        io.csv_to_changes(str(path))
+        list(io.csv_to_changes(str(path)))
 
 
 def test_changes_csv_byte_identical(tmp_path):
@@ -625,7 +637,7 @@ def test_changes_csv_round_trip_any_text(rows):
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/changes.csv"
         io.changes_to_csv(changes, path)
-        assert io.csv_to_changes(path) == changes
+        assert list(io.csv_to_changes(path)) == changes
 
 
 # --- diff properties -----------------------------------------------------------
